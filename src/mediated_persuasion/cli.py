@@ -28,6 +28,7 @@ from .feasible import boundary_curves, sample_feasible_general, wing_polygons
 from .info import blackwell_compare, BlackwellOrder, induced_tau, validate_stochastic
 from .scenarios import load_scenario, parse_number
 from .solver import (
+    CLUSTER_RADIUS,
     bp_solve,
     check_equilibrium,
     compare_outcomes,
@@ -250,7 +251,7 @@ def cmd_solve(args) -> int:
             "mode": "search",
             "grid": game.grid,
             "tol_search": game.tol_search,
-            "cluster_tolerance": 0.02,
+            "cluster_tolerance": CLUSTER_RADIUS,
             "clusters": [_certificate_report(c) for c in certs],
         }
         _emit(rep, args.out)

@@ -35,8 +35,6 @@ FIXTURE_NAMES = (
     "fig19",
     "fig20",
     "fig22",
-    "ranked_pair",
-    "unranked_pair",
 )
 
 

@@ -384,53 +384,113 @@ def check_equilibrium(game: GameSpec, x, sigma, tol: Optional[float] = None) -> 
 # ---------------------------------------------------------------------------
 
 
-def _grid_tables(game: GameSpec, vals: np.ndarray):
-    """Expected utilities and outcomes of every grid profile.
+CLUSTER_RADIUS = 0.02  # outcome bin width of the equilibrium search
 
-    Profiles are (sigma1, sigma2) x (x, y) with each entry the first-row
-    probability of the corresponding column. Returns (E_s, E_m, lo, hi)
-    with shape (n_sigma, n_x): expected utilities plus the sorted outcome
-    support (collapsed to the prior where a signal loses all mass).
+# Profiles per grid block. A block holds whole sigma rows (n^2 profiles each,
+# 2,601 at the default grid): about 150 KB per float64 temporary, so a block's
+# temporaries stay in L2 cache. Blocks a quarter this size spend more on
+# per-block numpy calls than they save.
+_BLOCK_PROFILES = 20_000
+
+
+def _grid_blocks(vals: np.ndarray):
+    """Yield (block, c, d) for consecutive blocks of a few sigma rows.
+
+    ``block`` is a slice of sigma indices; index s has first row
+    (a, b) = (vals[s // n], vals[s % n]). Against an experiment column with
+    first-row entry x_k the composite rows take c_k = a x_k + b (1 - x_k) and
+    d_k = (1 - a) x_k + (1 - b) (1 - x_k): n values per sigma, so ``c`` and
+    ``d`` have shape (rows, n).
     """
     n = len(vals)
-    s1, s2 = np.meshgrid(vals, vals, indexing="ij")
-    s1, s2 = s1.ravel(), s2.ravel()
-    x1, y1 = np.meshgrid(vals, vals, indexing="ij")
-    x1, y1 = x1.ravel(), y1.ravel()
+    step = max(1, _BLOCK_PROFILES // (n * n))
+    x = vals[None, :]
+    for start in range(0, n * n, step):
+        s = np.arange(start, min(start + step, n * n))
+        a, b = vals[s // n][:, None], vals[s % n][:, None]
+        yield slice(start, start + s.size), a * x + b * (1 - x), (1 - a) * x + (1 - b) * (1 - x)
+
+
+def _signal(in_state0, in_state1, pi: float):
+    """Probability and posterior of a signal sent with the given state likelihoods.
+
+    A signal that (numerically) loses all mass gets the prior as posterior.
+    """
+    p = (1 - pi) * in_state0 + pi * in_state1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        q = np.where(p > TOL, pi * in_state1 / np.where(p > 0, p, 1.0), pi)
+    return p, q
+
+
+def _grid_tables(game: GameSpec, vals: np.ndarray):
+    """Expected sender and mediator utilities of every grid profile.
+
+    Profiles are (sigma1, sigma2) x (x, y), each entry the first-row
+    probability of the corresponding column; sigma index s and experiment
+    index j stand for sigma1, sigma2 = vals[s // n], vals[s % n] and
+    x, y = vals[j // n], vals[j % n]. Returns float32 tables (E_s, E_m) of
+    shape (n^2, n^2), the only n^2 x n^2 arrays the search builds.
+
+    The tables fill in blocks of a few sigma rows (``_grid_blocks``). Per
+    sigma the composite entries take only n values, so each block broadcasts
+    them to its (rows, n, n) profiles.
+    """
+    n = len(vals)
     pi = game.prior
     E_s = np.empty((n * n, n * n), dtype=np.float32)
     E_m = np.empty((n * n, n * n), dtype=np.float32)
-    T_lo = np.empty((n * n, n * n), dtype=np.float32)
-    T_hi = np.empty((n * n, n * n), dtype=np.float32)
-    chunk = max(1, int(2_000_000 // max(len(x1), 1)))
-    for start in range(0, n * n, chunk):
-        sl = slice(start, min(start + chunk, n * n))
-        a = s1[sl][:, None]
-        b = s2[sl][:, None]
-        x = x1[None, :]
-        y = y1[None, :]
-        b11 = a * x + b * (1 - x)
-        b12 = a * y + b * (1 - y)
-        b21 = (1 - a) * x + (1 - b) * (1 - x)
-        b22 = (1 - a) * y + (1 - b) * (1 - y)
-        p1 = (1 - pi) * b11 + pi * b12
-        p2 = (1 - pi) * b21 + pi * b22
-        with np.errstate(invalid="ignore", divide="ignore"):
-            q1 = np.where(p1 > TOL, pi * b12 / np.where(p1 > 0, p1, 1.0), pi)
-            q2 = np.where(p2 > TOL, pi * b22 / np.where(p2 > 0, p2, 1.0), pi)
+    for block, c, d in _grid_blocks(vals):
+        p1, q1 = _signal(c[:, :, None], c[:, None, :], pi)
+        p2, q2 = _signal(d[:, :, None], d[:, None, :], pi)
         for u, out in ((game.u_sender, E_s), (game.u_mediator, E_m)):
-            v1 = u.eval_many(q1.ravel()).reshape(q1.shape)
-            v2 = u.eval_many(q2.ravel()).reshape(q2.shape)
-            out[sl] = p1 * v1 + p2 * v2
-        T_lo[sl] = np.minimum(q1, q2)
-        T_hi[sl] = np.maximum(q1, q2)
-    return E_s, E_m, T_lo, T_hi
+            out[block] = (p1 * u.eval_many(q1) + p2 * u.eval_many(q2)).reshape(len(c), -1)
+    return E_s, E_m
 
 
-def _cluster_key(tau: BeliefDistribution, radius: float) -> tuple:
-    lo = tau.beliefs[0]
-    hi = tau.beliefs[-1]
-    return (int(round(lo / radius)), int(round(hi / radius)))
+def _bin_winners(gaps, sig_idx, x_idx, k_lo, k_hi):
+    """The profile of least (gap, sigma index, x index) in each outcome bin."""
+    keys = k_lo * 100000 + k_hi
+    order = np.lexsort((x_idx, sig_idx, gaps, keys))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = keys[order[1:]] != keys[order[:-1]]
+    pick = order[first]
+    return gaps[pick], sig_idx[pick], x_idx[pick], k_lo[pick], k_hi[pick]
+
+
+def _coarse_representatives(game: GameSpec, vals: np.ndarray, E_s, E_m, cluster_radius: float):
+    """Filter grid profiles by their grid-game gaps; one winner per outcome bin.
+
+    A profile is kept when neither player gains more than ``eps_coarse`` by
+    a deviation on the grid. Its outcome bin is the sorted posterior support
+    (rounded to float32) in multiples of ``cluster_radius``. The blocks of
+    ``_grid_blocks`` are swept again: posteriors are recomputed for kept
+    profiles only, and each block passes on its bin winners. Returns arrays
+    (gap, sigma index, x index, k_lo, k_hi) with one entry per bin, in
+    ascending bin order.
+    """
+    n = len(vals)
+    pi = game.prior
+    slope = max(game.u_sender.max_abs_slope, game.u_mediator.max_abs_slope)
+    eps_coarse = game.tol_search + 2.0 * slope * game.grid
+    v_m = E_m.max(axis=0)  # best mediator reply per x
+    winners = []
+    for block, c, d in _grid_blocks(vals):
+        es, em = E_s[block], E_m[block]
+        v_s = es.max(axis=1, keepdims=True)  # best sender reply per sigma
+        r, x_idx = np.nonzero((v_s - es <= eps_coarse) & (v_m - em <= eps_coarse))
+        gaps = np.maximum(
+            (v_s[r, 0] - es[r, x_idx]).astype(np.float64),
+            (v_m[x_idx] - em[r, x_idx]).astype(np.float64),
+        )
+        k, j = x_idx // n, x_idx % n
+        _, q1 = _signal(c[r, k], c[r, j], pi)
+        _, q2 = _signal(d[r, k], d[r, j], pi)
+        bins = [
+            np.rint(t.astype(np.float32).astype(np.float64) / cluster_radius).astype(np.int64)
+            for t in (np.minimum(q1, q2), np.maximum(q1, q2))
+        ]
+        winners.append(_bin_winners(gaps, r + block.start, x_idx, *bins))
+    return _bin_winners(*(np.concatenate(w) for w in zip(*winners)))
 
 
 def _tau_distance(t1: BeliefDistribution, t2: BeliefDistribution) -> float:
@@ -439,56 +499,38 @@ def _tau_distance(t1: BeliefDistribution, t2: BeliefDistribution) -> float:
     return float(np.abs(a - b).max())
 
 
-def search_equilibria(game: GameSpec, cluster_radius: float = 0.02) -> list[EquilibriumCertificate]:
+def search_equilibria(
+    game: GameSpec, cluster_radius: float = CLUSTER_RADIUS
+) -> list[EquilibriumCertificate]:
     """Sweep the profile grid, cluster near-equilibria by outcome, and polish
     each cluster with exact best responses.
 
     The coarse pass plays the grid game: deviations are restricted to the
     same grid, so exact grid equilibria show a zero gap and off-grid
-    equilibria a gap bounded by the utility slopes times the step. Cluster
-    representatives are then verified exactly; a representative survives
-    only if (possibly after best-response polishing or local grid
-    refinement) an exact check passes at ``tol_search`` without leaving its
-    cluster.
+    equilibria a gap bounded by the utility slopes times the step. The grid
+    is swept twice in blocks of a few sigma rows: once to fill the two float32
+    utility tables (``_grid_tables``), once to filter and bin the profiles
+    (``_coarse_representatives``), which recomputes posteriors only for kept
+    profiles. Cluster representatives are then verified exactly; a
+    representative survives only if (possibly after best-response polishing
+    or local grid refinement) an exact check passes at ``tol_search`` without
+    leaving its cluster.
     """
-    h = game.grid
-    n = int(round(1.0 / h)) + 1
+    n = int(round(1.0 / game.grid)) + 1
     vals = np.linspace(0.0, 1.0, n)
-    E_s, E_m, T_lo, T_hi = _grid_tables(game, vals)
-    v_s = E_s.max(axis=1, keepdims=True)  # best sender reply per sigma
-    v_m = E_m.max(axis=0, keepdims=True)  # best mediator reply per x
-    slope = max(game.u_sender.max_abs_slope, game.u_mediator.max_abs_slope)
-    eps_coarse = game.tol_search + 2.0 * slope * h
-    keep = (v_s - E_s <= eps_coarse) & (v_m - E_m <= eps_coarse)
-    sig_idx, x_idx = np.nonzero(keep)
-    if sig_idx.size == 0:
-        return []
+    E_s, E_m = _grid_tables(game, vals)
+    reps = _coarse_representatives(game, vals, E_s, E_m, cluster_radius)
 
-    # cluster kept profiles by their outcome bin (vectorized: one
-    # representative per bin, minimizing the grid gap, ties lexicographic)
     pi = game.prior
-    gaps = np.maximum(
-        (v_s[sig_idx, 0] - E_s[sig_idx, x_idx]).astype(np.float64),
-        (v_m[0, x_idx] - E_m[sig_idx, x_idx]).astype(np.float64),
-    )
-    k_lo = np.rint(T_lo[sig_idx, x_idx].astype(np.float64) / cluster_radius).astype(np.int64)
-    k_hi = np.rint(T_hi[sig_idx, x_idx].astype(np.float64) / cluster_radius).astype(np.int64)
-    keys = k_lo * 100000 + k_hi
-    order = np.lexsort((x_idx, sig_idx, gaps, keys))
-    keys_sorted = keys[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = keys_sorted[1:] != keys_sorted[:-1]
-    reps = order[first]
     clusters: dict[tuple, dict] = {}
-    for r in reps:
-        si, xi = int(sig_idx[r]), int(x_idx[r])
+    for gap, si, xi, k_lo, k_hi in zip(*(a.tolist() for a in reps)):
         s1, s2 = float(vals[si // n]), float(vals[si % n])
         x1, y1 = float(vals[xi // n]), float(vals[xi % n])
         sa = np.array([[s1, s2], [1 - s1, 1 - s2]])
         xa = np.array([[x1, y1], [1 - x1, 1 - y1]])
         tau = induced_tau(sa @ xa, pi)
-        clusters[(int(k_lo[r]), int(k_hi[r]))] = {
-            "gap": float(gaps[r]),
+        clusters[(k_lo, k_hi)] = {
+            "gap": gap,
             "profile": (s1, s2, x1, y1),
             "tau": tau,
         }
