@@ -42,7 +42,6 @@ from .payoffs import (
     Concavification,
     PiecewiseUtility,
     concavify,
-    eval_utility,
     expected_utility,
     induce_belief_utilities,
 )
@@ -52,11 +51,9 @@ from .feasible import (
     FeasibleSet,
     boundary_curves,
     brute_force_pairs,
-    companion_intervals,
-    membership,
-    member_pairs,
+    companion_slices,
     nesting_report,
-    ordered_member,
+    ordered_member_many,
     posterior_pair,
     reconstruct_experiment,
     sample_feasible_general,

@@ -1,12 +1,18 @@
 """The set of receiver-posterior pairs inducible through a fixed garbling.
 
-For a full-rank 2x2 garbling and prior, the inducible ordered posterior
-pairs form two convex "wings" meeting at the uninformative point
-(prior, prior): the natural wing (first signal moves the belief down) and
-the perverse wing (labels flipped). The wing boundaries are traced by the
-four one-parameter experiment families that pin one experiment column to a
-vertex of the simplex, and exact membership is decided by reconstructing
-the inducing experiment in closed form.
+For a full-rank 2x2 garbling sigma, the first row of the composite sigma X
+has entries sigma_00 x_k + sigma_01 (1 - x_k), x the experiment's first row,
+so as X varies it fills exactly the square [min sigma_0., max sigma_0.]^2.
+An ordered posterior pair (q1, q2) fixes the weights of the two signals and
+with them the composite row it needs; the pair is inducible iff that row lies
+in the square. One kernel answers this square test for every caller: pair
+membership, experiment reconstruction and the closed-form feasible slices.
+
+The inducible pairs form two convex "wings" meeting at the uninformative
+point (prior, prior): the natural wing (first signal moves the belief down)
+and the perverse wing (labels flipped). The wing boundaries are traced by
+the four one-parameter experiment families that pin one experiment column
+to a vertex of the simplex.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from .info import (
     StochasticMatrix,
     _as_array,
     blackwell_compare,
-    bayes_plausible_weights,
     compose,
     garbling_rank,
     induced_tau,
@@ -142,35 +147,63 @@ def boundary_curves(sigma, prior: float, n_points: int = 256) -> dict[str, Bound
 
 
 # ---------------------------------------------------------------------------
-# Reconstruction and membership
+# Membership: the composite-row square test
 # ---------------------------------------------------------------------------
 
 
-def _composite_from_tau(tau: BeliefDistribution, prior: float) -> np.ndarray:
-    """Entrywise composite with row s carrying atom s: b(s|w) = beta(w|s) tau / pi(w)."""
-    b = np.empty((tau.beliefs.size, 2))
-    b[:, 1] = tau.beliefs * tau.probs / prior
-    b[:, 0] = (1.0 - tau.beliefs) * tau.probs / (1.0 - prior)
-    return b
+def _square_test(a: np.ndarray, prior: float, q1, q2) -> np.ndarray:
+    """Membership of ordered pairs: is the composite row each implies in the square?
+
+    Signal 1 carries weight w1 = (q2 - pi) / (q2 - q1), clamped into [0, 1],
+    so the composite first row is c = (w1 (1 - q1) / (1 - pi), w1 q1 / pi), and
+    the experiment's first row is x_k = (c_k - a01) / (a00 - a01). A pair is a
+    member when both x_k lie in [-TOL, 1 + TOL]; the second row is 1 minus the
+    first and needs no check. Pairs that are not Bayes-plausible are rejected;
+    degenerate pairs (width at most TOL) at the prior are members.
+    """
+    lo, hi = np.minimum(q1, q2), np.maximum(q1, q2)
+    ok_bayes = (lo <= prior + TOL) & (hi >= prior - TOL)
+    deg = (hi - lo) <= TOL
+    w1 = 1.0 - np.clip((prior - q1) / np.where(deg, 1.0, q2 - q1), 0.0, 1.0)
+    c = np.stack([(1.0 - q1) * w1 / (1.0 - prior), q1 * w1 / prior], axis=-1)
+    x = (c - a[0, 1]) / (a[0, 0] - a[0, 1])
+    inside = ((x >= -TOL) & (x <= 1.0 + TOL)).all(axis=-1)
+    return (inside | (deg & (np.abs(lo - prior) <= TOL))) & ok_bayes
 
 
-def _experiment_if_stochastic(sigma_inv: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    x = sigma_inv @ b
-    if x.min() < -TOL or x.max() > 1.0 + TOL:
+def _inducing_experiment(a: np.ndarray, prior: float, q1: float, q2: float) -> Optional[np.ndarray]:
+    """The experiment inducing the non-degenerate ordered pair, or None.
+
+    For a member, X = sigma^-1 B with B the pair's composite, each row built
+    from its own signal's posterior and weight, then clamped into [0, 1] and
+    renormalised. Building X's second row as 1 minus the first would carry the
+    rounding of signal 1's row into signal 2's posterior.
+    """
+    if not _square_test(a, prior, q1, q2):
         return None
-    x = np.clip(x, 0.0, 1.0)
-    x /= x.sum(axis=0, keepdims=True)
-    return x
+    w2 = min(max((prior - q1) / (q2 - q1), 0.0), 1.0)
+    w1 = 1.0 - w2
+    b = np.array([
+        [(1.0 - q1) * w1 / (1.0 - prior), q1 * w1 / prior],
+        [(1.0 - q2) * w2 / (1.0 - prior), q2 * w2 / prior],
+    ])
+    x = np.clip(np.linalg.inv(a) @ b, 0.0, 1.0)
+    return x / x.sum(axis=0)
+
+
+def ordered_member_many(sigma, prior: float, q1s, q2s) -> np.ndarray:
+    """Vectorized membership of ordered pairs (after signal 1, after signal 2)."""
+    a = _require_full_rank(sigma)
+    return _square_test(a, prior, np.asarray(q1s, dtype=float), np.asarray(q2s, dtype=float))
 
 
 def reconstruct_experiment(sigma, prior: float, tau: BeliefDistribution) -> np.ndarray:
     """Experiment X with ``induced_tau(sigma @ X, prior) == tau``, if one exists.
 
-    Builds the composite entrywise from the posteriors and inverts the
-    garbling; both assignments of signals to atoms are tried since the
-    plausibility of a distribution does not depend on signal labels.
-    Entries within 1e-9 of [0, 1] are clamped; anything beyond means the
-    target lies outside the feasible set.
+    Both assignments of the two atoms to the signals are tried, low belief
+    on signal 1 first, since the plausibility of a distribution does not
+    depend on signal labels; the first that passes the square test of
+    :func:`ordered_member_many` gives X, its entries clamped into [0, 1].
     """
     a = _require_full_rank(sigma)
     if tau.beliefs.size > 2:
@@ -183,124 +216,12 @@ def reconstruct_experiment(sigma, prior: float, tau: BeliefDistribution) -> np.n
         raise NotSigmaPlausible(f"tau averages to {tau.prior}, prior is {prior}")
     if tau.is_degenerate():
         return UNINFORMATIVE_X.copy()
-    inv = np.linalg.inv(a)
-    b = _composite_from_tau(tau, prior)
-    for rows in (b, b[::-1]):
-        x = _experiment_if_stochastic(inv, rows)
+    lo, hi = (float(b) for b in tau.beliefs)
+    for q1, q2 in ((lo, hi), (hi, lo)):
+        x = _inducing_experiment(a, prior, q1, q2)
         if x is not None:
             return x
-    raise NotSigmaPlausible(
-        f"support ({tau.beliefs[0]:.6g}, {tau.beliefs[1]:.6g}) is outside the feasible set"
-    )
-
-
-def membership(sigma, prior: float, b1: float, b2: float) -> Optional[np.ndarray]:
-    """The inducing experiment for the posterior pair, or None.
-
-    ``b1 <= prior <= b2`` is required; anything else is not Bayes-plausible.
-    Zero-weight atoms are allowed (closure semantics), so e.g. (prior, prior)
-    is always a member of a full-rank feasible set.
-    """
-    _require_full_rank(sigma)
-    if not (b1 - TOL <= prior <= b2 + TOL):
-        return None
-    try:
-        p1, p2 = bayes_plausible_weights(b1, b2, prior)
-    except Exception:
-        return None
-    if b2 - b1 <= TOL:
-        return UNINFORMATIVE_X.copy()
-    tau_full = _PairTarget(np.array([b1, b2]), np.array([p1, p2]), prior)
-    try:
-        return _reconstruct_pair(sigma, prior, tau_full)
-    except NotSigmaPlausible:
-        return None
-
-
-@dataclass(frozen=True)
-class _PairTarget:
-    beliefs: np.ndarray
-    probs: np.ndarray
-    prior: float
-
-
-def _reconstruct_pair(sigma, prior, target) -> np.ndarray:
-    """Like reconstruct_experiment but tolerates zero-weight atoms."""
-    a = _require_full_rank(sigma)
-    inv = np.linalg.inv(a)
-    b = np.empty((2, 2))
-    b[:, 1] = target.beliefs * target.probs / prior
-    b[:, 0] = (1.0 - target.beliefs) * target.probs / (1.0 - prior)
-    for rows in (b, b[::-1]):
-        x = _experiment_if_stochastic(inv, rows)
-        if x is not None:
-            return x
-    raise NotSigmaPlausible("pair outside the feasible set")
-
-
-def _ordered_experiments(a: np.ndarray, prior: float, q1: np.ndarray, q2: np.ndarray):
-    """Shared arithmetic for ordered-pair membership: feasibility mask plus
-    the four experiment entries (x11, x12, x21, x22) for each pair."""
-    inv = np.linalg.inv(a)
-    lo, hi = np.minimum(q1, q2), np.maximum(q1, q2)
-    ok_bayes = (lo <= prior + TOL) & (hi >= prior - TOL)
-    deg = (hi - lo) <= TOL
-    width = np.where(deg, 1.0, q2 - q1)
-    w2 = np.minimum(np.maximum((prior - q1) / width, 0.0), 1.0)
-    w1 = 1.0 - w2
-    b1a = (1.0 - q1) * w1 / (1.0 - prior)
-    b1b = q1 * w1 / prior
-    b2a = (1.0 - q2) * w2 / (1.0 - prior)
-    b2b = q2 * w2 / prior
-    cols = []
-    feas = np.ones(np.shape(q1), dtype=bool)
-    for top, bot in ((b1a, b2a), (b1b, b2b)):  # columns of the composite
-        x_top = inv[0, 0] * top + inv[0, 1] * bot
-        x_bot = inv[1, 0] * top + inv[1, 1] * bot
-        feas &= (x_top >= -TOL) & (x_bot >= -TOL)
-        cols.append((x_top, x_bot))
-    feas = (feas | (deg & (np.abs(lo - prior) <= TOL))) & ok_bayes
-    return feas, deg, cols
-
-
-def ordered_member_many(sigma, prior: float, q1s, q2s) -> np.ndarray:
-    """Vectorized membership of ordered pairs (after signal 1, after signal 2)."""
-    a = _require_full_rank(sigma)
-    q1 = np.asarray(q1s, dtype=float)
-    q2 = np.asarray(q2s, dtype=float)
-    feas, _, _ = _ordered_experiments(a, prior, q1, q2)
-    return feas
-
-
-def member_pairs(sigma, prior: float, lows, highs) -> np.ndarray:
-    """Vectorized label-free membership for sorted pairs (low <= prior <= high)."""
-    lo = np.asarray(lows, dtype=float)
-    hi = np.asarray(highs, dtype=float)
-    return ordered_member_many(sigma, prior, lo, hi) | ordered_member_many(
-        sigma, prior, hi, lo
-    )
-
-
-def ordered_member(sigma, prior: float, q1: float, q2: float) -> Optional[np.ndarray]:
-    """Membership of the ordered pair (posterior after signal 1, after signal 2).
-
-    Shares its arithmetic with :func:`ordered_member_many`, so verdicts agree
-    bit for bit on boundary points.
-    """
-    a = _require_full_rank(sigma)
-    qa = np.array([float(q1)])
-    qb = np.array([float(q2)])
-    feas, deg, cols = _ordered_experiments(a, prior, qa, qb)
-    if not feas[0]:
-        return None
-    if deg[0]:
-        return UNINFORMATIVE_X.copy()
-    x = np.array(
-        [[cols[0][0][0], cols[1][0][0]], [cols[0][1][0], cols[1][1][0]]]
-    )
-    x = np.clip(x, 0.0, 1.0)
-    x /= x.sum(axis=0, keepdims=True)
-    return x
+    raise NotSigmaPlausible(f"support ({lo:.6g}, {hi:.6g}) is outside the feasible set")
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +351,7 @@ def nesting_report(s1, s2, prior: float, n_samples: int = 1000, seed: int = 0) -
         X = np.array([[x, y], [1.0 - x, 1.0 - y]])
         tau = induced_tau(a2 @ X, prior)
         lo, hi = tau.beliefs[0], tau.beliefs[-1]
-        if not member_pairs(a1, prior, [lo], [hi])[0]:
+        if not ordered_member_many(a1, prior, [lo, hi], [hi, lo]).any():
             violations.append({"x": (x, y), "pair": (float(lo), float(hi))})
             continue
         if gamma is not None:
@@ -464,7 +385,7 @@ def symmetry_report(sigma, prior: float, n_samples: int = 1000, seed: int = 0) -
     for x, y in xs:
         X = np.array([[x, y], [1.0 - x, 1.0 - y]])
         q1, q2 = posterior_pair(a @ X, prior)
-        if ordered_member(a, prior, q2, q1) is None:
+        if not ordered_member_many(a, prior, q2, q1):
             return SymmetryReport(False, ((q1, q2)), n_samples)
     return SymmetryReport(True, None, n_samples)
 
@@ -552,88 +473,51 @@ def brute_force_pairs(sigma, prior: float, step: float = 0.01) -> np.ndarray:
 
 
 def companion_slices(
-    sigma,
-    prior: float,
-    fixed_beliefs: list[tuple[float, bool]],
-    n_scan: int = 257,
-    n_bisect: int = 40,
+    sigma, prior: float, fixed_beliefs: list[tuple[float, bool]]
 ) -> list[tuple[float, bool, tuple[float, float]]]:
     """Companion-belief ranges pairing feasibly with each fixed belief.
 
     Input is a list of (belief, is_low) tasks; each result entry is
     ``(fixed, is_low, (companion_lo, companion_hi))``. The slice through a
-    fixed belief is an interval within each wing (wings are convex in
-    ordered coordinates) but not globally, so each task contributes up to
-    two entries, one per signal orientation. All edge refinements run as
-    one batched bisection.
+    fixed belief is an interval within each wing but not globally, so each
+    task contributes up to two entries, one per signal orientation (the
+    natural one first).
+
+    With belief f fixed on one signal, the companion t sets that signal's
+    weight w = (t - pi) / (t - f), monotone in t, and its composite row w alpha
+    with alpha = ((1 - f) / (1 - pi), f / pi) runs along a ray from the origin.
+    The slice is the ray inside the square of the signal's garbling row (row 0
+    for signal 1, row 1 for signal 2), whose entries run from m to M:
+    w in [max_k m / alpha_k, min_k M / alpha_k] cut to [0, w_end], w_end the
+    weight at the far end of t's range, mapped back by t = (pi - f w) / (1 - w). The bounds are exact, so the ends lie inside the
+    set :func:`ordered_member_many` accepts. A belief within TOL of the prior
+    gets the slice (prior, prior): any other companion would carry weight 0,
+    so the pair would pay what babbling pays.
     """
     a = _require_full_rank(sigma)
-    tasks = []  # (fixed, is_low, orientation_natural)
-    for fixed, is_low in fixed_beliefs:
-        if is_low and fixed <= prior + TOL:
-            tasks.append((float(fixed), True, True))
-            tasks.append((float(fixed), True, False))
-        elif not is_low and fixed >= prior - TOL:
-            tasks.append((float(fixed), False, True))
-            tasks.append((float(fixed), False, False))
-    if not tasks:
-        return []
-    grids = np.empty((len(tasks), n_scan))
-    q1 = np.empty_like(grids)
-    q2 = np.empty_like(grids)
-    for t, (fixed, is_low, natural) in enumerate(tasks):
-        grid = np.linspace(prior, 1.0, n_scan) if is_low else np.linspace(0.0, prior, n_scan)
-        grids[t] = grid
-        # natural orientation: signal-1 belief below the prior
-        low_first = natural
-        fixed_first = low_first == is_low
-        q1[t] = fixed if fixed_first else grid
-        q2[t] = grid if fixed_first else fixed
-    feas = ordered_member_many(a, prior, q1.ravel(), q2.ravel()).reshape(grids.shape)
-
-    # collect bisection edges: (task, inside, outside)
-    edges = []
-    spans = {}
-    for t in range(len(tasks)):
-        idx = np.nonzero(feas[t])[0]
-        if idx.size == 0:
-            continue
-        spans[t] = [grids[t, idx[0]], grids[t, idx[-1]]]
-        if idx[0] > 0:
-            edges.append([t, 0, grids[t, idx[0]], grids[t, idx[0] - 1]])
-        if idx[-1] < n_scan - 1:
-            edges.append([t, 1, grids[t, idx[-1]], grids[t, idx[-1] + 1]])
-    if edges:
-        e_task = np.array([e[0] for e in edges])
-        inside = np.array([e[2] for e in edges])
-        outside = np.array([e[3] for e in edges])
-        fixed_v = np.array([tasks[t][0] for t in e_task])
-        fixed_first = np.array([tasks[t][2] == tasks[t][1] for t in e_task])
-        for _ in range(n_bisect):
-            mid = 0.5 * (inside + outside)
-            eq1 = np.where(fixed_first, fixed_v, mid)
-            eq2 = np.where(fixed_first, mid, fixed_v)
-            ok = ordered_member_many(a, prior, eq1, eq2)
-            inside = np.where(ok, mid, inside)
-            outside = np.where(ok, outside, mid)
-        for k, e in enumerate(edges):
-            spans[e[0]][e[1]] = inside[k]
     out = []
-    for t, (lo, hi) in spans.items():
-        fixed, is_low, _ = tasks[t]
-        rng = (float(min(lo, hi)), float(max(lo, hi)))
-        out.append((fixed, is_low, rng))
+    for fixed, is_low in fixed_beliefs:
+        f = float(fixed)
+        if (f > prior + TOL) if is_low else (f < prior - TOL):
+            continue
+        if abs(f - prior) <= TOL:
+            out.append((f, is_low, (prior, prior)))
+            continue
+        end = 1.0 if is_low else 0.0
+        w_end = (end - prior) / (end - f)
+        alpha = ((1.0 - f) / (1.0 - prior), f / prior)
+        # the natural orientation puts the low belief on signal 1
+        for row in (a[0], a[1]) if is_low else (a[1], a[0]):
+            row_min, row_max = float(row.min()), float(row.max())
+            w_lo, w_hi = 0.0, w_end
+            for alpha_k in alpha:
+                if alpha_k > 0.0:
+                    w_lo = max(w_lo, row_min / alpha_k)
+                    w_hi = min(w_hi, row_max / alpha_k)
+                elif row_min > 0.0:  # the ray stays on an axis the square does not touch
+                    w_lo = np.inf
+            if w_lo > w_hi:
+                continue
+            t_lo, t_hi = (end if w == w_end else (prior - f * w) / (1.0 - w) for w in (w_lo, w_hi))
+            out.append((f, is_low, (min(t_lo, t_hi), max(t_lo, t_hi))))
     return out
-
-
-def companion_intervals(
-    sigma,
-    prior: float,
-    fixed: float,
-    fixed_is_low: bool,
-    n_scan: int = 257,
-    n_bisect: int = 40,
-) -> list[tuple[float, float]]:
-    """Companion ranges for one fixed belief; see :func:`companion_slices`."""
-    slices = companion_slices(sigma, prior, [(fixed, fixed_is_low)], n_scan, n_bisect)
-    return [rng for _, _, rng in slices]

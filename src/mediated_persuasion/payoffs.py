@@ -225,11 +225,6 @@ class PiecewiseUtility:
         return PiecewiseUtility(tuple(out))
 
 
-def eval_utility(u: PiecewiseUtility, beta: float) -> float:
-    """Value of the unique piece covering ``beta`` (singletons take precedence)."""
-    return u(beta)
-
-
 def expected_utility(u: PiecewiseUtility, tau: BeliefDistribution) -> float:
     return float(u.eval_many(tau.beliefs) @ tau.probs)
 

@@ -115,14 +115,8 @@ def _build_action_game(obj: dict) -> ActionGame:
 class Scenario:
     prior: float
     sigma: np.ndarray
-    sigma_fractions: Optional[list]
     game: Optional[GameSpec]
     seed: int
-    raw: dict
-
-    @property
-    def has_utilities(self) -> bool:
-        return self.game is not None
 
 
 def load_scenario(source) -> Scenario:
@@ -187,19 +181,9 @@ def load_scenario(source) -> Scenario:
         if "tol_search" in search:
             kwargs["tol_search"] = parse_number(search["tol_search"])
         game = GameSpec(
-            prior=prior, u_sender=u_s, u_mediator=u_m, u_receiver=u_r,
-            seed=seed, **kwargs,
+            prior=prior, u_sender=u_s, u_mediator=u_m, u_receiver=u_r, **kwargs
         )
-
-    fracs = None
-    try:
-        fracs = [[Fraction(str(v)) for v in row] for row in doc["sigma"]]
-    except (ValueError, ZeroDivisionError):
-        pass
-    return Scenario(
-        prior=prior, sigma=sigma, sigma_fractions=fracs, game=game,
-        seed=seed, raw=doc,
-    )
+    return Scenario(prior=prior, sigma=sigma, game=game, seed=seed)
 
 
 def fixture_path(name: str) -> Path:

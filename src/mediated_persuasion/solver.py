@@ -5,7 +5,11 @@ garbling; the mediator concavifies over the posterior interval of the
 fixed experiment. Both best responses are exact for piecewise-affine
 utilities: candidate optima sit at utility breakpoints, feasible-slice
 ends, wing vertices, or along the four boundary families (which get a
-zoomed local refinement).
+zoomed local refinement). The slice ends are exact: through a breakpoint
+belief, ``companion_slices`` intersects a ray of composite rows with the
+garbling's square in closed form, so a slice as narrow as a single point is
+found. The winner's experiment is built for the ordered pair the square test
+admitted, with no fallback.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ import numpy as np
 from .errors import BarycenterMismatch
 from .feasible import (
     UNINFORMATIVE_X,
+    _inducing_experiment,
     boundary_curves,
     companion_slices,
     family_experiment,
-    ordered_member,
     ordered_member_many,
     pairs_along_family,
     posterior_pair,
@@ -60,7 +64,6 @@ class GameSpec:
     interior_step: float = 0.02
     tol_dev: float = 1e-6
     tol_search: float = 1e-3
-    seed: int = 0
 
     def __post_init__(self):
         if not TOL < self.prior < 1.0 - TOL:
@@ -264,9 +267,7 @@ def sender_best_response(
     elif best_src[0] == "babbling" or tau.is_degenerate():
         x = UNINFORMATIVE_X.copy()
     else:
-        x = ordered_member(a, prior, best_q[0], best_q[1])
-        if x is None:  # numerical edge: fall back to the sorted reconstruction
-            x = reconstruct_experiment(a, prior, tau)
+        x = _inducing_experiment(a, prior, *best_q)
     return BestResponse(x, tau, float(best_v))
 
 

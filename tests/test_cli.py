@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 from pathlib import Path
 
 import mediated_persuasion
@@ -20,3 +21,36 @@ def test_feasible_kg_prints_closed_rectangle_without_negative_zero(capsys):
     assert vertices["vertex_left"] == {(0.0, 0.3), (0.3, 0.3), (0.3, 1.0), (0.0, 1.0)}
     assert vertices["vertex_right"] == {(0.3, 0.0), (1.0, 0.0), (1.0, 0.3), (0.3, 0.3)}
     assert not any(cell.startswith("-0") for r in rows for cell in r[2:])
+
+
+def write_scenario(tmp_path, **changes):
+    doc = json.loads((FIXTURES / "kg.json").read_text())
+    doc.update(changes)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_exit_ok_on_feasible(capsys):
+    assert main(["feasible", str(FIXTURES / "kg.json"), "--points", "8"]) == 0
+
+
+def test_exit_schema_on_unknown_top_level_key(tmp_path, capsys):
+    assert main(["feasible", write_scenario(tmp_path, colour="red")]) == 2
+    assert "unknown key(s) ['colour']" in capsys.readouterr().err
+
+
+def test_exit_singular_on_rank_deficient_garbling(tmp_path, capsys):
+    path = write_scenario(tmp_path, sigma=[["1/2", "1/2"], ["1/2", "1/2"]])
+    assert main(["feasible", path]) == 3
+    assert "rank-deficient" in capsys.readouterr().err
+
+
+def test_exit_refuted_on_failed_check(capsys):
+    # full revelation through the identity is no equilibrium of kg: the
+    # sender gains by pooling to the (0, 1/2) split
+    argv = ["solve", str(FIXTURES / "kg.json"), "--mode", "check", "--x", "identity", "--sigma", "identity"]
+    assert main(argv) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert report["verified"] is False
+    assert report["witness"]["player"] == "sender"

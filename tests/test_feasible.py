@@ -8,14 +8,12 @@ from mediated_persuasion import (
     SingularGarbling,
     boundary_curves,
     brute_force_pairs,
-    companion_intervals,
+    companion_slices,
     compose,
     garbling_rank,
     induced_tau,
-    member_pairs,
-    membership,
     nesting_report,
-    ordered_member,
+    ordered_member_many,
     posterior_pair,
     reconstruct_experiment,
     sample_feasible_general,
@@ -23,6 +21,7 @@ from mediated_persuasion import (
     wing_polygons,
 )
 from mediated_persuasion.feasible import UNINFORMATIVE_X, polygon_area
+from mediated_persuasion.info import TOL
 
 from conftest import RANKED_PAIR, UNRANKED_PAIR, random_experiment, random_garbling
 
@@ -30,6 +29,18 @@ SIGMA_STAR = np.array([[6 / 7, 3 / 7], [1 / 7, 4 / 7]])
 SIGMA_BUTTERFLY = np.array([[2 / 3, 1 / 4], [1 / 3, 3 / 4]])
 SIGMA_TRACE = np.array([[1 / 3, 1 / 7], [2 / 3, 6 / 7]])
 SIGMA3 = np.array([[1 / 3, 1 / 9, 2 / 3], [1 / 3, 4 / 9, 1 / 3], [1 / 3, 4 / 9, 0]])
+
+
+def member_either_order(sigma, prior, lows, highs):
+    """Label-free membership: the pair is a member with either signal first."""
+    return ordered_member_many(sigma, prior, lows, highs) | ordered_member_many(
+        sigma, prior, highs, lows
+    )
+
+
+def pair_tau(lo, hi, prior):
+    p_hi = (prior - lo) / (hi - lo)
+    return BeliefDistribution.from_atoms([(lo, 1.0 - p_hi), (hi, p_hi)], prior)
 
 
 class TestBoundaryCurves:
@@ -82,9 +93,8 @@ class TestBoundaryCurves:
             sigma = random_garbling(rng)
             prior = rng.uniform(0.15, 0.85)
             for c in boundary_curves(sigma, prior, 64).values():
-                lo = np.minimum(c.points[:, 0], c.points[:, 1])
-                hi = np.maximum(c.points[:, 0], c.points[:, 1])
-                assert member_pairs(sigma, prior, lo, hi).all()
+                # in the order traced: signal 1's belief first
+                assert ordered_member_many(sigma, prior, c.points[:, 0], c.points[:, 1]).all()
 
     def test_singular_garbling_rejected(self):
         with pytest.raises(SingularGarbling):
@@ -125,6 +135,8 @@ class TestReconstruction:
             prior = rng.uniform(0.05, 0.95)
             tau = induced_tau(compose(sigma, random_experiment(rng)), prior)
             x = reconstruct_experiment(sigma, prior, tau)
+            assert x.min() >= 0.0 and x.max() <= 1.0
+            assert np.abs(x.sum(axis=0) - 1.0).max() <= 1e-15
             back = induced_tau(compose(sigma, x), prior)
             assert back.beliefs.size == tau.beliefs.size
             assert np.abs(back.beliefs - tau.beliefs).max() < 1e-9
@@ -137,28 +149,33 @@ class TestMembership:
         for _ in range(20):
             sigma = random_garbling(rng)
             prior = rng.uniform(0.1, 0.9)
-            x = membership(sigma, prior, prior, prior)
-            assert x is not None
+            assert ordered_member_many(sigma, prior, [prior], [prior])[0]
+            point = BeliefDistribution.from_atoms([(prior, 1.0)], prior)
+            x = reconstruct_experiment(sigma, prior, point)
             assert induced_tau(compose(sigma, x), prior).is_degenerate()
 
     def test_asymmetric_noise_pair_needs_identity(self):
         sigma = np.array([[1 / 100, 1 / 2], [99 / 100, 1 / 2]])
-        x = membership(sigma, 0.3, 0.15 / 0.843, 0.15 / 0.157)
-        assert x is not None
+        lo, hi = 0.15 / 0.843, 0.15 / 0.157
+        # the high belief comes after signal 1
+        assert ordered_member_many(sigma, 0.3, [hi, lo], [lo, hi]).tolist() == [True, False]
+        x = reconstruct_experiment(sigma, 0.3, pair_tau(lo, hi, 0.3))
         assert_allclose(x, np.eye(2), atol=1e-9)
 
     def test_blackwell_inferior_pair_can_be_infeasible(self):
         # a contraction of the most informative point that no experiment
         # induces: the pair sits inside the tip's interval yet outside both
         # wings (confirmed against the brute-force cloud)
-        assert membership(SIGMA_BUTTERFLY, 0.3, 0.15, 0.32) is None
+        assert not member_either_order(SIGMA_BUTTERFLY, 0.3, [0.15], [0.32])[0]
+        with pytest.raises(NotSigmaPlausible):
+            reconstruct_experiment(SIGMA_BUTTERFLY, 0.3, pair_tau(0.15, 0.32, 0.3))
         cloud = brute_force_pairs(SIGMA_BUTTERFLY, 0.3, step=0.01)
         d = np.abs(cloud - np.array([0.15, 0.32])).max(axis=1)
         d_swap = np.abs(cloud - np.array([0.32, 0.15])).max(axis=1)
         assert min(d.min(), d_swap.min()) > 0.03
 
     def test_not_bayes_plausible_rejected(self):
-        assert membership(SIGMA_BUTTERFLY, 0.3, 0.4, 0.6) is None
+        assert not member_either_order(SIGMA_BUTTERFLY, 0.3, [0.4], [0.6])[0]
 
     def test_oracle_agreement_away_from_boundaries(self):
         # label-free comparison: supports are canonicalized to sorted pairs
@@ -181,7 +198,7 @@ class TestMembership:
                 )
                 if d_edge <= 0.02:
                     continue
-                exact = bool(member_pairs(sigma, prior, [lo], [hi])[0]) and (
+                exact = bool(member_either_order(sigma, prior, [lo], [hi])[0]) and (
                     lo <= prior <= hi
                 )
                 # both distances are Euclidean: a sup-norm cloud test would
@@ -231,7 +248,7 @@ class TestWingPolygons:
         fs = wing_polygons(SIGMA_BUTTERFLY, 0.3, 128)
         for q1, q2 in np.vstack([fs.left, fs.right]):
             lo, hi = min(q1, q2), max(q1, q2)
-            assert member_pairs(SIGMA_BUTTERFLY, 0.3, [lo], [hi])[0]
+            assert member_either_order(SIGMA_BUTTERFLY, 0.3, [lo], [hi])[0]
 
     def test_near_singular_wings_collapse(self):
         eps = 1e-4
@@ -263,7 +280,7 @@ class TestWingPolygons:
         for _ in range(200):
             i, j = rng.integers(0, len(pairs), 2)
             mid = 0.5 * (pairs[i] + pairs[j])
-            assert member_pairs(sigma, prior, [mid.min()], [mid.max()])[0]
+            assert member_either_order(sigma, prior, [mid.min()], [mid.max()])[0]
 
 
 class TestNesting:
@@ -309,7 +326,7 @@ class TestGeneralSampler:
         pts = cloud.posteriors[mask]
         lo = np.minimum(pts[:, 0], pts[:, 1])
         hi = np.maximum(pts[:, 0], pts[:, 1])
-        assert member_pairs(sigma, 0.3, lo, hi).all()
+        assert member_either_order(sigma, 0.3, lo, hi).all()
 
     def test_three_signals_reach_below_prior(self):
         cloud = sample_feasible_general(SIGMA3, 0.3, 0.05)
@@ -330,10 +347,15 @@ class TestGeneralSampler:
 
 class TestCompanionIntervals:
     def test_three_step_slice_at_upper_cutoff(self):
-        ivals = companion_intervals(SIGMA_STAR, 0.5, 2 / 3, False)
-        (lo, hi), = ivals
-        assert lo == pytest.approx(3 / 8, abs=1e-9)
-        assert hi == pytest.approx(5 / 11, abs=1e-9)
+        # the exact slice through 2/3 is {1/5} u [3/8, 5/11]: the companion
+        # 1/5 needs the composite row (3/7, 6/7), a corner of the square, so
+        # only X = [[0, 1], [1, 0]] induces it
+        pieces = sorted(rng for _, _, rng in companion_slices(SIGMA_STAR, 0.5, [(2 / 3, False)]))
+        assert len(pieces) == 2
+        assert pieces[0] == pytest.approx((1 / 5, 1 / 5), abs=1e-9)
+        assert pieces[1] == pytest.approx((3 / 8, 5 / 11), abs=1e-9)
+        tau = pair_tau(1 / 5, 2 / 3, 0.5)
+        assert_allclose(reconstruct_experiment(SIGMA_STAR, 0.5, tau), [[0, 1], [1, 0]], atol=1e-9)
 
     def test_slice_endpoints_feasible(self):
         rng = np.random.default_rng(7)
@@ -341,5 +363,97 @@ class TestCompanionIntervals:
             sigma = random_garbling(rng)
             prior = rng.uniform(0.2, 0.8)
             c = rng.uniform(0.0, prior)
-            for lo, hi in companion_intervals(sigma, prior, c, True):
-                assert member_pairs(sigma, prior, [c, c], [lo, hi]).all()
+            for _, _, (lo, hi) in companion_slices(sigma, prior, [(c, True)]):
+                assert member_either_order(sigma, prior, [c, c], [lo, hi]).all()
+
+    def test_slices_are_maximal(self):
+        # just past each end of a piece, inside the companion's range and
+        # outside every other piece, neither orientation is a member. The
+        # kernel admits experiment entries within TOL = 1e-9 of [0, 1]; with the
+        # fixed belief 0.1 away from the prior and from 0 and 1, a 1e-7 step in
+        # the companion moves the binding entry by more than 1.4e-9
+        rng = np.random.default_rng(8)
+        checked = 0
+        for _ in range(200):
+            sigma = random_garbling(rng)
+            prior = rng.uniform(0.3, 0.7)
+            tasks = [(rng.uniform(0.1, prior - 0.1), True), (rng.uniform(prior + 0.1, 0.9), False)]
+            slices = companion_slices(sigma, prior, tasks)
+            for fixed, is_low, (lo, hi) in slices:
+                assert member_either_order(sigma, prior, [fixed, fixed], [lo, hi]).all()
+                span = (prior, 1.0) if is_low else (0.0, prior)
+                for t in (lo - 1e-7, hi + 1e-7):
+                    inside_other = any(
+                        f == fixed and a <= t <= b for f, _, (a, b) in slices
+                    )
+                    if span[0] <= t <= span[1] and not inside_other:
+                        assert not member_either_order(sigma, prior, [fixed], [t])[0]
+                        checked += 1
+        assert checked > 300
+
+    def test_slice_narrower_than_scan_step_is_found(self):
+        # just below 2/3 the ray of composite rows clips the square's corner
+        # (3/7, 6/7): a piece near 1/5 about 4e-4 wide, under the 0.5 / 256
+        # step of a 257-point scan of the companion range [0, 1/2]
+        fixed = 2 / 3 - 1e-4
+        pieces = sorted(rng for _, _, rng in companion_slices(SIGMA_STAR, 0.5, [(fixed, False)]))
+        assert len(pieces) == 2
+        lo, hi = pieces[0]
+        assert 0.2 < lo < hi < 0.2 + 0.5 / 256
+        ts = np.linspace(lo, hi, 9)
+        assert member_either_order(SIGMA_STAR, 0.5, np.full(9, fixed), ts).all()
+
+
+def reference_ordered_experiments(a, prior, q1, q2):
+    """The inverse-garbling membership kernel this library used before the
+    square test, kept verbatim as the reference."""
+    inv = np.linalg.inv(a)
+    lo, hi = np.minimum(q1, q2), np.maximum(q1, q2)
+    ok_bayes = (lo <= prior + TOL) & (hi >= prior - TOL)
+    deg = (hi - lo) <= TOL
+    width = np.where(deg, 1.0, q2 - q1)
+    w2 = np.minimum(np.maximum((prior - q1) / width, 0.0), 1.0)
+    w1 = 1.0 - w2
+    b1a = (1.0 - q1) * w1 / (1.0 - prior)
+    b1b = q1 * w1 / prior
+    b2a = (1.0 - q2) * w2 / (1.0 - prior)
+    b2b = q2 * w2 / prior
+    cols = []
+    feas = np.ones(np.shape(q1), dtype=bool)
+    for top, bot in ((b1a, b2a), (b1b, b2b)):  # columns of the composite
+        x_top = inv[0, 0] * top + inv[0, 1] * bot
+        x_bot = inv[1, 0] * top + inv[1, 1] * bot
+        feas &= (x_top >= -TOL) & (x_bot >= -TOL)
+        cols.append((x_top, x_bot))
+    feas = (feas | (deg & (np.abs(lo - prior) <= TOL))) & ok_bayes
+    return feas, deg, cols
+
+
+class TestSquareKernel:
+    def test_agrees_with_inverse_garbling_reference(self):
+        # 8 garblings x 131,072 pairs; some garblings have a 0 or 1 entry. A
+        # sixteenth of the pairs has the signal-1 belief at the prior, one the
+        # signal-2 belief, and one both beliefs within TOL / 2 of it (the
+        # degenerate rule). Pairs that miss Bayes plausibility by at most TOL
+        # are left out: their weights are clamped, so the old kernel tested
+        # X >= -TOL on a composite whose columns do not sum to 1, where the
+        # square test bounds the one experiment row the pair implies
+        rng = np.random.default_rng(11)
+        n = 1 << 17
+        k = n // 16
+        total = 0
+        for g in range(8):
+            sigma = random_garbling(rng, lo=0.0, hi=1.0, min_det=0.01)
+            if g % 3 == 0:
+                sigma[:, g % 2] = (1.0, 0.0) if g % 2 else (0.0, 1.0)
+            prior = rng.uniform(0.05, 0.95)
+            q1, q2 = rng.uniform(0.0, 1.0, (2, n))
+            q1[:k] = prior
+            q2[k : 2 * k] = prior
+            q1[2 * k : 3 * k], q2[2 * k : 3 * k] = prior + rng.uniform(-TOL / 2, TOL / 2, (2, k))
+            want, _, _ = reference_ordered_experiments(sigma, prior, q1, q2)
+            got = ordered_member_many(sigma, prior, q1, q2)
+            assert got.dtype == bool and got.shape == q1.shape
+            assert np.array_equal(got, want), (sigma, prior)
+            total += n
+        assert total >= 10**6

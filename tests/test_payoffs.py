@@ -8,7 +8,6 @@ from mediated_persuasion import (
     EmptyDomain,
     PiecewiseUtility,
     concavify,
-    eval_utility,
     expected_utility,
     induce_belief_utilities,
 )
@@ -35,8 +34,8 @@ def fig20_sender() -> PiecewiseUtility:
 class TestEvalUtility:
     def test_step_closed_side_wins(self):
         u = PiecewiseUtility.step([0.5], [0, 1])
-        assert eval_utility(u, 0.5) == 1.0
-        assert eval_utility(u, 0.5 - 1e-12) == 0.0
+        assert u(0.5) == 1.0
+        assert u(0.5 - 1e-12) == 0.0
 
     def test_singletons_take_precedence(self):
         u = fig20_sender()

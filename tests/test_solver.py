@@ -4,12 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mediated_persuasion.info import TOL
+from mediated_persuasion.info import TOL, induced_tau
+from mediated_persuasion.payoffs import expected_utility
 from mediated_persuasion.solver import (
     CLUSTER_RADIUS,
     _coarse_representatives,
     _grid_tables,
     search_equilibria,
+    sender_best_response,
 )
 
 # 21 grid values: 441 sigma rows, so the streamed sweep spans several blocks
@@ -145,6 +147,43 @@ class TestSearchOutcomes:
         certs = search_equilibria(fig22_game)
         assert all(c.verified for c in certs)
         assert has_outcome(certs, (1 / 3, 4 / 5), sender_value=19 / 14)
+
+
+def garbling(first_row):
+    s1, s2 = first_row
+    return np.array([[s1, s2], [1 - s1, 1 - s2]])
+
+
+def earned(game, sigma, x):
+    """The sender's expected utility of experiment x through sigma."""
+    return float(expected_utility(game.u_sender, induced_tau(sigma @ x, game.prior)))
+
+
+def kg_sender_br(game, sigma):
+    return sender_best_response(
+        game.u_sender, sigma, game.prior, game.br_points, game.interior_step
+    )
+
+
+class TestSenderBestResponse:
+    def test_kg_narrow_slice_beats_grid_experiment(self, kg_game):
+        # the slice through the jump at 1/2 is [0.25681, 0.25758], narrower
+        # than the step of a 257-point scan over [0, 0.3]; a scan missed it and
+        # the best response fell to 0.1774857, below this experiment's 0.177497
+        sigma = garbling((0.296, 0.125))
+        reference = earned(kg_game, sigma, np.array([[0.01, 1.0], [0.99, 0.0]]))
+        assert reference == pytest.approx(0.177497, abs=1e-9)
+        br = kg_sender_br(kg_game, sigma)
+        assert br.value >= reference
+        assert br.value == pytest.approx(0.1776, abs=1e-9)
+
+    def test_kg_strategy_earns_reported_value(self, kg_game):
+        # a slice end bisected onto the tolerance band gave a strategy that
+        # induced 0.49999999984, below the jump at 1/2, and earned 0
+        sigma = garbling((0.296, 0.795))
+        br = kg_sender_br(kg_game, sigma)
+        assert br.value == pytest.approx(0.477, abs=1e-9)
+        assert earned(kg_game, sigma, br.strategy) == pytest.approx(br.value, abs=1e-9)
 
 
 def test_kg_search_peak_memory_below_100mb(kg_search):
