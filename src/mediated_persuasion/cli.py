@@ -202,9 +202,7 @@ def cmd_solve(args) -> int:
         return EXIT_OK
     if mode == "sender-br":
         sigma = _matrix_floats(parse_matrix_flag(args.sigma)) if args.sigma else scenario.sigma
-        br = sender_best_response(
-            game.u_sender, sigma, game.prior, game.br_points, game.interior_step
-        )
+        br = sender_best_response(game.u_sender, sigma, game.prior)
         _emit(
             {
                 "spec_version": SPEC_VERSION,

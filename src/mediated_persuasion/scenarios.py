@@ -116,7 +116,6 @@ class Scenario:
     prior: float
     sigma: np.ndarray
     game: Optional[GameSpec]
-    seed: int
 
 
 def load_scenario(source) -> Scenario:
@@ -145,7 +144,7 @@ def load_scenario(source) -> Scenario:
     if not isinstance(search, dict):
         raise ScenarioError("'search' must be an object")
     _reject_unknown(search, _SEARCH_KEYS, "search")
-    seed = doc.get("seed", 0)
+    seed = doc.get("seed", 0)  # validated for scenario files that carry one; not used
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ScenarioError("'seed' must be an integer")
 
@@ -183,7 +182,7 @@ def load_scenario(source) -> Scenario:
         game = GameSpec(
             prior=prior, u_sender=u_s, u_mediator=u_m, u_receiver=u_r, **kwargs
         )
-    return Scenario(prior=prior, sigma=sigma, game=game, seed=seed)
+    return Scenario(prior=prior, sigma=sigma, game=game)
 
 
 def fixture_path(name: str) -> Path:

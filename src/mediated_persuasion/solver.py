@@ -60,8 +60,6 @@ class GameSpec:
     u_mediator: PiecewiseUtility
     u_receiver: Optional[PiecewiseUtility] = None
     grid: float = 0.02  # profile grid step for equilibrium search
-    br_points: int = 256  # boundary samples per family in best responses
-    interior_step: float = 0.02
     tol_dev: float = 1e-6
     tol_search: float = 1e-3
 
@@ -147,6 +145,11 @@ def bp_solve(u_s: PiecewiseUtility, prior: float) -> BenchmarkSolution:
 # ---------------------------------------------------------------------------
 
 
+BR_POINTS = 256  # boundary samples per family in the sender best response
+INTERIOR_STEP = 0.02  # step of the sender best response's interior pair grid
+_BABBLING, _CURVE = 0, 1  # candidate kinds; the first two blocks of _sender_candidates
+
+
 def _curve_refine(u, a, prior, fam, p0, span, rounds=5, pts=257):
     """Zoom the expected value along one boundary family around ``p0``."""
     lo, hi = max(0.0, p0 - span), min(1.0, p0 + span)
@@ -163,108 +166,110 @@ def _curve_refine(u, a, prior, fam, p0, span, rounds=5, pts=257):
     return best_p, best_v
 
 
-def sender_best_response(
-    u_s: PiecewiseUtility,
-    sigma,
-    prior: float,
-    n_points: int = 256,
-    interior_step: float = 0.02,
-) -> BestResponse:
+def _both_orders(lo, hi):
+    """Each pair (lo, hi) followed by its swap (hi, lo), as flat q1 and q2."""
+    return np.stack([lo, hi], axis=-1).ravel(), np.stack([hi, lo], axis=-1).ravel()
+
+
+def _sender_candidates(u_s: PiecewiseUtility, a: np.ndarray, prior: float, curves):
+    """Candidate ordered pairs (q1, q2) of the sender best response and their kinds.
+
+    The blocks come in tie-break order: babbling, the boundary samples of
+    ``curves`` (family by family), breakpoint pairs, feasible-slice ends,
+    samples with one coordinate snapped to a breakpoint, and the interior
+    pair grid. The babbling pair is index 0 and the curve samples follow it.
+    """
+    samples = np.vstack([c.points for c in curves.values()])
+    bps = u_s.breakpoints[(u_s.breakpoints >= 0.0) & (u_s.breakpoints <= 1.0)]
+    lows = np.unique(np.append(bps[bps <= prior + TOL], (0.0, prior)))
+    highs = np.unique(np.append(bps[bps >= prior - TOL], (prior, 1.0)))
+    pair_lo, pair_hi = (m.ravel() for m in np.meshgrid(lows, highs, indexing="ij"))
+
+    tasks = [(c, True) for c in lows] + [(c, False) for c in highs]
+    slices = companion_slices(a, prior, tasks)
+    fixed = np.array([f for f, _, _ in slices])[:, None]
+    is_low = np.array([low for _, low, _ in slices], dtype=bool)[:, None]
+    ends = np.array([r for _, _, r in slices]).reshape(-1, 2)
+    slice_lo = np.where(is_low, fixed, ends)
+    slice_hi = np.where(is_low, ends, fixed)
+
+    # snap one coordinate of each curve sample to a utility breakpoint
+    shape = (bps.size, len(samples))
+    snap_b = np.broadcast_to(bps[:, None], shape)
+    snap_q1 = np.stack([snap_b, np.broadcast_to(samples[:, 0], shape)], axis=1)
+    snap_q2 = np.stack([np.broadcast_to(samples[:, 1], shape), snap_b], axis=1)
+
+    g_lo = np.arange(0.0, prior + 1e-12, INTERIOR_STEP)
+    g_hi = np.arange(1.0, prior - 1e-12, -INTERIOR_STEP)[::-1]
+    grid_lo, grid_hi = (m.ravel() for m in np.meshgrid(g_lo, g_hi, indexing="ij"))
+
+    blocks = [
+        ((prior,), (prior,)),
+        (samples[:, 0], samples[:, 1]),
+        _both_orders(pair_lo, pair_hi),
+        _both_orders(slice_lo, slice_hi),
+        (snap_q1, snap_q2),
+        (np.concatenate([grid_lo, grid_hi]), np.concatenate([grid_hi, grid_lo])),
+    ]
+    q1 = np.concatenate([np.ravel(b[0]) for b in blocks])
+    q2 = np.concatenate([np.ravel(b[1]) for b in blocks])
+    kind = np.repeat(np.arange(len(blocks)), [np.size(b[0]) for b in blocks])
+    return q1, q2, kind
+
+
+def sender_best_response(u_s: PiecewiseUtility, sigma, prior: float) -> BestResponse:
     """Maximize expected sender utility over the feasible set of ``sigma``.
 
     A rank-deficient garbling leaves only the babbling outcome. Ties break
-    to the lexicographically smallest sorted posterior pair.
+    to the lexicographically smallest sorted posterior pair, and among equal
+    pairs to the first candidate in ``_sender_candidates`` order.
     """
     a = _as_array(sigma)
     if not garbling_rank(a).full_rank:
         return _babbling_response(u_s, prior)
 
-    cand_q1: list[float] = [prior]
-    cand_q2: list[float] = [prior]
-    sources: list[tuple] = [("babbling",)]
+    curves = boundary_curves(a, prior, BR_POINTS)
+    families = list(curves)
+    q1, q2, kind = _sender_candidates(u_s, a, prior, curves)
 
-    curves = boundary_curves(a, prior, n_points)
-    for fam, c in curves.items():
-        for p, (q1, q2) in zip(c.params, c.points):
-            cand_q1.append(q1)
-            cand_q2.append(q2)
-            sources.append(("curve", fam, float(p)))
-
-    bps = [float(b) for b in u_s.breakpoints if 0.0 <= b <= 1.0]
-    lows = sorted({b for b in bps if b <= prior + TOL} | {0.0, prior})
-    highs = sorted({b for b in bps if b >= prior - TOL} | {prior, 1.0})
-    for lo in lows:
-        for hi in highs:
-            for q1, q2 in ((lo, hi), (hi, lo)):
-                cand_q1.append(q1)
-                cand_q2.append(q2)
-                sources.append(("pair",))
-    tasks = [(c, True) for c in lows] + [(c, False) for c in highs]
-    for fixed, is_low, (r_lo, r_hi) in companion_slices(a, prior, tasks):
-        pairs = [(fixed, r_lo), (fixed, r_hi)] if is_low else [(r_lo, fixed), (r_hi, fixed)]
-        for lo, hi in pairs:
-            for q1, q2 in ((lo, hi), (hi, lo)):
-                cand_q1.append(q1)
-                cand_q2.append(q2)
-                sources.append(("slice",))
-
-    # snap one coordinate of each curve sample to a utility breakpoint
-    samples = np.vstack([c.points for c in curves.values()])
-    for b in bps:
-        for q1, q2 in ((np.full(len(samples), b), samples[:, 1]),
-                       (samples[:, 0], np.full(len(samples), b))):
-            cand_q1 += list(q1)
-            cand_q2 += list(q2)
-            sources += [("snap",)] * len(samples)
-
-    if interior_step:
-        g_lo = np.arange(0.0, prior + 1e-12, interior_step)
-        g_hi = np.arange(1.0, prior - 1e-12, -interior_step)[::-1]
-        gl, gh = np.meshgrid(g_lo, g_hi, indexing="ij")
-        for q1, q2 in ((gl.ravel(), gh.ravel()), (gh.ravel(), gl.ravel())):
-            cand_q1 += list(q1)
-            cand_q2 += list(q2)
-            sources += [("grid",)] * gl.size
-
-    q1 = np.array(cand_q1)
-    q2 = np.array(cand_q2)
     feasible = ordered_member_many(a, prior, q1, q2)
     feasible[0] = True  # babbling is always available
-    q1, q2 = q1[feasible], q2[feasible]
-    kept = [s for s, f in zip(sources, feasible) if f]
+    idx = np.nonzero(feasible)[0]
+    q1, q2, kind = q1[idx], q2[idx], kind[idx]
+    fam_i, param_i = np.divmod(idx - 1, BR_POINTS)  # meaningful where kind is _CURVE
     values = _pair_values(u_s, q1, q2, prior)
+
+    def curve_at(k: int) -> tuple[str, float]:
+        fam = families[fam_i[k]]
+        return fam, float(curves[fam].params[param_i[k]])
 
     vmax = float(values.max())
     tie = np.nonzero(values >= vmax - 1e-12)[0]
     lo_s = np.minimum(q1[tie], q2[tie])
     hi_s = np.maximum(q1[tie], q2[tie])
-    order = np.lexsort((hi_s, lo_s))
-    best = int(tie[order[0]])
-    best_q, best_v, best_src = (float(q1[best]), float(q2[best])), vmax, kept[best]
+    best = int(tie[np.lexsort((hi_s, lo_s))[0]])
+    best_q, best_v = (float(q1[best]), float(q2[best])), vmax
+    # (family, parameter) when a boundary family wins
+    best_curve = curve_at(best) if kind[best] == _CURVE else None
 
-    # slide along the winning boundary family (optima may fall between samples)
-    curve_hits = [
-        (i, kept[i]) for i in range(len(kept)) if kept[i][0] == "curve"
-    ]
-    if curve_hits:
-        by_fam: dict[str, tuple[float, float]] = {}
-        for i, (_, fam, p) in curve_hits:
-            if values[i] >= vmax - 1e-9:
-                cur = by_fam.get(fam)
-                if cur is None or values[i] > cur[1]:
-                    by_fam[fam] = (p, float(values[i]))
-        span = 1.0 / max(n_points - 1, 1)
-        for fam, (p0, _) in by_fam.items():
-            p_ref, v_ref = _curve_refine(u_s, a, prior, fam, p0, span)
-            if v_ref > best_v + 1e-12:
-                best_v = v_ref
-                qq = posterior_pair(a @ family_experiment(fam, p_ref), prior)
-                best_q, best_src = qq, ("curve", fam, p_ref)
+    # slide along the winning boundary families (optima may fall between samples)
+    near = (kind == _CURVE) & (values >= vmax - 1e-9)
+    span = 1.0 / (BR_POINTS - 1)
+    for f, fam in enumerate(families):
+        hits = np.nonzero(near & (fam_i == f))[0]
+        if not hits.size:
+            continue
+        _, p0 = curve_at(hits[np.argmax(values[hits])])
+        p_ref, v_ref = _curve_refine(u_s, a, prior, fam, p0, span)
+        if v_ref > best_v + 1e-12:
+            best_v = v_ref
+            best_q = posterior_pair(a @ family_experiment(fam, p_ref), prior)
+            best_curve = (fam, p_ref)
 
     tau = _pair_tau(best_q[0], best_q[1], prior)
-    if best_src[0] == "curve":
-        x = family_experiment(best_src[1], best_src[2])
-    elif best_src[0] == "babbling" or tau.is_degenerate():
+    if best_curve is not None:
+        x = family_experiment(*best_curve)
+    elif kind[best] == _BABBLING or tau.is_degenerate():
         x = UNINFORMATIVE_X.copy()
     else:
         x = _inducing_experiment(a, prior, *best_q)
@@ -369,15 +374,46 @@ def _certificate(game, xa, sa, br_s, br_m, tol) -> EquilibriumCertificate:
     )
 
 
-def check_equilibrium(game: GameSpec, x, sigma, tol: Optional[float] = None) -> EquilibriumCertificate:
-    """Verify a pure strategy profile by solving both best responses."""
+class _ResponseMemo:
+    """Best responses of one game, each computed once per fixed strategy.
+
+    The sender's best response depends only on the garbling and the
+    mediator's only on the experiment, so each is keyed by the float64 bytes
+    of that strategy. A search makes one memo and drops it when it returns.
+    Callers share the returned responses and must not modify their arrays.
+    """
+
+    def __init__(self, game: GameSpec):
+        self.game = game
+        self._sender: dict[bytes, BestResponse] = {}
+        self._mediator: dict[bytes, BestResponse] = {}
+
+    def sender(self, sigma) -> BestResponse:
+        return self._solve(self._sender, sender_best_response, self.game.u_sender, sigma)
+
+    def mediator(self, x) -> BestResponse:
+        return self._solve(self._mediator, mediator_best_response, self.game.u_mediator, x)
+
+    def _solve(self, cache: dict, solve, u: PiecewiseUtility, strategy) -> BestResponse:
+        a = _as_array(strategy)
+        key = a.tobytes()
+        if key not in cache:
+            cache[key] = solve(u, a, self.game.prior)
+        return cache[key]
+
+
+def check_equilibrium(
+    game: GameSpec, x, sigma, tol: Optional[float] = None, *, memo: Optional[_ResponseMemo] = None
+) -> EquilibriumCertificate:
+    """Verify a pure strategy profile by solving both best responses.
+
+    With ``memo`` the best responses come from it (computed there on first
+    use), so repeated checks of one strategy solve its best response once.
+    """
     xa, sa = _as_array(x), _as_array(sigma)
     tol = game.tol_dev if tol is None else tol
-    br_s = sender_best_response(
-        game.u_sender, sa, game.prior, game.br_points, game.interior_step
-    )
-    br_m = mediator_best_response(game.u_mediator, xa, game.prior)
-    return _certificate(game, xa, sa, br_s, br_m, tol)
+    memo = _ResponseMemo(game) if memo is None else memo
+    return _certificate(game, xa, sa, memo.sender(sa), memo.mediator(xa), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +552,10 @@ def search_equilibria(
     representative survives only if (possibly after best-response polishing
     or local grid refinement) an exact check passes at ``tol_search`` without
     leaving its cluster.
+
+    The exact checks of all clusters share one ``_ResponseMemo``, so each
+    distinct strategy's best response is computed once per search. The memo
+    lives only for this call: a later search computes its best responses anew.
     """
     n = int(round(1.0 / game.grid)) + 1
     vals = np.linspace(0.0, 1.0, n)
@@ -538,13 +578,14 @@ def search_equilibria(
 
     merged_keys = _merge_adjacent_bins(clusters)
 
+    memo = _ResponseMemo(game)
     certs: list[EquilibriumCertificate] = []
     for group in merged_keys:
         rep = min(
             (clusters[k] for k in group),
             key=lambda c: (c["gap"], c["profile"]),
         )
-        cert = _polish_candidate(game, rep, cluster_radius)
+        cert = _polish_candidate(game, rep, cluster_radius, memo)
         if cert is not None:
             certs.append(cert)
 
@@ -593,8 +634,15 @@ def _profile_matrices(profile):
 
 
 def _polish_candidate(
-    game: GameSpec, rep: dict, cluster_radius: float
+    game: GameSpec, rep: dict, cluster_radius: float, memo: _ResponseMemo
 ) -> Optional[EquilibriumCertificate]:
+    """Exact certificate for one cluster representative, or None.
+
+    Tries the representative itself, then best-response iteration from it,
+    then coordinate descent on the profile grid around it. Every best
+    response comes from the search's ``memo``, so a strategy that the direct
+    check, the iteration and the probes revisit is solved once per search.
+    """
     xa, sa = _profile_matrices(rep["profile"])
     anchor = rep["tau"]
     best: Optional[EquilibriumCertificate] = None
@@ -608,7 +656,7 @@ def _polish_candidate(
         if best is None or cert.max_gap < best.max_gap:
             best = cert
 
-    direct = check_equilibrium(game, xa, sa, tol=game.tol_search)
+    direct = check_equilibrium(game, xa, sa, tol=game.tol_search, memo=memo)
     consider(direct)
     if best is not None and best.max_gap <= game.tol_dev:
         return best
@@ -618,15 +666,10 @@ def _polish_candidate(
     seen: list[BeliefDistribution] = []
     verified_elsewhere = False
     for _ in range(8):
-        s_cur = mediator_best_response(game.u_mediator, x_cur, game.prior).strategy
-        if garbling_rank(s_cur).full_rank:
-            br_s = sender_best_response(
-                game.u_sender, s_cur, game.prior, game.br_points, game.interior_step
-            )
-        else:
-            br_s = _babbling_response(game.u_sender, game.prior)
+        s_cur = memo.mediator(x_cur).strategy
+        br_s = memo.sender(s_cur)
         x_cur = br_s.strategy
-        br_m = mediator_best_response(game.u_mediator, x_cur, game.prior)
+        br_m = memo.mediator(x_cur)
         cand = _certificate(game, x_cur, s_cur, br_s, br_m, game.tol_search)
         consider(cand)
         verified_elsewhere |= cand.verified
@@ -649,7 +692,7 @@ def _polish_candidate(
 
     def exact_gap(p) -> tuple[float, Optional[EquilibriumCertificate]]:
         x_m, s_m = _profile_matrices(p)
-        cert = check_equilibrium(game, x_m, s_m, tol=game.tol_search)
+        cert = check_equilibrium(game, x_m, s_m, tol=game.tol_search, memo=memo)
         return cert.max_gap, cert
 
     cur_gap, cur_cert = exact_gap(prof)

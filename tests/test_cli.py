@@ -54,3 +54,16 @@ def test_exit_refuted_on_failed_check(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["verified"] is False
     assert report["witness"]["player"] == "sender"
+
+
+def test_exit_tolerance_on_internal_assertion(monkeypatch, capsys):
+    # a mean-preserving-spread witness that fails its own validation raises
+    # AssertionError, which the CLI reports as exit code 5
+    from mediated_persuasion import cli
+
+    def fail(game):
+        raise AssertionError("internal: MPS witness failed validation")
+
+    monkeypatch.setattr(cli, "search_equilibria", fail)
+    assert main(["solve", str(FIXTURES / "kg.json"), "--mode", "search"]) == cli.EXIT_TOLERANCE == 5
+    assert "internal tolerance failure" in capsys.readouterr().err

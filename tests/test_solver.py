@@ -4,12 +4,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mediated_persuasion import solver
+from mediated_persuasion.feasible import boundary_curves, companion_slices
 from mediated_persuasion.info import TOL, induced_tau
 from mediated_persuasion.payoffs import expected_utility
 from mediated_persuasion.solver import (
+    BR_POINTS,
     CLUSTER_RADIUS,
+    INTERIOR_STEP,
     _coarse_representatives,
     _grid_tables,
+    _ResponseMemo,
+    _sender_candidates,
+    check_equilibrium,
+    mediator_best_response,
     search_equilibria,
     sender_best_response,
 )
@@ -132,6 +140,13 @@ class TestSearchOutcomes:
         assert has_outcome(certs, (0.0, 0.5))
         assert all(c.verified for c in certs)
 
+    def test_fig19_finds_babbling_and_thirds(self, fig19_game):
+        certs = search_equilibria(fig19_game)
+        assert len(certs) == 2
+        assert has_outcome(certs, (0.5,))
+        assert has_outcome(certs, (1 / 3, 2 / 3))
+        assert all(c.verified for c in certs)
+
     def test_fig20_finds_only_babbling(self, fig20_game):
         certs = search_equilibria(fig20_game)
         assert len(certs) == 1
@@ -160,9 +175,7 @@ def earned(game, sigma, x):
 
 
 def kg_sender_br(game, sigma):
-    return sender_best_response(
-        game.u_sender, sigma, game.prior, game.br_points, game.interior_step
-    )
+    return sender_best_response(game.u_sender, sigma, game.prior)
 
 
 class TestSenderBestResponse:
@@ -191,3 +204,197 @@ def test_kg_search_peak_memory_below_100mb(kg_search):
     # tables or chunk-sized temporaries push the peak far past 100 MB
     _, peak = kg_search
     assert peak < 100e6
+
+
+# Best responses pinned bit for bit, as recorded before the sender's candidates
+# were assembled as numpy blocks: (fixture, first row of the fixed strategy,
+# (value, strategy, tau beliefs, tau probs)). The strategies are draws of a
+# seeded generator rounded to 3 digits; the sender cases cover boundary-family,
+# inducing-experiment and corner winners.
+SENDER_BR = [
+    ('kg', (0.049, 0.999), (0.5993999999999999, [[0.6009022556390978, 7.80337746174528e-17], [0.3990977443609021, 0.9999999999999999]], [0.0007488766849725972, 0.5], [0.40060000000000007, 0.5993999999999999])),
+    ('kg', (0.679, 0.87), (0.1925999999999999, [[0.03964098728496598, 0.9999999999999994], [0.960359012715034, 5.571901288236044e-16]], [0.2522913054248204, 0.5], [0.8074000000000001, 0.19259999999999988])),
+    ('kg', (0.515, 0.286), (0.0, [[1.0, 0.0], [0.0, 1.0]], [0.1922473672417656, 0.38685208596713017], [0.44629999999999986, 0.5537000000000001])),
+    ('fig19', (0.697, 0.006), (0.9470000000000001, [[0.9999999999999998, 0.3275446213217558], [2.1923643154957564e-16, 0.6724553786782442]], [0.25, 0.7169987546699874], [0.4646666666666665, 0.5353333333333334])),
+    ('fig19', (0.039, 0.149), (0.39900000000000013, [[7.785408681374148e-16, 0.9030303030303034], [0.9999999999999992, 0.09696969696969669]], [0.25, 0.5275721687638786], [0.09933333333333325, 0.9006666666666667])),
+    ('fig19', (0.859, 0.337), (0.9130000000000001, [[3.072425243128369e-17, 0.8467432950191571], [1.0, 0.15325670498084282]], [0.25, 0.6980286738351255], [0.442, 0.558])),
+    ('fig20', (0.919, 0.134), (1.0, [[0.799878677585684, 0.3954706298655344], [0.20012132241431596, 0.6045293701344656]], [0.2, 0.5], [0.6666666666666667, 0.33333333333333326])),
+    ('fig20', (0.373, 0.951), (1.0, [[0.32715439116823186, 0.876393694732795], [0.6728456088317681, 0.12360630526720506]], [0.2, 0.5], [0.6666666666666667, 0.33333333333333326])),
+    ('fig20', (0.892, 0.95), (-90.45549999999997, [[1.0, 0.22413793103448465], [0.0, 0.7758620689655154]], [0.2, 0.31043622308117064], [0.09450000000000022, 0.9054999999999997])),
+    ('fig22', (0.255, 0.072), (1.0, [[0.39344262295082216, 1.26788197427291e-15], [0.6065573770491778, 0.9999999999999988]], [0.3333333333333333, 0.5201793721973095], [0.10800000000000026, 0.8919999999999997])),
+    ('fig22', (0.039, 0.289), (1.1806249999999998, [[0.8670000000000004, 1.1296883428713045e-15], [0.13299999999999965, 0.9999999999999989]], [0.4338672768878719, 0.8], [0.8193750000000002, 0.1806249999999998])),
+    ('fig22', (0.312, 0.561), (1.0, [[0.0, 1.0], [1.0, 0.0]], [0.35738831615120276, 0.6104702750665484], [0.43650000000000005, 0.5634999999999999])),
+    # tied optima: several candidates share the winning posterior pair, so the
+    # candidate order decides between a boundary family and an inducing
+    # experiment, and which signal carries the low belief
+    ('kg', (0.88, 0.58), (0.252, [[0.8, 0.0], [0.19999999999999996, 1.0]], [0.23262032085561496, 0.5], [0.748, 0.252])),
+    ('kg', (0.1, 0.9), (0.54, [[0.3571428571428572, 1.0], [0.6428571428571428, 0.0]], [0.06521739130434777, 0.5], [0.45999999999999996, 0.54])),
+    ('fig19', (0.8200000000000001, 0.16), (1.0, [[0.8939393939393938, 0.13636363636363635], [0.1060606060606061, 0.8636363636363636]], [0.25, 0.75], [0.5, 0.5])),
+    ('fig19', (0.36, 0.12), (0.6100000000000001, [[1.0, 0.0], [0.0, 1.0]], [0.25, 0.5789473684210527], [0.24000000000000005, 0.76])),
+    ('fig20', (0.66, 0.34), (-41.67250000000001, [[0.9999999999999996, 0.14062499999999975], [5.083433674002436e-16, 0.8593750000000003]], [0.2, 0.43668639053254427], [0.5774999999999999, 0.4225000000000001])),
+    ('fig20', (0.88, 0.08), (1.0, [[0.8523809523809525, 0.45555555555555577], [0.14761904761904748, 0.5444444444444443]], [0.2, 0.5], [0.6666666666666667, 0.33333333333333326])),
+    ('fig22', (0.96, 0.98), (1.0, [[1.0, 0.0], [0.0, 1.0]], [0.3333333333333333, 0.5051546391752577], [0.029999999999999895, 0.9700000000000001])),
+    ('fig22', (0.8, 0.12), (1.3571428571428572, [[0.03361344537815116, 0.6638655462184874], [0.9663865546218487, 0.33613445378151263]], [0.3333333333333333, 0.8], [0.6428571428571429, 0.3571428571428571])),
+]
+MEDIATOR_BR = [
+    ('kg', (0.129, 0.499), (0.3382673051806704, [[2.3051154305262324e-16, 0.87070091423596], [0.9999999999999997, 0.12929908576404006]], [0.19776315789473686, 0.5], [0.6617326948193296, 0.3382673051806704])),
+    ('kg', (0.601, 0.029), (0.5831067961165048, [[0.9708737864077671, 0.0], [0.029126213592232855, 1.0]], [0.02026082906380997, 0.5], [0.4168932038834952, 0.5831067961165048])),
+    ('kg', (0.148, 0.928), (0.569937369519833, [[9.924167192580367e-19, 0.6958942240779402], [1.0, 0.30410577592205984]], [0.03495145631067959, 0.5], [0.430062630480167, 0.569937369519833])),
+    ('fig19', (0.07, 0.13), (0.5899999999999997, [[1.5920598173124788e-15, 1.0], [0.9999999999999984, 0.0]], [0.4833333333333334, 0.65], [0.9000000000000004, 0.09999999999999964])),
+    ('fig19', (0.948, 0.622), (0.8838304552590266, [[0.7849293563579278, 3.2348313282145856e-17], [0.21507064364207223, 1.0]], [0.3961783439490446, 0.6666666666666666], [0.6161695447409733, 0.3838304552590267])),
+    ('fig19', (0.369, 0.511), (0.7130000000000002, [[0.0, 1.0], [1.0, 0.0]], [0.4366071428571428, 0.5806818181818182], [0.5599999999999998, 0.44000000000000017])),
+    ('fig20', (0.663, 0.275), (1.8629834254143647, [[1.0, 0.10787437414656346], [0.0, 0.8921256258534366]], [0.17793594306049823, 0.4797088663431849], [0.595510241238052, 0.40448975876194804])),
+    ('fig20', (0.138, 0.788), (2.6289170161596753, [[0.3109461131735853, 1.0], [0.6890538868264148, 0.0]], [0.17793594306049823, 0.7099099099099099], [0.7705450556868039, 0.22945494431319613])),
+    ('fig20', (0.67, 0.512), (1.8629834254143645, [[1.0, 1.7675874828513114e-16], [0.0, 0.9999999999999998]], [0.2467073562479923, 0.3879173290937997], [0.6226000000000003, 0.37739999999999974])),
+    ('fig22', (0.817, 0.549), (0.7394363636363634, [[1.0, 0.0], [1.3350846133440124e-17, 1.0]], [0.4019033674963397, 0.7113564668769715], [0.6829999999999999, 0.31700000000000006])),
+    ('fig22', (0.981, 0.205), (1.0, [[0.867636229749632, 0.3153534609720177], [0.1323637702503681, 0.6846465390279822]], [0.3333333333333333, 0.8], [0.6428571428571429, 0.3571428571428571])),
+    ('fig22', (0.554, 0.484), (0.39999999999999986, [[1.0, 7.401825184518068e-16], [0.0, 0.9999999999999993]], [0.466281310211946, 0.5363825363825364], [0.519, 0.481])),
+]
+
+
+KINDS = ("babbling", "curve", "pair", "slice", "snap", "grid")
+
+
+def loop_candidates(u_s, a, prior):
+    """The sender's candidate pairs built one by one in Python lists: the reference order."""
+    cand_q1, cand_q2, kinds = [prior], [prior], ["babbling"]
+    curves = boundary_curves(a, prior, BR_POINTS)
+    for c in curves.values():
+        for q1, q2 in c.points:
+            cand_q1.append(q1)
+            cand_q2.append(q2)
+            kinds.append("curve")
+    bps = [float(b) for b in u_s.breakpoints if 0.0 <= b <= 1.0]
+    lows = sorted({b for b in bps if b <= prior + TOL} | {0.0, prior})
+    highs = sorted({b for b in bps if b >= prior - TOL} | {prior, 1.0})
+    for lo in lows:
+        for hi in highs:
+            for q1, q2 in ((lo, hi), (hi, lo)):
+                cand_q1.append(q1)
+                cand_q2.append(q2)
+                kinds.append("pair")
+    tasks = [(c, True) for c in lows] + [(c, False) for c in highs]
+    for fixed, is_low, (r_lo, r_hi) in companion_slices(a, prior, tasks):
+        pairs = [(fixed, r_lo), (fixed, r_hi)] if is_low else [(r_lo, fixed), (r_hi, fixed)]
+        for lo, hi in pairs:
+            for q1, q2 in ((lo, hi), (hi, lo)):
+                cand_q1.append(q1)
+                cand_q2.append(q2)
+                kinds.append("slice")
+    samples = np.vstack([c.points for c in curves.values()])
+    for b in bps:
+        for q1, q2 in ((np.full(len(samples), b), samples[:, 1]),
+                       (samples[:, 0], np.full(len(samples), b))):
+            cand_q1 += list(q1)
+            cand_q2 += list(q2)
+            kinds += ["snap"] * len(samples)
+    g_lo = np.arange(0.0, prior + 1e-12, INTERIOR_STEP)
+    g_hi = np.arange(1.0, prior - 1e-12, -INTERIOR_STEP)[::-1]
+    gl, gh = np.meshgrid(g_lo, g_hi, indexing="ij")
+    for q1, q2 in ((gl.ravel(), gh.ravel()), (gh.ravel(), gl.ravel())):
+        cand_q1 += list(q1)
+        cand_q2 += list(q2)
+        kinds += ["grid"] * gl.size
+    return np.array(cand_q1), np.array(cand_q2), np.array([KINDS.index(k) for k in kinds])
+
+
+@pytest.mark.parametrize("name", ["kg", "fig19", "fig20", "fig22"])
+def test_sender_candidates_keep_the_loop_order(name, request):
+    # ties go to the first candidate, so the order decides the strategy
+    game = request.getfixturevalue(f"{name}_game")
+    rng = np.random.default_rng(8)
+    grid = np.linspace(0.0, 1.0, 51)
+    for first_row in [*rng.uniform(0.0, 1.0, (5, 2)), *rng.choice(grid, (5, 2))]:
+        a = garbling(first_row)
+        if first_row[0] == first_row[1]:
+            continue
+        curves = boundary_curves(a, game.prior, BR_POINTS)
+        got = _sender_candidates(game.u_sender, a, game.prior, curves)
+        want = loop_candidates(game.u_sender, a, game.prior)
+        assert np.array_equal(got[2], want[2])
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+def as_pinned(br):
+    return (
+        br.value,
+        br.strategy.tolist(),
+        br.tau.beliefs.tolist(),
+        br.tau.probs.tolist(),
+    )
+
+
+@pytest.mark.parametrize("name, first_row, want", SENDER_BR)
+def test_sender_best_response_is_bit_exact(name, first_row, want, request):
+    game = request.getfixturevalue(f"{name}_game")
+    br = sender_best_response(game.u_sender, garbling(first_row), game.prior)
+    assert as_pinned(br) == want
+
+
+@pytest.mark.parametrize("name, first_row, want", MEDIATOR_BR)
+def test_mediator_best_response_is_bit_exact(name, first_row, want, request):
+    game = request.getfixturevalue(f"{name}_game")
+    br = mediator_best_response(game.u_mediator, garbling(first_row), game.prior)
+    assert as_pinned(br) == want
+
+
+def counted_search(game, monkeypatch):
+    """Run one search; return the strategies each best response was solved for."""
+    calls = {"sender": [], "mediator": []}
+
+    def counting(player, fn):
+        def wrapped(u, strategy, prior):
+            calls[player].append(np.asarray(strategy, dtype=float).tobytes())
+            return fn(u, strategy, prior)
+
+        return wrapped
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "sender_best_response", counting("sender", sender_best_response))
+        m.setattr(solver, "mediator_best_response", counting("mediator", mediator_best_response))
+        search_equilibria(game)
+    return calls
+
+
+class TestResponseMemo:
+    def test_search_solves_each_strategy_once(self, fig22_game, monkeypatch):
+        # without the memo, fig22 solves 52 sender and 58 mediator best
+        # responses for 30 and 21 distinct strategies
+        first = counted_search(fig22_game, monkeypatch)
+        for keys in first.values():
+            assert len(keys) > 1
+            assert len(keys) == len(set(keys))
+        # a second search in the same process starts from an empty memo
+        second = counted_search(fig22_game, monkeypatch)
+        assert second == first
+
+    @pytest.mark.parametrize(
+        "name, x, sigma",
+        [
+            ("fig22_game", np.eye(2), garbling((6 / 7, 3 / 7))),  # verified
+            ("kg_game", np.eye(2), np.eye(2)),  # refuted by a sender deviation
+            ("fig19_game", garbling((0.2, 0.9)), garbling((0.6, 0.1))),
+        ],
+    )
+    def test_check_with_memo_matches_check_without(self, name, x, sigma, request):
+        game = request.getfixturevalue(name)
+        memo = _ResponseMemo(game)
+        plain = check_equilibrium(game, x, sigma)
+        for _ in range(2):  # the second check reads both best responses from the memo
+            cert = check_equilibrium(game, x, sigma, memo=memo)
+            for field in dataclasses.fields(plain):
+                want, got = getattr(plain, field.name), getattr(cert, field.name)
+                if field.name == "witness":
+                    assert (got is None) == (want is None)
+                    if want is None:
+                        continue
+                    assert got.player == want.player and got.value == want.value
+                    assert got.gain == want.gain
+                    assert np.array_equal(got.strategy, want.strategy)
+                    assert np.array_equal(got.tau.beliefs, want.tau.beliefs)
+                elif field.name == "tau":
+                    assert np.array_equal(got.beliefs, want.beliefs)
+                    assert np.array_equal(got.probs, want.probs)
+                else:
+                    assert np.array_equal(got, want)
