@@ -69,24 +69,26 @@ class PiecewiseUtility:
             if prev.hi_closed == cur.lo_closed:
                 raise ValueError(f"breakpoint {cur.lo} owned by {'both' if prev.hi_closed else 'neither'} side")
         object.__setattr__(self, "pieces", pieces)
-        # eval tables: open-interval coefficients between consecutive edges,
-        # plus the attained value at every edge
+        # lookup tables indexed by a belief's left insertion index i among the
+        # edges: the affine coefficients of the open segment left of edge i
+        # (the first segment for i = 0) and the attained value at edge i
         edges = sorted({p.lo for p in pieces} | {p.hi for p in pieces})
+        slope_at = np.zeros(len(edges))
+        inter_at = np.zeros(len(edges))
+        for k in range(1, len(edges)):
+            p = self._covering_piece(0.5 * (edges[k - 1] + edges[k]))
+            slope_at[k], inter_at[k] = p.slope, p.intercept
+        if len(edges) > 1:
+            slope_at[0], inter_at[0] = slope_at[1], inter_at[1]
+        value_at = np.array([self._covering_piece(e).value_at(e) for e in edges])
         ev = np.array(edges)
-        seg_slope = np.zeros(len(edges) - 1)
-        seg_inter = np.zeros(len(edges) - 1)
-        for k in range(len(edges) - 1):
-            mid = 0.5 * (edges[k] + edges[k + 1])
-            p = self._covering_piece(mid)
-            seg_slope[k], seg_inter[k] = p.slope, p.intercept
-        edge_vals = np.array([self._covering_piece(e).value_at(e) for e in edges])
-        ev.setflags(write=False)
-        edge_vals.setflags(write=False)
+        for a in (ev, slope_at, inter_at, value_at):
+            a.setflags(write=False)
         object.__setattr__(self, "_edges", ev)
-        object.__setattr__(self, "_edge_values", edge_vals)
-        object.__setattr__(self, "_seg_slope", seg_slope)
-        object.__setattr__(self, "_seg_inter", seg_inter)
         object.__setattr__(self, "_edges_list", edges)
+        object.__setattr__(self, "_slope_at", slope_at)
+        object.__setattr__(self, "_inter_at", inter_at)
+        object.__setattr__(self, "_value_at", value_at)
 
     def _covering_piece(self, beta: float) -> Piece:
         for p in self.pieces:
@@ -124,23 +126,23 @@ class PiecewiseUtility:
         edges = self._edges_list
         i = bisect_left(edges, beta)
         if i < len(edges) and edges[i] == beta:
-            return float(self._edge_values[i])
-        seg = min(max(i - 1, 0), len(self._seg_slope) - 1)
-        return float(self._seg_slope[seg] * beta + self._seg_inter[seg])
+            return float(self._value_at[i])
+        return float(self._slope_at[i] * beta + self._inter_at[i])
 
     def eval_many(self, betas) -> np.ndarray:
-        b = np.asarray(betas, dtype=float)
-        lo, hi = self.domain
-        if b.size and (b.min() < lo - 1e-12 or b.max() > hi + 1e-12):
-            raise ValueError("belief outside utility domain")
-        b = np.minimum(np.maximum(b, lo), hi)
-        idx = np.searchsorted(self._edges, b, side="left")
-        idx = np.minimum(idx, len(self._edges) - 1)
-        exact = self._edges[idx] == b
-        seg = np.minimum(np.maximum(idx - 1, 0), len(self._seg_slope) - 1)
-        out = self._seg_slope[seg] * b + self._seg_inter[seg]
-        out[exact] = self._edge_values[idx[exact]]
-        return out
+        return _eval_shared((self,), betas)[0]
+
+    def _tables_on(self, edges: np.ndarray):
+        """Lookup tables indexed by the left insertion index among ``edges``,
+        a sorted superset of this utility's edges with the same ends.
+
+        At a foreign edge the attained value is the enclosing segment's
+        affine value there, which is what a belief landing on it would get.
+        """
+        i = np.searchsorted(self._edges, edges, side="left")
+        slope, inter = self._slope_at[i], self._inter_at[i]
+        value = np.where(self._edges[i] == edges, self._value_at[i], slope * edges + inter)
+        return slope, inter, value
 
     # -- constructors -------------------------------------------------------
 
@@ -223,6 +225,40 @@ class PiecewiseUtility:
                 out.append(Piece(p.lo, p.hi, p.lo_closed, False, p.slope, p.intercept))
                 out.append(Piece(x, x, True, True, 0.0, value))
         return PiecewiseUtility(tuple(out))
+
+
+def _eval_shared(utilities: Sequence[PiecewiseUtility], betas) -> list[np.ndarray]:
+    """Values of utilities with one common domain at the same beliefs.
+
+    The beliefs are checked against the domain and clamped once, and each
+    one's segment is found with one ``searchsorted`` against the union of
+    the utilities' edges; every utility then reads its value from its own
+    tables. A belief on an edge gets the attained value there, any other
+    belief the affine value of its open segment.
+    """
+    lo, hi = utilities[0].domain
+    if any(u.domain != (lo, hi) for u in utilities):
+        raise ValueError("utilities must share one domain")
+    b = np.asarray(betas, dtype=float)
+    if b.size and (b.min() < lo - 1e-12 or b.max() > hi + 1e-12):
+        raise ValueError("belief outside utility domain")
+    shape = b.shape
+    b = np.minimum(np.maximum(b.reshape(-1), lo), hi)
+    if len(utilities) == 1:  # the union is the utility's own edges
+        u = utilities[0]
+        edges, tables = u._edges, [(u._slope_at, u._inter_at, u._value_at)]
+    else:
+        edges = np.unique(np.concatenate([u._edges for u in utilities]))
+        tables = [u._tables_on(edges) for u in utilities]
+    idx = np.minimum(np.searchsorted(edges, b, side="left"), len(edges) - 1)
+    exact = edges[idx] == b
+    at_edge = idx[exact]
+    out = []
+    for slope, inter, value in tables:
+        v = slope[idx] * b + inter[idx]
+        v[exact] = value[at_edge]
+        out.append(v.reshape(shape))
+    return out
 
 
 def expected_utility(u: PiecewiseUtility, tau: BeliefDistribution) -> float:

@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import ColumnSumMismatch, NegativeEntry, ScenarioError
+from .info import validate_stochastic
 from .payoffs import ActionGame, PiecewiseUtility, induce_belief_utilities
 from .solver import GameSpec
 
@@ -140,10 +141,20 @@ def load_scenario(source) -> Scenario:
     sigma = parse_matrix(doc["sigma"])
     if sigma.shape[0] != sigma.shape[1] or sigma.shape[0] < 2:
         raise ScenarioError(f"sigma must be square (m >= 2), got {sigma.shape}")
+    try:
+        validate_stochastic(sigma)
+    except (NegativeEntry, ColumnSumMismatch) as exc:
+        raise ScenarioError(f"sigma is not column-stochastic: {exc}") from None
     search = doc.get("search", {})
     if not isinstance(search, dict):
         raise ScenarioError("'search' must be an object")
     _reject_unknown(search, _SEARCH_KEYS, "search")
+    search = {key: parse_number(value) for key, value in search.items()}
+    if "grid" in search and not 0.0 < search["grid"] <= 1.0:
+        raise ScenarioError(f"search.grid {search['grid']} outside (0, 1]")
+    for key in ("tol_dev", "tol_search"):
+        if key in search and not search[key] > 0.0:
+            raise ScenarioError(f"search.{key} {search[key]} must be positive")
     seed = doc.get("seed", 0)  # validated for scenario files that carry one; not used
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ScenarioError("'seed' must be an integer")
@@ -172,15 +183,8 @@ def load_scenario(source) -> Scenario:
             u_s = _build_pwl(parsed["sender"])
             u_m = _build_pwl(parsed["mediator"])
             u_r = _build_pwl(parsed["receiver"]) if "receiver" in parsed else None
-        kwargs = {}
-        if "grid" in search:
-            kwargs["grid"] = parse_number(search["grid"])
-        if "tol_dev" in search:
-            kwargs["tol_dev"] = parse_number(search["tol_dev"])
-        if "tol_search" in search:
-            kwargs["tol_search"] = parse_number(search["tol_search"])
         game = GameSpec(
-            prior=prior, u_sender=u_s, u_mediator=u_m, u_receiver=u_r, **kwargs
+            prior=prior, u_sender=u_s, u_mediator=u_m, u_receiver=u_r, **search
         )
     return Scenario(prior=prior, sigma=sigma, game=game)
 

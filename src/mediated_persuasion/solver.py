@@ -46,6 +46,7 @@ from .payoffs import (
     SENDER,
     Concavification,
     PiecewiseUtility,
+    _eval_shared,
     concavify,
     expected_utility,
 )
@@ -281,9 +282,7 @@ def sender_best_response(u_s: PiecewiseUtility, sigma, prior: float) -> BestResp
 # ---------------------------------------------------------------------------
 
 
-def mediator_best_response(
-    u_m: PiecewiseUtility, x, prior: float, grid: int = 2048
-) -> BestResponse:
+def mediator_best_response(u_m: PiecewiseUtility, x, prior: float) -> BestResponse:
     """Concavify over the posterior interval of the fixed experiment.
 
     Among payoff-equal optimal garblings the Blackwell-most-informative one
@@ -298,7 +297,7 @@ def mediator_best_response(
             BeliefDistribution.from_atoms([(prior, 1.0)], prior),
             float(u_m(prior)),
         )
-    conc = concavify(u_m, (lo, hi), grid)
+    conc = concavify(u_m, (lo, hi))
     a, b = conc.linear_span(prior)
     if b - a <= TOL:
         tau = BeliefDistribution.from_atoms([(prior, 1.0)], prior)
@@ -455,7 +454,8 @@ def _signal(in_state0, in_state1, pi: float):
     """
     p = (1 - pi) * in_state0 + pi * in_state1
     with np.errstate(invalid="ignore", divide="ignore"):
-        q = np.where(p > TOL, pi * in_state1 / np.where(p > 0, p, 1.0), pi)
+        q = pi * in_state1 / p
+    q[p <= TOL] = pi
     return p, q
 
 
@@ -470,28 +470,37 @@ def _grid_tables(game: GameSpec, vals: np.ndarray):
 
     The tables fill in blocks of a few sigma rows (``_grid_blocks``). Per
     sigma the composite entries take only n values, so each block broadcasts
-    them to its (rows, n, n) profiles.
+    them to its (rows, n, n) profiles. Each signal's posteriors are computed
+    once, and both players are read from one segment lookup of them
+    (``_eval_shared``).
     """
     n = len(vals)
     pi = game.prior
+    players = (game.u_sender, game.u_mediator)
     E_s = np.empty((n * n, n * n), dtype=np.float32)
     E_m = np.empty((n * n, n * n), dtype=np.float32)
     for block, c, d in _grid_blocks(vals):
         p1, q1 = _signal(c[:, :, None], c[:, None, :], pi)
         p2, q2 = _signal(d[:, :, None], d[:, None, :], pi)
-        for u, out in ((game.u_sender, E_s), (game.u_mediator, E_m)):
-            out[block] = (p1 * u.eval_many(q1) + p2 * u.eval_many(q2)).reshape(len(c), -1)
+        for out, v1, v2 in zip((E_s, E_m), _eval_shared(players, q1), _eval_shared(players, q2)):
+            out[block] = (p1 * v1 + p2 * v2).reshape(len(c), -1)
     return E_s, E_m
 
 
-def _bin_winners(gaps, sig_idx, x_idx, k_lo, k_hi):
-    """The profile of least (gap, sigma index, x index) in each outcome bin."""
+def _bin_winners(cols, ties):
+    """The first profile of each outcome bin under a stable sort by bin, then
+    by ``ties`` (sort keys, most significant last).
+
+    ``cols`` are the arrays (gap, sigma index, x index, k_lo, k_hi). Profiles
+    that tie on every key keep their input order.
+    """
+    k_lo, k_hi = cols[3], cols[4]
     keys = k_lo * 100000 + k_hi
-    order = np.lexsort((x_idx, sig_idx, gaps, keys))
+    order = np.lexsort((*ties, keys))
     first = np.ones(order.size, dtype=bool)
     first[1:] = keys[order[1:]] != keys[order[:-1]]
     pick = order[first]
-    return gaps[pick], sig_idx[pick], x_idx[pick], k_lo[pick], k_hi[pick]
+    return tuple(a[pick] for a in cols)
 
 
 def _coarse_representatives(game: GameSpec, vals: np.ndarray, E_s, E_m, cluster_radius: float):
@@ -503,7 +512,12 @@ def _coarse_representatives(game: GameSpec, vals: np.ndarray, E_s, E_m, cluster_
     ``_grid_blocks`` are swept again: posteriors are recomputed for kept
     profiles only, and each block passes on its bin winners. Returns arrays
     (gap, sigma index, x index, k_lo, k_hi) with one entry per bin, in
-    ascending bin order.
+    ascending bin order; each is the bin's profile of least (gap, sigma
+    index, x index).
+
+    ``np.nonzero`` lists a block's kept profiles in ascending (sigma, x)
+    order, so within a block a stable sort by (bin, gap) already breaks gap
+    ties by (sigma, x). The merge across blocks sorts by all three keys.
     """
     n = len(vals)
     pi = game.prior
@@ -526,8 +540,10 @@ def _coarse_representatives(game: GameSpec, vals: np.ndarray, E_s, E_m, cluster_
             np.rint(t.astype(np.float32).astype(np.float64) / cluster_radius).astype(np.int64)
             for t in (np.minimum(q1, q2), np.maximum(q1, q2))
         ]
-        winners.append(_bin_winners(gaps, r + block.start, x_idx, *bins))
-    return _bin_winners(*(np.concatenate(w) for w in zip(*winners)))
+        winners.append(_bin_winners((gaps, r + block.start, x_idx, *bins), (gaps,)))
+    cols = tuple(np.concatenate(w) for w in zip(*winners))
+    gaps, sig_idx, x_idx = cols[:3]
+    return _bin_winners(cols, (x_idx, sig_idx, gaps))
 
 
 def _tau_distance(t1: BeliefDistribution, t2: BeliefDistribution) -> float:

@@ -67,3 +67,13 @@ def test_exit_tolerance_on_internal_assertion(monkeypatch, capsys):
     monkeypatch.setattr(cli, "search_equilibria", fail)
     assert main(["solve", str(FIXTURES / "kg.json"), "--mode", "search"]) == cli.EXIT_TOLERANCE == 5
     assert "internal tolerance failure" in capsys.readouterr().err
+
+
+def test_exit_schema_on_bad_search_grid_and_non_stochastic_sigma(tmp_path, capsys):
+    # the loader rejects both, so neither reaches the solver and raises there
+    argv = ["solve", write_scenario(tmp_path, search={"grid": 0}), "--mode", "search"]
+    assert main(argv) == 2
+    assert "search.grid 0.0 outside (0, 1]" in capsys.readouterr().err
+    argv = ["solve", write_scenario(tmp_path, sigma=[[2, 0], [-1, 1]]), "--mode", "sender-br"]
+    assert main(argv) == 2
+    assert "sigma is not column-stochastic" in capsys.readouterr().err

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from mediated_persuasion import (
     ActionGame,
@@ -11,6 +10,8 @@ from mediated_persuasion import (
     expected_utility,
     induce_belief_utilities,
 )
+from mediated_persuasion.payoffs import _eval_shared
+from mediated_persuasion.scenarios import FIXTURE_NAMES, load_fixture
 
 from conftest import random_pwl
 
@@ -47,12 +48,119 @@ class TestEvalUtility:
 
     def test_vectorized_matches_scalar(self):
         u = fig20_sender()
-        betas = np.array([0.0, 0.1, 0.2, 0.35, 0.5, 0.7, 0.955, 0.99, 1.0])
-        assert_allclose(u.eval_many(betas), [u(b) for b in betas])
+        betas = np.concatenate([[0.1, 0.35, 0.7, 0.99], edge_probes(u)])
+        assert same_bits(u.eval_many(betas), [u(b) for b in betas])
 
     def test_pieces_partition_strictly(self):
         with pytest.raises(ValueError):
             PiecewiseUtility.from_points([(0, 0), (0.5, 1), (0.4, 0), (1, 0)])
+
+
+def edge_probes(u: PiecewiseUtility) -> np.ndarray:
+    """Every edge of ``u`` and both float neighbours of each."""
+    e = u.breakpoints
+    return np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf)])
+
+
+def eval_many_reference(u: PiecewiseUtility, betas) -> np.ndarray:
+    """``PiecewiseUtility.eval_many`` before the shared lookup tables: its
+    table construction and its body, kept verbatim."""
+    edges = sorted({p.lo for p in u.pieces} | {p.hi for p in u.pieces})
+    seg_slope = np.zeros(len(edges) - 1)
+    seg_inter = np.zeros(len(edges) - 1)
+    for k in range(len(edges) - 1):
+        mid = 0.5 * (edges[k] + edges[k + 1])
+        p = u._covering_piece(mid)
+        seg_slope[k], seg_inter[k] = p.slope, p.intercept
+    edge_vals = np.array([u._covering_piece(e).value_at(e) for e in edges])
+    u_edges = np.array(edges)
+
+    b = np.asarray(betas, dtype=float)
+    lo, hi = u.domain
+    if b.size and (b.min() < lo - 1e-12 or b.max() > hi + 1e-12):
+        raise ValueError("belief outside utility domain")
+    b = np.minimum(np.maximum(b, lo), hi)
+    idx = np.searchsorted(u_edges, b, side="left")
+    idx = np.minimum(idx, len(u_edges) - 1)
+    exact = u_edges[idx] == b
+    seg = np.minimum(np.maximum(idx - 1, 0), len(seg_slope) - 1)
+    out = seg_slope[seg] * b + seg_inter[seg]
+    out[exact] = edge_vals[idx[exact]]
+    return out
+
+
+def fixture_utilities() -> dict:
+    """Every utility of the packaged games, the concavify envelope of each,
+    and a 300-point utility with a jump and a singleton."""
+    out = {}
+    for name in FIXTURE_NAMES:
+        game = load_fixture(name).game
+        if game is None:
+            continue
+        for player in ("sender", "mediator", "receiver"):
+            u = getattr(game, f"u_{player}")
+            if u is not None:
+                out[f"{name}-{player}"] = u
+                out[f"{name}-{player}-envelope"] = concavify(u).envelope
+    rng = np.random.default_rng(11)
+    xs = np.sort(rng.uniform(0.0, 1.0, 298))
+    xs = np.concatenate([[0.0], xs[:150], [xs[149]], xs[150:], [1.0]])  # repeated abscissa: a jump
+    ys = rng.uniform(-1.0, 1.0, xs.size)
+    out["pwl300"] = PiecewiseUtility.from_points(list(zip(xs, ys)), singletons=[(xs[60], 5.0)])
+    return out
+
+
+UTILITIES = fixture_utilities()
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestEvalManyPinned:
+    """``eval_many`` and the shared kernel return the old body's bits."""
+
+    @pytest.mark.parametrize("name", sorted(UTILITIES))
+    def test_bit_equal_to_reference(self, name):
+        u = UTILITIES[name]
+        uniform = np.random.default_rng(12).uniform(0.0, 1.0, 100_000)
+        betas = np.concatenate([edge_probes(u), [0.0, 1.0], uniform])
+        assert same_bits(u.eval_many(betas), eval_many_reference(u, betas))
+
+    @pytest.mark.parametrize("name", sorted(UTILITIES))
+    def test_zero_d_input(self, name):
+        u = UTILITIES[name]
+        for beta in edge_probes(u)[:3].tolist() + [0.37]:
+            got = u.eval_many(np.float64(beta))
+            assert got.shape == ()
+            assert same_bits(got, eval_many_reference(u, [beta])[0])
+
+    @pytest.mark.parametrize("game", [n for n in FIXTURE_NAMES if load_fixture(n).game is not None])
+    def test_shared_lookup_matches_each_utility(self, game):
+        g = load_fixture(game).game
+        us = (g.u_sender, g.u_mediator, g.u_receiver)
+        probes = np.concatenate([edge_probes(u) for u in us])
+        uniform = np.random.default_rng(13).uniform(0.0, 1.0, 100_000 - probes.size)
+        betas = np.concatenate([probes, uniform])
+        got = _eval_shared(us, betas.reshape(10, -1))
+        for u, v in zip(us, got):
+            assert same_bits(v.ravel(), eval_many_reference(u, betas))
+
+    def test_shared_lookup_needs_one_domain(self):
+        half = PiecewiseUtility.affine(1.0, 0.0, domain=(0.0, 0.5))
+        with pytest.raises(ValueError, match="share one domain"):
+            _eval_shared((UTILITIES["pwl300"], half), [0.25])
+
+    @pytest.mark.parametrize("beta", [-1e-9, 1.0 + 1e-9, 2.0])
+    def test_out_of_domain_belief_raises(self, beta):
+        u = UTILITIES["pwl300"]
+        with pytest.raises(ValueError, match="outside utility domain"):
+            eval_many_reference(u, [0.5, beta])
+        with pytest.raises(ValueError, match="outside utility domain"):
+            u.eval_many([0.5, beta])
+        with pytest.raises(ValueError, match="outside utility domain"):
+            _eval_shared((u, u), [0.5, beta])
 
 
 class TestInducedUtilities:

@@ -16,6 +16,7 @@ from mediated_persuasion.solver import (
     _grid_tables,
     _ResponseMemo,
     _sender_candidates,
+    bp_solve,
     check_equilibrium,
     mediator_best_response,
     search_equilibria,
@@ -108,10 +109,11 @@ def kg_search(kg_game):
     return certs, peak
 
 
-@pytest.mark.parametrize("name", ["kg_game", "fig22_game"])
+@pytest.mark.parametrize("name", ["kg_game", "fig19_game", "fig20_game", "fig22_game"])
 class TestStreamedGrid:
     def test_tables_match_whole_array_formula(self, name, request):
-        # fig22's step utilities turn a one-ulp posterior drift into a jump
+        # fig22's step utilities turn a one-ulp posterior drift into a jump,
+        # and fig20's drop to -100 into one of up to 79.7
         game = dataclasses.replace(request.getfixturevalue(name), grid=COARSE_GRID)
         vals = np.linspace(0.0, 1.0, int(round(1.0 / game.grid)) + 1)
         E_s, E_m = _grid_tables(game, vals)
@@ -162,6 +164,26 @@ class TestSearchOutcomes:
         certs = search_equilibria(fig22_game)
         assert all(c.verified for c in certs)
         assert has_outcome(certs, (1 / 3, 4 / 5), sender_value=19 / 14)
+
+
+@pytest.mark.parametrize(
+    "name, support, value",
+    [
+        ("kg", (0.0, 1 / 2), 0.6),
+        ("fig19", (1 / 4, 3 / 4), 1.0),
+        ("fig20", (1 / 5, 1 / 2), 1.0),
+        ("fig22", (1 / 3, 4 / 5), 19 / 14),
+    ],
+)
+def test_bp_solve_outcomes(name, support, value, request):
+    game = request.getfixturevalue(f"{name}_game")
+    sol = bp_solve(game.u_sender, game.prior)
+    assert sol.tau.beliefs == pytest.approx(support, abs=1e-12, rel=0)
+    assert sol.value == pytest.approx(value, abs=1e-12, rel=0)
+    # the returned experiment induces the reported outcome
+    induced = induced_tau(sol.x, game.prior)
+    assert induced.beliefs == pytest.approx(sol.tau.beliefs, abs=1e-12, rel=0)
+    assert induced.probs == pytest.approx(sol.tau.probs, abs=1e-12, rel=0)
 
 
 def garbling(first_row):
