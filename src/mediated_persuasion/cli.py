@@ -71,8 +71,20 @@ def format_matrix_flag(rows) -> str:
     return ";".join(",".join(str(c) for c in row) for row in rows)
 
 
-def _matrix_floats(rows) -> np.ndarray:
-    return np.array([[float(c) for c in row] for row in rows])
+def _checked_matrix(rows, flag: str, shape=None) -> np.ndarray:
+    """Floats of a parsed matrix flag, checked to be column-stochastic.
+
+    A bad matrix, or one of another ``shape`` than asked for, raises
+    ``ScenarioError`` (exit code 2).
+    """
+    a = np.array([[float(c) for c in row] for row in rows])
+    try:
+        validate_stochastic(a)
+    except PersuasionError as exc:
+        raise ScenarioError(f"bad {flag} matrix: {exc}") from None
+    if shape is not None and a.shape != shape:
+        raise ScenarioError(f"{flag} must be {shape[0]}x{shape[1]}, got {a.shape[0]}x{a.shape[1]}")
+    return a
 
 
 def _tau_list(tau) -> list:
@@ -116,6 +128,10 @@ def _certificate_report(cert) -> dict:
 
 
 def cmd_feasible(args) -> int:
+    if args.points < 2:
+        raise ScenarioError(f"--points {args.points} must be at least 2")
+    if not 0.0 < args.resolution <= 1.0:
+        raise ScenarioError(f"--resolution {args.resolution} outside (0, 1]")
     scenario = load_scenario(args.scenario)
     rows = []
     if scenario.sigma.shape == (2, 2):
@@ -201,7 +217,9 @@ def cmd_solve(args) -> int:
         )
         return EXIT_OK
     if mode == "sender-br":
-        sigma = _matrix_floats(parse_matrix_flag(args.sigma)) if args.sigma else scenario.sigma
+        sigma = scenario.sigma
+        if args.sigma:
+            sigma = _checked_matrix(parse_matrix_flag(args.sigma), "--sigma", (2, 2))
         br = sender_best_response(game.u_sender, sigma, game.prior)
         _emit(
             {
@@ -218,7 +236,7 @@ def cmd_solve(args) -> int:
     if mode == "mediator-br":
         if not args.x:
             raise ScenarioError("--mode mediator-br needs --x")
-        x = _matrix_floats(parse_matrix_flag(args.x))
+        x = _checked_matrix(parse_matrix_flag(args.x), "--x", (2, 2))
         br = mediator_best_response(game.u_mediator, x, game.prior)
         _emit(
             {
@@ -235,8 +253,8 @@ def cmd_solve(args) -> int:
     if mode == "check":
         if not args.x or not args.sigma:
             raise ScenarioError("--mode check needs --x and --sigma")
-        x = _matrix_floats(parse_matrix_flag(args.x))
-        sigma = _matrix_floats(parse_matrix_flag(args.sigma))
+        x = _checked_matrix(parse_matrix_flag(args.x), "--x", (2, 2))
+        sigma = _checked_matrix(parse_matrix_flag(args.sigma), "--sigma", (2, 2))
         cert = check_equilibrium(game, x, sigma)
         rep = _certificate_report(cert)
         rep["mode"] = "check"
@@ -257,8 +275,8 @@ def cmd_solve(args) -> int:
     if mode == "compare":
         if not args.x or not args.sigma:
             raise ScenarioError("--mode compare needs --x and --sigma")
-        x = _matrix_floats(parse_matrix_flag(args.x))
-        sigma = _matrix_floats(parse_matrix_flag(args.sigma))
+        x = _checked_matrix(parse_matrix_flag(args.x), "--x", (2, 2))
+        sigma = _checked_matrix(parse_matrix_flag(args.sigma), "--sigma", (2, 2))
         tau_mp = induced_tau(validate_stochastic(sigma @ x), game.prior)
         sol = bp_solve(game.u_sender, game.prior)
         rep = compare_outcomes(game, tau_mp, sol.tau)
@@ -281,7 +299,7 @@ def cmd_solve(args) -> int:
 def cmd_order(args) -> int:
     a = parse_matrix_flag(args.a)
     b = parse_matrix_flag(args.b)
-    res = blackwell_compare(_matrix_floats(a), _matrix_floats(b))
+    res = blackwell_compare(_checked_matrix(a, "--a"), _checked_matrix(b, "--b"))
     verdict = {
         BlackwellOrder.DOMINATES: "dominates",
         BlackwellOrder.DOMINATED_BY: "dominated",

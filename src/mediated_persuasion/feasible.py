@@ -333,61 +333,54 @@ class NestingReport:
     nested: bool
     violations: list
     witness_failures: list
-    n_checked: int
 
 
-def nesting_report(s1, s2, prior: float, n_samples: int = 1000, seed: int = 0) -> NestingReport:
-    """Sample experiments through ``s2`` and test the induced pairs against
-    ``F(s1, prior)``; when ``s1`` Blackwell-dominates ``s2`` the constructive
-    witness Y = s1^-1 G s1 X is validated as well."""
+def nesting_report(s1, s2, prior: float) -> NestingReport:
+    """Is ``F(s2, prior)`` a subset of ``F(s1, prior)``? Exact, from one pair.
+
+    F(s2) is the image of the square [m2, M2]^2 of s2's first row, and an
+    ordered pair fixes the composite row it needs, so F(s2) lies in F(s1)
+    exactly when [m2, M2] lies in [m1, M1] or in 1 - [m1, M1]. That is when
+    the pair X = I induces through s2 (the square's off-diagonal corner) is a
+    member of F(s1) in either order; ``violations`` holds that pair if not.
+    When ``s1`` Blackwell-dominates ``s2`` the constructive witness
+    Y = s1^-1 G s1 X is validated too; Y is linear in X, so at X = I.
+    """
     a1, a2 = _require_full_rank(s1), _require_full_rank(s2)
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(0.0, 1.0, size=(n_samples, 2))
+    q1, q2 = posterior_pair(a2, prior)
+    if not ordered_member_many(a1, prior, [q1, q2], [q2, q1]).any():
+        return NestingReport(False, [(q1, q2)], [])
     cmp = blackwell_compare(a1, a2)
-    gamma = cmp.to_second if cmp.order in (BlackwellOrder.DOMINATES, BlackwellOrder.EQUIVALENT) else None
-    inv1 = np.linalg.inv(a1)
-    violations, witness_failures = [], []
-    for x, y in xs:
-        X = np.array([[x, y], [1.0 - x, 1.0 - y]])
-        tau = induced_tau(a2 @ X, prior)
-        lo, hi = tau.beliefs[0], tau.beliefs[-1]
-        if not ordered_member_many(a1, prior, [lo, hi], [hi, lo]).any():
-            violations.append({"x": (x, y), "pair": (float(lo), float(hi))})
-            continue
-        if gamma is not None:
-            Y = inv1 @ gamma @ a1 @ X
-            if Y.min() < -TOL or abs(Y.sum(axis=0) - 1.0).max() > TOL:
-                witness_failures.append({"x": (x, y), "reason": "Y not stochastic"})
-                continue
-            tau_y = induced_tau(a1 @ np.clip(Y, 0.0, 1.0), prior)
-            if not tau_y.allclose(tau, tol=1e-8):
-                witness_failures.append({"x": (x, y), "reason": "Y induces different tau"})
-    return NestingReport(
-        nested=not violations,
-        violations=violations,
-        witness_failures=witness_failures,
-        n_checked=n_samples,
-    )
+    witness_failures = []
+    if cmp.order in (BlackwellOrder.DOMINATES, BlackwellOrder.EQUIVALENT):
+        Y = np.linalg.inv(a1) @ cmp.to_second @ a1
+        tau_y = induced_tau(a1 @ np.clip(Y, 0.0, 1.0), prior)
+        if Y.min() < -TOL or abs(Y.sum(axis=0) - 1.0).max() > TOL:
+            witness_failures.append("Y not stochastic")
+        elif not tau_y.allclose(induced_tau(a2, prior), tol=1e-8):
+            witness_failures.append("Y induces different tau")
+    return NestingReport(True, [], witness_failures)
 
 
 @dataclass(frozen=True, eq=False)
 class SymmetryReport:
     symmetric: bool
     witness: Optional[tuple]
-    n_checked: int
 
 
-def symmetry_report(sigma, prior: float, n_samples: int = 1000, seed: int = 0) -> SymmetryReport:
-    """Test whether the feasible set contains the swap of each sampled pair."""
+def symmetry_report(sigma, prior: float) -> SymmetryReport:
+    """Is the feasible set closed under swapping the two posteriors? Exact.
+
+    Swapping the signals maps the square [m, M]^2 of sigma's first row to
+    1 - [m, M]^2, so the set is swap-symmetric exactly when m + M = 1, that
+    is, when the swap of the pair X = I induces is a member. ``witness`` is
+    that pair otherwise.
+    """
     a = _require_full_rank(sigma)
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(0.0, 1.0, size=(n_samples, 2))
-    for x, y in xs:
-        X = np.array([[x, y], [1.0 - x, 1.0 - y]])
-        q1, q2 = posterior_pair(a @ X, prior)
-        if not ordered_member_many(a, prior, q2, q1):
-            return SymmetryReport(False, ((q1, q2)), n_samples)
-    return SymmetryReport(True, None, n_samples)
+    q1, q2 = posterior_pair(a, prior)
+    if ordered_member_many(a, prior, q2, q1):
+        return SymmetryReport(True, None)
+    return SymmetryReport(False, (q1, q2))
 
 
 # ---------------------------------------------------------------------------

@@ -564,10 +564,11 @@ def search_equilibria(
     is swept twice in blocks of a few sigma rows: once to fill the two float32
     utility tables (``_grid_tables``), once to filter and bin the profiles
     (``_coarse_representatives``), which recomputes posteriors only for kept
-    profiles. Cluster representatives are then verified exactly; a
-    representative survives only if (possibly after best-response polishing
-    or local grid refinement) an exact check passes at ``tol_search`` without
-    leaving its cluster.
+    profiles. Cluster representatives are then verified exactly
+    (``_polish_candidate``): a representative survives only if an exact
+    check passes at ``tol_search`` without leaving its cluster, on the
+    representative itself, after best-response iteration from it, or on the
+    sender's exact reply to its garbling.
 
     The exact checks of all clusters share one ``_ResponseMemo``, so each
     distinct strategy's best response is computed once per search. The memo
@@ -654,10 +655,12 @@ def _polish_candidate(
 ) -> Optional[EquilibriumCertificate]:
     """Exact certificate for one cluster representative, or None.
 
-    Tries the representative itself, then best-response iteration from it,
-    then coordinate descent on the profile grid around it. Every best
-    response comes from the search's ``memo``, so a strategy that the direct
-    check, the iteration and the probes revisit is solved once per search.
+    Three exact checks, each at ``tol_search`` and kept only if its outcome
+    stays near the representative's: the representative itself; then
+    best-response iteration from it; and if neither verified, the profile of
+    the sender's exact reply to the representative's garbling. Every best
+    response comes from the search's ``memo``, so a strategy that several
+    stages or clusters revisit is solved once per search.
     """
     xa, sa = _profile_matrices(rep["profile"])
     anchor = rep["tau"]
@@ -672,15 +675,13 @@ def _polish_candidate(
         if best is None or cert.max_gap < best.max_gap:
             best = cert
 
-    direct = check_equilibrium(game, xa, sa, tol=game.tol_search, memo=memo)
-    consider(direct)
+    consider(check_equilibrium(game, xa, sa, tol=game.tol_search, memo=memo))
     if best is not None and best.max_gap <= game.tol_dev:
         return best
 
     # best-response iteration from the representative
     x_cur = xa
     seen: list[BeliefDistribution] = []
-    verified_elsewhere = False
     for _ in range(8):
         s_cur = memo.mediator(x_cur).strategy
         br_s = memo.sender(s_cur)
@@ -688,49 +689,17 @@ def _polish_candidate(
         br_m = memo.mediator(x_cur)
         cand = _certificate(game, x_cur, s_cur, br_s, br_m, game.tol_search)
         consider(cand)
-        verified_elsewhere |= cand.verified
         if cand.verified and cand.max_gap <= game.tol_dev:
             break
         if seen and _tau_distance(cand.tau, seen[-1]) <= 1e-10:
             break
         seen.append(cand.tau)
-    if best is not None:
-        return best
-    slope = max(game.u_sender.max_abs_slope, game.u_mediator.max_abs_slope)
-    if verified_elsewhere or direct.max_gap > 2.0 * slope * game.grid + 10.0 * game.tol_search:
-        # the dynamics settled on an equilibrium owned by another cluster,
-        # or the representative is nowhere near one: nothing to refine here
-        return None
 
-    # local grid refinement: halve the step around the representative
-    step = game.grid
-    prof = np.array(rep["profile"], dtype=float)
-
-    def exact_gap(p) -> tuple[float, Optional[EquilibriumCertificate]]:
-        x_m, s_m = _profile_matrices(p)
-        cert = check_equilibrium(game, x_m, s_m, tol=game.tol_search, memo=memo)
-        return cert.max_gap, cert
-
-    cur_gap, cur_cert = exact_gap(prof)
-    consider(cur_cert)
-    for _ in range(5):
-        step /= 2.0
-        improved = True
-        probes = 0
-        while improved and probes < 12:
-            improved = False
-            for axis in range(4):
-                for sign in (-1.0, 1.0):
-                    trial = prof.copy()
-                    trial[axis] = min(1.0, max(0.0, trial[axis] + sign * step))
-                    g, cert = exact_gap(trial)
-                    probes += 1
-                    if g < cur_gap - 1e-12:
-                        prof, cur_gap, cur_cert = trial, g, cert
-                        consider(cert)
-                        improved = True
-        if cur_gap <= game.tol_search:
-            break
+    # the sender's exact reply to the representative's garbling
+    if best is None:
+        br_s = memo.sender(sa)
+        br_m = memo.mediator(br_s.strategy)
+        consider(_certificate(game, br_s.strategy, sa, br_s, br_m, game.tol_search))
     return best
 
 

@@ -3,6 +3,8 @@ import io
 import json
 from pathlib import Path
 
+import pytest
+
 import mediated_persuasion
 from mediated_persuasion.cli import main
 
@@ -77,3 +79,38 @@ def test_exit_schema_on_bad_search_grid_and_non_stochastic_sigma(tmp_path, capsy
     argv = ["solve", write_scenario(tmp_path, sigma=[[2, 0], [-1, 1]]), "--mode", "sender-br"]
     assert main(argv) == 2
     assert "sigma is not column-stochastic" in capsys.readouterr().err
+
+
+KG = str(FIXTURES / "kg.json")
+FIG18 = str(FIXTURES / "fig18.json")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", KG, "--mode", "sender-br", "--sigma", "2,0;-1,1"], "bad --sigma matrix"),
+        (["solve", KG, "--mode", "check", "--x", "identity", "--sigma", "2,0;-1,1"], "bad --sigma matrix"),
+        (["solve", KG, "--mode", "mediator-br", "--x", "1,0,0;0,1,1"], "bad --x matrix"),
+        (["solve", KG, "--mode", "mediator-br", "--x", "1,0;0,1;0,0"], "--x must be 2x2, got 3x2"),
+        (["order", "--a", "identity", "--b", "2,0;-1,1"], "bad --b matrix"),
+        (["feasible", KG, "--points", "1"], "--points 1 must be at least 2"),
+        (["feasible", FIG18, "--resolution", "0"], "--resolution 0.0 outside (0, 1]"),
+        (["feasible", FIG18, "--resolution", "-0.1"], "--resolution -0.1 outside (0, 1]"),
+    ],
+    ids=[
+        "sender-br-non-stochastic-sigma",
+        "check-non-stochastic-sigma",
+        "mediator-br-2x3-x",
+        "mediator-br-3x2-x",
+        "order-non-stochastic-b",
+        "feasible-one-point",
+        "feasible-zero-resolution",
+        "feasible-negative-resolution",
+    ],
+)
+def test_exit_schema_on_bad_command_line_input(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

@@ -286,36 +286,56 @@ class TestWingPolygons:
 class TestNesting:
     def test_ranked_pair_nested_with_witnesses(self):
         s1, s2 = RANKED_PAIR
-        rep = nesting_report(s1, s2, 0.3, n_samples=1000, seed=0)
+        rep = nesting_report(s1, s2, 0.3)
         assert rep.nested
         assert not rep.violations
         assert not rep.witness_failures
 
     def test_unranked_pair_violations_both_ways(self):
         s1, s2 = UNRANKED_PAIR
-        rep_fwd = nesting_report(s1, s2, 0.3, n_samples=1000, seed=0)
-        rep_rev = nesting_report(s2, s1, 0.3, n_samples=1000, seed=0)
+        rep_fwd = nesting_report(s1, s2, 0.3)
+        rep_rev = nesting_report(s2, s1, 0.3)
         assert rep_fwd.violations
         assert rep_rev.violations
 
     def test_same_garbling_trivially_nested(self):
-        rep = nesting_report(SIGMA_BUTTERFLY, SIGMA_BUTTERFLY, 0.3, n_samples=300, seed=1)
+        rep = nesting_report(SIGMA_BUTTERFLY, SIGMA_BUTTERFLY, 0.3)
         assert rep.nested and not rep.witness_failures
+
+    def test_relabelled_garbling_nested_through_the_swap(self):
+        # swapping sigma's rows maps its square to 1 - square: the same outcomes
+        relabelled = SIGMA_BUTTERFLY[::-1]
+        assert nesting_report(SIGMA_BUTTERFLY, relabelled, 0.3).nested
+        assert nesting_report(relabelled, SIGMA_BUTTERFLY, 0.3).nested
+
+    def test_square_a_hair_wider_is_not_nested(self):
+        # s2's square [0.1999, 0.8] sticks out of s1's [0.2, 0.8] and of 1 - [0.2, 0.8]
+        s1 = np.array([[0.2, 0.8], [0.8, 0.2]])
+        s2 = np.array([[0.1999, 0.8], [0.8001, 0.2]])
+        rep = nesting_report(s1, s2, 0.3)
+        assert not rep.nested
+        assert len(rep.violations) == 1
 
 
 class TestSymmetry:
     def test_symmetric_garbling(self):
-        rep = symmetry_report([[2 / 3, 1 / 3], [1 / 3, 2 / 3]], 0.5, n_samples=1000, seed=0)
+        rep = symmetry_report([[2 / 3, 1 / 3], [1 / 3, 2 / 3]], 0.5)
         assert rep.symmetric
 
     def test_asymmetric_garbling_has_witness(self):
-        rep = symmetry_report(SIGMA_BUTTERFLY, 0.5, n_samples=1000, seed=0)
+        rep = symmetry_report(SIGMA_BUTTERFLY, 0.5)
         assert not rep.symmetric
         assert rep.witness is not None
 
     def test_identity_symmetric(self):
-        rep = symmetry_report(np.eye(2), 0.5, n_samples=500, seed=0)
+        rep = symmetry_report(np.eye(2), 0.5)
         assert rep.symmetric
+
+    def test_square_off_centre_by_1e4_is_not_symmetric(self):
+        # m + M = 1.0001
+        rep = symmetry_report(np.array([[0.2, 0.8001], [0.8, 0.1999]]), 0.3)
+        assert not rep.symmetric
+        assert rep.witness is not None
 
 
 class TestGeneralSampler:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mediated_persuasion import solver
+from mediated_persuasion import GameSpec, PiecewiseUtility, solver
 from mediated_persuasion.feasible import boundary_curves, companion_slices
 from mediated_persuasion.info import TOL, induced_tau
 from mediated_persuasion.payoffs import expected_utility
@@ -14,6 +14,7 @@ from mediated_persuasion.solver import (
     INTERIOR_STEP,
     _coarse_representatives,
     _grid_tables,
+    _merge_adjacent_bins,
     _ResponseMemo,
     _sender_candidates,
     bp_solve,
@@ -164,6 +165,51 @@ class TestSearchOutcomes:
         certs = search_equilibria(fig22_game)
         assert all(c.verified for c in certs)
         assert has_outcome(certs, (1 / 3, 4 / 5), sender_value=19 / 14)
+
+    @pytest.mark.parametrize("name", ["kg_game", "fig19_game", "fig20_game", "fig22_game"])
+    def test_fixture_certificates_are_exact(self, name, request):
+        game = request.getfixturevalue(name)
+        for cert in search_equilibria(game):
+            assert cert.sender_gap <= game.tol_dev
+            assert cert.mediator_gap <= game.tol_dev
+
+    def test_sender_reply_polishes_off_grid_clusters_exactly(self):
+        # the two informative outcomes put their high belief on the sender's
+        # jump to 1 at 0.85, which no grid profile reaches; a profile near it
+        # verifies at tol_search with a sender gap of a few 1e-4, so each
+        # certificate must also verify at tol_dev
+        game = GameSpec(
+            prior=0.8,
+            u_sender=PiecewiseUtility.step([0.25, 0.85], [0, -1, 1]),
+            u_mediator=PiecewiseUtility.step([0.4], [0, 1]),
+        )
+        certs = search_equilibria(game)
+        assert len(certs) == 3
+        assert has_outcome(certs, (0.8,))
+        for cert in certs:
+            assert check_equilibrium(game, cert.x, cert.sigma).verified  # at tol_dev
+        two_point = [c for c in certs if c.tau.beliefs.size == 2]
+        assert len(two_point) == 2
+        for cert in two_point:
+            assert cert.tau.beliefs[1] == pytest.approx(0.85, abs=1e-12, rel=0)
+
+    def test_fig19_checks_each_cluster_once(self, fig19_game, monkeypatch):
+        # the direct check of each merged cluster's representative is the
+        # only profile check; the later stages certify best-response profiles
+        groups, checks = [], []
+
+        def counted_merge(clusters):
+            groups.extend(_merge_adjacent_bins(clusters))
+            return groups
+
+        def counted_check(*args, **kwargs):
+            checks.append(args)
+            return check_equilibrium(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_merge_adjacent_bins", counted_merge)
+        monkeypatch.setattr(solver, "check_equilibrium", counted_check)
+        search_equilibria(fig19_game)
+        assert len(groups) == len(checks) == 12
 
 
 @pytest.mark.parametrize(
@@ -381,8 +427,8 @@ def counted_search(game, monkeypatch):
 
 class TestResponseMemo:
     def test_search_solves_each_strategy_once(self, fig22_game, monkeypatch):
-        # without the memo, fig22 solves 52 sender and 58 mediator best
-        # responses for 30 and 21 distinct strategies
+        # without the memo, fig22 solves 15 sender and 21 mediator best
+        # responses for 10 and 14 distinct strategies
         first = counted_search(fig22_game, monkeypatch)
         for keys in first.values():
             assert len(keys) > 1
