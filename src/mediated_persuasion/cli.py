@@ -211,6 +211,7 @@ def cmd_solve(args) -> int:
                 "mode": "bp",
                 "tau": _tau_list(sol.tau),
                 "value": sol.value,
+                "attained": sol.attained,
                 "x": _mat_list(sol.x),
             },
             args.out,
@@ -229,6 +230,7 @@ def cmd_solve(args) -> int:
                 "x": _mat_list(br.strategy),
                 "tau": _tau_list(br.tau),
                 "value": br.value,
+                "attained": br.attained,
             },
             args.out,
         )
@@ -246,6 +248,7 @@ def cmd_solve(args) -> int:
                 "sigma": _mat_list(br.strategy),
                 "tau": _tau_list(br.tau),
                 "value": br.value,
+                "attained": br.attained,
             },
             args.out,
         )

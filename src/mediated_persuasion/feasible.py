@@ -47,18 +47,6 @@ UNINFORMATIVE_X = np.full((2, 2), 0.5)
 X_FAMILIES = ("X1", "X2", "X3", "X4")
 
 
-def family_experiment(family: str, p: float) -> np.ndarray:
-    if family == "X1":
-        return np.array([[1.0, p], [0.0, 1.0 - p]])
-    if family == "X2":
-        return np.array([[0.0, p], [1.0, 1.0 - p]])
-    if family == "X3":
-        return np.array([[p, 1.0], [1.0 - p, 0.0]])
-    if family == "X4":
-        return np.array([[p, 0.0], [1.0 - p, 1.0]])
-    raise ValueError(f"unknown family {family!r}")
-
-
 def posterior_pair(b, prior: float) -> tuple[float, float]:
     """Ordered posteriors (after signal 1, after signal 2) of a 2x2 structure.
 
@@ -344,7 +332,10 @@ def nesting_report(s1, s2, prior: float) -> NestingReport:
     the pair X = I induces through s2 (the square's off-diagonal corner) is a
     member of F(s1) in either order; ``violations`` holds that pair if not.
     When ``s1`` Blackwell-dominates ``s2`` the constructive witness
-    Y = s1^-1 G s1 X is validated too; Y is linear in X, so at X = I.
+    Y = s1^-1 G s1 X is validated too; Y is linear in X, so at X = I. Nesting
+    compares unordered outcomes, so the witness may reproduce s2 with its
+    signals relabelled (G replaced by the row swap of G); a failure is
+    recorded only when neither labelling works.
     """
     a1, a2 = _require_full_rank(s1), _require_full_rank(s2)
     q1, q2 = posterior_pair(a2, prior)
@@ -353,12 +344,17 @@ def nesting_report(s1, s2, prior: float) -> NestingReport:
     cmp = blackwell_compare(a1, a2)
     witness_failures = []
     if cmp.order in (BlackwellOrder.DOMINATES, BlackwellOrder.EQUIVALENT):
-        Y = np.linalg.inv(a1) @ cmp.to_second @ a1
-        tau_y = induced_tau(a1 @ np.clip(Y, 0.0, 1.0), prior)
-        if Y.min() < -TOL or abs(Y.sum(axis=0) - 1.0).max() > TOL:
-            witness_failures.append("Y not stochastic")
-        elif not tau_y.allclose(induced_tau(a2, prior), tol=1e-8):
-            witness_failures.append("Y induces different tau")
+        tau2, reasons = induced_tau(a2, prior), []
+        for g in (cmp.to_second, cmp.to_second[::-1]):
+            Y = np.linalg.inv(a1) @ g @ a1
+            if Y.min() < -TOL or abs(Y.sum(axis=0) - 1.0).max() > TOL:
+                reasons.append("Y not stochastic")
+            elif not induced_tau(a1 @ np.clip(Y, 0.0, 1.0), prior).allclose(tau2, tol=1e-8):
+                reasons.append("Y induces different tau")
+            else:
+                break
+        else:
+            witness_failures.append(reasons[0])
     return NestingReport(True, [], witness_failures)
 
 

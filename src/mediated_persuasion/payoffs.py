@@ -82,13 +82,22 @@ class PiecewiseUtility:
             slope_at[0], inter_at[0] = slope_at[1], inter_at[1]
         value_at = np.array([self._covering_piece(e).value_at(e) for e in edges])
         ev = np.array(edges)
-        for a in (ev, slope_at, inter_at, value_at):
+        # one-sided limits at each edge (an end edge repeats its one side); a
+        # limit within TOL of the attained value is that value, not a jump
+        below_at = above_at = value_at
+        if len(edges) > 1:
+            below = slope_at * ev + inter_at
+            above = np.append(slope_at[1:] * ev[:-1] + inter_at[1:], below[-1])
+            below_at, above_at = (np.where(np.abs(v - value_at) <= TOL, value_at, v) for v in (below, above))
+        tables = {
+            "_edges": ev, "_slope_at": slope_at, "_inter_at": inter_at, "_value_at": value_at,
+            "_below_at": below_at, "_above_at": above_at,
+            "_sup_at": np.maximum(value_at, np.maximum(below_at, above_at)),  # raised at a jump up
+        }
+        for name, a in tables.items():
             a.setflags(write=False)
-        object.__setattr__(self, "_edges", ev)
+            object.__setattr__(self, name, a)
         object.__setattr__(self, "_edges_list", edges)
-        object.__setattr__(self, "_slope_at", slope_at)
-        object.__setattr__(self, "_inter_at", inter_at)
-        object.__setattr__(self, "_value_at", value_at)
 
     def _covering_piece(self, beta: float) -> Piece:
         for p in self.pieces:
@@ -132,16 +141,26 @@ class PiecewiseUtility:
     def eval_many(self, betas) -> np.ndarray:
         return _eval_shared((self,), betas)[0]
 
-    def _tables_on(self, edges: np.ndarray):
+    def sup_many(self, betas) -> np.ndarray:
+        """Like ``eval_many``, but a belief on a jump gets the larger of its
+        attained value and its one-sided limits."""
+        return _eval_shared((self,), betas, "_sup_at")[0]
+
+    def limits_many(self, betas, above) -> np.ndarray:
+        """One-sided limits at the beliefs: from above where ``above`` holds, else from below."""
+        lims = (_eval_shared((self,), betas, table)[0] for table in ("_above_at", "_below_at"))
+        return np.where(above, *lims)
+
+    def _tables_on(self, edges: np.ndarray, table: str = "_value_at"):
         """Lookup tables indexed by the left insertion index among ``edges``,
         a sorted superset of this utility's edges with the same ends.
 
-        At a foreign edge the attained value is the enclosing segment's
-        affine value there, which is what a belief landing on it would get.
+        At a foreign edge the edge value is the enclosing segment's affine
+        value there, which is what a belief landing on it would get.
         """
         i = np.searchsorted(self._edges, edges, side="left")
         slope, inter = self._slope_at[i], self._inter_at[i]
-        value = np.where(self._edges[i] == edges, self._value_at[i], slope * edges + inter)
+        value = np.where(self._edges[i] == edges, getattr(self, table)[i], slope * edges + inter)
         return slope, inter, value
 
     # -- constructors -------------------------------------------------------
@@ -227,14 +246,15 @@ class PiecewiseUtility:
         return PiecewiseUtility(tuple(out))
 
 
-def _eval_shared(utilities: Sequence[PiecewiseUtility], betas) -> list[np.ndarray]:
+def _eval_shared(utilities: Sequence[PiecewiseUtility], betas, table="_value_at") -> list[np.ndarray]:
     """Values of utilities with one common domain at the same beliefs.
 
     The beliefs are checked against the domain and clamped once, and each
     one's segment is found with one ``searchsorted`` against the union of
     the utilities' edges; every utility then reads its value from its own
-    tables. A belief on an edge gets the attained value there, any other
-    belief the affine value of its open segment.
+    tables. A belief on an edge gets the entry of the per-edge ``table``
+    there (the attained value by default), any other belief the affine
+    value of its open segment.
     """
     lo, hi = utilities[0].domain
     if any(u.domain != (lo, hi) for u in utilities):
@@ -246,10 +266,10 @@ def _eval_shared(utilities: Sequence[PiecewiseUtility], betas) -> list[np.ndarra
     b = np.minimum(np.maximum(b.reshape(-1), lo), hi)
     if len(utilities) == 1:  # the union is the utility's own edges
         u = utilities[0]
-        edges, tables = u._edges, [(u._slope_at, u._inter_at, u._value_at)]
+        edges, tables = u._edges, [(u._slope_at, u._inter_at, getattr(u, table))]
     else:
         edges = np.unique(np.concatenate([u._edges for u in utilities]))
-        tables = [u._tables_on(edges) for u in utilities]
+        tables = [u._tables_on(edges, table) for u in utilities]
     idx = np.minimum(np.searchsorted(edges, b, side="left"), len(edges) - 1)
     exact = edges[idx] == b
     at_edge = idx[exact]
@@ -386,8 +406,9 @@ class Concavification:
 
     ``coincident`` lists closed intervals (points when degenerate) where the
     envelope meets the utility; optimal posterior supports live there.
-    ``unattained`` flags open endpoints whose one-sided limit exceeds the
-    envelope, where an optimum would only be approached.
+    ``unattained`` lists the hull vertices (belief, value) whose value is a
+    one-sided limit above the attained value: an optimum supported there is
+    only approached.
     """
 
     envelope: PiecewiseUtility
@@ -434,40 +455,27 @@ def _upper_hull(xs: np.ndarray, ys: np.ndarray):
     return stack
 
 
-def concavify(u: PiecewiseUtility, domain=(0.0, 1.0), grid: int = 2048) -> Concavification:
-    """Upper concave envelope over ``domain`` via the upper hull of attained
-    values at breakpoints, singletons and a uniform grid."""
+def concavify(u: PiecewiseUtility, domain=(0.0, 1.0)) -> Concavification:
+    """Upper concave envelope over ``domain``: the upper hull of the utility's
+    supremum at its breakpoints inside the domain (``sup_many``), at ``lo``
+    from above and at ``hi`` from below. The utility is affine in between."""
     lo, hi = float(domain[0]), float(domain[1])
     if not (u.domain[0] - 1e-12 <= lo < hi <= u.domain[1] + 1e-12):
         if lo >= hi:
             raise EmptyDomain(f"domain [{lo}, {hi}] is empty")
         raise ValueError("domain exceeds the utility's domain")
     bps = u.breakpoints
-    xs = np.unique(
-        np.concatenate(
-            [
-                np.linspace(lo, hi, max(int(grid), 2)),
-                bps[(bps >= lo) & (bps <= hi)],
-                [lo, hi],
-            ]
-        )
-    )
-    ys = u.eval_many(xs)
+    xs = np.concatenate([[lo], bps[(bps > lo) & (bps < hi)], [hi]])
+    attained = u.eval_many(xs)
+    ys = u.sup_many(xs)
+    ys[[0, -1]] = np.maximum(attained[[0, -1]], u.limits_many([lo, hi], [True, False]))
     idx = _upper_hull(xs, ys)
     vx, vy = xs[idx], ys[idx]
-    if len(vx) == 1:
-        env = PiecewiseUtility.constant(float(vy[0]), (lo, hi))
-    else:
-        env = PiecewiseUtility.from_points(list(zip(vx, vy)))
+    env = PiecewiseUtility.from_points(list(zip(vx, vy)))
     coincident = _coincident_set(u, env, lo, hi)
-    unattained = []
-    for p in u.pieces:
-        for x, closed in ((p.lo, p.lo_closed), (p.hi, p.hi_closed)):
-            if not closed and lo <= x <= hi and not p.is_singleton:
-                limit = p.value_at(x)
-                if limit > env(x) + TOL:
-                    unattained.append((float(x), float(limit)))
-    return Concavification(env, tuple(coincident), (lo, hi), tuple(sorted(set(unattained))))
+    raised = vy > attained[idx]
+    unattained = tuple((float(x), float(y)) for x, y in zip(vx[raised], vy[raised]))
+    return Concavification(env, tuple(coincident), (lo, hi), unattained)
 
 
 def _coincident_set(u, env, lo, hi):

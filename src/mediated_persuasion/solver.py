@@ -3,13 +3,14 @@
 The sender maximizes over the feasible posterior pairs of the fixed
 garbling; the mediator concavifies over the posterior interval of the
 fixed experiment. Both best responses are exact for piecewise-affine
-utilities: candidate optima sit at utility breakpoints, feasible-slice
-ends, wing vertices, or along the four boundary families (which get a
-zoomed local refinement). The slice ends are exact: through a breakpoint
-belief, ``companion_slices`` intersects a ray of composite rows with the
-garbling's square in closed form, so a slice as narrow as a single point is
-found. The winner's experiment is built for the ordered pair the square test
-admitted, with no fallback.
+utilities and report the supremum, with whether their outcome attains it.
+On the garbling's square of composite rows the sender's expected utility is
+linear on each cell of a line arrangement, so its supremum is a limit at a
+vertex: babbling and the corners, breakpoint pairs, or feasible-slice ends.
+Through a breakpoint belief ``companion_slices`` intersects a ray of
+composite rows with the square in closed form, so a slice as narrow as a
+single point is found. The winner's experiment is built for the ordered pair
+the square test admitted, with no fallback.
 """
 
 from __future__ import annotations
@@ -23,11 +24,8 @@ from .errors import BarycenterMismatch
 from .feasible import (
     UNINFORMATIVE_X,
     _inducing_experiment,
-    boundary_curves,
     companion_slices,
-    family_experiment,
     ordered_member_many,
-    pairs_along_family,
     posterior_pair,
     reconstruct_experiment,
 )
@@ -74,11 +72,17 @@ class GameSpec:
 
 @dataclass(frozen=True, eq=False)
 class BestResponse:
-    """An optimizer's strategy with the induced outcome and value."""
+    """An optimizer's strategy with the induced outcome and value.
+
+    ``value`` is the supremum of the optimizer's payoff. ``attained`` says
+    whether the returned outcome earns it; if not, the outcome is the limit
+    of outcomes whose payoffs approach it.
+    """
 
     strategy: np.ndarray
     tau: BeliefDistribution
     value: float
+    attained: bool
 
 
 def _pair_tau(q1: float, q2: float, prior: float) -> BeliefDistribution:
@@ -89,25 +93,20 @@ def _pair_tau(q1: float, q2: float, prior: float) -> BeliefDistribution:
     return BeliefDistribution.from_atoms([(lo, p_lo), (hi, p_hi)], prior)
 
 
-def _pair_values(u: PiecewiseUtility, q1, q2, prior: float) -> np.ndarray:
-    """Expected utility of ordered pairs (vectorized)."""
-    q1 = np.asarray(q1, dtype=float)
-    q2 = np.asarray(q2, dtype=float)
-    deg = np.abs(q2 - q1) <= TOL
-    width = np.where(deg, 1.0, q2 - q1)
-    w2 = np.minimum(np.maximum((prior - q1) / width, 0.0), 1.0)
-    w1 = 1.0 - w2
-    clip01 = lambda v: np.minimum(np.maximum(v, 0.0), 1.0)
-    vals = w1 * u.eval_many(clip01(q1)) + w2 * u.eval_many(clip01(q2))
-    return np.where(deg, float(u(prior)), vals)
-
-
 def _babbling_response(u: PiecewiseUtility, prior: float) -> BestResponse:
     return BestResponse(
         UNINFORMATIVE_X.copy(),
         BeliefDistribution.from_atoms([(prior, 1.0)], prior),
         float(u(prior)),
+        True,
     )
+
+
+def _envelope_value(u: PiecewiseUtility, conc: Concavification, tau: BeliefDistribution):
+    """The envelope at the prior, read through ``tau`` on hull vertices, and whether ``tau`` earns it."""
+    raised = dict(conc.unattained)
+    vals = [raised.get(b, v) for b, v in zip(tau.beliefs.tolist(), u.eval_many(tau.beliefs))]
+    return float(np.array(vals) @ tau.probs), not raised.keys() & set(tau.beliefs.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +118,9 @@ def _babbling_response(u: PiecewiseUtility, prior: float) -> BestResponse:
 class BenchmarkSolution:
     tau: BeliefDistribution
     x: np.ndarray
-    value: float
+    value: float  # the envelope at the prior
     concavification: Concavification
+    attained: bool  # whether ``tau`` earns ``value``
 
 
 def bp_solve(u_s: PiecewiseUtility, prior: float) -> BenchmarkSolution:
@@ -133,12 +133,13 @@ def bp_solve(u_s: PiecewiseUtility, prior: float) -> BenchmarkSolution:
     base = float(u_s(prior))
     if conc.value(prior) <= base + TOL:
         tau = BeliefDistribution.from_atoms([(prior, 1.0)], prior)
-        return BenchmarkSolution(tau, UNINFORMATIVE_X.copy(), base, conc)
+        return BenchmarkSolution(tau, UNINFORMATIVE_X.copy(), base, conc, True)
     a, b = conc.linear_span(prior)
     p_lo, p_hi = bayes_plausible_weights(a, b, prior)
     tau = BeliefDistribution.from_atoms([(a, p_lo), (b, p_hi)], prior)
     x = reconstruct_experiment(np.eye(2), prior, tau)
-    return BenchmarkSolution(tau, x, float(expected_utility(u_s, tau)), conc)
+    value, attained = _envelope_value(u_s, conc, tau)
+    return BenchmarkSolution(tau, x, value, conc, attained)
 
 
 # ---------------------------------------------------------------------------
@@ -146,25 +147,7 @@ def bp_solve(u_s: PiecewiseUtility, prior: float) -> BenchmarkSolution:
 # ---------------------------------------------------------------------------
 
 
-BR_POINTS = 256  # boundary samples per family in the sender best response
-INTERIOR_STEP = 0.02  # step of the sender best response's interior pair grid
-_BABBLING, _CURVE = 0, 1  # candidate kinds; the first two blocks of _sender_candidates
-
-
-def _curve_refine(u, a, prior, fam, p0, span, rounds=5, pts=257):
-    """Zoom the expected value along one boundary family around ``p0``."""
-    lo, hi = max(0.0, p0 - span), min(1.0, p0 + span)
-    best_p, best_v = p0, -np.inf
-    for _ in range(rounds):
-        ps = np.linspace(lo, hi, pts)
-        q = pairs_along_family(a, prior, fam, ps)
-        vals = _pair_values(u, q[:, 0], q[:, 1], prior)
-        k = int(vals.argmax())
-        if vals[k] > best_v:
-            best_v, best_p = float(vals[k]), float(ps[k])
-        width = (hi - lo) / 8.0
-        lo, hi = max(0.0, ps[k] - width), min(1.0, ps[k] + width)
-    return best_p, best_v
+_BABBLING, _CORNER = 0, 1  # candidate kinds; the first two blocks of _sender_candidates
 
 
 def _both_orders(lo, hi):
@@ -172,15 +155,14 @@ def _both_orders(lo, hi):
     return np.stack([lo, hi], axis=-1).ravel(), np.stack([hi, lo], axis=-1).ravel()
 
 
-def _sender_candidates(u_s: PiecewiseUtility, a: np.ndarray, prior: float, curves):
+def _sender_candidates(u_s: PiecewiseUtility, a: np.ndarray, prior: float):
     """Candidate ordered pairs (q1, q2) of the sender best response and their kinds.
 
-    The blocks come in tie-break order: babbling, the boundary samples of
-    ``curves`` (family by family), breakpoint pairs, feasible-slice ends,
-    samples with one coordinate snapped to a breakpoint, and the interior
-    pair grid. The babbling pair is index 0 and the curve samples follow it.
+    The blocks come in tie-break order: babbling; the two off-diagonal
+    corners of the garbling's square, induced by X = I and by the column
+    swap; breakpoint pairs; and feasible-slice ends.
     """
-    samples = np.vstack([c.points for c in curves.values()])
+    corners = np.array([posterior_pair(a, prior), posterior_pair(a[:, ::-1], prior)])
     bps = u_s.breakpoints[(u_s.breakpoints >= 0.0) & (u_s.breakpoints <= 1.0)]
     lows = np.unique(np.append(bps[bps <= prior + TOL], (0.0, prior)))
     highs = np.unique(np.append(bps[bps >= prior - TOL], (prior, 1.0)))
@@ -194,23 +176,11 @@ def _sender_candidates(u_s: PiecewiseUtility, a: np.ndarray, prior: float, curve
     slice_lo = np.where(is_low, fixed, ends)
     slice_hi = np.where(is_low, ends, fixed)
 
-    # snap one coordinate of each curve sample to a utility breakpoint
-    shape = (bps.size, len(samples))
-    snap_b = np.broadcast_to(bps[:, None], shape)
-    snap_q1 = np.stack([snap_b, np.broadcast_to(samples[:, 0], shape)], axis=1)
-    snap_q2 = np.stack([np.broadcast_to(samples[:, 1], shape), snap_b], axis=1)
-
-    g_lo = np.arange(0.0, prior + 1e-12, INTERIOR_STEP)
-    g_hi = np.arange(1.0, prior - 1e-12, -INTERIOR_STEP)[::-1]
-    grid_lo, grid_hi = (m.ravel() for m in np.meshgrid(g_lo, g_hi, indexing="ij"))
-
     blocks = [
         ((prior,), (prior,)),
-        (samples[:, 0], samples[:, 1]),
+        (corners[:, 0], corners[:, 1]),
         _both_orders(pair_lo, pair_hi),
         _both_orders(slice_lo, slice_hi),
-        (snap_q1, snap_q2),
-        (np.concatenate([grid_lo, grid_hi]), np.concatenate([grid_hi, grid_lo])),
     ]
     q1 = np.concatenate([np.ravel(b[0]) for b in blocks])
     q2 = np.concatenate([np.ravel(b[1]) for b in blocks])
@@ -218,63 +188,79 @@ def _sender_candidates(u_s: PiecewiseUtility, a: np.ndarray, prior: float, curve
     return q1, q2, kind
 
 
-def sender_best_response(u_s: PiecewiseUtility, sigma, prior: float) -> BestResponse:
-    """Maximize expected sender utility over the feasible set of ``sigma``.
+def _sender_values(u: PiecewiseUtility, a: np.ndarray, prior: float, q1, q2):
+    """Attained values and suprema at the candidate pairs; babbling is index 0
+    and the corners follow it.
 
-    A rank-deficient garbling leaves only the babbling outcome. Ties break
-    to the lexicographically smallest sorted posterior pair, and among equal
-    pairs to the first candidate in ``_sender_candidates`` order.
+    On each cell of the square, cut by the lines where a posterior sits on a
+    breakpoint, the expected utility is linear, so near a vertex it tends to
+    one-sided limits. Inside its range ([corner, prior] for the low
+    posterior, [prior, corner] for the high one) a posterior takes either
+    side (``sup_many``); at a range end only the inward limit. Next to
+    babbling, the square's diagonal corners (t, t), t in {m, M}, put weight t
+    on the low posterior, or 1 - t with the labels swapped.
+    """
+    deg = np.abs(q2 - q1) <= TOL
+    width = np.where(deg, 1.0, q2 - q1)
+    w2 = np.minimum(np.maximum((prior - q1) / width, 0.0), 1.0)
+    w1 = 1.0 - w2
+    q1, q2 = np.clip(q1, 0.0, 1.0), np.clip(q2, 0.0, 1.0)
+    u_prior = float(u(prior))
+    attained = np.where(deg, u_prior, w1 * u.eval_many(q1) + w2 * u.eval_many(q2))
+
+    natural = q1 <= q2
+    (n1, n2), (p1, p2) = sorted(((q1[1], q2[1]), (q1[2], q2[2])), key=lambda c: c[0] > c[1])
+    sides = []
+    for q, r_lo, r_hi in ((np.minimum(q1, q2), np.where(natural, n1, p2), prior),
+                          (np.maximum(q1, q2), prior, np.where(natural, n2, p1))):
+        at_lo, at_hi = np.abs(q - r_lo) <= TOL, np.abs(q - r_hi) <= TOL
+        sides.append(np.where(at_lo | at_hi, u.limits_many(q, at_lo), u.sup_many(q)))
+    v1, v2 = np.where(natural, sides[0], sides[1]), np.where(natural, sides[1], sides[0])
+    sup = np.where(deg, u_prior, np.maximum(attained, w1 * v1 + w2 * v2))
+
+    # babbling: a jump within TOL of the prior counts as at the prior, as in
+    # companion_slices, so the limits are taken outside the TOL window
+    near = u.breakpoints[np.abs(u.breakpoints - prior) <= TOL]
+    lims = np.sort(u.limits_many([near.min(initial=prior), near.max(initial=prior)], [False, True]))
+    w = max(a[0].max(), 1.0 - a[0].min())  # the most weight the larger limit can carry
+    sup[0] = max(u_prior, lims[0] + w * (lims[1] - lims[0]))
+    return attained, sup
+
+
+def sender_best_response(u_s: PiecewiseUtility, sigma, prior: float) -> BestResponse:
+    """Supremum of expected sender utility over the feasible set of ``sigma``.
+
+    A rank-deficient garbling leaves only the babbling outcome. Ties within
+    1e-12 break first to candidates that attain the supremum, then to the
+    lexicographically smallest sorted posterior pair, and among equal pairs
+    to the first candidate in ``_sender_candidates`` order.
     """
     a = _as_array(sigma)
     if not garbling_rank(a).full_rank:
         return _babbling_response(u_s, prior)
 
-    curves = boundary_curves(a, prior, BR_POINTS)
-    families = list(curves)
-    q1, q2, kind = _sender_candidates(u_s, a, prior, curves)
-
+    q1, q2, kind = _sender_candidates(u_s, a, prior)
     feasible = ordered_member_many(a, prior, q1, q2)
-    feasible[0] = True  # babbling is always available
+    feasible[:3] = True  # babbling and the corners are always available
     idx = np.nonzero(feasible)[0]
     q1, q2, kind = q1[idx], q2[idx], kind[idx]
-    fam_i, param_i = np.divmod(idx - 1, BR_POINTS)  # meaningful where kind is _CURVE
-    values = _pair_values(u_s, q1, q2, prior)
+    attained, sup = _sender_values(u_s, a, prior, q1, q2)
 
-    def curve_at(k: int) -> tuple[str, float]:
-        fam = families[fam_i[k]]
-        return fam, float(curves[fam].params[param_i[k]])
-
-    vmax = float(values.max())
-    tie = np.nonzero(values >= vmax - 1e-12)[0]
+    vmax = float(sup.max())
+    tie = np.nonzero(sup >= vmax - 1e-12)[0]
     lo_s = np.minimum(q1[tie], q2[tie])
     hi_s = np.maximum(q1[tie], q2[tie])
-    best = int(tie[np.lexsort((hi_s, lo_s))[0]])
-    best_q, best_v = (float(q1[best]), float(q2[best])), vmax
-    # (family, parameter) when a boundary family wins
-    best_curve = curve_at(best) if kind[best] == _CURVE else None
+    short = attained[tie] < vmax - 1e-12
+    best = int(tie[np.lexsort((hi_s, lo_s, short))[0]])
 
-    # slide along the winning boundary families (optima may fall between samples)
-    near = (kind == _CURVE) & (values >= vmax - 1e-9)
-    span = 1.0 / (BR_POINTS - 1)
-    for f, fam in enumerate(families):
-        hits = np.nonzero(near & (fam_i == f))[0]
-        if not hits.size:
-            continue
-        _, p0 = curve_at(hits[np.argmax(values[hits])])
-        p_ref, v_ref = _curve_refine(u_s, a, prior, fam, p0, span)
-        if v_ref > best_v + 1e-12:
-            best_v = v_ref
-            best_q = posterior_pair(a @ family_experiment(fam, p_ref), prior)
-            best_curve = (fam, p_ref)
-
-    tau = _pair_tau(best_q[0], best_q[1], prior)
-    if best_curve is not None:
-        x = family_experiment(*best_curve)
-    elif kind[best] == _BABBLING or tau.is_degenerate():
+    tau = _pair_tau(q1[best], q2[best], prior)
+    if kind[best] == _BABBLING or tau.is_degenerate():
         x = UNINFORMATIVE_X.copy()
+    elif kind[best] == _CORNER:
+        x = np.eye(2) if idx[best] == 1 else np.eye(2)[::-1]
     else:
-        x = _inducing_experiment(a, prior, *best_q)
-    return BestResponse(x, tau, float(best_v))
+        x = _inducing_experiment(a, prior, q1[best], q2[best])
+    return BestResponse(x, tau, vmax, bool(attained[best] >= vmax - 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +282,14 @@ def mediator_best_response(u_m: PiecewiseUtility, x, prior: float) -> BestRespon
             np.eye(2),
             BeliefDistribution.from_atoms([(prior, 1.0)], prior),
             float(u_m(prior)),
+            True,
         )
     conc = concavify(u_m, (lo, hi))
     a, b = conc.linear_span(prior)
     if b - a <= TOL:
         tau = BeliefDistribution.from_atoms([(prior, 1.0)], prior)
-        sigma = UNINFORMATIVE_X.copy()
-        return BestResponse(sigma, tau, float(u_m(prior)))
+        value = float(conc.value(prior))
+        return BestResponse(UNINFORMATIVE_X.copy(), tau, value, value <= u_m(prior))
     p_lo, p_hi = bayes_plausible_weights(a, b, prior)
     tau = BeliefDistribution.from_atoms([(a, p_lo), (b, p_hi)], prior)
     comp = np.empty((2, 2))
@@ -311,7 +298,7 @@ def mediator_best_response(u_m: PiecewiseUtility, x, prior: float) -> BestRespon
     sigma = comp @ np.linalg.inv(xa)
     sigma = np.clip(sigma, 0.0, 1.0)
     sigma /= sigma.sum(axis=0, keepdims=True)
-    return BestResponse(sigma, tau, float(expected_utility(u_m, tau)))
+    return BestResponse(sigma, tau, *_envelope_value(u_m, conc, tau))
 
 
 # ---------------------------------------------------------------------------

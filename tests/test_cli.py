@@ -114,3 +114,32 @@ def test_exit_schema_on_bad_command_line_input(argv, message, capsys):
     assert message in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def assert_same_report(got, want, path="$"):
+    """Equal structure and strings; floats within 1e-12."""
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            assert_same_report(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_report(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-12, path
+    else:
+        assert got == want, path
+
+
+@pytest.mark.parametrize("name", ["kg", "fig19", "fig20", "fig22"])
+def test_search_matches_golden_output(name, capsys):
+    # search output recorded before the best responses used exact candidates only
+    assert main(["solve", str(FIXTURES / f"{name}.json"), "--mode", "search"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    want = json.loads((GOLDEN / f"search_{name}.json").read_text())
+    assert_same_report(got, want)

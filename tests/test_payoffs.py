@@ -268,18 +268,22 @@ class TestConcavify:
             mid = 0.5 * (a + b)
             assert env(mid) >= 0.5 * (env(a) + env(b)) - 1e-9
 
-    def test_grid_doubling_stable_at_prior(self):
-        fixtures = [
-            PiecewiseUtility.step([0.5], [0, 1]),
-            fig20_sender(),
-            PiecewiseUtility.from_points([(0, 0.5), (0.25, 1), (0.5, 0.25), (0.75, 1), (1, 0.5)]),
-            PiecewiseUtility.step([1 / 3, 4 / 5], [0, 1, 2]),
+    def test_exact_value_at_prior(self):
+        # the hull of the breakpoint values, with no sampling in between
+        cases = [
+            (PiecewiseUtility.step([0.5], [0, 1]), {0.3: 0.6, 0.5: 1.0}),
+            (fig20_sender(), {0.3: 1.0, 0.5: 1.0}),
+            (
+                PiecewiseUtility.from_points([(0, 0.5), (0.25, 1), (0.5, 0.25), (0.75, 1), (1, 0.5)]),
+                {0.3: 1.0, 0.5: 1.0},
+            ),
+            (PiecewiseUtility.step([1 / 3, 4 / 5], [0, 1, 2]), {0.3: 0.9, 0.5: 19 / 14}),
         ]
-        for u in fixtures:
-            for prior in (0.3, 0.5):
-                v1 = concavify(u, grid=2048).value(prior)
-                v2 = concavify(u, grid=4096).value(prior)
-                assert abs(v1 - v2) < 1e-6
+        for u, want in cases:
+            conc = concavify(u)
+            for prior, value in want.items():
+                assert conc.value(prior) == pytest.approx(value, abs=1e-12, rel=0)
+            assert not conc.unattained
 
     def test_unattained_open_endpoint_is_flagged(self):
         u = PiecewiseUtility.from_points([(0, 1), (0.5, 1), (0.5, 0), (1, 0)])

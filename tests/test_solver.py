@@ -3,20 +3,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mediated_persuasion import GameSpec, PiecewiseUtility, solver
-from mediated_persuasion.feasible import boundary_curves, companion_slices
+from mediated_persuasion.feasible import brute_force_pairs, posterior_pair
 from mediated_persuasion.info import TOL, induced_tau
 from mediated_persuasion.payoffs import expected_utility
 from mediated_persuasion.solver import (
-    BR_POINTS,
     CLUSTER_RADIUS,
-    INTERIOR_STEP,
     _coarse_representatives,
     _grid_tables,
     _merge_adjacent_bins,
     _ResponseMemo,
-    _sender_candidates,
     bp_solve,
     check_equilibrium,
     mediator_best_response,
@@ -267,6 +266,123 @@ class TestSenderBestResponse:
         assert earned(kg_game, sigma, br.strategy) == pytest.approx(br.value, abs=1e-9)
 
 
+class TestSupremum:
+    """Both best responses report the supremum and whether their outcome earns it."""
+
+    def test_split_collapsing_onto_the_prior_is_not_attained(self):
+        # u drops from 2 to 0 at the prior. A signal's weight is its composite
+        # row's average, which lies in [m, M] = the range of sigma's first row;
+        # only one signal can sit below the prior, so the supremum is M * 2
+        # (or (1 - m) * 2 with the labels swapped), approached as both
+        # posteriors collapse onto the prior and never earned
+        u = PiecewiseUtility.step([0.1, 0.2], [1, 2, 0])
+        for first_row, value in (((0.5, 0.6), 1.2), ((0.9, 0.2), 1.8)):
+            br = sender_best_response(u, garbling(first_row), 0.2)
+            assert br.value == pytest.approx(value, abs=1e-12, rel=0)
+            assert br.attained is False
+            assert br.tau.beliefs.tolist() == [0.2]
+
+    def test_unattained_supremum_is_approached(self):
+        # X's first row (1, 1 - d) puts the composite row at (0.9, 0.9 - 0.7 d):
+        # signal 1 carries weight 0.9 - 0.14 d just below the prior
+        u = PiecewiseUtility.step([0.1, 0.2], [1, 2, 0])
+        sigma = garbling((0.9, 0.2))
+        for d in (1e-2, 1e-3, 1e-4):
+            x = garbling((1.0, 1.0 - d))
+            got = float(expected_utility(u, induced_tau(sigma @ x, 0.2)))
+            assert got == pytest.approx(1.8 - 0.28 * d, abs=1e-9)
+
+    def test_jump_at_the_lowest_feasible_posterior_counts_from_above(self):
+        # every feasible posterior is at least the natural corner's low one, b,
+        # so u's value 5 below b is out of reach and the supremum is 0, earned
+        sigma = garbling((0.5, 0.6))
+        b = min(posterior_pair(sigma, 0.2) + posterior_pair(sigma[:, ::-1], 0.2))
+        br = sender_best_response(PiecewiseUtility.step([b], [5, 0]), sigma, 0.2)
+        assert br.value == 0.0
+        assert br.attained is True
+
+    @pytest.mark.parametrize("cut", [0.3, np.nextafter(0.3, 0.0)])
+    def test_prior_on_a_jump_takes_the_best_diagonal_weight(self, cut):
+        # near (m, m) with the labels swapped the signal below the prior carries
+        # weight 1 - m = 0.8, and it is worth 1 there; a jump an ulp off the
+        # prior counts as at it
+        u = PiecewiseUtility.step([cut], [1, 0])
+        br = sender_best_response(u, garbling((0.2, 0.7)), 0.3)
+        assert br.value == pytest.approx(0.8, abs=1e-12, rel=0)
+        assert br.attained is False
+
+    @pytest.mark.parametrize("prior, value", [(0.7, 0.6), (0.6, 0.8)])
+    def test_mediator_and_benchmark_report_the_envelope(self, prior, value):
+        # u is 1 up to 0.5, where it drops to 0: the envelope runs from the
+        # limit (0.5, 1) to (1, 0), and the outcome {0.5, 1} only approaches it
+        u = PiecewiseUtility.from_points([(0, 1), (0.5, 1), (0.5, 0), (1, 0)])
+        br = mediator_best_response(u, np.eye(2), prior)
+        sol = bp_solve(u, prior)
+        for got in (br, sol):
+            assert got.value == pytest.approx(value, abs=1e-12, rel=0)
+            assert got.attained is False
+            assert got.tau.beliefs == pytest.approx([0.5, 1.0], abs=1e-12, rel=0)
+
+    @pytest.mark.parametrize("name", ["kg", "fig19", "fig20", "fig22"])
+    def test_fixture_optima_are_attained(self, name, request):
+        game = request.getfixturevalue(f"{name}_game")
+        assert bp_solve(game.u_sender, game.prior).attained
+        for first_row in ((0.3, 0.8), (0.9, 0.1), (0.0, 0.22)):
+            assert sender_best_response(game.u_sender, garbling(first_row), game.prior).attained
+            assert mediator_best_response(game.u_mediator, garbling(first_row), game.prior).attained
+
+
+GRID20 = st.integers(1, 19).map(lambda k: k / 20)
+BELIEF = st.one_of(GRID20, st.floats(0.05, 0.95))
+ENTRY = st.one_of(st.integers(0, 20).map(lambda k: k / 20), st.floats(0, 1))
+
+
+@st.composite
+def utilities(draw):
+    """Step, piecewise-linear (with or without jumps) and singleton utilities,
+    breakpoints on a 1/20 grid or anywhere."""
+    cuts = sorted(set(draw(st.lists(BELIEF, min_size=1, max_size=3))))
+    kind = draw(st.sampled_from(["step", "pwl", "singleton"]))
+    values = st.integers(-2, 3).map(float)
+    if kind == "step":
+        return PiecewiseUtility.step(cuts, draw(st.lists(values, min_size=len(cuts) + 1, max_size=len(cuts) + 1)))
+    xs = [0.0] + [c for c in cuts for _ in range(draw(st.integers(1, 2)))] + [1.0]
+    ys = draw(st.lists(values, min_size=len(xs), max_size=len(xs)))
+    singletons = [(draw(BELIEF), draw(values))] if kind == "singleton" else []
+    return PiecewiseUtility.from_points(list(zip(xs, ys)), singletons=singletons)
+
+
+def sup_within_tol(u, belief):
+    edges = u.breakpoints[np.abs(u.breakpoints - belief) <= TOL]
+    window = np.clip([belief - TOL, belief, belief + TOL], 0.0, 1.0)
+    return float(u.sup_many(np.concatenate([window, edges])).max())
+
+
+@given(
+    u=utilities(),
+    prior=BELIEF,
+    first_row=st.tuples(ENTRY, ENTRY),
+)
+@settings(max_examples=150, deadline=None)
+def test_sender_supremum_against_brute_force(u, prior, first_row):
+    assume(abs(first_row[0] - first_row[1]) > 0.01)
+    sigma = garbling(first_row)
+    br = sender_best_response(u, sigma, prior)
+    # an uninformative grid experiment induces the prior, which floats put an
+    # ulp off it; on a jump at the prior that ulp would pay what nothing earns
+    pairs = brute_force_pairs(sigma, prior, step=0.02)
+    pairs[np.abs(pairs - prior) <= 1e-12] = prior
+    w2 = np.clip((prior - pairs[:, 0]) / np.where(pairs[:, 1] == pairs[:, 0], 1.0, pairs[:, 1] - pairs[:, 0]), 0, 1)
+    oracle = ((1 - w2) * u.eval_many(np.clip(pairs[:, 0], 0, 1)) + w2 * u.eval_many(np.clip(pairs[:, 1], 0, 1))).max()
+    assert br.value >= oracle - 1e-9
+    # no limit at the outcome's beliefs, within the TOL that merges a belief
+    # with the prior, exceeds sup_many there, so that bounds the value
+    near = [sup_within_tol(u, b) for b in br.tau.beliefs]
+    assert br.value <= float(np.dot(near, br.tau.probs)) + 1e-9
+    if br.attained:
+        assert br.value == pytest.approx(expected_utility(u, br.tau), abs=1e-9)
+
+
 def test_kg_search_peak_memory_below_100mb(kg_search):
     # two float32 tables over 51^4 profiles take 54 MB; whole-array posterior
     # tables or chunk-sized temporaries push the peak far past 100 MB
@@ -277,8 +393,11 @@ def test_kg_search_peak_memory_below_100mb(kg_search):
 # Best responses pinned bit for bit, as recorded before the sender's candidates
 # were assembled as numpy blocks: (fixture, first row of the fixed strategy,
 # (value, strategy, tau beliefs, tau probs)). The strategies are draws of a
-# seeded generator rounded to 3 digits; the sender cases cover boundary-family,
-# inducing-experiment and corner winners.
+# seeded generator rounded to 3 digits; the sender cases cover inducing-experiment
+# and corner winners. One case is re-recorded since the sender's candidates are
+# the exact vertices alone: kg (0.88, 0.58) keeps its value and tau, and its
+# experiment is built from the winning pair instead of a boundary family, which
+# had rounded 0.2 to 0.19999999999999996.
 SENDER_BR = [
     ('kg', (0.049, 0.999), (0.5993999999999999, [[0.6009022556390978, 7.80337746174528e-17], [0.3990977443609021, 0.9999999999999999]], [0.0007488766849725972, 0.5], [0.40060000000000007, 0.5993999999999999])),
     ('kg', (0.679, 0.87), (0.1925999999999999, [[0.03964098728496598, 0.9999999999999994], [0.960359012715034, 5.571901288236044e-16]], [0.2522913054248204, 0.5], [0.8074000000000001, 0.19259999999999988])),
@@ -293,9 +412,9 @@ SENDER_BR = [
     ('fig22', (0.039, 0.289), (1.1806249999999998, [[0.8670000000000004, 1.1296883428713045e-15], [0.13299999999999965, 0.9999999999999989]], [0.4338672768878719, 0.8], [0.8193750000000002, 0.1806249999999998])),
     ('fig22', (0.312, 0.561), (1.0, [[0.0, 1.0], [1.0, 0.0]], [0.35738831615120276, 0.6104702750665484], [0.43650000000000005, 0.5634999999999999])),
     # tied optima: several candidates share the winning posterior pair, so the
-    # candidate order decides between a boundary family and an inducing
-    # experiment, and which signal carries the low belief
-    ('kg', (0.88, 0.58), (0.252, [[0.8, 0.0], [0.19999999999999996, 1.0]], [0.23262032085561496, 0.5], [0.748, 0.252])),
+    # candidate order decides between a corner and an inducing experiment, and
+    # which signal carries the low belief
+    ('kg', (0.88, 0.58), (0.252, [[0.8, 0.0], [0.2, 1.0]], [0.23262032085561496, 0.5], [0.748, 0.252])),
     ('kg', (0.1, 0.9), (0.54, [[0.3571428571428572, 1.0], [0.6428571428571428, 0.0]], [0.06521739130434777, 0.5], [0.45999999999999996, 0.54])),
     ('fig19', (0.8200000000000001, 0.16), (1.0, [[0.8939393939393938, 0.13636363636363635], [0.1060606060606061, 0.8636363636363636]], [0.25, 0.75], [0.5, 0.5])),
     ('fig19', (0.36, 0.12), (0.6100000000000001, [[1.0, 0.0], [0.0, 1.0]], [0.25, 0.5789473684210527], [0.24000000000000005, 0.76])),
@@ -318,70 +437,6 @@ MEDIATOR_BR = [
     ('fig22', (0.981, 0.205), (1.0, [[0.867636229749632, 0.3153534609720177], [0.1323637702503681, 0.6846465390279822]], [0.3333333333333333, 0.8], [0.6428571428571429, 0.3571428571428571])),
     ('fig22', (0.554, 0.484), (0.39999999999999986, [[1.0, 7.401825184518068e-16], [0.0, 0.9999999999999993]], [0.466281310211946, 0.5363825363825364], [0.519, 0.481])),
 ]
-
-
-KINDS = ("babbling", "curve", "pair", "slice", "snap", "grid")
-
-
-def loop_candidates(u_s, a, prior):
-    """The sender's candidate pairs built one by one in Python lists: the reference order."""
-    cand_q1, cand_q2, kinds = [prior], [prior], ["babbling"]
-    curves = boundary_curves(a, prior, BR_POINTS)
-    for c in curves.values():
-        for q1, q2 in c.points:
-            cand_q1.append(q1)
-            cand_q2.append(q2)
-            kinds.append("curve")
-    bps = [float(b) for b in u_s.breakpoints if 0.0 <= b <= 1.0]
-    lows = sorted({b for b in bps if b <= prior + TOL} | {0.0, prior})
-    highs = sorted({b for b in bps if b >= prior - TOL} | {prior, 1.0})
-    for lo in lows:
-        for hi in highs:
-            for q1, q2 in ((lo, hi), (hi, lo)):
-                cand_q1.append(q1)
-                cand_q2.append(q2)
-                kinds.append("pair")
-    tasks = [(c, True) for c in lows] + [(c, False) for c in highs]
-    for fixed, is_low, (r_lo, r_hi) in companion_slices(a, prior, tasks):
-        pairs = [(fixed, r_lo), (fixed, r_hi)] if is_low else [(r_lo, fixed), (r_hi, fixed)]
-        for lo, hi in pairs:
-            for q1, q2 in ((lo, hi), (hi, lo)):
-                cand_q1.append(q1)
-                cand_q2.append(q2)
-                kinds.append("slice")
-    samples = np.vstack([c.points for c in curves.values()])
-    for b in bps:
-        for q1, q2 in ((np.full(len(samples), b), samples[:, 1]),
-                       (samples[:, 0], np.full(len(samples), b))):
-            cand_q1 += list(q1)
-            cand_q2 += list(q2)
-            kinds += ["snap"] * len(samples)
-    g_lo = np.arange(0.0, prior + 1e-12, INTERIOR_STEP)
-    g_hi = np.arange(1.0, prior - 1e-12, -INTERIOR_STEP)[::-1]
-    gl, gh = np.meshgrid(g_lo, g_hi, indexing="ij")
-    for q1, q2 in ((gl.ravel(), gh.ravel()), (gh.ravel(), gl.ravel())):
-        cand_q1 += list(q1)
-        cand_q2 += list(q2)
-        kinds += ["grid"] * gl.size
-    return np.array(cand_q1), np.array(cand_q2), np.array([KINDS.index(k) for k in kinds])
-
-
-@pytest.mark.parametrize("name", ["kg", "fig19", "fig20", "fig22"])
-def test_sender_candidates_keep_the_loop_order(name, request):
-    # ties go to the first candidate, so the order decides the strategy
-    game = request.getfixturevalue(f"{name}_game")
-    rng = np.random.default_rng(8)
-    grid = np.linspace(0.0, 1.0, 51)
-    for first_row in [*rng.uniform(0.0, 1.0, (5, 2)), *rng.choice(grid, (5, 2))]:
-        a = garbling(first_row)
-        if first_row[0] == first_row[1]:
-            continue
-        curves = boundary_curves(a, game.prior, BR_POINTS)
-        got = _sender_candidates(game.u_sender, a, game.prior, curves)
-        want = loop_candidates(game.u_sender, a, game.prior)
-        assert np.array_equal(got[2], want[2])
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
 
 
 def as_pinned(br):
