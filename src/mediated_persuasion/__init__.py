@@ -3,7 +3,17 @@
 Computes the posterior pairs a sender can induce through a fixed garbling,
 best responses and pure-strategy equilibria for sender and mediator, and
 informativeness/welfare comparisons against the unmediated benchmark.
+
+``MP_THREADS``, when set, becomes the default of ``OMP_NUM_THREADS``,
+``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS``. It is read here, before
+any submodule imports numpy, because the pools are sized when numpy loads.
 """
+
+import os as _os
+
+if _os.environ.get("MP_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, _os.environ["MP_THREADS"])
 
 from .errors import (
     BarycenterMismatch,

@@ -3,16 +3,14 @@
 Exit codes: 0 success, 2 schema/parse error, 3 rank-deficient garbling,
 4 equilibrium check refuted, 5 internal tolerance failure. Reports are
 JSON with a ``spec_version`` field; CSV columns are fixed as
-(family, p, b1, b2, prob1, prob2). ``MP_THREADS`` caps worker threads.
+(family, p, b1, b2, prob1, prob2). ``MP_THREADS``, when set, becomes the
+default of ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and
+``MKL_NUM_THREADS``, which size numpy's thread pools (applied on package
+import, see ``mediated_persuasion``); the library starts no threads of its
+own.
 """
 
 from __future__ import annotations
-
-import os
-
-if os.environ.get("MP_THREADS"):  # must land before numpy spins up its pools
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["MP_THREADS"])
 
 import argparse
 import csv

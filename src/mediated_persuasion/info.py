@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     BarycenterMismatch,
@@ -286,6 +285,10 @@ def _mps_two_point(spread, contracted):
 
 
 def _mps_linear_program(spread, contracted):
+    # Deferred: scipy.optimize is slow to import and large in memory, and only
+    # the two LP fallbacks (this one and _garbling_lp) need it.
+    from scipy.optimize import linprog
+
     nf, ng = spread.beliefs.size, contracted.beliefs.size
     nvar = nf * ng
 
@@ -338,9 +341,10 @@ def is_mps(tau_spread: BeliefDistribution, tau_contracted: BeliefDistribution) -
     """Test whether ``tau_spread`` is a mean-preserving spread of ``tau_contracted``.
 
     Two-point supports use the exact interval-containment criterion; larger
-    supports are decided by a linear feasibility problem. A valid transition
-    witness (columns spread each contracted atom while keeping its mean)
-    accompanies every positive answer.
+    supports are decided by a linear feasibility problem, and scipy is loaded
+    on the first such problem only. A valid transition witness (columns
+    spread each contracted atom while keeping its mean) accompanies every
+    positive answer.
     """
     if abs(tau_spread.prior - tau_contracted.prior) > TOL:
         raise BarycenterMismatch(
@@ -390,6 +394,8 @@ def _garbling_closed_form(a: np.ndarray, b: np.ndarray, tol=TOL) -> Optional[np.
 
 
 def _garbling_lp(a: np.ndarray, b: np.ndarray, tol=TOL) -> Optional[np.ndarray]:
+    from scipy.optimize import linprog  # deferred, see _mps_linear_program
+
     ma, n = a.shape
     mb = b.shape[0]
     nvar = mb * ma
@@ -447,7 +453,8 @@ def blackwell_compare(s1, s2) -> BlackwellResult:
 
     ``DOMINATES`` means a column-stochastic G with ``G s1 = s2`` exists; the
     witness(es) are attached. Square invertible cases use the closed form
-    ``G = s2 s1^-1``, everything else a linear feasibility problem.
+    ``G = s2 s1^-1``, everything else a linear feasibility problem; scipy is
+    loaded on the first such problem only.
     """
     a, b = _as_array(s1), _as_array(s2)
     if a.shape[1] != b.shape[1]:

@@ -246,39 +246,49 @@ class PiecewiseUtility:
         return PiecewiseUtility(tuple(out))
 
 
-def _eval_shared(utilities: Sequence[PiecewiseUtility], betas, table="_value_at") -> list[np.ndarray]:
-    """Values of utilities with one common domain at the same beliefs.
+def _shared_lookup(utilities: Sequence[PiecewiseUtility], table="_value_at"):
+    """Evaluator of utilities with one common domain at the same beliefs.
 
-    The beliefs are checked against the domain and clamped once, and each
-    one's segment is found with one ``searchsorted`` against the union of
-    the utilities' edges; every utility then reads its value from its own
-    tables. A belief on an edge gets the entry of the per-edge ``table``
-    there (the attained value by default), any other belief the affine
-    value of its open segment.
+    Builds the union of the utilities' edges and each utility's tables on it
+    once; the returned function maps beliefs to one array per utility. The
+    beliefs are checked against the domain and clamped once, and each one's
+    segment is found with one ``searchsorted`` against the union; every
+    utility then reads its value from its own tables. A belief on an edge
+    gets the entry of the per-edge ``table`` there (the attained value by
+    default), any other belief the affine value of its open segment.
     """
     lo, hi = utilities[0].domain
     if any(u.domain != (lo, hi) for u in utilities):
         raise ValueError("utilities must share one domain")
-    b = np.asarray(betas, dtype=float)
-    if b.size and (b.min() < lo - 1e-12 or b.max() > hi + 1e-12):
-        raise ValueError("belief outside utility domain")
-    shape = b.shape
-    b = np.minimum(np.maximum(b.reshape(-1), lo), hi)
     if len(utilities) == 1:  # the union is the utility's own edges
         u = utilities[0]
         edges, tables = u._edges, [(u._slope_at, u._inter_at, getattr(u, table))]
     else:
         edges = np.unique(np.concatenate([u._edges for u in utilities]))
         tables = [u._tables_on(edges, table) for u in utilities]
-    idx = np.minimum(np.searchsorted(edges, b, side="left"), len(edges) - 1)
-    exact = edges[idx] == b
-    at_edge = idx[exact]
-    out = []
-    for slope, inter, value in tables:
-        v = slope[idx] * b + inter[idx]
-        v[exact] = value[at_edge]
-        out.append(v.reshape(shape))
-    return out
+
+    def evaluate(betas) -> list[np.ndarray]:
+        b = np.asarray(betas, dtype=float)
+        if b.size and (b.min() < lo - 1e-12 or b.max() > hi + 1e-12):
+            raise ValueError("belief outside utility domain")
+        shape = b.shape
+        b = np.minimum(np.maximum(b.reshape(-1), lo), hi)
+        idx = np.minimum(np.searchsorted(edges, b, side="left"), len(edges) - 1)
+        exact = edges[idx] == b
+        at_edge = idx[exact]
+        out = []
+        for slope, inter, value in tables:
+            v = slope[idx] * b + inter[idx]
+            v[exact] = value[at_edge]
+            out.append(v.reshape(shape))
+        return out
+
+    return evaluate
+
+
+def _eval_shared(utilities: Sequence[PiecewiseUtility], betas, table="_value_at") -> list[np.ndarray]:
+    """Values of utilities with one common domain at the same beliefs (``_shared_lookup``)."""
+    return _shared_lookup(utilities, table)(betas)
 
 
 def expected_utility(u: PiecewiseUtility, tau: BeliefDistribution) -> float:

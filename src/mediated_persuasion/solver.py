@@ -44,7 +44,7 @@ from .payoffs import (
     SENDER,
     Concavification,
     PiecewiseUtility,
-    _eval_shared,
+    _shared_lookup,
     concavify,
     expected_utility,
 )
@@ -459,17 +459,17 @@ def _grid_tables(game: GameSpec, vals: np.ndarray):
     sigma the composite entries take only n values, so each block broadcasts
     them to its (rows, n, n) profiles. Each signal's posteriors are computed
     once, and both players are read from one segment lookup of them
-    (``_eval_shared``).
+    (``_shared_lookup``, whose union tables are built once per call).
     """
     n = len(vals)
     pi = game.prior
-    players = (game.u_sender, game.u_mediator)
+    lookup = _shared_lookup((game.u_sender, game.u_mediator))
     E_s = np.empty((n * n, n * n), dtype=np.float32)
     E_m = np.empty((n * n, n * n), dtype=np.float32)
     for block, c, d in _grid_blocks(vals):
         p1, q1 = _signal(c[:, :, None], c[:, None, :], pi)
         p2, q2 = _signal(d[:, :, None], d[:, None, :], pi)
-        for out, v1, v2 in zip((E_s, E_m), _eval_shared(players, q1), _eval_shared(players, q2)):
+        for out, v1, v2 in zip((E_s, E_m), lookup(q1), lookup(q2)):
             out[block] = (p1 * v1 + p2 * v2).reshape(len(c), -1)
     return E_s, E_m
 

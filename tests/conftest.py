@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mediated_persuasion
 from mediated_persuasion import GameSpec, PiecewiseUtility, load_fixture
 
 RANKED_PAIR = (
@@ -11,6 +17,24 @@ UNRANKED_PAIR = (
     np.array([[2 / 3, 1 / 3], [1 / 3, 2 / 3]]),
     np.array([[4 / 5, 1 / 2], [1 / 5, 1 / 2]]),
 )
+
+# the source tree the tests import, handed to fresh interpreters
+SRC = str(Path(mediated_persuasion.__file__).resolve().parent.parent)
+
+
+def run_fresh(code: str, *args: str, env=None) -> str:
+    """Run ``code`` with ``args`` in a fresh interpreter that imports the
+    same library as the tests; returns its standard output. ``env`` replaces
+    the inherited environment."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def random_garbling(rng, lo=0.05, hi=0.95, min_det=0.05):

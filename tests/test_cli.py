@@ -1,12 +1,15 @@
 import csv
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 import mediated_persuasion
 from mediated_persuasion.cli import main
+
+from conftest import run_fresh
 
 FIXTURES = Path(mediated_persuasion.__file__).parent / "fixtures"
 
@@ -143,3 +146,75 @@ def test_search_matches_golden_output(name, capsys):
     got = json.loads(capsys.readouterr().out)
     want = json.loads((GOLDEN / f"search_{name}.json").read_text())
     assert_same_report(got, want)
+
+
+# Runs one command line through cli.main in a fresh interpreter and reports
+# whether scipy.optimize was loaded after the imports and after the call.
+SCIPY_PROBE = """
+import json
+import sys
+from contextlib import redirect_stdout
+from io import StringIO
+
+import mediated_persuasion
+import mediated_persuasion.cli as cli
+
+loaded = ["scipy.optimize" in sys.modules]
+with redirect_stdout(StringIO()) as out:
+    rc = cli.main(sys.argv[1:])
+loaded.append("scipy.optimize" in sys.modules)
+print(json.dumps({"rc": rc, "loaded": loaded, "out": out.getvalue()}))
+"""
+
+FIG19 = str(FIXTURES / "fig19.json")
+FIG22 = str(FIXTURES / "fig22.json")
+FIG22_PROFILE = ["--x", "identity", "--sigma", "6/7,3/7;1/7,4/7"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", FIG22, "--mode", "search"],
+        ["solve", FIG22, "--mode", "check", *FIG22_PROFILE],
+        ["solve", FIG22, "--mode", "bp"],
+        ["solve", FIG22, "--mode", "sender-br"],
+        ["solve", FIG22, "--mode", "mediator-br", "--x", "identity"],
+        ["solve", FIG22, "--mode", "compare", *FIG22_PROFILE],
+        ["feasible", FIG19, "--points", "32"],
+        ["feasible", FIG18],
+    ],
+    ids=["search", "check", "bp", "sender-br", "mediator-br", "compare", "feasible-2x2", "feasible-3-signals"],
+)
+def test_modes_without_a_linear_program_never_import_scipy_optimize(argv):
+    # only the LP fallbacks of is_mps and blackwell_compare load scipy.optimize,
+    # which takes most of a bare process's start-up time and memory
+    report = json.loads(run_fresh(SCIPY_PROBE, *argv))
+    assert report["rc"] == 0
+    assert report["loaded"] == [False, False]
+
+
+def test_order_of_a_three_signal_structure_loads_the_lp_on_demand():
+    # a 3x2 structure has no closed-form garbling, so the LP decides it
+    report = json.loads(run_fresh(SCIPY_PROBE, "order", "--a", "1/2,0;1/2,0;0,1", "--b", "1,0;0,1"))
+    assert report["rc"] == 0
+    assert report["loaded"] == [False, True]
+    assert report["out"].splitlines() == [
+        "a = 1/2,0;1/2,0;0,1",
+        "b = 1,0;0,1",
+        "equivalent",
+        "gamma (gamma @ a = b):",
+        "  1,1,0",
+        "  0,0,1",
+        "gamma_reverse (gamma @ b = a):",
+        "  0.5,0",
+        "  0.5,0",
+        "  0,1",
+    ]
+
+
+def test_mp_threads_sizes_numpy_pools_on_package_import():
+    # the thread pools are sized when numpy loads, which importing the
+    # package does before the CLI module runs
+    code = "import os, mediated_persuasion; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "MP_THREADS")}
+    assert run_fresh(code, env=dict(env, MP_THREADS="3")).strip() == "3"

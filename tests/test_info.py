@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from mediated_persuasion import (
 )
 from mediated_persuasion.info import _garbling_closed_form, _garbling_lp
 
-from conftest import RANKED_PAIR, UNRANKED_PAIR, random_experiment, random_garbling
+from conftest import RANKED_PAIR, UNRANKED_PAIR, random_experiment, random_garbling, run_fresh
 
 
 class TestValidateStochastic:
@@ -335,3 +337,35 @@ class TestBeliefDistribution:
     def test_drops_zero_probability_atoms(self):
         tau = BeliefDistribution.from_atoms([(0.1, 0.0), (0.4, 1.0)])
         assert tau.beliefs.tolist() == [0.4]
+
+
+# is_mps on supports of more than two atoms in a fresh interpreter, where the
+# LP solver is not yet loaded: a 3-atom spread of a 2-atom distribution, and
+# the reverse
+MPS_PROBE = """
+import json
+import sys
+
+from mediated_persuasion import BeliefDistribution, is_mps
+
+spread = BeliefDistribution.from_atoms([(0.0, 0.25), (0.5, 0.5), (1.0, 0.25)])
+contracted = BeliefDistribution.from_atoms([(0.25, 0.5), (0.75, 0.5)])
+cold = "scipy.optimize" not in sys.modules
+fwd, rev = is_mps(spread, contracted), is_mps(contracted, spread)
+print(json.dumps({"cold": cold, "fwd": fwd.is_spread, "witness": fwd.witness.tolist(),
+                  "rev": rev.is_spread, "rev_witness": rev.witness}))
+"""
+
+
+def test_mps_linear_program_from_a_cold_start():
+    report = json.loads(run_fresh(MPS_PROBE))
+    assert report["cold"]
+    assert report["fwd"] is True
+    T = np.array(report["witness"])
+    assert T.shape == (3, 2)
+    assert T.min() >= 0.0
+    assert_allclose(T.sum(axis=0), 1.0, atol=1e-9)
+    assert_allclose(T @ [0.5, 0.5], [0.25, 0.5, 0.25], atol=1e-9)  # transports the mass
+    assert_allclose([0.0, 0.5, 1.0] @ T, [0.25, 0.75], atol=1e-9)  # keeps each column's mean
+    assert report["rev"] is False
+    assert report["rev_witness"] is None
