@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import PersuasionError, ScenarioError, SingularGarbling
 from .feasible import boundary_curves, sample_feasible_general, wing_polygons
-from .info import blackwell_compare, BlackwellOrder, induced_tau, validate_stochastic
+from .info import _pair_weights, blackwell_compare, induced_tau, validate_stochastic
 from .scenarios import load_scenario, parse_number
 from .solver import (
     CLUSTER_RADIUS,
@@ -183,12 +183,9 @@ def cmd_feasible(args) -> int:
 
 
 def _pair_probs(b1: float, b2: float, prior: float):
-    lo, hi = min(b1, b2), max(b1, b2)
-    if hi - lo <= 1e-12:
+    if abs(b2 - b1) <= 1e-12:  # the origin, split as bayes_plausible_weights does
         return 0.5, 0.5
-    w2 = (prior - b1) / (b2 - b1)
-    w2 = min(max(w2, 0.0), 1.0) + 0.0  # 0 / negative width gives -0.0
-    return 1.0 - w2, w2
+    return _pair_weights(b1, b2, prior)
 
 
 def _require_game(scenario):
@@ -301,15 +298,9 @@ def cmd_order(args) -> int:
     a = parse_matrix_flag(args.a)
     b = parse_matrix_flag(args.b)
     res = blackwell_compare(_checked_matrix(a, "--a"), _checked_matrix(b, "--b"))
-    verdict = {
-        BlackwellOrder.DOMINATES: "dominates",
-        BlackwellOrder.DOMINATED_BY: "dominated",
-        BlackwellOrder.EQUIVALENT: "equivalent",
-        BlackwellOrder.UNRANKED: "unranked",
-    }[res.order]
     print(f"a = {format_matrix_flag(a)}")
     print(f"b = {format_matrix_flag(b)}")
-    print(verdict)
+    print(res.order.value)
     if res.to_second is not None:
         print("gamma (gamma @ a = b):")
         for row in res.to_second:

@@ -34,8 +34,10 @@ from .info import (
     BlackwellOrder,
     StochasticMatrix,
     _as_array,
+    _bayes,
+    _composite,
+    _pair_weights,
     blackwell_compare,
-    compose,
     garbling_rank,
     induced_tau,
     validate_stochastic,
@@ -56,11 +58,8 @@ def posterior_pair(b, prior: float) -> tuple[float, float]:
     instead.
     """
     a = _as_array(b)
-    p = (1.0 - prior) * a[:, 0] + prior * a[:, 1]
-    out = []
-    for s in range(2):
-        out.append(prior if p[s] <= TOL else prior * a[s, 1] / p[s])
-    return float(out[0]), float(out[1])
+    _, q = _bayes(a[:, 0], a[:, 1], prior)
+    return float(q[0]), float(q[1])
 
 
 def pairs_along_family(sigma, prior: float, family: str, ps) -> np.ndarray:
@@ -78,8 +77,7 @@ def pairs_along_family(sigma, prior: float, family: str, ps) -> np.ndarray:
     a = _as_array(sigma)
     p = np.asarray(ps, dtype=float)
     mix0 = np.outer(a[:, 0], p) + np.outer(a[:, 1], 1.0 - p)  # sigma @ (p, 1-p)
-    fixed0 = a[:, [0]] * np.ones_like(p)
-    fixed1 = a[:, [1]] * np.ones_like(p)
+    fixed0, fixed1 = a[:, [0]], a[:, [1]]
     if family == "X1":
         col1, col2 = fixed0, mix0
     elif family == "X2":
@@ -90,16 +88,11 @@ def pairs_along_family(sigma, prior: float, family: str, ps) -> np.ndarray:
         col1, col2 = mix0, fixed1
     else:
         raise ValueError(f"unknown family {family!r}")
-    out = np.empty((p.size, 2))
-    for s in range(2):
-        mass = (1.0 - prior) * col1[s] + prior * col2[s]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out[:, s] = prior * col2[s] / mass
-        zero = mass <= TOL
-        if zero.any():
-            # a zero row of sigma (ruled out by full rank) keeps the prior
-            out[zero, s] = prior if a[s, 0] == a[s, 1] else float(family in ("X1", "X2"))
-    return out
+    mass, q = _bayes(col1, col2, prior)
+    # _bayes put the prior there; only a zero row of sigma (ruled out by full
+    # rank) keeps it
+    q[(mass <= TOL) & (fixed0 != fixed1)] = float(family in ("X1", "X2"))
+    return q.T
 
 
 def _require_full_rank(sigma) -> np.ndarray:
@@ -152,8 +145,8 @@ def _square_test(a: np.ndarray, prior: float, q1, q2) -> np.ndarray:
     lo, hi = np.minimum(q1, q2), np.maximum(q1, q2)
     ok_bayes = (lo <= prior + TOL) & (hi >= prior - TOL)
     deg = (hi - lo) <= TOL
-    w1 = 1.0 - np.clip((prior - q1) / np.where(deg, 1.0, q2 - q1), 0.0, 1.0)
-    c = np.stack([(1.0 - q1) * w1 / (1.0 - prior), q1 * w1 / prior], axis=-1)
+    w1, _ = _pair_weights(q1, q2, prior)
+    c = np.stack(_composite(q1, w1, prior), axis=-1)
     x = (c - a[0, 1]) / (a[0, 0] - a[0, 1])
     inside = ((x >= -TOL) & (x <= 1.0 + TOL)).all(axis=-1)
     return (inside | (deg & (np.abs(lo - prior) <= TOL))) & ok_bayes
@@ -169,12 +162,8 @@ def _inducing_experiment(a: np.ndarray, prior: float, q1: float, q2: float) -> O
     """
     if not _square_test(a, prior, q1, q2):
         return None
-    w2 = min(max((prior - q1) / (q2 - q1), 0.0), 1.0)
-    w1 = 1.0 - w2
-    b = np.array([
-        [(1.0 - q1) * w1 / (1.0 - prior), q1 * w1 / prior],
-        [(1.0 - q2) * w2 / (1.0 - prior), q2 * w2 / prior],
-    ])
+    w1, w2 = _pair_weights(q1, q2, prior)
+    b = np.array([_composite(q1, w1, prior), _composite(q2, w2, prior)])
     x = np.clip(np.linalg.inv(a) @ b, 0.0, 1.0)
     return x / x.sum(axis=0)
 
@@ -426,10 +415,7 @@ def sample_feasible_general(sigma, prior: float, grid_resolution: float = 0.02) 
     cols = _simplex_grid(m, grid_resolution)  # (nc, m) experiment columns
     d = a @ cols.T  # (m, nc): signal distribution per column choice
     nc = cols.shape[0]
-    p = (1.0 - prior) * d[:, :, None] + prior * d[:, None, :]  # (m, nc, nc)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        beta = prior * d[:, None, :] / p
-    beta = np.where(p > TOL, beta, prior)
+    p, beta = _bayes(d[:, :, None], d[:, None, :], prior)  # (m, nc, nc)
     n = nc * nc
     return BeliefCloud(
         posteriors=np.moveaxis(beta, 0, -1).reshape(n, m),
@@ -439,7 +425,11 @@ def sample_feasible_general(sigma, prior: float, grid_resolution: float = 0.02) 
 
 
 def brute_force_pairs(sigma, prior: float, step: float = 0.01) -> np.ndarray:
-    """(N, 2) ordered posterior pairs from the full 2x2 experiment grid."""
+    """(N, 2) ordered posterior pairs from the full 2x2 experiment grid.
+
+    A test reference, so it does not use ``info._bayes``. An uninformative
+    experiment (x = y) gets the prior exactly, not a float update an ulp off it.
+    """
     a = _as_array(sigma)
     g = np.linspace(0.0, 1.0, int(round(1.0 / step)) + 1)
     xx, yy = np.meshgrid(g, g, indexing="ij")
@@ -453,7 +443,9 @@ def brute_force_pairs(sigma, prior: float, step: float = 0.01) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         q1 = np.where(p1 > TOL, prior * b12 / np.where(p1 > 0, p1, 1.0), prior)
         q2 = np.where(p2 > TOL, prior * b22 / np.where(p2 > 0, p2, 1.0), prior)
-    return np.column_stack([q1, q2])
+    pairs = np.column_stack([q1, q2])
+    pairs[x == y] = prior
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +470,9 @@ def companion_slices(
     The slice is the ray inside the square of the signal's garbling row (row 0
     for signal 1, row 1 for signal 2), whose entries run from m to M:
     w in [max_k m / alpha_k, min_k M / alpha_k] cut to [0, w_end], w_end the
-    weight at the far end of t's range, mapped back by t = (pi - f w) / (1 - w). The bounds are exact, so the ends lie inside the
-    set :func:`ordered_member_many` accepts. A belief within TOL of the prior
+    weight at the far end of t's range. Each bound maps back by
+    t = (pi - f w) / (1 - w). The bounds are exact, so the ends lie inside
+    the set :func:`ordered_member_many` accepts. A belief within TOL of the prior
     gets the slice (prior, prior): any other companion would carry weight 0,
     so the pair would pay what babbling pays.
     """
@@ -494,7 +487,7 @@ def companion_slices(
             continue
         end = 1.0 if is_low else 0.0
         w_end = (end - prior) / (end - f)
-        alpha = ((1.0 - f) / (1.0 - prior), f / prior)
+        alpha = _composite(f, 1.0, prior)
         # the natural orientation puts the low belief on signal 1
         for row in (a[0], a[1]) if is_low else (a[1], a[0]):
             row_min, row_max = float(row.min()), float(row.max())

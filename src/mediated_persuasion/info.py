@@ -9,6 +9,16 @@ Conventions used throughout the library:
   belief is the posterior probability of the target state.
 * All algebraic identities are checked to ``TOL = 1e-9``; the worked
   inputs are exact rationals, so double precision leaves a wide margin.
+* Every Bayes update, apart from the test oracle ``brute_force_pairs``,
+  goes through three private kernels: ``_bayes`` (each signal's mass and
+  posterior from its state likelihoods), ``_pair_weights`` (the weights of
+  an ordered posterior pair) and ``_composite`` (a signal's likelihoods from
+  its posterior and weight, the inverse of ``_bayes``).
+  ``_bayes`` gives a signal of mass at most ``TOL`` the prior, and each
+  caller keeps its policy for such a signal: the prior (``posterior_pair``,
+  ``sample_feasible_general``, the search grid), drop (``induced_tau``),
+  raise (``posterior_after_signal``) or the limit along the experiment
+  family (``pairs_along_family``).
 """
 
 from __future__ import annotations
@@ -112,8 +122,29 @@ def compose(sigma, x) -> StochasticMatrix:
     return StochasticMatrix(s @ e)
 
 
-def _signal_probabilities(b: np.ndarray, prior: float) -> np.ndarray:
-    return (1.0 - prior) * b[:, 0] + prior * b[:, 1]
+def _bayes(in_state0, in_state1, prior: float):
+    """Mass and posterior of each signal from its state likelihoods, broadcast
+    over arrays of at least one dimension; mass at most ``TOL`` gets the prior."""
+    p = (1.0 - prior) * in_state0 + prior * in_state1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        q = prior * in_state1 / p
+    q[p <= TOL] = prior
+    return p, q
+
+
+def _pair_weights(q1, q2, prior: float):
+    """Weights (w1, w2) of the ordered posterior pair (q1, q2), clamped into
+    [0, 1]; a pair of width at most ``TOL`` is read as width 1. The ``+ 0.0``
+    turns a clamped -0.0 into 0.0."""
+    width = q2 - q1
+    w2 = np.clip((prior - q1) / np.where(np.abs(width) <= TOL, 1.0, width), 0.0, 1.0) + 0.0
+    return 1.0 - w2, w2
+
+
+def _composite(q, w, prior: float):
+    """State likelihoods (in state 0, in state 1) of a signal with posterior
+    ``q`` and weight ``w``; the inverse of :func:`_bayes`."""
+    return (1.0 - q) * w / (1.0 - prior), q * w / prior
 
 
 def posterior_after_signal(b, prior: float, signal: int) -> float:
@@ -125,10 +156,10 @@ def posterior_after_signal(b, prior: float, signal: int) -> float:
         raise ValueError(f"prior {prior} outside [0, 1]")
     if not 0 <= signal < a.shape[0]:
         raise IndexError(f"signal {signal} out of range for {a.shape[0]} rows")
-    p = _signal_probabilities(a, prior)[signal]
-    if p <= TOL:
-        raise ZeroProbabilitySignal(f"signal {signal} has probability {p:.3g}")
-    return float(prior * a[signal, 1] / p)
+    p, q = _bayes(a[:, 0], a[:, 1], prior)
+    if p[signal] <= TOL:
+        raise ZeroProbabilitySignal(f"signal {signal} has probability {p[signal]:.3g}")
+    return float(q[signal])
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +226,7 @@ class BeliefDistribution:
     def support(self) -> np.ndarray:
         return self.beliefs
 
-    def is_degenerate(self, tol: float = TOL) -> bool:
+    def is_degenerate(self) -> bool:
         return self.beliefs.size == 1
 
     def allclose(self, other: "BeliefDistribution", tol: float = TOL) -> bool:
@@ -220,12 +251,11 @@ def induced_tau(b, prior: float) -> BeliefDistribution:
     a = _as_array(b)
     if a.shape[1] != 2:
         raise DimensionMismatch("posteriors need a two-state structure")
-    p = _signal_probabilities(a, prior)
+    p, q = _bayes(a[:, 0], a[:, 1], prior)
     keep = p > TOL
     if not keep.any():  # only possible through float dust; the prior is certain
         return BeliefDistribution.from_atoms([(prior, 1.0)], prior)
-    beliefs = prior * a[keep, 1] / p[keep]
-    return BeliefDistribution.from_atoms(zip(beliefs, p[keep]), prior)
+    return BeliefDistribution.from_atoms(zip(q[keep], p[keep]), prior)
 
 
 def bayes_plausible_weights(b1: float, b2: float, prior: float) -> tuple[float, float]:

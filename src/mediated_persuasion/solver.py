@@ -33,6 +33,9 @@ from .info import (
     TOL,
     BeliefDistribution,
     _as_array,
+    _bayes,
+    _composite,
+    _pair_weights,
     bayes_plausible_weights,
     garbling_rank,
     induced_tau,
@@ -134,9 +137,7 @@ def bp_solve(u_s: PiecewiseUtility, prior: float) -> BenchmarkSolution:
     if conc.value(prior) <= base + TOL:
         tau = BeliefDistribution.from_atoms([(prior, 1.0)], prior)
         return BenchmarkSolution(tau, UNINFORMATIVE_X.copy(), base, conc, True)
-    a, b = conc.linear_span(prior)
-    p_lo, p_hi = bayes_plausible_weights(a, b, prior)
-    tau = BeliefDistribution.from_atoms([(a, p_lo), (b, p_hi)], prior)
+    tau = _pair_tau(*conc.linear_span(prior), prior)
     x = reconstruct_experiment(np.eye(2), prior, tau)
     value, attained = _envelope_value(u_s, conc, tau)
     return BenchmarkSolution(tau, x, value, conc, attained)
@@ -201,9 +202,7 @@ def _sender_values(u: PiecewiseUtility, a: np.ndarray, prior: float, q1, q2):
     on the low posterior, or 1 - t with the labels swapped.
     """
     deg = np.abs(q2 - q1) <= TOL
-    width = np.where(deg, 1.0, q2 - q1)
-    w2 = np.minimum(np.maximum((prior - q1) / width, 0.0), 1.0)
-    w1 = 1.0 - w2
+    w1, w2 = _pair_weights(q1, q2, prior)
     q1, q2 = np.clip(q1, 0.0, 1.0), np.clip(q2, 0.0, 1.0)
     u_prior = float(u(prior))
     attained = np.where(deg, u_prior, w1 * u.eval_many(q1) + w2 * u.eval_many(q2))
@@ -290,11 +289,8 @@ def mediator_best_response(u_m: PiecewiseUtility, x, prior: float) -> BestRespon
         tau = BeliefDistribution.from_atoms([(prior, 1.0)], prior)
         value = float(conc.value(prior))
         return BestResponse(UNINFORMATIVE_X.copy(), tau, value, value <= u_m(prior))
-    p_lo, p_hi = bayes_plausible_weights(a, b, prior)
-    tau = BeliefDistribution.from_atoms([(a, p_lo), (b, p_hi)], prior)
-    comp = np.empty((2, 2))
-    comp[:, 1] = tau.beliefs * tau.probs / prior
-    comp[:, 0] = (1.0 - tau.beliefs) * tau.probs / (1.0 - prior)
+    tau = _pair_tau(a, b, prior)
+    comp = np.column_stack(_composite(tau.beliefs, tau.probs, prior))
     sigma = comp @ np.linalg.inv(xa)
     sigma = np.clip(sigma, 0.0, 1.0)
     sigma /= sigma.sum(axis=0, keepdims=True)
@@ -434,18 +430,6 @@ def _grid_blocks(vals: np.ndarray):
         yield slice(start, start + s.size), a * x + b * (1 - x), (1 - a) * x + (1 - b) * (1 - x)
 
 
-def _signal(in_state0, in_state1, pi: float):
-    """Probability and posterior of a signal sent with the given state likelihoods.
-
-    A signal that (numerically) loses all mass gets the prior as posterior.
-    """
-    p = (1 - pi) * in_state0 + pi * in_state1
-    with np.errstate(invalid="ignore", divide="ignore"):
-        q = pi * in_state1 / p
-    q[p <= TOL] = pi
-    return p, q
-
-
 def _grid_tables(game: GameSpec, vals: np.ndarray):
     """Expected sender and mediator utilities of every grid profile.
 
@@ -467,8 +451,8 @@ def _grid_tables(game: GameSpec, vals: np.ndarray):
     E_s = np.empty((n * n, n * n), dtype=np.float32)
     E_m = np.empty((n * n, n * n), dtype=np.float32)
     for block, c, d in _grid_blocks(vals):
-        p1, q1 = _signal(c[:, :, None], c[:, None, :], pi)
-        p2, q2 = _signal(d[:, :, None], d[:, None, :], pi)
+        p1, q1 = _bayes(c[:, :, None], c[:, None, :], pi)
+        p2, q2 = _bayes(d[:, :, None], d[:, None, :], pi)
         for out, v1, v2 in zip((E_s, E_m), lookup(q1), lookup(q2)):
             out[block] = (p1 * v1 + p2 * v2).reshape(len(c), -1)
     return E_s, E_m
@@ -521,8 +505,8 @@ def _coarse_representatives(game: GameSpec, vals: np.ndarray, E_s, E_m, cluster_
             (v_m[x_idx] - em[r, x_idx]).astype(np.float64),
         )
         k, j = x_idx // n, x_idx % n
-        _, q1 = _signal(c[r, k], c[r, j], pi)
-        _, q2 = _signal(d[r, k], d[r, j], pi)
+        _, q1 = _bayes(c[r, k], c[r, j], pi)
+        _, q2 = _bayes(d[r, k], d[r, j], pi)
         bins = [
             np.rint(t.astype(np.float32).astype(np.float64) / cluster_radius).astype(np.int64)
             for t in (np.minimum(q1, q2), np.maximum(q1, q2))
@@ -539,9 +523,7 @@ def _tau_distance(t1: BeliefDistribution, t2: BeliefDistribution) -> float:
     return float(np.abs(a - b).max())
 
 
-def search_equilibria(
-    game: GameSpec, cluster_radius: float = CLUSTER_RADIUS
-) -> list[EquilibriumCertificate]:
+def search_equilibria(game: GameSpec) -> list[EquilibriumCertificate]:
     """Sweep the profile grid, cluster near-equilibria by outcome, and polish
     each cluster with exact best responses.
 
@@ -564,7 +546,7 @@ def search_equilibria(
     n = int(round(1.0 / game.grid)) + 1
     vals = np.linspace(0.0, 1.0, n)
     E_s, E_m = _grid_tables(game, vals)
-    reps = _coarse_representatives(game, vals, E_s, E_m, cluster_radius)
+    reps = _coarse_representatives(game, vals, E_s, E_m, CLUSTER_RADIUS)
 
     pi = game.prior
     clusters: dict[tuple, dict] = {}
@@ -589,7 +571,7 @@ def search_equilibria(
             (clusters[k] for k in group),
             key=lambda c: (c["gap"], c["profile"]),
         )
-        cert = _polish_candidate(game, rep, cluster_radius, memo)
+        cert = _polish_candidate(game, rep, CLUSTER_RADIUS, memo)
         if cert is not None:
             certs.append(cert)
 
@@ -598,7 +580,7 @@ def search_equilibria(
     for cert in sorted(
         certs, key=lambda c: (c.tau.beliefs.size, tuple(c.tau.beliefs), c.max_gap)
     ):
-        if any(_tau_distance(cert.tau, f.tau) <= cluster_radius for f in final):
+        if any(_tau_distance(cert.tau, f.tau) <= CLUSTER_RADIUS for f in final):
             continue
         final.append(cert)
     return final

@@ -148,6 +148,30 @@ def test_search_matches_golden_output(name, capsys):
     assert_same_report(got, want)
 
 
+def _csv_cells(text):
+    """CSV rows with every cell that reads as a number turned into a float."""
+    def cell(c):
+        try:
+            return float(c)
+        except ValueError:
+            return c
+    return [[cell(c) for c in row] for row in csv.reader(io.StringIO(text))]
+
+
+@pytest.mark.parametrize(
+    "name, flags",
+    [(name, ["--points", "32"]) for name in ("kg", "fig14", "fig19", "fig20", "fig22")]
+    + [("fig18", ["--resolution", "0.25"])],
+    ids=["kg", "fig14", "fig19", "fig20", "fig22", "fig18"],
+)
+def test_feasible_matches_golden_output(name, flags, capsys):
+    # feasible CSV recorded before every Bayes update went through info._bayes
+    assert main(["feasible", str(FIXTURES / f"{name}.json"), *flags]) == 0
+    got = _csv_cells(capsys.readouterr().out)
+    want = _csv_cells((GOLDEN / f"feasible_{name}.csv").read_text())
+    assert_same_report(got, want)
+
+
 # Runs one command line through cli.main in a fresh interpreter and reports
 # whether scipy.optimize was loaded after the imports and after the call.
 SCIPY_PROBE = """

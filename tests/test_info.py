@@ -24,7 +24,14 @@ from mediated_persuasion import (
     posterior_after_signal,
     validate_stochastic,
 )
-from mediated_persuasion.info import _garbling_closed_form, _garbling_lp
+from mediated_persuasion.info import (
+    TOL,
+    _bayes,
+    _composite,
+    _garbling_closed_form,
+    _garbling_lp,
+    _pair_weights,
+)
 
 from conftest import RANKED_PAIR, UNRANKED_PAIR, random_experiment, random_garbling, run_fresh
 
@@ -103,6 +110,46 @@ class TestPosteriors:
     def test_zero_probability_signal(self):
         with pytest.raises(ZeroProbabilitySignal):
             posterior_after_signal([[0, 0], [1, 1]], 0.3, 0)
+
+
+class TestBayesKernel:
+    def test_composite_inverts_bayes(self):
+        rng = np.random.default_rng(3)
+        for prior in rng.uniform(0.01, 0.99, 20):
+            q, w = rng.uniform(0.01, 0.99, (2, 1000))
+            p, back = _bayes(*_composite(q, w, prior), prior)
+            assert np.abs(p - w).max() <= 1e-15
+            assert np.abs(back - q).max() <= 1e-15
+
+    def test_signal_without_mass_gets_the_prior(self):
+        p, q = _bayes(np.array([0.0, TOL / 2, 0.5]), np.array([0.0, TOL / 2, 0.25]), 0.3)
+        assert q[:2].tolist() == [0.3, 0.3]
+        assert q[2] == 0.3 * 0.25 / p[2]
+
+    def test_broadcasts_grid_shapes(self):
+        # as in the search grid: per sigma row, n composite entries against n
+        rng = np.random.default_rng(4)
+        c = rng.uniform(0.0, 1.0, (3, 5))
+        c[0, 0] = 0.0
+        p, q = _bayes(c[:, :, None], c[:, None, :], 0.4)
+        assert p.shape == q.shape == (3, 5, 5)
+        assert q[0, 0, 0] == 0.4
+        for r, k, j in np.ndindex(3, 5, 5):
+            one_p, one_q = _bayes(c[r, [k]], c[r, [j]], 0.4)
+            assert (p[r, k, j], q[r, k, j]) == (one_p[0], one_q[0])
+
+    def test_pair_weights_average_to_the_prior(self):
+        rng = np.random.default_rng(5)
+        prior = 0.35
+        lo, hi = rng.uniform(0.0, prior, 1000), rng.uniform(prior + 0.01, 1.0, 1000)
+        for q1, q2 in ((lo, hi), (hi, lo)):
+            w1, w2 = _pair_weights(q1, q2, prior)
+            assert np.abs(w1 * q1 + w2 * q2 - prior).max() <= 1e-15
+            assert ((w1 >= 0.0) & (w2 >= 0.0)).all()
+        # a pair of width at most TOL is read as width 1: its true width would
+        # put all weight on the second posterior
+        _, w2 = _pair_weights(prior - TOL / 2, prior, prior)
+        assert w2 == pytest.approx(TOL / 2, rel=1e-6)
 
 
 class TestInducedTau:

@@ -358,6 +358,27 @@ def sup_within_tol(u, belief):
     return float(u.sup_many(np.concatenate([window, edges])).max())
 
 
+def brute_force_value(u, pairs, prior):
+    """The best expected utility over the ordered posterior pairs of a grid."""
+    w2 = np.clip((prior - pairs[:, 0]) / np.where(pairs[:, 1] == pairs[:, 0], 1.0, pairs[:, 1] - pairs[:, 0]), 0, 1)
+    return ((1 - w2) * u.eval_many(np.clip(pairs[:, 0], 0, 1)) + w2 * u.eval_many(np.clip(pairs[:, 1], 0, 1))).max()
+
+
+def test_brute_force_oracle_pays_nothing_for_an_ulp_off_a_jump_at_the_prior():
+    # an uninformative grid experiment (x = y) once landed an ulp below the
+    # prior, where u is 0, and the oracle paid 0.0 against a supremum of -0.05
+    prior = 0.05078125
+    u = PiecewiseUtility.step([prior], [0.0, -1.0])
+    sigma = garbling((0.05, 0.625))
+    pairs = brute_force_pairs(sigma, prior, step=0.02)
+    g = np.linspace(0.0, 1.0, 51)
+    uninformative = (g[:, None] == g[None, :]).ravel()
+    assert (pairs[uninformative] == prior).all()
+    br = sender_best_response(u, sigma, prior)
+    assert br.value == pytest.approx(-0.05, abs=1e-12)
+    assert br.value >= brute_force_value(u, pairs, prior) - 1e-9
+
+
 @given(
     u=utilities(),
     prior=BELIEF,
@@ -372,9 +393,7 @@ def test_sender_supremum_against_brute_force(u, prior, first_row):
     # ulp off it; on a jump at the prior that ulp would pay what nothing earns
     pairs = brute_force_pairs(sigma, prior, step=0.02)
     pairs[np.abs(pairs - prior) <= 1e-12] = prior
-    w2 = np.clip((prior - pairs[:, 0]) / np.where(pairs[:, 1] == pairs[:, 0], 1.0, pairs[:, 1] - pairs[:, 0]), 0, 1)
-    oracle = ((1 - w2) * u.eval_many(np.clip(pairs[:, 0], 0, 1)) + w2 * u.eval_many(np.clip(pairs[:, 1], 0, 1))).max()
-    assert br.value >= oracle - 1e-9
+    assert br.value >= brute_force_value(u, pairs, prior) - 1e-9
     # no limit at the outcome's beliefs, within the TOL that merges a belief
     # with the prior, exceeds sup_many there, so that bounds the value
     near = [sup_within_tol(u, b) for b in br.tau.beliefs]
