@@ -22,9 +22,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PersuasionError, ScenarioError, SingularGarbling
-from .feasible import boundary_curves, sample_feasible_general, wing_polygons
+from .feasible import sample_feasible_general, wing_polygons
 from .info import _pair_weights, blackwell_compare, induced_tau, validate_stochastic
-from .scenarios import load_scenario, parse_number
+from .scenarios import load_scenario
 from .solver import (
     CLUSTER_RADIUS,
     bp_solve,
@@ -134,9 +134,8 @@ def cmd_feasible(args) -> int:
     rows = []
     if scenario.sigma.shape == (2, 2):
         fs = wing_polygons(scenario.sigma, scenario.prior, args.points)
-        curves = boundary_curves(scenario.sigma, scenario.prior, args.points)
-        for fam in sorted(curves):
-            c = curves[fam]
+        for fam in sorted(fs.curves):
+            c = fs.curves[fam]
             for p, (b1, b2) in zip(c.params, c.points):
                 p1, p2 = _pair_probs(b1, b2, scenario.prior)
                 rows.append((fam, f"{p:.10g}", b1, b2, p1, p2))

@@ -10,13 +10,17 @@ membership, experiment reconstruction and the closed-form feasible slices.
 
 The inducible pairs form two convex "wings" meeting at the uninformative
 point (prior, prior): the natural wing (first signal moves the belief down)
-and the perverse wing (labels flipped). The wing boundaries are traced by
-the four one-parameter experiment families that pin one experiment column
-to a vertex of the simplex.
+and the perverse wing (labels flipped). The square's diagonal, where both
+signals say the same, maps to that point; each triangle beside it maps to a
+wing. So a wing's boundary is the image of the triangle's two outer edges:
+the arcs of the two experiment families that pin one experiment column to a
+vertex of the simplex and meet at an off-diagonal corner of the square. The
+wing polygons are those arcs, sampled, and closed at the origin.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -152,16 +156,14 @@ def _square_test(a: np.ndarray, prior: float, q1, q2) -> np.ndarray:
     return (inside | (deg & (np.abs(lo - prior) <= TOL))) & ok_bayes
 
 
-def _inducing_experiment(a: np.ndarray, prior: float, q1: float, q2: float) -> Optional[np.ndarray]:
-    """The experiment inducing the non-degenerate ordered pair, or None.
+def _inducing_experiment(a: np.ndarray, prior: float, q1: float, q2: float) -> np.ndarray:
+    """The experiment inducing a non-degenerate ordered pair the square test admitted.
 
-    For a member, X = sigma^-1 B with B the pair's composite, each row built
-    from its own signal's posterior and weight, then clamped into [0, 1] and
-    renormalised. Building X's second row as 1 minus the first would carry the
-    rounding of signal 1's row into signal 2's posterior.
+    X = sigma^-1 B with B the pair's composite, each row built from its own
+    signal's posterior and weight, then clamped into [0, 1] and renormalised.
+    Building X's second row as 1 minus the first would carry the rounding of
+    signal 1's row into signal 2's posterior.
     """
-    if not _square_test(a, prior, q1, q2):
-        return None
     w1, w2 = _pair_weights(q1, q2, prior)
     b = np.array([_composite(q1, w1, prior), _composite(q2, w2, prior)])
     x = np.clip(np.linalg.inv(a) @ b, 0.0, 1.0)
@@ -177,10 +179,10 @@ def ordered_member_many(sigma, prior: float, q1s, q2s) -> np.ndarray:
 def reconstruct_experiment(sigma, prior: float, tau: BeliefDistribution) -> np.ndarray:
     """Experiment X with ``induced_tau(sigma @ X, prior) == tau``, if one exists.
 
-    Both assignments of the two atoms to the signals are tried, low belief
-    on signal 1 first, since the plausibility of a distribution does not
-    depend on signal labels; the first that passes the square test of
-    :func:`ordered_member_many` gives X, its entries clamped into [0, 1].
+    Both assignments of the two atoms to the signals go through one square
+    test, since the plausibility of a distribution does not depend on signal
+    labels; the first that passes, low belief on signal 1 first, gives X, its
+    entries clamped into [0, 1].
     """
     a = _require_full_rank(sigma)
     if tau.beliefs.size > 2:
@@ -194,11 +196,11 @@ def reconstruct_experiment(sigma, prior: float, tau: BeliefDistribution) -> np.n
     if tau.is_degenerate():
         return UNINFORMATIVE_X.copy()
     lo, hi = (float(b) for b in tau.beliefs)
-    for q1, q2 in ((lo, hi), (hi, lo)):
-        x = _inducing_experiment(a, prior, q1, q2)
-        if x is not None:
-            return x
-    raise NotSigmaPlausible(f"support ({lo:.6g}, {hi:.6g}) is outside the feasible set")
+    member = _square_test(a, prior, np.array([lo, hi]), np.array([hi, lo]))
+    if not member.any():
+        raise NotSigmaPlausible(f"support ({lo:.6g}, {hi:.6g}) is outside the feasible set")
+    q1, q2 = (lo, hi) if member[0] else (hi, lo)
+    return _inducing_experiment(a, prior, q1, q2)
 
 
 # ---------------------------------------------------------------------------
@@ -215,89 +217,63 @@ class FeasibleSet:
     left: np.ndarray  # natural wing vertices, CCW
     right: np.ndarray  # perverse wing vertices, CCW
     origin: tuple[float, float]
+    curves: dict[str, BoundaryCurve]  # the traced arcs the wings are cut from
 
 
-def _convex_hull(points: np.ndarray) -> np.ndarray:
-    """Monotone chain; safe on degenerate (collinear or single-point) input."""
-    pts = np.unique(np.round(points, 12), axis=0)
-    if len(pts) <= 2:
-        return pts
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+def _wing(origin: tuple[float, float], into: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The convex polygon closed by the origin and two arcs meeting at a corner.
 
-    def half(iterable):
-        chain: list[np.ndarray] = []
-        for q in iterable:
-            while len(chain) >= 2:
-                u = chain[-1] - chain[-2]
-                v = q - chain[-2]
-                if u[0] * v[1] - u[1] * v[0] <= 1e-15:
-                    chain.pop()
-                else:
-                    break
-            chain.append(q)
-        return chain
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    hull = np.array(lower[:-1] + upper[:-1])
-    return hull if len(hull) >= 3 else pts
-
-
-def polygon_area(vertices: np.ndarray) -> float:
-    if len(vertices) < 3:
-        return 0.0
-    x, y = vertices[:, 0], vertices[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    Both arcs end at the uninformative point, up to rounding, so points within
+    ``TOL`` of the origin are snapped onto it before repeated and collinear
+    vertices are dropped; an ulp-off copy would otherwise make the origin look
+    collinear with its neighbours and cut the corner. The polygon runs
+    counter-clockwise and starts at its lexicographically smallest vertex.
+    A wing with fewer than three vertices left is returned as its sorted
+    distinct points.
+    """
+    pts = np.vstack([origin, into, out])
+    pts[np.abs(pts - origin).max(axis=1) <= TOL] = origin
+    pts = pts[(pts != np.roll(pts, 1, axis=0)).any(axis=1)]
+    u = pts - np.roll(pts, 1, axis=0)
+    v = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
+    corners = pts[np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]) > 1e-15]
+    if len(corners) < 3:
+        return np.unique(pts, axis=0)
+    x, y = corners.T
+    if np.dot(x, np.roll(y, -1)) < np.dot(y, np.roll(x, -1)):  # negative shoelace area
+        corners = corners[::-1]
+    return np.roll(corners, -int(np.lexsort((corners[:, 1], corners[:, 0]))[0]), axis=0)
 
 
 def wing_polygons(sigma, prior: float, n_points: int = 256) -> FeasibleSet:
-    """Convex hull per wing of the boundary-curve samples.
+    """The two wings, each bounded by the two family arcs through its corner.
 
-    The wings are hulls of the closed feasible set: zero-mass signals sit at
-    their limits along the families (see :func:`pairs_along_family`), so with
-    sigma = I the natural wing is the whole rectangle [0, pi] x [pi, 1].
-    Samples are split by orientation, not by q1 against the prior: the
-    natural wing takes q1 <= q2 and the perverse wing q1 >= q2, so a limit
-    point such as (pi, 0) joins the perverse wing. Sampling density doubles
-    until successive hull areas agree to 1e-6.
+    X = I induces one off-diagonal corner of the square: family X4 ends
+    there (p = 1) and X1 starts there (p = 0). The column swap induces the
+    other, where X2 ends and X3 starts. Each wing is the origin, the arc into
+    its corner and the arc out of it, sampled at ``n_points`` parameters, so
+    every vertex is a point of :func:`boundary_curves`; the traced arcs are
+    kept as ``curves``. Zero-mass signals sit at their limits along the
+    families (see :func:`pairs_along_family`), so with sigma = I the natural
+    wing is the whole rectangle [0, pi] x [pi, 1].
+    The X = I corner belongs to the natural wing (q1 <= q2) when its first
+    posterior is the lower one.
     """
     a = _require_full_rank(sigma)
-    n = max(int(n_points), 2)
-    prev_areas = None
-    for _ in range(6):
-        curves = boundary_curves(a, prior, n)
-        samples = np.vstack([c.points for c in curves.values()])
-        samples = np.vstack([samples, [[prior, prior]]])
-        left = _convex_hull(samples[samples[:, 0] <= samples[:, 1] + TOL])
-        right = _convex_hull(samples[samples[:, 0] >= samples[:, 1] - TOL])
-        areas = (polygon_area(left), polygon_area(right))
-        if prev_areas is not None and max(
-            abs(areas[0] - prev_areas[0]), abs(areas[1] - prev_areas[1])
-        ) < 1e-6:
-            break
-        prev_areas = areas
-        n *= 2
+    curves = boundary_curves(a, prior, n_points)
+    origin = (prior, prior)
+    identity = _wing(origin, curves["X4"].points, curves["X1"].points)
+    swap = _wing(origin, curves["X2"].points, curves["X3"].points)
+    q1, q2 = posterior_pair(a, prior)
+    left, right = (identity, swap) if q1 <= q2 else (swap, identity)
     return FeasibleSet(
         garbling=validate_stochastic(a),
         prior=prior,
         left=left,
         right=right,
-        origin=(prior, prior),
+        origin=origin,
+        curves=curves,
     )
-
-
-def point_to_polygon_distance(point, vertices: np.ndarray) -> float:
-    """Distance from a point to the polygon boundary (edges)."""
-    p = np.asarray(point, dtype=float)
-    if len(vertices) == 1:
-        return float(np.hypot(*(p - vertices[0])))
-    v0 = vertices
-    v1 = np.roll(vertices, -1, axis=0)
-    d = v1 - v0
-    denom = np.maximum((d * d).sum(axis=1), 1e-300)
-    t = np.clip(((p - v0) * d).sum(axis=1) / denom, 0.0, 1.0)
-    proj = v0 + t[:, None] * d
-    return float(np.sqrt(((proj - p) ** 2).sum(axis=1)).min())
 
 
 # ---------------------------------------------------------------------------
@@ -374,19 +350,10 @@ def symmetry_report(sigma, prior: float) -> SymmetryReport:
 
 
 def _simplex_grid(m: int, resolution: float) -> np.ndarray:
-    """All points of the m-simplex with coordinates on a 1/k grid."""
+    """All points of the m-simplex with coordinates on a 1/k grid, in lexicographic order."""
     k = max(int(round(1.0 / resolution)), 1)
-
-    def rec(parts_left, total):
-        if parts_left == 1:
-            yield (total,)
-            return
-        for v in range(total + 1):
-            for rest in rec(parts_left - 1, total - v):
-                yield (v,) + rest
-
-    pts = np.array(list(rec(m, k)), dtype=float) / k
-    return pts
+    heads = (p for p in itertools.product(range(k + 1), repeat=m - 1) if sum(p) <= k)
+    return np.array([(*p, k - sum(p)) for p in heads], dtype=float) / k
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,13 +363,6 @@ class BeliefCloud:
     posteriors: np.ndarray  # (N, m); prior where the signal has zero mass
     probs: np.ndarray  # (N, m)
     prior: float
-
-    def attained_beliefs(self, min_prob: float = TOL) -> np.ndarray:
-        mask = self.probs > min_prob
-        return np.unique(np.round(self.posteriors[mask], 12))
-
-    def min_belief(self, min_prob: float = TOL) -> float:
-        return float(self.attained_beliefs(min_prob).min())
 
 
 def sample_feasible_general(sigma, prior: float, grid_resolution: float = 0.02) -> BeliefCloud:

@@ -9,7 +9,7 @@ express step payoffs that take distinct values at isolated beliefs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 

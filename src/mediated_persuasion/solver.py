@@ -284,12 +284,13 @@ def mediator_best_response(u_m: PiecewiseUtility, x, prior: float) -> BestRespon
             True,
         )
     conc = concavify(u_m, (lo, hi))
-    a, b = conc.linear_span(prior)
-    if b - a <= TOL:
+    tau = _pair_tau(*conc.linear_span(prior), prior)
+    # one atom when the span is a point, and also when the prior is a kink of
+    # the envelope: the span then starts at the prior and its far end has no mass
+    if tau.is_degenerate():
         tau = BeliefDistribution.from_atoms([(prior, 1.0)], prior)
         value = float(conc.value(prior))
         return BestResponse(UNINFORMATIVE_X.copy(), tau, value, value <= u_m(prior))
-    tau = _pair_tau(a, b, prior)
     comp = np.column_stack(_composite(tau.beliefs, tau.probs, prior))
     sigma = comp @ np.linalg.inv(xa)
     sigma = np.clip(sigma, 0.0, 1.0)

@@ -88,6 +88,27 @@ def convex_pwl(rng, curvature=(4.0, 12.0), nodes=64) -> PiecewiseUtility:
     return PiecewiseUtility.from_points(list(zip(xs, ys)))
 
 
+def random_game(seed: int):
+    """(sender, mediator, prior) of the seeded random game ``seed``.
+
+    Each utility has one to three cuts on the 1/20 grid and integer values in
+    [-2, 3]: a step function between the cuts, or piecewise linear through 0,
+    the cuts and 1. The prior is on the 1/10 grid in [0.2, 0.8].
+    """
+    rng = np.random.default_rng(1000 + seed)
+
+    def utility():
+        k = rng.integers(1, 4)
+        cuts = np.sort(rng.choice(np.arange(1, 20), k, replace=False)) / 20
+        if rng.integers(2) == 0:
+            return PiecewiseUtility.step(cuts, rng.integers(-2, 4, size=k + 1))
+        xs = np.concatenate([[0.0], cuts, [1.0]])
+        return PiecewiseUtility.from_points(list(zip(xs, rng.integers(-2, 4, size=k + 2))))
+
+    u_s, u_m = utility(), utility()
+    return u_s, u_m, rng.integers(2, 9) / 10
+
+
 def random_pwl(rng, n_nodes=5, lo=0.0, hi=1.0) -> PiecewiseUtility:
     xs = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 0.9, n_nodes - 2)), [1.0]])
     ys = rng.uniform(lo, hi, size=xs.size)

@@ -4,9 +4,11 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mediated_persuasion
+from mediated_persuasion import check_equilibrium, load_scenario
 from mediated_persuasion.cli import main
 
 from conftest import run_fresh
@@ -59,6 +61,52 @@ def test_exit_refuted_on_failed_check(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["verified"] is False
     assert report["witness"]["player"] == "sender"
+
+
+# Prior 2/5 sits on a kink of each mediator's concave envelope: the envelope's
+# linear span through the prior starts at the prior, so its far end has no mass.
+KINK_PRIOR = "2/5"
+KINK_MEDIATOR = {"type": "pwl", "points": [[0, 0], ["2/5", 1], [1, 0]]}
+KINK_SEARCH_SENDER = {"type": "pwl", "points": [[0, 3], ["13/20", 3], ["13/20", 0], [1, 0]]}
+KINK_SEARCH_MEDIATOR = {
+    "type": "pwl",
+    "points": [[0, -2], ["2/5", -2], ["2/5", 1], ["1/2", 1], ["1/2", -2],
+               ["4/5", -2], ["4/5", -1], [1, -1]],
+}
+
+
+def assert_garbling(matrix):
+    m = np.array(matrix)
+    assert m.shape == (2, 2)
+    assert (m >= 0.0).all()
+    assert np.abs(m.sum(axis=0) - 1.0).max() <= 1e-12
+
+
+def test_mediator_reply_at_a_kink_of_its_envelope_is_a_garbling(tmp_path, capsys):
+    flat = {"type": "pwl", "points": [[0, 0], [1, 0]]}
+    path = write_scenario(tmp_path, prior=KINK_PRIOR, utilities={"sender": flat, "mediator": KINK_MEDIATOR})
+    assert main(["solve", path, "--mode", "mediator-br", "--x", "identity"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert_garbling(report["sigma"])
+    assert report["tau"] == [[0.4, 1.0]]
+    # the flat sender never deviates, so the mediator's reply is the witness
+    argv = ["solve", path, "--mode", "check", "--x", "identity", "--sigma", "identity"]
+    assert main(argv) == 4
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert witness["player"] == "mediator"
+    assert_garbling(witness["strategy"])
+
+
+def test_search_with_the_prior_on_a_kink_of_the_mediator_envelope(tmp_path, capsys):
+    utilities = {"sender": KINK_SEARCH_SENDER, "mediator": KINK_SEARCH_MEDIATOR}
+    path = write_scenario(tmp_path, prior=KINK_PRIOR, utilities=utilities)
+    assert main(["solve", path, "--mode", "search"]) == 0
+    clusters = json.loads(capsys.readouterr().out)["clusters"]
+    assert clusters
+    game = load_scenario(path).game
+    for cert in clusters:
+        assert_garbling(cert["sigma"])
+        assert check_equilibrium(game, cert["x"], cert["sigma"], tol=cert["tol"]).verified
 
 
 def test_exit_tolerance_on_internal_assertion(monkeypatch, capsys):
@@ -165,11 +213,29 @@ def _csv_cells(text):
     ids=["kg", "fig14", "fig19", "fig20", "fig22", "fig18"],
 )
 def test_feasible_matches_golden_output(name, flags, capsys):
-    # feasible CSV recorded before every Bayes update went through info._bayes
+    # feasible CSV recorded before every Bayes update went through info._bayes;
+    # the vertex rows of fig14, fig19, fig20 and fig22 were re-recorded when
+    # the wings became their two boundary arcs
     assert main(["feasible", str(FIXTURES / f"{name}.json"), *flags]) == 0
     got = _csv_cells(capsys.readouterr().out)
     want = _csv_cells((GOLDEN / f"feasible_{name}.csv").read_text())
     assert_same_report(got, want)
+
+
+@pytest.mark.parametrize("points", [2, 3, 32, 100])
+@pytest.mark.parametrize("name", ["kg", "fig14", "fig19", "fig20", "fig22"])
+def test_feasible_wing_vertices_are_family_points(name, points, capsys):
+    assert main(["feasible", str(FIXTURES / f"{name}.json"), "--points", str(points)]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    family = {(r[2], r[3]) for r in rows if r[0].startswith("X")}
+    assert len(family) <= 4 * points
+    prior = load_scenario(str(FIXTURES / f"{name}.json")).prior
+    for wing in ("vertex_left", "vertex_right"):
+        vertices = [(r[2], r[3]) for r in rows if r[0] == wing]
+        assert 0 < len(vertices) <= 2 * points
+        assert any(float(b1) == float(b2) == prior for b1, b2 in vertices)
+        for b1, b2 in vertices:
+            assert (b1, b2) in family or float(b1) == float(b2) == prior
 
 
 # Runs one command line through cli.main in a fresh interpreter and reports

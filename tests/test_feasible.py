@@ -4,6 +4,8 @@ from numpy.testing import assert_allclose
 
 from mediated_persuasion import (
     BeliefDistribution,
+    DegeneratePrior,
+    DimensionMismatch,
     NotSigmaPlausible,
     SingularGarbling,
     boundary_curves,
@@ -20,7 +22,7 @@ from mediated_persuasion import (
     symmetry_report,
     wing_polygons,
 )
-from mediated_persuasion.feasible import UNINFORMATIVE_X, polygon_area
+from mediated_persuasion.feasible import UNINFORMATIVE_X
 from mediated_persuasion.info import TOL
 
 from conftest import RANKED_PAIR, UNRANKED_PAIR, random_experiment, random_garbling
@@ -36,6 +38,32 @@ def member_either_order(sigma, prior, lows, highs):
     return ordered_member_many(sigma, prior, lows, highs) | ordered_member_many(
         sigma, prior, highs, lows
     )
+
+
+def polygon_area(vertices):
+    if len(vertices) < 3:
+        return 0.0
+    x, y = vertices[:, 0], vertices[:, 1]
+    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
+def point_to_polygon_distance(point, vertices):
+    """Distance from a point to the polygon boundary (edges)."""
+    p = np.asarray(point, dtype=float)
+    if len(vertices) == 1:
+        return float(np.hypot(*(p - vertices[0])))
+    v0 = vertices
+    v1 = np.roll(vertices, -1, axis=0)
+    d = v1 - v0
+    denom = np.maximum((d * d).sum(axis=1), 1e-300)
+    t = np.clip(((p - v0) * d).sum(axis=1) / denom, 0.0, 1.0)
+    proj = v0 + t[:, None] * d
+    return float(np.sqrt(((proj - p) ** 2).sum(axis=1)).min())
+
+
+def attained_beliefs(cloud, min_prob=TOL):
+    """The distinct posteriors of a cloud's signals with mass above ``min_prob``."""
+    return np.unique(np.round(cloud.posteriors[cloud.probs > min_prob], 12))
 
 
 def pair_tau(lo, hi, prior):
@@ -142,8 +170,17 @@ class TestReconstruction:
             assert np.abs(back.beliefs - tau.beliefs).max() < 1e-9
             assert np.abs(back.probs - tau.probs).max() < 1e-9
 
+    def test_prior_at_the_edge_cannot_spread_beliefs(self):
+        tau = BeliefDistribution.from_atoms([(0.0, 0.5), (0.5, 0.5)])
+        with pytest.raises(DegeneratePrior):
+            reconstruct_experiment(SIGMA_BUTTERFLY, 1e-10, tau)
+
 
 class TestMembership:
+    def test_three_signal_garbling_is_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            ordered_member_many(SIGMA3, 0.3, [0.1], [0.5])
+
     def test_prior_point_always_member(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -179,8 +216,6 @@ class TestMembership:
 
     def test_oracle_agreement_away_from_boundaries(self):
         # label-free comparison: supports are canonicalized to sorted pairs
-        from mediated_persuasion.feasible import point_to_polygon_distance
-
         rng = np.random.default_rng(41)
         for _ in range(20):
             sigma = random_garbling(rng, lo=0.15, hi=0.85, min_det=0.1)
@@ -243,6 +278,19 @@ class TestWingPolygons:
                 cross = v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]
                 assert (cross >= -1e-9).all()
                 assert np.abs(wing - origin).max(axis=1).min() < 5e-3
+
+    def test_origin_is_a_vertex_of_both_wings(self):
+        # both arcs of a wing end at the uninformative point only up to
+        # rounding; fig20's garbling once lost that vertex at 32 points
+        rng = np.random.default_rng(8)
+        cases = [(np.array([[0.01, 0.5], [0.99, 0.5]]), 0.3)]
+        cases += [(random_garbling(rng), rng.uniform(0.1, 0.9)) for _ in range(50)]
+        for sigma, prior in cases:
+            for n in (3, 32, 256):
+                fs = wing_polygons(sigma, prior, n)
+                for wing in (fs.left, fs.right):
+                    assert ((wing[:, 0] == prior) & (wing[:, 1] == prior)).any()
+                    assert len(wing) <= 2 * n - 2
 
     def test_all_vertices_pass_membership(self):
         fs = wing_polygons(SIGMA_BUTTERFLY, 0.3, 128)
@@ -353,19 +401,19 @@ class TestGeneralSampler:
 
     def test_three_signals_reach_below_prior(self):
         cloud = sample_feasible_general(SIGMA3, 0.3, 0.05)
-        assert cloud.min_belief() < 0.3 - 1e-6
+        assert attained_beliefs(cloud).min() < 0.3 - 1e-6
 
     def test_restricted_block_is_uninformative(self):
         sub = SIGMA3[np.ix_([1, 2], [0, 1])]
         sub = sub / sub.sum(axis=0, keepdims=True)
         assert not garbling_rank(sub).full_rank
         cloud = sample_feasible_general(sub, 0.3, 0.05)
-        assert_allclose(cloud.attained_beliefs(), [0.3], atol=1e-9)
+        assert_allclose(attained_beliefs(cloud), [0.3], atol=1e-9)
 
     def test_uninformative_square_collapses(self):
         sigma = np.full((3, 3), 1 / 3)
         cloud = sample_feasible_general(sigma, 0.4, 0.1)
-        assert_allclose(cloud.attained_beliefs(), [0.4], atol=1e-9)
+        assert_allclose(attained_beliefs(cloud), [0.4], atol=1e-9)
 
 
 class TestCompanionIntervals:

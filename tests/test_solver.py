@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mediated_persuasion import GameSpec, PiecewiseUtility, solver
 from mediated_persuasion.feasible import brute_force_pairs, posterior_pair
-from mediated_persuasion.info import TOL, induced_tau
+from mediated_persuasion.info import TOL, induced_tau, is_mps
 from mediated_persuasion.payoffs import expected_utility
 from mediated_persuasion.solver import (
     CLUSTER_RADIUS,
@@ -22,6 +22,8 @@ from mediated_persuasion.solver import (
     search_equilibria,
     sender_best_response,
 )
+
+from conftest import random_experiment, random_game, random_garbling
 
 # 21 grid values: 441 sigma rows, so the streamed sweep spans several blocks
 COARSE_GRID = 0.05
@@ -229,6 +231,35 @@ def test_bp_solve_outcomes(name, support, value, request):
     induced = induced_tau(sol.x, game.prior)
     assert induced.beliefs == pytest.approx(sol.tau.beliefs, abs=1e-12, rel=0)
     assert induced.probs == pytest.approx(sol.tau.probs, abs=1e-12, rel=0)
+
+
+RANDOM_GAMES = range(50)
+DRAWS_PER_GAME = 25
+
+
+def test_sender_never_benefits_from_mediation():
+    # the paper's first claim: no garbling lets the sender beat the
+    # unmediated benchmark
+    for seed in RANDOM_GAMES:
+        u_s, _, prior = random_game(seed)
+        bound = bp_solve(u_s, prior).value + 1e-12
+        rng = np.random.default_rng(seed)
+        for _ in range(DRAWS_PER_GAME):
+            sigma = random_garbling(rng)
+            assert sender_best_response(u_s, sigma, prior).value <= bound, (seed, sigma)
+
+
+def test_mediator_best_response_garbles_the_experiment():
+    # seed 10 puts the prior on a kink of the mediator's concave envelope
+    for seed in RANDOM_GAMES:
+        _, u_m, prior = random_game(seed)
+        rng = np.random.default_rng(seed)
+        for _ in range(DRAWS_PER_GAME):
+            x = random_experiment(rng)
+            sigma = mediator_best_response(u_m, x, prior).strategy
+            assert sigma.shape == (2, 2), (seed, x)
+            assert (sigma >= 0.0).all() and np.abs(sigma.sum(axis=0) - 1.0).max() <= 1e-12
+            assert is_mps(induced_tau(x, prior), induced_tau(sigma @ x, prior)), (seed, x)
 
 
 def garbling(first_row):
