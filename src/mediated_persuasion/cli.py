@@ -26,7 +26,6 @@ from .feasible import sample_feasible_general, wing_polygons
 from .info import _pair_weights, blackwell_compare, induced_tau, validate_stochastic
 from .scenarios import load_scenario
 from .solver import (
-    CLUSTER_RADIUS,
     bp_solve,
     check_equilibrium,
     compare_outcomes,
@@ -262,9 +261,6 @@ def cmd_solve(args) -> int:
         rep = {
             "spec_version": SPEC_VERSION,
             "mode": "search",
-            "grid": game.grid,
-            "tol_search": game.tol_search,
-            "cluster_tolerance": CLUSTER_RADIUS,
             "clusters": [_certificate_report(c) for c in certs],
         }
         _emit(rep, args.out)

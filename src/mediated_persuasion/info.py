@@ -16,7 +16,7 @@ Conventions used throughout the library:
   its posterior and weight, the inverse of ``_bayes``).
   ``_bayes`` gives a signal of mass at most ``TOL`` the prior, and each
   caller keeps its policy for such a signal: the prior (``posterior_pair``,
-  ``sample_feasible_general``, the search grid), drop (``induced_tau``),
+  ``sample_feasible_general``), drop (``induced_tau``),
   raise (``posterior_after_signal``) or the limit along the experiment
   family (``pairs_along_family``).
 """

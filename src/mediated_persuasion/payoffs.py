@@ -139,29 +139,35 @@ class PiecewiseUtility:
         return float(self._slope_at[i] * beta + self._inter_at[i])
 
     def eval_many(self, betas) -> np.ndarray:
-        return _eval_shared((self,), betas)[0]
+        return self._lookup(betas, "_value_at")
 
     def sup_many(self, betas) -> np.ndarray:
         """Like ``eval_many``, but a belief on a jump gets the larger of its
         attained value and its one-sided limits."""
-        return _eval_shared((self,), betas, "_sup_at")[0]
+        return self._lookup(betas, "_sup_at")
 
     def limits_many(self, betas, above) -> np.ndarray:
         """One-sided limits at the beliefs: from above where ``above`` holds, else from below."""
-        lims = (_eval_shared((self,), betas, table)[0] for table in ("_above_at", "_below_at"))
-        return np.where(above, *lims)
+        return np.where(above, self._lookup(betas, "_above_at"), self._lookup(betas, "_below_at"))
 
-    def _tables_on(self, edges: np.ndarray, table: str = "_value_at"):
-        """Lookup tables indexed by the left insertion index among ``edges``,
-        a sorted superset of this utility's edges with the same ends.
-
-        At a foreign edge the edge value is the enclosing segment's affine
-        value there, which is what a belief landing on it would get.
-        """
-        i = np.searchsorted(self._edges, edges, side="left")
-        slope, inter = self._slope_at[i], self._inter_at[i]
-        value = np.where(self._edges[i] == edges, getattr(self, table)[i], slope * edges + inter)
-        return slope, inter, value
+    def _lookup(self, betas, table: str) -> np.ndarray:
+        """Values at the beliefs, checked against the domain and clamped into
+        it. Each belief's segment is found with one ``searchsorted`` against
+        the edges: a belief on an edge gets the entry of the per-edge
+        ``table`` there, any other belief the affine value of its open
+        segment."""
+        b = np.asarray(betas, dtype=float)
+        lo, hi = self.domain
+        if b.size and (b.min() < lo - 1e-12 or b.max() > hi + 1e-12):
+            raise ValueError("belief outside utility domain")
+        shape = b.shape
+        b = np.minimum(np.maximum(b.reshape(-1), lo), hi)
+        edges = self._edges
+        idx = np.minimum(np.searchsorted(edges, b, side="left"), len(edges) - 1)
+        exact = edges[idx] == b
+        v = self._slope_at[idx] * b + self._inter_at[idx]
+        v[exact] = getattr(self, table)[idx[exact]]
+        return v.reshape(shape)
 
     # -- constructors -------------------------------------------------------
 
@@ -244,51 +250,6 @@ class PiecewiseUtility:
                 out.append(Piece(p.lo, p.hi, p.lo_closed, False, p.slope, p.intercept))
                 out.append(Piece(x, x, True, True, 0.0, value))
         return PiecewiseUtility(tuple(out))
-
-
-def _shared_lookup(utilities: Sequence[PiecewiseUtility], table="_value_at"):
-    """Evaluator of utilities with one common domain at the same beliefs.
-
-    Builds the union of the utilities' edges and each utility's tables on it
-    once; the returned function maps beliefs to one array per utility. The
-    beliefs are checked against the domain and clamped once, and each one's
-    segment is found with one ``searchsorted`` against the union; every
-    utility then reads its value from its own tables. A belief on an edge
-    gets the entry of the per-edge ``table`` there (the attained value by
-    default), any other belief the affine value of its open segment.
-    """
-    lo, hi = utilities[0].domain
-    if any(u.domain != (lo, hi) for u in utilities):
-        raise ValueError("utilities must share one domain")
-    if len(utilities) == 1:  # the union is the utility's own edges
-        u = utilities[0]
-        edges, tables = u._edges, [(u._slope_at, u._inter_at, getattr(u, table))]
-    else:
-        edges = np.unique(np.concatenate([u._edges for u in utilities]))
-        tables = [u._tables_on(edges, table) for u in utilities]
-
-    def evaluate(betas) -> list[np.ndarray]:
-        b = np.asarray(betas, dtype=float)
-        if b.size and (b.min() < lo - 1e-12 or b.max() > hi + 1e-12):
-            raise ValueError("belief outside utility domain")
-        shape = b.shape
-        b = np.minimum(np.maximum(b.reshape(-1), lo), hi)
-        idx = np.minimum(np.searchsorted(edges, b, side="left"), len(edges) - 1)
-        exact = edges[idx] == b
-        at_edge = idx[exact]
-        out = []
-        for slope, inter, value in tables:
-            v = slope[idx] * b + inter[idx]
-            v[exact] = value[at_edge]
-            out.append(v.reshape(shape))
-        return out
-
-    return evaluate
-
-
-def _eval_shared(utilities: Sequence[PiecewiseUtility], betas, table="_value_at") -> list[np.ndarray]:
-    """Values of utilities with one common domain at the same beliefs (``_shared_lookup``)."""
-    return _shared_lookup(utilities, table)(betas)
 
 
 def expected_utility(u: PiecewiseUtility, tau: BeliefDistribution) -> float:

@@ -1,7 +1,7 @@
 """Scenario files: strict JSON schema for games, with exact fractions.
 
 A scenario pins a prior, a garbling, optional utilities (piecewise-linear
-graphs or a finite action game), search parameters and a seed. Numbers may
+graphs or a finite action game) and the check tolerance. Numbers may
 be given as JSON numbers or as fraction strings ("6/7"); fractions are
 parsed exactly before conversion so the worked constants enter the library
 unrounded.
@@ -23,8 +23,8 @@ from .info import validate_stochastic
 from .payoffs import ActionGame, PiecewiseUtility, induce_belief_utilities
 from .solver import GameSpec
 
-_TOP_KEYS = {"prior", "sigma", "utilities", "search", "seed"}
-_SEARCH_KEYS = {"grid", "tol_dev", "tol_search"}
+_TOP_KEYS = {"prior", "sigma", "utilities", "search"}
+_SEARCH_KEYS = {"tol_dev"}
 _PLAYERS = ("sender", "mediator", "receiver")
 _PWL_KEYS = {"type", "points", "singletons"}
 _ACTION_KEYS = {"type", "actions", "payoffs"}
@@ -150,14 +150,8 @@ def load_scenario(source) -> Scenario:
         raise ScenarioError("'search' must be an object")
     _reject_unknown(search, _SEARCH_KEYS, "search")
     search = {key: parse_number(value) for key, value in search.items()}
-    if "grid" in search and not 0.0 < search["grid"] <= 1.0:
-        raise ScenarioError(f"search.grid {search['grid']} outside (0, 1]")
-    for key in ("tol_dev", "tol_search"):
-        if key in search and not search[key] > 0.0:
-            raise ScenarioError(f"search.{key} {search[key]} must be positive")
-    seed = doc.get("seed", 0)  # validated for scenario files that carry one; not used
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ScenarioError("'seed' must be an integer")
+    if "tol_dev" in search and not search["tol_dev"] > 0.0:
+        raise ScenarioError(f"search.tol_dev {search['tol_dev']} must be positive")
 
     game = None
     if "utilities" in doc:

@@ -1,4 +1,4 @@
-"""Best responses, equilibrium checking and grid search, outcome comparisons.
+"""Best responses, equilibrium checking and search, outcome comparisons.
 
 The sender maximizes over the feasible posterior pairs of the fixed
 garbling; the mediator concavifies over the posterior interval of the
@@ -11,6 +11,11 @@ Through a breakpoint belief ``companion_slices`` intersects a ray of
 composite rows with the square in closed form, so a slice as narrow as a
 single point is found. The winner's experiment is built for the ordered pair
 the square test admitted, with no fallback.
+
+Search enumerates a finite set of experiments, one per pair of candidate
+posteriors (0, 1 and the breakpoints of both utilities) on either side of
+the prior, and checks the profiles each one anchors against both exact best
+responses.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .info import (
     TOL,
     BeliefDistribution,
     _as_array,
-    _bayes,
     _composite,
     _pair_weights,
     bayes_plausible_weights,
@@ -47,7 +51,6 @@ from .payoffs import (
     SENDER,
     Concavification,
     PiecewiseUtility,
-    _shared_lookup,
     concavify,
     expected_utility,
 )
@@ -61,9 +64,7 @@ class GameSpec:
     u_sender: PiecewiseUtility
     u_mediator: PiecewiseUtility
     u_receiver: Optional[PiecewiseUtility] = None
-    grid: float = 0.02  # profile grid step for equilibrium search
     tol_dev: float = 1e-6
-    tol_search: float = 1e-3
 
     def __post_init__(self):
         if not TOL < self.prior < 1.0 - TOL:
@@ -400,277 +401,48 @@ def check_equilibrium(
 
 
 # ---------------------------------------------------------------------------
-# Grid search for equilibria
+# Equilibrium search
 # ---------------------------------------------------------------------------
 
 
-CLUSTER_RADIUS = 0.02  # outcome bin width of the equilibrium search
-
-# Profiles per grid block. A block holds whole sigma rows (n^2 profiles each,
-# 2,601 at the default grid): about 150 KB per float64 temporary, so a block's
-# temporaries stay in L2 cache. Blocks a quarter this size spend more on
-# per-block numpy calls than they save.
-_BLOCK_PROFILES = 20_000
-
-
-def _grid_blocks(vals: np.ndarray):
-    """Yield (block, c, d) for consecutive blocks of a few sigma rows.
-
-    ``block`` is a slice of sigma indices; index s has first row
-    (a, b) = (vals[s // n], vals[s % n]). Against an experiment column with
-    first-row entry x_k the composite rows take c_k = a x_k + b (1 - x_k) and
-    d_k = (1 - a) x_k + (1 - b) (1 - x_k): n values per sigma, so ``c`` and
-    ``d`` have shape (rows, n).
-    """
-    n = len(vals)
-    step = max(1, _BLOCK_PROFILES // (n * n))
-    x = vals[None, :]
-    for start in range(0, n * n, step):
-        s = np.arange(start, min(start + step, n * n))
-        a, b = vals[s // n][:, None], vals[s % n][:, None]
-        yield slice(start, start + s.size), a * x + b * (1 - x), (1 - a) * x + (1 - b) * (1 - x)
-
-
-def _grid_tables(game: GameSpec, vals: np.ndarray):
-    """Expected sender and mediator utilities of every grid profile.
-
-    Profiles are (sigma1, sigma2) x (x, y), each entry the first-row
-    probability of the corresponding column; sigma index s and experiment
-    index j stand for sigma1, sigma2 = vals[s // n], vals[s % n] and
-    x, y = vals[j // n], vals[j % n]. Returns float32 tables (E_s, E_m) of
-    shape (n^2, n^2), the only n^2 x n^2 arrays the search builds.
-
-    The tables fill in blocks of a few sigma rows (``_grid_blocks``). Per
-    sigma the composite entries take only n values, so each block broadcasts
-    them to its (rows, n, n) profiles. Each signal's posteriors are computed
-    once, and both players are read from one segment lookup of them
-    (``_shared_lookup``, whose union tables are built once per call).
-    """
-    n = len(vals)
-    pi = game.prior
-    lookup = _shared_lookup((game.u_sender, game.u_mediator))
-    E_s = np.empty((n * n, n * n), dtype=np.float32)
-    E_m = np.empty((n * n, n * n), dtype=np.float32)
-    for block, c, d in _grid_blocks(vals):
-        p1, q1 = _bayes(c[:, :, None], c[:, None, :], pi)
-        p2, q2 = _bayes(d[:, :, None], d[:, None, :], pi)
-        for out, v1, v2 in zip((E_s, E_m), lookup(q1), lookup(q2)):
-            out[block] = (p1 * v1 + p2 * v2).reshape(len(c), -1)
-    return E_s, E_m
-
-
-def _bin_winners(cols, ties):
-    """The first profile of each outcome bin under a stable sort by bin, then
-    by ``ties`` (sort keys, most significant last).
-
-    ``cols`` are the arrays (gap, sigma index, x index, k_lo, k_hi). Profiles
-    that tie on every key keep their input order.
-    """
-    k_lo, k_hi = cols[3], cols[4]
-    keys = k_lo * 100000 + k_hi
-    order = np.lexsort((*ties, keys))
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = keys[order[1:]] != keys[order[:-1]]
-    pick = order[first]
-    return tuple(a[pick] for a in cols)
-
-
-def _coarse_representatives(game: GameSpec, vals: np.ndarray, E_s, E_m, cluster_radius: float):
-    """Filter grid profiles by their grid-game gaps; one winner per outcome bin.
-
-    A profile is kept when neither player gains more than ``eps_coarse`` by
-    a deviation on the grid. Its outcome bin is the sorted posterior support
-    (rounded to float32) in multiples of ``cluster_radius``. The blocks of
-    ``_grid_blocks`` are swept again: posteriors are recomputed for kept
-    profiles only, and each block passes on its bin winners. Returns arrays
-    (gap, sigma index, x index, k_lo, k_hi) with one entry per bin, in
-    ascending bin order; each is the bin's profile of least (gap, sigma
-    index, x index).
-
-    ``np.nonzero`` lists a block's kept profiles in ascending (sigma, x)
-    order, so within a block a stable sort by (bin, gap) already breaks gap
-    ties by (sigma, x). The merge across blocks sorts by all three keys.
-    """
-    n = len(vals)
-    pi = game.prior
-    slope = max(game.u_sender.max_abs_slope, game.u_mediator.max_abs_slope)
-    eps_coarse = game.tol_search + 2.0 * slope * game.grid
-    v_m = E_m.max(axis=0)  # best mediator reply per x
-    winners = []
-    for block, c, d in _grid_blocks(vals):
-        es, em = E_s[block], E_m[block]
-        v_s = es.max(axis=1, keepdims=True)  # best sender reply per sigma
-        r, x_idx = np.nonzero((v_s - es <= eps_coarse) & (v_m - em <= eps_coarse))
-        gaps = np.maximum(
-            (v_s[r, 0] - es[r, x_idx]).astype(np.float64),
-            (v_m[x_idx] - em[r, x_idx]).astype(np.float64),
-        )
-        k, j = x_idx // n, x_idx % n
-        _, q1 = _bayes(c[r, k], c[r, j], pi)
-        _, q2 = _bayes(d[r, k], d[r, j], pi)
-        bins = [
-            np.rint(t.astype(np.float32).astype(np.float64) / cluster_radius).astype(np.int64)
-            for t in (np.minimum(q1, q2), np.maximum(q1, q2))
-        ]
-        winners.append(_bin_winners((gaps, r + block.start, x_idx, *bins), (gaps,)))
-    cols = tuple(np.concatenate(w) for w in zip(*winners))
-    gaps, sig_idx, x_idx = cols[:3]
-    return _bin_winners(cols, (x_idx, sig_idx, gaps))
-
-
-def _tau_distance(t1: BeliefDistribution, t2: BeliefDistribution) -> float:
-    a = np.array([t1.beliefs[0], t1.beliefs[-1]])
-    b = np.array([t2.beliefs[0], t2.beliefs[-1]])
-    return float(np.abs(a - b).max())
+_BABBLING_PROFILE = np.array([[0.0, 0.0], [1.0, 1.0]])  # X = sigma: one signal always
 
 
 def search_equilibria(game: GameSpec) -> list[EquilibriumCertificate]:
-    """Sweep the profile grid, cluster near-equilibria by outcome, and polish
-    each cluster with exact best responses.
+    """Certify the profiles built from breakpoint-pair experiments.
 
-    The coarse pass plays the grid game: deviations are restricted to the
-    same grid, so exact grid equilibria show a zero gap and off-grid
-    equilibria a gap bounded by the utility slopes times the step. The grid
-    is swept twice in blocks of a few sigma rows: once to fill the two float32
-    utility tables (``_grid_tables``), once to filter and bin the profiles
-    (``_coarse_representatives``), which recomputes posteriors only for kept
-    profiles. Cluster representatives are then verified exactly
-    (``_polish_candidate``): a representative survives only if an exact
-    check passes at ``tol_search`` without leaving its cluster, on the
-    representative itself, after best-response iteration from it, or on the
-    sender's exact reply to its garbling.
+    The candidate posteriors are 0, 1 and the breakpoints of both utilities.
+    For each pair of them, one below and one above the prior (each more than
+    ``TOL`` away), B is the experiment with those two posteriors. Two
+    profiles are checked per B: the sender plays B and the mediator its
+    reply to B; and the mediator plays B as a garbling and the sender its
+    reply to that garbling. Babbling, with one signal from both players, is
+    checked as well. Each profile goes through ``check_equilibrium`` at
+    ``tol_dev``. One ``_ResponseMemo``, which lives only for this call,
+    solves each best response once per distinct strategy.
 
-    The exact checks of all clusters share one ``_ResponseMemo``, so each
-    distinct strategy's best response is computed once per search. The memo
-    lives only for this call: a later search computes its best responses anew.
+    Returns the verified certificates, sorted by support size, support and
+    largest gap, keeping the first of those with ``allclose`` outcomes.
     """
-    n = int(round(1.0 / game.grid)) + 1
-    vals = np.linspace(0.0, 1.0, n)
-    E_s, E_m = _grid_tables(game, vals)
-    reps = _coarse_representatives(game, vals, E_s, E_m, CLUSTER_RADIUS)
-
-    pi = game.prior
-    clusters: dict[tuple, dict] = {}
-    for gap, si, xi, k_lo, k_hi in zip(*(a.tolist() for a in reps)):
-        s1, s2 = float(vals[si // n]), float(vals[si % n])
-        x1, y1 = float(vals[xi // n]), float(vals[xi % n])
-        sa = np.array([[s1, s2], [1 - s1, 1 - s2]])
-        xa = np.array([[x1, y1], [1 - x1, 1 - y1]])
-        tau = induced_tau(sa @ xa, pi)
-        clusters[(k_lo, k_hi)] = {
-            "gap": gap,
-            "profile": (s1, s2, x1, y1),
-            "tau": tau,
-        }
-
-    merged_keys = _merge_adjacent_bins(clusters)
-
     memo = _ResponseMemo(game)
-    certs: list[EquilibriumCertificate] = []
-    for group in merged_keys:
-        rep = min(
-            (clusters[k] for k in group),
-            key=lambda c: (c["gap"], c["profile"]),
-        )
-        cert = _polish_candidate(game, rep, CLUSTER_RADIUS, memo)
-        if cert is not None:
-            certs.append(cert)
+    pi = game.prior
+    beliefs = np.unique(np.concatenate([(0.0, 1.0), game.u_sender.breakpoints, game.u_mediator.breakpoints]))
+    certs = [check_equilibrium(game, _BABBLING_PROFILE, _BABBLING_PROFILE, memo=memo)]
+    for lo in beliefs[beliefs < pi - TOL]:
+        for hi in beliefs[beliefs > pi + TOL]:
+            w = np.array(_pair_weights(lo, hi, pi))
+            b = np.column_stack(_composite(np.array([lo, hi]), w, pi))  # posteriors lo, hi
+            certs.append(check_equilibrium(game, b, memo.mediator(b).strategy, memo=memo))
+            certs.append(check_equilibrium(game, memo.sender(b).strategy, b, memo=memo))
 
-    # dedupe polished outcomes and order deterministically
     final: list[EquilibriumCertificate] = []
     for cert in sorted(
-        certs, key=lambda c: (c.tau.beliefs.size, tuple(c.tau.beliefs), c.max_gap)
+        (c for c in certs if c.verified),
+        key=lambda c: (c.tau.beliefs.size, tuple(c.tau.beliefs), c.max_gap),
     ):
-        if any(_tau_distance(cert.tau, f.tau) <= CLUSTER_RADIUS for f in final):
-            continue
-        final.append(cert)
+        if not any(cert.tau.allclose(f.tau) for f in final):
+            final.append(cert)
     return final
-
-
-def _merge_adjacent_bins(clusters: dict) -> list[list[tuple]]:
-    keys = sorted(clusters.keys())
-    parent = {k: k for k in keys}
-
-    def find(k):
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    keyset = set(keys)
-    for k in keys:
-        for da in (-1, 0, 1):
-            for db in (-1, 0, 1):
-                nb = (k[0] + da, k[1] + db)
-                if nb in keyset:
-                    ra, rb = find(k), find(nb)
-                    if ra != rb:
-                        parent[ra] = rb
-    groups: dict[tuple, list[tuple]] = {}
-    for k in keys:
-        groups.setdefault(find(k), []).append(k)
-    return [sorted(g) for g in groups.values()]
-
-
-def _profile_matrices(profile):
-    s1, s2, x1, y1 = profile
-    return (
-        np.array([[x1, y1], [1 - x1, 1 - y1]]),
-        np.array([[s1, s2], [1 - s1, 1 - s2]]),
-    )
-
-
-def _polish_candidate(
-    game: GameSpec, rep: dict, cluster_radius: float, memo: _ResponseMemo
-) -> Optional[EquilibriumCertificate]:
-    """Exact certificate for one cluster representative, or None.
-
-    Three exact checks, each at ``tol_search`` and kept only if its outcome
-    stays near the representative's: the representative itself; then
-    best-response iteration from it; and if neither verified, the profile of
-    the sender's exact reply to the representative's garbling. Every best
-    response comes from the search's ``memo``, so a strategy that several
-    stages or clusters revisit is solved once per search.
-    """
-    xa, sa = _profile_matrices(rep["profile"])
-    anchor = rep["tau"]
-    best: Optional[EquilibriumCertificate] = None
-
-    def consider(cert: EquilibriumCertificate) -> None:
-        nonlocal best
-        if not cert.verified:
-            return
-        if _tau_distance(cert.tau, anchor) > cluster_radius + game.grid:
-            return
-        if best is None or cert.max_gap < best.max_gap:
-            best = cert
-
-    consider(check_equilibrium(game, xa, sa, tol=game.tol_search, memo=memo))
-    if best is not None and best.max_gap <= game.tol_dev:
-        return best
-
-    # best-response iteration from the representative
-    x_cur = xa
-    seen: list[BeliefDistribution] = []
-    for _ in range(8):
-        s_cur = memo.mediator(x_cur).strategy
-        br_s = memo.sender(s_cur)
-        x_cur = br_s.strategy
-        br_m = memo.mediator(x_cur)
-        cand = _certificate(game, x_cur, s_cur, br_s, br_m, game.tol_search)
-        consider(cand)
-        if cand.verified and cand.max_gap <= game.tol_dev:
-            break
-        if seen and _tau_distance(cand.tau, seen[-1]) <= 1e-10:
-            break
-        seen.append(cand.tau)
-
-    # the sender's exact reply to the representative's garbling
-    if best is None:
-        br_s = memo.sender(sa)
-        br_m = memo.mediator(br_s.strategy)
-        consider(_certificate(game, br_s.strategy, sa, br_s, br_m, game.tol_search))
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -124,9 +124,10 @@ def test_exit_tolerance_on_internal_assertion(monkeypatch, capsys):
 
 def test_exit_schema_on_bad_search_grid_and_non_stochastic_sigma(tmp_path, capsys):
     # the loader rejects both, so neither reaches the solver and raises there
-    argv = ["solve", write_scenario(tmp_path, search={"grid": 0}), "--mode", "search"]
-    assert main(argv) == 2
-    assert "search.grid 0.0 outside (0, 1]" in capsys.readouterr().err
+    for key in ("grid", "tol_search"):
+        argv = ["solve", write_scenario(tmp_path, search={key: 0}), "--mode", "search"]
+        assert main(argv) == 2
+        assert f"unknown key(s) ['{key}'] in search" in capsys.readouterr().err
     argv = ["solve", write_scenario(tmp_path, sigma=[[2, 0], [-1, 1]]), "--mode", "sender-br"]
     assert main(argv) == 2
     assert "sigma is not column-stochastic" in capsys.readouterr().err
@@ -189,7 +190,7 @@ def assert_same_report(got, want, path="$"):
 
 @pytest.mark.parametrize("name", ["kg", "fig19", "fig20", "fig22"])
 def test_search_matches_golden_output(name, capsys):
-    # search output recorded before the best responses used exact candidates only
+    # search output recorded from the breakpoint-pair sweep
     assert main(["solve", str(FIXTURES / f"{name}.json"), "--mode", "search"]) == 0
     got = json.loads(capsys.readouterr().out)
     want = json.loads((GOLDEN / f"search_{name}.json").read_text())

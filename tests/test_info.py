@@ -127,7 +127,7 @@ class TestBayesKernel:
         assert q[2] == 0.3 * 0.25 / p[2]
 
     def test_broadcasts_grid_shapes(self):
-        # as in the search grid: per sigma row, n composite entries against n
+        # broadcast likelihoods give each pair's update, as one pair at a time
         rng = np.random.default_rng(4)
         c = rng.uniform(0.0, 1.0, (3, 5))
         c[0, 0] = 0.0

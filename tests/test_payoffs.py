@@ -10,7 +10,6 @@ from mediated_persuasion import (
     expected_utility,
     induce_belief_utilities,
 )
-from mediated_persuasion.payoffs import _eval_shared
 from mediated_persuasion.scenarios import FIXTURE_NAMES, load_fixture
 
 from conftest import random_pwl
@@ -119,7 +118,7 @@ def same_bits(a, b) -> bool:
 
 
 class TestEvalManyPinned:
-    """``eval_many`` and the shared kernel return the old body's bits."""
+    """``eval_many`` returns the old body's bits."""
 
     @pytest.mark.parametrize("name", sorted(UTILITIES))
     def test_bit_equal_to_reference(self, name):
@@ -136,31 +135,14 @@ class TestEvalManyPinned:
             assert got.shape == ()
             assert same_bits(got, eval_many_reference(u, [beta])[0])
 
-    @pytest.mark.parametrize("game", [n for n in FIXTURE_NAMES if load_fixture(n).game is not None])
-    def test_shared_lookup_matches_each_utility(self, game):
-        g = load_fixture(game).game
-        us = (g.u_sender, g.u_mediator, g.u_receiver)
-        probes = np.concatenate([edge_probes(u) for u in us])
-        uniform = np.random.default_rng(13).uniform(0.0, 1.0, 100_000 - probes.size)
-        betas = np.concatenate([probes, uniform])
-        got = _eval_shared(us, betas.reshape(10, -1))
-        for u, v in zip(us, got):
-            assert same_bits(v.ravel(), eval_many_reference(u, betas))
-
-    def test_shared_lookup_needs_one_domain(self):
-        half = PiecewiseUtility.affine(1.0, 0.0, domain=(0.0, 0.5))
-        with pytest.raises(ValueError, match="share one domain"):
-            _eval_shared((UTILITIES["pwl300"], half), [0.25])
-
     @pytest.mark.parametrize("beta", [-1e-9, 1.0 + 1e-9, 2.0])
     def test_out_of_domain_belief_raises(self, beta):
         u = UTILITIES["pwl300"]
         with pytest.raises(ValueError, match="outside utility domain"):
             eval_many_reference(u, [0.5, beta])
-        with pytest.raises(ValueError, match="outside utility domain"):
-            u.eval_many([0.5, beta])
-        with pytest.raises(ValueError, match="outside utility domain"):
-            _eval_shared((u, u), [0.5, beta])
+        for evaluate in (u.eval_many, u.sup_many, lambda b: u.limits_many(b, [True, False])):
+            with pytest.raises(ValueError, match="outside utility domain"):
+                evaluate([0.5, beta])
 
 
 class TestInducedUtilities:

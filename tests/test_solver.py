@@ -1,23 +1,21 @@
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mediated_persuasion import GameSpec, PiecewiseUtility, solver
+from mediated_persuasion import BeliefDistribution, GameSpec, PiecewiseUtility, solver
 from mediated_persuasion.feasible import brute_force_pairs, posterior_pair
 from mediated_persuasion.info import TOL, induced_tau, is_mps
 from mediated_persuasion.payoffs import expected_utility
 from mediated_persuasion.solver import (
-    CLUSTER_RADIUS,
-    _coarse_representatives,
-    _grid_tables,
-    _merge_adjacent_bins,
     _ResponseMemo,
     bp_solve,
     check_equilibrium,
+    compare_outcomes,
     mediator_best_response,
     search_equilibria,
     sender_best_response,
@@ -25,66 +23,7 @@ from mediated_persuasion.solver import (
 
 from conftest import random_experiment, random_game, random_garbling
 
-# 21 grid values: 441 sigma rows, so the streamed sweep spans several blocks
-COARSE_GRID = 0.05
-
-
-def whole_array_tables(game, vals):
-    """Whole-array grid tables (E_s, E_m, T_lo, T_hi): the reference formula."""
-    n = len(vals)
-    s1, s2 = np.meshgrid(vals, vals, indexing="ij")
-    s1, s2 = s1.ravel(), s2.ravel()
-    x1, y1 = np.meshgrid(vals, vals, indexing="ij")
-    x1, y1 = x1.ravel(), y1.ravel()
-    pi = game.prior
-    E_s = np.empty((n * n, n * n), dtype=np.float32)
-    E_m = np.empty((n * n, n * n), dtype=np.float32)
-    T_lo = np.empty((n * n, n * n), dtype=np.float32)
-    T_hi = np.empty((n * n, n * n), dtype=np.float32)
-    chunk = max(1, int(2_000_000 // max(len(x1), 1)))
-    for start in range(0, n * n, chunk):
-        sl = slice(start, min(start + chunk, n * n))
-        a = s1[sl][:, None]
-        b = s2[sl][:, None]
-        x = x1[None, :]
-        y = y1[None, :]
-        b11 = a * x + b * (1 - x)
-        b12 = a * y + b * (1 - y)
-        b21 = (1 - a) * x + (1 - b) * (1 - x)
-        b22 = (1 - a) * y + (1 - b) * (1 - y)
-        p1 = (1 - pi) * b11 + pi * b12
-        p2 = (1 - pi) * b21 + pi * b22
-        with np.errstate(invalid="ignore", divide="ignore"):
-            q1 = np.where(p1 > TOL, pi * b12 / np.where(p1 > 0, p1, 1.0), pi)
-            q2 = np.where(p2 > TOL, pi * b22 / np.where(p2 > 0, p2, 1.0), pi)
-        for u, out in ((game.u_sender, E_s), (game.u_mediator, E_m)):
-            v1 = u.eval_many(q1.ravel()).reshape(q1.shape)
-            v2 = u.eval_many(q2.ravel()).reshape(q2.shape)
-            out[sl] = p1 * v1 + p2 * v2
-        T_lo[sl] = np.minimum(q1, q2)
-        T_hi[sl] = np.maximum(q1, q2)
-    return E_s, E_m, T_lo, T_hi
-
-
-def whole_array_representatives(game, E_s, E_m, T_lo, T_hi, radius):
-    """Grid-game filter and one global lexsort over every kept profile."""
-    v_s = E_s.max(axis=1, keepdims=True)
-    v_m = E_m.max(axis=0, keepdims=True)
-    slope = max(game.u_sender.max_abs_slope, game.u_mediator.max_abs_slope)
-    eps_coarse = game.tol_search + 2.0 * slope * game.grid
-    sig_idx, x_idx = np.nonzero((v_s - E_s <= eps_coarse) & (v_m - E_m <= eps_coarse))
-    gaps = np.maximum(
-        (v_s[sig_idx, 0] - E_s[sig_idx, x_idx]).astype(np.float64),
-        (v_m[0, x_idx] - E_m[sig_idx, x_idx]).astype(np.float64),
-    )
-    k_lo = np.rint(T_lo[sig_idx, x_idx].astype(np.float64) / radius).astype(np.int64)
-    k_hi = np.rint(T_hi[sig_idx, x_idx].astype(np.float64) / radius).astype(np.int64)
-    keys = k_lo * 100000 + k_hi
-    order = np.lexsort((x_idx, sig_idx, gaps, keys))
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = keys[order][1:] != keys[order][:-1]
-    r = order[first]
-    return gaps[r], sig_idx[r], x_idx[r], k_lo[r], k_hi[r]
+FIXTURE_GAMES = ["kg_game", "fig19_game", "fig20_game", "fig22_game"]
 
 
 def has_outcome(certs, support, sender_value=None, tol=1e-6):
@@ -99,41 +38,20 @@ def has_outcome(certs, support, sender_value=None, tol=1e-6):
     return False
 
 
-@pytest.fixture(scope="module")
-def kg_search(kg_game):
-    """kg search results and the tracemalloc peak (bytes) of that search."""
+def search_peak(game):
+    """Search results and the tracemalloc peak (bytes) of that search."""
     tracemalloc.start()
     try:
-        certs = search_equilibria(kg_game)
+        certs = search_equilibria(game)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     return certs, peak
 
 
-@pytest.mark.parametrize("name", ["kg_game", "fig19_game", "fig20_game", "fig22_game"])
-class TestStreamedGrid:
-    def test_tables_match_whole_array_formula(self, name, request):
-        # fig22's step utilities turn a one-ulp posterior drift into a jump,
-        # and fig20's drop to -100 into one of up to 79.7
-        game = dataclasses.replace(request.getfixturevalue(name), grid=COARSE_GRID)
-        vals = np.linspace(0.0, 1.0, int(round(1.0 / game.grid)) + 1)
-        E_s, E_m = _grid_tables(game, vals)
-        ref_s, ref_m, _, _ = whole_array_tables(game, vals)
-        assert E_s.shape == ref_s.shape == (vals.size**2, vals.size**2)
-        assert E_s.dtype == E_m.dtype == np.float32
-        assert np.array_equal(E_s, ref_s)
-        assert np.array_equal(E_m, ref_m)
-
-    def test_bin_representatives_match_global_sort(self, name, request):
-        game = dataclasses.replace(request.getfixturevalue(name), grid=COARSE_GRID)
-        vals = np.linspace(0.0, 1.0, int(round(1.0 / game.grid)) + 1)
-        tables = whole_array_tables(game, vals)
-        got = _coarse_representatives(game, vals, *tables[:2], CLUSTER_RADIUS)
-        want = whole_array_representatives(game, *tables, CLUSTER_RADIUS)
-        assert want[0].size > 1
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+@pytest.fixture(scope="module")
+def kg_search(kg_game):
+    return search_peak(kg_game)
 
 
 class TestSearchOutcomes:
@@ -152,22 +70,21 @@ class TestSearchOutcomes:
         assert all(c.verified for c in certs)
 
     def test_fig20_finds_only_babbling(self, fig20_game):
+        # besides babbling, the benchmark's split and a more informative one
+        # that the mediator prefers
         certs = search_equilibria(fig20_game)
-        assert len(certs) == 1
+        assert len(certs) == 3
         assert has_outcome(certs, (0.3,))
+        assert has_outcome(certs, (50 / 281, 150 / 157))
+        assert has_outcome(certs, (1 / 5, 1 / 2))
         assert all(c.verified for c in certs)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="sigma* = (6/7, 3/7) is off the grid, and no cluster "
-        "representative polishes to this equilibrium",
-    )
     def test_fig22_finds_one_third_four_fifths(self, fig22_game):
         certs = search_equilibria(fig22_game)
         assert all(c.verified for c in certs)
         assert has_outcome(certs, (1 / 3, 4 / 5), sender_value=19 / 14)
 
-    @pytest.mark.parametrize("name", ["kg_game", "fig19_game", "fig20_game", "fig22_game"])
+    @pytest.mark.parametrize("name", FIXTURE_GAMES)
     def test_fixture_certificates_are_exact(self, name, request):
         game = request.getfixturevalue(name)
         for cert in search_equilibria(game):
@@ -175,42 +92,91 @@ class TestSearchOutcomes:
             assert cert.mediator_gap <= game.tol_dev
 
     def test_sender_reply_polishes_off_grid_clusters_exactly(self):
-        # the two informative outcomes put their high belief on the sender's
-        # jump to 1 at 0.85, which no grid profile reaches; a profile near it
-        # verifies at tol_search with a sender gap of a few 1e-4, so each
-        # certificate must also verify at tol_dev
+        # the informative outcome puts its high belief on the sender's jump
+        # to 1 at 0.85 and its low one on the mediator's jump at 0.4
         game = GameSpec(
             prior=0.8,
             u_sender=PiecewiseUtility.step([0.25, 0.85], [0, -1, 1]),
             u_mediator=PiecewiseUtility.step([0.4], [0, 1]),
         )
         certs = search_equilibria(game)
-        assert len(certs) == 3
+        assert len(certs) == 2
         assert has_outcome(certs, (0.8,))
+        assert has_outcome(certs, (2 / 5, 17 / 20), sender_value=7 / 9)
         for cert in certs:
             assert check_equilibrium(game, cert.x, cert.sigma).verified  # at tol_dev
         two_point = [c for c in certs if c.tau.beliefs.size == 2]
-        assert len(two_point) == 2
-        for cert in two_point:
-            assert cert.tau.beliefs[1] == pytest.approx(0.85, abs=1e-12, rel=0)
+        assert len(two_point) == 1
+        assert two_point[0].tau.beliefs[1] == pytest.approx(0.85, abs=1e-12, rel=0)
 
-    def test_fig19_checks_each_cluster_once(self, fig19_game, monkeypatch):
-        # the direct check of each merged cluster's representative is the
-        # only profile check; the later stages certify best-response profiles
-        groups, checks = [], []
+    @pytest.mark.parametrize("name", FIXTURE_GAMES)
+    def test_search_peak_memory_below_1mb(self, name, request):
+        _, peak = search_peak(request.getfixturevalue(name))
+        assert peak < 1e6
 
-        def counted_merge(clusters):
-            groups.extend(_merge_adjacent_bins(clusters))
-            return groups
 
-        def counted_check(*args, **kwargs):
-            checks.append(args)
-            return check_equilibrium(*args, **kwargs)
+def test_search_certificates_hold_on_random_games():
+    # every certificate re-verifies at tol_dev, leaves the sender no more
+    # than the unmediated benchmark and is a garbling of the sender's experiment
+    for seed in range(80):
+        u_s, u_m, prior = random_game(seed)
+        game = GameSpec(prior=float(prior), u_sender=u_s, u_mediator=u_m)
+        bound = bp_solve(u_s, game.prior).value + 1e-9
+        for cert in search_equilibria(game):
+            assert check_equilibrium(game, cert.x, cert.sigma, tol=game.tol_dev).verified, (seed, cert.tau)
+            assert cert.sender_value <= bound, (seed, cert.tau)
+            assert is_mps(induced_tau(cert.x, game.prior), cert.tau), (seed, cert.tau)
 
-        monkeypatch.setattr(solver, "_merge_adjacent_bins", counted_merge)
-        monkeypatch.setattr(solver, "check_equilibrium", counted_check)
-        search_equilibria(fig19_game)
-        assert len(groups) == len(checks) == 12
+
+# Welfare deltas (mediated minus benchmark) worked out by hand in fractions:
+# (fixture, mediated outcome, benchmark outcome, Blackwell rank, deltas of
+# sender, mediator and receiver, whether the receiver benefits)
+COMPARISONS = [
+    # fig20 at prior 3/10: {50/281 w.p. 843/1000, 150/157 w.p. 157/1000}
+    # against bp_solve's {1/5 w.p. 2/3, 1/2 w.p. 1/3}.
+    # sender: both mediated posteriors pay 0; both benchmark ones pay 1.
+    # mediator: 3 at both mediated posteriors; 2529/905 at 1/5 and 0 at 1/2,
+    #   so 3 - (2/3)(2529/905) = 1029/905.
+    # receiver: 181/281 and 143/157 against 3/5 and 0, so
+    #   (3 * 181 + 143)/1000 - 2/5 = 143/500.
+    (
+        "fig20",
+        ((Fraction(50, 281), Fraction(843, 1000)), (Fraction(150, 157), Fraction(157, 1000))),
+        ((Fraction(1, 5), Fraction(2, 3)), (Fraction(1, 2), Fraction(1, 3))),
+        "mp_more_informative",
+        (Fraction(-1), Fraction(1029, 905), Fraction(143, 500)),
+        True,
+    ),
+    # fig19 at prior 1/2: {1/3, 2/3} against {1/4, 3/4}, each half and half.
+    # sender 3/4 against 1; mediator 1 against 3/4; receiver 1/3 against 1/2.
+    (
+        "fig19",
+        ((Fraction(1, 3), Fraction(1, 2)), (Fraction(2, 3), Fraction(1, 2))),
+        ((Fraction(1, 4), Fraction(1, 2)), (Fraction(3, 4), Fraction(1, 2))),
+        "bp_more_informative",
+        (Fraction(-1, 4), Fraction(1, 4), Fraction(-1, 6)),
+        False,
+    ),
+]
+
+
+def tau_of(atoms):
+    """The outcome with the given (belief, probability) fractions."""
+    prior = sum(b * p for b, p in atoms)
+    return BeliefDistribution.from_atoms([(float(b), float(p)) for b, p in atoms], float(prior))
+
+
+@pytest.mark.parametrize("name, mp, bp, rank, deltas, benefits", COMPARISONS)
+def test_compare_outcomes_values(name, mp, bp, rank, deltas, benefits, request):
+    game = request.getfixturevalue(f"{name}_game")
+    tau_mp, tau_bp = tau_of(mp), tau_of(bp)
+    assert has_outcome(search_equilibria(game), tau_mp.beliefs)
+    assert tau_bp.allclose(bp_solve(game.u_sender, game.prior).tau)
+    report = compare_outcomes(game, tau_mp, tau_bp)
+    assert report.blackwell == rank
+    for player, delta in zip(("sender", "mediator", "receiver"), deltas):
+        assert report.welfare[player]["delta"] == pytest.approx(float(delta), abs=1e-12, rel=0)
+    assert report.receiver_benefits is benefits
 
 
 @pytest.mark.parametrize(
@@ -434,8 +400,6 @@ def test_sender_supremum_against_brute_force(u, prior, first_row):
 
 
 def test_kg_search_peak_memory_below_100mb(kg_search):
-    # two float32 tables over 51^4 profiles take 54 MB; whole-array posterior
-    # tables or chunk-sized temporaries push the peak far past 100 MB
     _, peak = kg_search
     assert peak < 100e6
 
@@ -531,9 +495,26 @@ def counted_search(game, monkeypatch):
 
 
 class TestResponseMemo:
+    @pytest.mark.parametrize(
+        "name, profiles, mediator, sender",
+        [("kg", 5, 3, 3), ("fig19", 19, 15, 18), ("fig20", 25, 22, 22), ("fig22", 13, 10, 13)],
+    )
+    def test_search_work_per_fixture(self, name, profiles, mediator, sender, request, monkeypatch):
+        # profiles certified, and best responses solved (one per distinct
+        # strategy), by one search
+        certified = []
+
+        def counted_check(*args, **kwargs):
+            certified.append(args)
+            return check_equilibrium(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "check_equilibrium", counted_check)
+        calls = counted_search(request.getfixturevalue(f"{name}_game"), monkeypatch)
+        assert (len(certified), len(calls["mediator"]), len(calls["sender"])) == (profiles, mediator, sender)
+
     def test_search_solves_each_strategy_once(self, fig22_game, monkeypatch):
-        # without the memo, fig22 solves 15 sender and 21 mediator best
-        # responses for 10 and 14 distinct strategies
+        # without the memo, fig22 solves 19 best responses of each player
+        # for 13 sender and 10 mediator strategies
         first = counted_search(fig22_game, monkeypatch)
         for keys in first.values():
             assert len(keys) > 1
