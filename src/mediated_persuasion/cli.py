@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -307,7 +308,10 @@ def cmd_order(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``mpgame`` parser, built on first use and shared by later calls;
+    each ``parse_args`` returns a fresh namespace."""
     ap = argparse.ArgumentParser(
         prog="mpgame",
         description="Feasible posteriors and equilibria for persuasion through a garbling mediator",

@@ -144,14 +144,17 @@ def _square_test(a: np.ndarray, prior: float, q1, q2) -> np.ndarray:
     the experiment's first row is x_k = (c_k - a01) / (a00 - a01). A pair is a
     member when both x_k lie in [-TOL, 1 + TOL]; the second row is 1 minus the
     first and needs no check. Pairs that are not Bayes-plausible are rejected;
-    degenerate pairs (width at most TOL) at the prior are members.
+    degenerate pairs (width at most TOL) at the prior are members. The leading
+    axes of ``a`` broadcast against the pairs' shape, so a stack of garblings
+    shaped (n, 1, 2, 2) tests its own row of (n, k) pairs each.
     """
     lo, hi = np.minimum(q1, q2), np.maximum(q1, q2)
     ok_bayes = (lo <= prior + TOL) & (hi >= prior - TOL)
     deg = (hi - lo) <= TOL
     w1, _ = _pair_weights(q1, q2, prior)
     c = np.stack(_composite(q1, w1, prior), axis=-1)
-    x = (c - a[0, 1]) / (a[0, 0] - a[0, 1])
+    a00, a01 = a[..., 0, 0, None], a[..., 0, 1, None]
+    x = (c - a01) / (a00 - a01)
     inside = ((x >= -TOL) & (x <= 1.0 + TOL)).all(axis=-1)
     return (inside | (deg & (np.abs(lo - prior) <= TOL))) & ok_bayes
 
@@ -422,7 +425,31 @@ def companion_slices(
     ``(fixed, is_low, (companion_lo, companion_hi))``. The slice through a
     fixed belief is an interval within each wing but not globally, so each
     task contributes up to two entries, one per signal orientation (the
-    natural one first).
+    natural one first). A task whose belief lies on the wrong side of the
+    prior contributes none. The ranges come from :func:`_slice_ends`.
+    """
+    a = _require_full_rank(sigma)
+    tasks = [(float(f), low) for f, low in fixed_beliefs if ((f <= prior + TOL) if low else (f >= prior - TOL))]
+    if not tasks:
+        return []
+    fixed, is_low = (np.array(col) for col in zip(*tasks))
+    slot, ends, present = _slice_ends(a[None], prior, fixed, is_low.astype(bool))
+    return [
+        (tasks[k][0], tasks[k][1], (float(ends[0, s, 0]), float(ends[0, s, 1])))
+        for s, k in enumerate(slot.tolist())
+        if present[0, s]
+    ]
+
+
+def _slice_ends(a: np.ndarray, prior: float, fixed: np.ndarray, is_low: np.ndarray):
+    """Feasible-slice ends through fixed beliefs, for a stack of garblings.
+
+    ``a`` is (n, 2, 2), full rank; each fixed belief lies on its side of the
+    prior (within TOL). A belief within TOL of the prior has one slot, any
+    other two: the natural orientation, then the swapped one. Returns the task
+    of each slot, the companion range (lo, hi) per garbling and slot, shaped
+    (n, slots, 2), and whether that range exists. A missing range reads
+    (prior, prior), so every entry is a belief.
 
     With belief f fixed on one signal, the companion t sets that signal's
     weight w = (t - pi) / (t - f), monotone in t, and its composite row w alpha
@@ -436,30 +463,26 @@ def companion_slices(
     gets the slice (prior, prior): any other companion would carry weight 0,
     so the pair would pay what babbling pays.
     """
-    a = _require_full_rank(sigma)
-    out = []
-    for fixed, is_low in fixed_beliefs:
-        f = float(fixed)
-        if (f > prior + TOL) if is_low else (f < prior - TOL):
-            continue
-        if abs(f - prior) <= TOL:
-            out.append((f, is_low, (prior, prior)))
-            continue
-        end = 1.0 if is_low else 0.0
+    near = np.abs(fixed - prior) <= TOL
+    slot = np.repeat(np.arange(fixed.size), np.where(near, 1, 2))
+    swapped = np.zeros(slot.size, dtype=bool)
+    swapped[1:] = slot[1:] == slot[:-1]
+    f, low, near = fixed[slot], is_low[slot], near[slot]
+    # the natural orientation puts the low belief on signal 1
+    rows = a[:, np.where(low != swapped, 0, 1), :]  # (n, slots, 2)
+    row_min, row_max = rows.min(axis=-1), rows.max(axis=-1)
+    end = np.where(low, 1.0, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
         w_end = (end - prior) / (end - f)
-        alpha = _composite(f, 1.0, prior)
-        # the natural orientation puts the low belief on signal 1
-        for row in (a[0], a[1]) if is_low else (a[1], a[0]):
-            row_min, row_max = float(row.min()), float(row.max())
-            w_lo, w_hi = 0.0, w_end
-            for alpha_k in alpha:
-                if alpha_k > 0.0:
-                    w_lo = max(w_lo, row_min / alpha_k)
-                    w_hi = min(w_hi, row_max / alpha_k)
-                elif row_min > 0.0:  # the ray stays on an axis the square does not touch
-                    w_lo = np.inf
-            if w_lo > w_hi:
-                continue
-            t_lo, t_hi = (end if w == w_end else (prior - f * w) / (1.0 - w) for w in (w_lo, w_hi))
-            out.append((f, is_low, (min(t_lo, t_hi), max(t_lo, t_hi))))
-    return out
+        w_lo, w_hi = np.zeros_like(row_min), np.broadcast_to(w_end, row_max.shape)
+        for alpha_k in _composite(f, 1.0, prior):
+            up = alpha_k > 0.0
+            w_lo = np.where(up, np.maximum(w_lo, row_min / alpha_k),
+                            np.where(row_min > 0.0, np.inf, w_lo))  # the ray stays on an axis the square misses
+            w_hi = np.where(up, np.minimum(w_hi, row_max / alpha_k), w_hi)
+        t_lo, t_hi = (np.where(w == w_end, end, (prior - f * w) / (1.0 - w)) for w in (w_lo, w_hi))
+    present = near | ~(w_lo > w_hi)
+    keep = present & ~near
+    ends = np.stack([np.where(keep, np.minimum(t_lo, t_hi), prior),
+                     np.where(keep, np.maximum(t_lo, t_hi), prior)], axis=-1)
+    return slot, ends, present

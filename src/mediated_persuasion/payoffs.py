@@ -8,6 +8,7 @@ express step payoffs that take distinct values at isolated beliefs.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -125,8 +126,6 @@ class PiecewiseUtility:
         return float(max((abs(p.slope) for p in self.pieces), default=0.0))
 
     def __call__(self, beta: float) -> float:
-        from bisect import bisect_left
-
         beta = float(beta)
         lo, hi = self.domain
         if beta < lo - 1e-12 or beta > hi + 1e-12:
@@ -393,25 +392,28 @@ class Concavification:
     def linear_span(self, beta: float) -> tuple[float, float]:
         """Endpoints of the maximal linear envelope segment containing ``beta``."""
         verts = self.envelope.breakpoints
-        vals = self.envelope.eval_many(verts)
-        k = int(np.searchsorted(verts, beta, side="right")) - 1
-        k = min(max(k, 0), len(verts) - 2)
-        lo_i, hi_i = k, k + 1
-
-        def slope(i):
-            return (vals[i + 1] - vals[i]) / (verts[i + 1] - verts[i])
-
-        s = slope(k)
-        while lo_i > 0 and abs(slope(lo_i - 1) - s) <= 1e-11 * max(1.0, abs(s)):
-            lo_i -= 1
-        while hi_i < len(verts) - 1 and abs(slope(hi_i) - s) <= 1e-11 * max(1.0, abs(s)):
-            hi_i += 1
-        return float(verts[lo_i]), float(verts[hi_i])
+        return _linear_span(verts.tolist(), self.envelope.eval_many(verts).tolist(), beta)
 
 
-def _upper_hull(xs: np.ndarray, ys: np.ndarray):
-    """Monotone-chain upper hull; returns vertex indices."""
-    xl, yl = xs.tolist(), ys.tolist()  # python floats: the loop is hot
+def _linear_span(verts: list, vals: list, beta: float) -> tuple[float, float]:
+    """Endpoints of the maximal run of equal slopes (within 1e-11, relative)
+    through the segment of the vertex chain ``(verts, vals)`` containing ``beta``."""
+    k = min(max(bisect_right(verts, beta) - 1, 0), len(verts) - 2)
+    lo_i, hi_i = k, k + 1
+
+    def slope(i):
+        return (vals[i + 1] - vals[i]) / (verts[i + 1] - verts[i])
+
+    s = slope(k)
+    while lo_i > 0 and abs(slope(lo_i - 1) - s) <= 1e-11 * max(1.0, abs(s)):
+        lo_i -= 1
+    while hi_i < len(verts) - 1 and abs(slope(hi_i) - s) <= 1e-11 * max(1.0, abs(s)):
+        hi_i += 1
+    return float(verts[lo_i]), float(verts[hi_i])
+
+
+def _upper_hull(xl: list, yl: list) -> list:
+    """Monotone-chain upper hull of points with increasing abscissas; returns vertex indices."""
     stack: list[int] = []
     for i in range(len(xl)):
         xi, yi = xl[i], yl[i]
@@ -426,26 +428,58 @@ def _upper_hull(xs: np.ndarray, ys: np.ndarray):
     return stack
 
 
+def _hull_vertices(u: PiecewiseUtility, los, his) -> list:
+    """The envelope's vertices over each interval [lo, hi], as python lists.
+
+    The envelope is the upper hull of the utility's supremum at its
+    breakpoints inside the interval (``sup_many``), at ``lo`` from above and
+    at ``hi`` from below; the utility is affine in between. Returns one
+    ``(xs, ys, raised)`` per interval, ``raised`` marking the vertices whose
+    value is a one-sided limit above the attained value. The breakpoints'
+    values are looked up once for all intervals.
+    """
+    bps = u.breakpoints
+    bx, by, ba = bps.tolist(), u.sup_many(bps).tolist(), u.eval_many(bps).tolist()
+    ends = np.column_stack([los, his])
+    end_att = u.eval_many(ends)
+    end_sup = np.maximum(end_att, u.limits_many(ends, [True, False])).tolist()
+    firsts = np.searchsorted(bps, ends[:, 0], side="right").tolist()
+    lasts = np.searchsorted(bps, ends[:, 1], side="left").tolist()
+    out = []
+    for (lo, hi), (y_lo, y_hi), (a_lo, a_hi), i, j in zip(ends.tolist(), end_sup, end_att.tolist(), firsts, lasts):
+        xs, ys, att = [lo, *bx[i:j], hi], [y_lo, *by[i:j], y_hi], [a_lo, *ba[i:j], a_hi]
+        idx = _upper_hull(xs, ys)
+        out.append(([xs[k] for k in idx], [ys[k] for k in idx], [ys[k] > att[k] for k in idx]))
+    return out
+
+
+def _hull_chain(xs: list, ys: list):
+    """Slopes, intercepts and vertex values of the envelope through hull
+    vertices, computed as :meth:`PiecewiseUtility.from_points` builds its
+    pieces and evaluates them: each vertex but the last takes the value of
+    the piece it starts, the last that of the piece it ends."""
+    slopes = [(y1 - y0) / (x1 - x0) for x0, y0, x1, y1 in zip(xs, ys, xs[1:], ys[1:])]
+    inters = [y0 - s * x0 for s, x0, y0 in zip(slopes, xs, ys)]
+    vals = [s * x0 + c for s, c, x0 in zip(slopes, inters, xs)]
+    vals.append(slopes[-1] * xs[-1] + inters[-1])
+    return slopes, inters, vals
+
+
 def concavify(u: PiecewiseUtility, domain=(0.0, 1.0)) -> Concavification:
-    """Upper concave envelope over ``domain``: the upper hull of the utility's
-    supremum at its breakpoints inside the domain (``sup_many``), at ``lo``
-    from above and at ``hi`` from below. The utility is affine in between."""
+    """Upper concave envelope over ``domain``, built from the hull vertices of
+    :func:`_hull_vertices`. The envelope ``PiecewiseUtility`` and its
+    coincident set are built here for ``bp_solve`` and direct callers; the
+    mediator's best response reads its span and value from the hull vertices
+    alone (``solver._mediator_batch``)."""
     lo, hi = float(domain[0]), float(domain[1])
     if not (u.domain[0] - 1e-12 <= lo < hi <= u.domain[1] + 1e-12):
         if lo >= hi:
             raise EmptyDomain(f"domain [{lo}, {hi}] is empty")
         raise ValueError("domain exceeds the utility's domain")
-    bps = u.breakpoints
-    xs = np.concatenate([[lo], bps[(bps > lo) & (bps < hi)], [hi]])
-    attained = u.eval_many(xs)
-    ys = u.sup_many(xs)
-    ys[[0, -1]] = np.maximum(attained[[0, -1]], u.limits_many([lo, hi], [True, False]))
-    idx = _upper_hull(xs, ys)
-    vx, vy = xs[idx], ys[idx]
+    (vx, vy, raised), = _hull_vertices(u, [lo], [hi])
     env = PiecewiseUtility.from_points(list(zip(vx, vy)))
     coincident = _coincident_set(u, env, lo, hi)
-    raised = vy > attained[idx]
-    unattained = tuple((float(x), float(y)) for x, y in zip(vx[raised], vy[raised]))
+    unattained = tuple((x, y) for x, y, r in zip(vx, vy, raised) if r)
     return Concavification(env, tuple(coincident), (lo, hi), unattained)
 
 

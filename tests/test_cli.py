@@ -38,6 +38,26 @@ def write_scenario(tmp_path, **changes):
     return str(path)
 
 
+def test_parser_is_built_once_and_carries_no_state(capsys):
+    # main reuses one parser; a flag given to one call must not reach the next
+    from mediated_persuasion import cli
+
+    fig22 = str(FIXTURES / "fig22.json")
+    argv = ["solve", fig22, "--mode", "check", "--x", "identity", "--sigma", "6/7,3/7;1/7,4/7"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
+    assert main(["solve", fig22, "--mode", "mediator-br"]) == 2
+    assert "--mode mediator-br needs --x" in capsys.readouterr().err
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_exit_schema_on_sender_reply_to_three_signal_garbling(tmp_path, capsys):
+    # the sender's best response is defined for 2x2 garblings only
+    sigma = [["1/3", "1/9", "2/3"], ["1/3", "4/9", "1/3"], ["1/3", "4/9", "0"]]
+    assert main(["solve", write_scenario(tmp_path, sigma=sigma), "--mode", "sender-br"]) == 2
+    assert "expected a 2x2 garbling" in capsys.readouterr().err
+
+
 def test_exit_ok_on_feasible(capsys):
     assert main(["feasible", str(FIXTURES / "kg.json"), "--points", "8"]) == 0
 

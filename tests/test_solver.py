@@ -69,7 +69,7 @@ class TestSearchOutcomes:
         assert has_outcome(certs, (1 / 3, 2 / 3))
         assert all(c.verified for c in certs)
 
-    def test_fig20_finds_only_babbling(self, fig20_game):
+    def test_fig20_finds_babbling_and_two_splits(self, fig20_game):
         # besides babbling, the benchmark's split and a more informative one
         # that the mediator prefers
         certs = search_equilibria(fig20_game)
@@ -91,7 +91,7 @@ class TestSearchOutcomes:
             assert cert.sender_gap <= game.tol_dev
             assert cert.mediator_gap <= game.tol_dev
 
-    def test_sender_reply_polishes_off_grid_clusters_exactly(self):
+    def test_search_finds_split_on_both_players_jumps(self):
         # the informative outcome puts its high belief on the sender's jump
         # to 1 at 0.85 and its low one on the mediator's jump at 0.4
         game = GameSpec(
@@ -476,22 +476,86 @@ def test_mediator_best_response_is_bit_exact(name, first_row, want, request):
     assert as_pinned(br) == want
 
 
+def mixed_batch(rng):
+    """Strategies for one batch: two random full-rank ones, the row-swapped
+    (relabelled) twin of the first, a rank-deficient one, the uninformative
+    one, the identity and a repeat of the first."""
+    s = random_garbling(rng)
+    x = random_experiment(rng)
+    return np.array([s, x, s[::-1], garbling((0.3, 0.3)), np.full((2, 2), 0.5), np.eye(2), s])
+
+
+@pytest.mark.parametrize("player", ["sender", "mediator"])
+def test_batch_equals_single_calls_bit_for_bit(player):
+    # each reply of a batched core equals the single-strategy best response,
+    # which is a batch of one: no row of a batch leaks into another
+    core, single = {
+        "sender": (solver._sender_batch, sender_best_response),
+        "mediator": (solver._mediator_batch, mediator_best_response),
+    }[player]
+    for seed in RANDOM_GAMES:
+        u_s, u_m, prior = random_game(seed)
+        u = u_s if player == "sender" else u_m
+        batch = mixed_batch(np.random.default_rng(seed))
+        replies = core(u, batch, prior)
+        assert len(replies) == len(batch)
+        for strategy, got in zip(batch, replies):
+            want = single(u, strategy.copy(), prior)
+            assert (as_pinned(got), got.attained) == (as_pinned(want), want.attained), (seed, strategy)
+
+
+def test_mediator_reply_to_full_revelation_is_the_benchmark():
+    # through X = I the mediator concavifies over all of [0, 1] as bp_solve
+    # does: its span and value read from the hull vertices must match those of
+    # concavify's envelope whenever concavification gains at the prior
+    compared = 0
+    for seed in range(80):
+        *utilities, prior = random_game(seed)
+        for u in utilities:
+            sol = bp_solve(u, prior)
+            if sol.value <= u(prior) + TOL:
+                continue
+            br = mediator_best_response(u, np.eye(2), prior)
+            assert br.tau.beliefs.tolist() == sol.tau.beliefs.tolist(), seed
+            assert br.tau.probs.tolist() == sol.tau.probs.tolist(), seed
+            assert br.attained is sol.attained, seed
+            # with the prior on a kink of the envelope the mediator reads the
+            # envelope's segment at the prior, bp_solve the vertex value: they
+            # can differ by rounding
+            assert br.value == pytest.approx(sol.value, abs=1e-12, rel=0), seed
+            compared += 1
+    assert compared == 100
+
+
 def counted_search(game, monkeypatch):
-    """Run one search; return the strategies each best response was solved for."""
-    calls = {"sender": [], "mediator": []}
+    """Run one search; return, per player, the strategies of each batch its
+    batched best-response core was handed."""
+    batches = {"sender": [], "mediator": []}
 
     def counting(player, fn):
-        def wrapped(u, strategy, prior):
-            calls[player].append(np.asarray(strategy, dtype=float).tobytes())
-            return fn(u, strategy, prior)
+        def wrapped(u, strategies, prior):
+            batches[player].append([s.tobytes() for s in strategies])
+            return fn(u, strategies, prior)
 
         return wrapped
 
     with monkeypatch.context() as m:
-        m.setattr(solver, "sender_best_response", counting("sender", sender_best_response))
-        m.setattr(solver, "mediator_best_response", counting("mediator", mediator_best_response))
+        m.setattr(solver, "_sender_batch", counting("sender", solver._sender_batch))
+        m.setattr(solver, "_mediator_batch", counting("mediator", solver._mediator_batch))
         search_equilibria(game)
-    return calls
+    return batches
+
+
+# strategies per batch of each player's core, (sender, mediator): round 1
+# (the breakpoint-pair experiments and babbling), then round 2 (the other
+# player's round-1 replies not yet solved). On kg every round-2 strategy was
+# solved in round 1, so no second batch runs
+SEARCH_BATCHES = {
+    "kg": ([3], [3]),
+    "fig19": ([10, 8], [10, 5]),
+    "fig20": ([13, 9], [13, 9]),
+    "fig22": ([7, 6], [7, 3]),
+}
 
 
 class TestResponseMemo:
@@ -500,8 +564,8 @@ class TestResponseMemo:
         [("kg", 5, 3, 3), ("fig19", 19, 15, 18), ("fig20", 25, 22, 22), ("fig22", 13, 10, 13)],
     )
     def test_search_work_per_fixture(self, name, profiles, mediator, sender, request, monkeypatch):
-        # profiles certified, and best responses solved (one per distinct
-        # strategy), by one search
+        # profiles certified, and strategies handed to the batched best-response
+        # cores (each distinct strategy once), by one search
         certified = []
 
         def counted_check(*args, **kwargs):
@@ -509,14 +573,20 @@ class TestResponseMemo:
             return check_equilibrium(*args, **kwargs)
 
         monkeypatch.setattr(solver, "check_equilibrium", counted_check)
-        calls = counted_search(request.getfixturevalue(f"{name}_game"), monkeypatch)
-        assert (len(certified), len(calls["mediator"]), len(calls["sender"])) == (profiles, mediator, sender)
+        batches = counted_search(request.getfixturevalue(f"{name}_game"), monkeypatch)
+        solved = {player: sum(map(len, b)) for player, b in batches.items()}
+        assert (len(certified), solved["mediator"], solved["sender"]) == (profiles, mediator, sender)
+        # one batch per player per round, round 2 only when it has work
+        sizes = tuple([len(b) for b in batches[player]] for player in ("sender", "mediator"))
+        assert sizes == SEARCH_BATCHES[name]
 
     def test_search_solves_each_strategy_once(self, fig22_game, monkeypatch):
         # without the memo, fig22 solves 19 best responses of each player
         # for 13 sender and 10 mediator strategies
         first = counted_search(fig22_game, monkeypatch)
-        for keys in first.values():
+        for batches in first.values():
+            assert len(batches) == 2
+            keys = [k for b in batches for k in b]
             assert len(keys) > 1
             assert len(keys) == len(set(keys))
         # a second search in the same process starts from an empty memo
