@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -98,7 +99,6 @@ class PiecewiseUtility:
         for name, a in tables.items():
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        object.__setattr__(self, "_edges_list", edges)
 
     def _covering_piece(self, beta: float) -> Piece:
         for p in self.pieces:
@@ -121,21 +121,8 @@ class PiecewiseUtility:
         """All piece endpoints (includes singleton locations)."""
         return self._edges
 
-    @property
-    def max_abs_slope(self) -> float:
-        return float(max((abs(p.slope) for p in self.pieces), default=0.0))
-
     def __call__(self, beta: float) -> float:
-        beta = float(beta)
-        lo, hi = self.domain
-        if beta < lo - 1e-12 or beta > hi + 1e-12:
-            raise ValueError("belief outside utility domain")
-        beta = min(max(beta, lo), hi)
-        edges = self._edges_list
-        i = bisect_left(edges, beta)
-        if i < len(edges) and edges[i] == beta:
-            return float(self._value_at[i])
-        return float(self._slope_at[i] * beta + self._inter_at[i])
+        return float(self._lookup(beta, "_value_at"))
 
     def eval_many(self, betas) -> np.ndarray:
         return self._lookup(betas, "_value_at")
@@ -372,44 +359,101 @@ def induce_belief_utilities(game: ActionGame):
 
 @dataclass(frozen=True, eq=False)
 class Concavification:
-    """Upper concave envelope of a utility over a belief sub-interval.
+    """Upper concave envelope of ``utility`` over the belief interval ``domain``.
 
-    ``coincident`` lists closed intervals (points when degenerate) where the
-    envelope meets the utility; optimal posterior supports live there.
-    ``unattained`` lists the hull vertices (belief, value) whose value is a
-    one-sided limit above the attained value: an optimum supported there is
-    only approached.
+    The envelope is the upper hull of the utility's supremum at its
+    breakpoints inside the interval, at the interval's low end from above
+    and at its high end from below; the utility is affine in between.
+    ``xs`` and ``ys`` are the hull vertices, and ``raised`` marks those whose
+    value is a one-sided limit above the attained value: an optimum
+    supported there is only approached (``unattained``). ``value`` and
+    ``linear_span`` read the vertex chain; the ``envelope`` as a
+    ``PiecewiseUtility`` and the ``coincident`` set are built when first read.
     """
 
-    envelope: PiecewiseUtility
-    coincident: tuple[tuple[float, float], ...]
+    utility: PiecewiseUtility
     domain: tuple[float, float]
-    unattained: tuple[tuple[float, float], ...] = ()
+    xs: list[float]
+    ys: list[float]
+    raised: list[bool]
+
+    @cached_property
+    def _chain(self):
+        """Slopes, intercepts and vertex values of the chain through the hull
+        vertices, computed as :meth:`PiecewiseUtility.from_points` builds its
+        pieces and evaluates them: each vertex but the last takes the value of
+        the piece it starts, the last that of the piece it ends."""
+        xs, ys = self.xs, self.ys
+        slopes = [(y1 - y0) / (x1 - x0) for x0, y0, x1, y1 in zip(xs, ys, xs[1:], ys[1:])]
+        inters = [y0 - s * x0 for s, x0, y0 in zip(slopes, xs, ys)]
+        vals = [s * x0 + c for s, c, x0 in zip(slopes, inters, xs)]
+        vals.append(slopes[-1] * xs[-1] + inters[-1])
+        return slopes, inters, vals
+
+    @property
+    def unattained(self) -> tuple[tuple[float, float], ...]:
+        return tuple((x, y) for x, y, r in zip(self.xs, self.ys, self.raised) if r)
+
+    @cached_property
+    def envelope(self) -> PiecewiseUtility:
+        return PiecewiseUtility.from_points(list(zip(self.xs, self.ys)))
 
     def value(self, beta: float) -> float:
-        return self.envelope(beta)
+        """The envelope at ``beta``, read as ``self.envelope(beta)`` reads it."""
+        beta, (lo, hi) = float(beta), self.domain
+        if beta < lo - 1e-12 or beta > hi + 1e-12:
+            raise ValueError("belief outside utility domain")
+        beta = min(max(beta, lo), hi)
+        slopes, inters, vals = self._chain
+        k = bisect_left(self.xs, beta)
+        return vals[k] if self.xs[k] == beta else slopes[k - 1] * beta + inters[k - 1]
 
     def linear_span(self, beta: float) -> tuple[float, float]:
-        """Endpoints of the maximal linear envelope segment containing ``beta``."""
-        verts = self.envelope.breakpoints
-        return _linear_span(verts.tolist(), self.envelope.eval_many(verts).tolist(), beta)
+        """Endpoints of the maximal run of equal slopes (within 1e-11,
+        relative) through the envelope segment containing ``beta``."""
+        xs, vals = self.xs, self._chain[2]
+        k = min(max(bisect_right(xs, beta) - 1, 0), len(xs) - 2)
+        lo_i, hi_i = k, k + 1
 
+        def slope(i):
+            return (vals[i + 1] - vals[i]) / (xs[i + 1] - xs[i])
 
-def _linear_span(verts: list, vals: list, beta: float) -> tuple[float, float]:
-    """Endpoints of the maximal run of equal slopes (within 1e-11, relative)
-    through the segment of the vertex chain ``(verts, vals)`` containing ``beta``."""
-    k = min(max(bisect_right(verts, beta) - 1, 0), len(verts) - 2)
-    lo_i, hi_i = k, k + 1
+        s = slope(k)
+        while lo_i > 0 and abs(slope(lo_i - 1) - s) <= 1e-11 * max(1.0, abs(s)):
+            lo_i -= 1
+        while hi_i < len(xs) - 1 and abs(slope(hi_i) - s) <= 1e-11 * max(1.0, abs(s)):
+            hi_i += 1
+        return float(xs[lo_i]), float(xs[hi_i])
 
-    def slope(i):
-        return (vals[i + 1] - vals[i]) / (verts[i + 1] - verts[i])
+    def payoff(self, tau: BeliefDistribution) -> tuple[float, bool]:
+        """The envelope at the barycenter of ``tau``, read through ``tau`` on
+        hull vertices (a raised vertex counts its limit), and whether ``tau``
+        earns it."""
+        raised = dict(self.unattained)
+        vals = [raised.get(b, v) for b, v in zip(tau.beliefs.tolist(), self.utility.eval_many(tau.beliefs))]
+        return float(np.array(vals) @ tau.probs), not raised.keys() & set(tau.beliefs.tolist())
 
-    s = slope(k)
-    while lo_i > 0 and abs(slope(lo_i - 1) - s) <= 1e-11 * max(1.0, abs(s)):
-        lo_i -= 1
-    while hi_i < len(verts) - 1 and abs(slope(hi_i) - s) <= 1e-11 * max(1.0, abs(s)):
-        hi_i += 1
-    return float(verts[lo_i]), float(verts[hi_i])
+    @cached_property
+    def coincident(self) -> tuple[tuple[float, float], ...]:
+        """Closed intervals (points when degenerate) where the envelope meets
+        the utility; optimal posterior supports live there.
+
+        The cuts are the domain's ends and the utility's breakpoints between
+        them. Between two cuts both functions are affine, so the open segment
+        coincides when the utility's inward one-sided limits at its ends are
+        within ``TOL`` of the envelope there; a cut coincides when its
+        attained value is. Returns the closures of the maximal runs of
+        coinciding cuts and segments.
+        """
+        u, (lo, hi) = self.utility, self.domain
+        bps = u.breakpoints
+        cuts = np.concatenate([[lo], bps[(bps > lo) & (bps < hi)], [hi]])
+        env = np.array([self.value(c) for c in cuts])
+        on = np.empty(2 * cuts.size - 1, dtype=bool)  # cut 0, segment 0, cut 1, ..., cut n
+        on[0::2] = env - u.eval_many(cuts) <= TOL
+        on[1::2] = (env[:-1] - u.limits_many(cuts[:-1], True) <= TOL) & (env[1:] - u.limits_many(cuts[1:], False) <= TOL)
+        flips = np.flatnonzero(np.diff(np.concatenate([[0], on, [0]])))  # run starts, then ends (exclusive)
+        return tuple((float(cuts[s // 2]), float(cuts[e // 2])) for s, e in zip(flips[::2], flips[1::2]))
 
 
 def _upper_hull(xl: list, yl: list) -> list:
@@ -428,16 +472,9 @@ def _upper_hull(xl: list, yl: list) -> list:
     return stack
 
 
-def _hull_vertices(u: PiecewiseUtility, los, his) -> list:
-    """The envelope's vertices over each interval [lo, hi], as python lists.
-
-    The envelope is the upper hull of the utility's supremum at its
-    breakpoints inside the interval (``sup_many``), at ``lo`` from above and
-    at ``hi`` from below; the utility is affine in between. Returns one
-    ``(xs, ys, raised)`` per interval, ``raised`` marking the vertices whose
-    value is a one-sided limit above the attained value. The breakpoints'
-    values are looked up once for all intervals.
-    """
+def _concavifications(u: PiecewiseUtility, los, his) -> list[Concavification]:
+    """The concavification of ``u`` over each interval [lo, hi], with the
+    breakpoints' values looked up once for all intervals."""
     bps = u.breakpoints
     bx, by, ba = bps.tolist(), u.sup_many(bps).tolist(), u.eval_many(bps).tolist()
     ends = np.column_stack([los, his])
@@ -449,75 +486,17 @@ def _hull_vertices(u: PiecewiseUtility, los, his) -> list:
     for (lo, hi), (y_lo, y_hi), (a_lo, a_hi), i, j in zip(ends.tolist(), end_sup, end_att.tolist(), firsts, lasts):
         xs, ys, att = [lo, *bx[i:j], hi], [y_lo, *by[i:j], y_hi], [a_lo, *ba[i:j], a_hi]
         idx = _upper_hull(xs, ys)
-        out.append(([xs[k] for k in idx], [ys[k] for k in idx], [ys[k] > att[k] for k in idx]))
+        hull = [xs[k] for k in idx], [ys[k] for k in idx], [ys[k] > att[k] for k in idx]
+        out.append(Concavification(u, (lo, hi), *hull))
     return out
 
 
-def _hull_chain(xs: list, ys: list):
-    """Slopes, intercepts and vertex values of the envelope through hull
-    vertices, computed as :meth:`PiecewiseUtility.from_points` builds its
-    pieces and evaluates them: each vertex but the last takes the value of
-    the piece it starts, the last that of the piece it ends."""
-    slopes = [(y1 - y0) / (x1 - x0) for x0, y0, x1, y1 in zip(xs, ys, xs[1:], ys[1:])]
-    inters = [y0 - s * x0 for s, x0, y0 in zip(slopes, xs, ys)]
-    vals = [s * x0 + c for s, c, x0 in zip(slopes, inters, xs)]
-    vals.append(slopes[-1] * xs[-1] + inters[-1])
-    return slopes, inters, vals
-
-
 def concavify(u: PiecewiseUtility, domain=(0.0, 1.0)) -> Concavification:
-    """Upper concave envelope over ``domain``, built from the hull vertices of
-    :func:`_hull_vertices`. The envelope ``PiecewiseUtility`` and its
-    coincident set are built here for ``bp_solve`` and direct callers; the
-    mediator's best response reads its span and value from the hull vertices
-    alone (``solver._mediator_batch``)."""
+    """Upper concave envelope of ``u`` over ``domain``: the range checks and a
+    batch of one for :func:`_concavifications`."""
     lo, hi = float(domain[0]), float(domain[1])
     if not (u.domain[0] - 1e-12 <= lo < hi <= u.domain[1] + 1e-12):
         if lo >= hi:
             raise EmptyDomain(f"domain [{lo}, {hi}] is empty")
         raise ValueError("domain exceeds the utility's domain")
-    (vx, vy, raised), = _hull_vertices(u, [lo], [hi])
-    env = PiecewiseUtility.from_points(list(zip(vx, vy)))
-    coincident = _coincident_set(u, env, lo, hi)
-    unattained = tuple((x, y) for x, y, r in zip(vx, vy, raised) if r)
-    return Concavification(env, tuple(coincident), (lo, hi), unattained)
-
-
-def _coincident_set(u, env, lo, hi):
-    cuts = np.unique(
-        np.concatenate(
-            [
-                u.breakpoints[(u.breakpoints >= lo) & (u.breakpoints <= hi)],
-                env.breakpoints,
-                [lo, hi],
-            ]
-        )
-    )
-    out: list[tuple[float, float]] = []
-
-    def push(a, b):
-        if out and abs(out[-1][1] - a) <= 1e-15:
-            out[-1] = (out[-1][0], b)
-        else:
-            out.append((a, b))
-
-    for x0, x1 in zip(cuts, cuts[1:]):
-        mid = 0.5 * (x0 + x1)
-        du0 = env(x0) - u(x0)
-        du1 = env(x1) - u(x1)
-        dum = env(mid) - u(mid)
-        if max(du0, dum, du1) <= TOL:
-            push(float(x0), float(x1))
-        else:
-            if du0 <= TOL:
-                push(float(x0), float(x0))
-            if du1 <= TOL:
-                push(float(x1), float(x1))
-    # merge and dedupe point entries swallowed by intervals
-    merged: list[tuple[float, float]] = []
-    for a, b in out:
-        if merged and a <= merged[-1][1] + 1e-15:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-        else:
-            merged.append((a, b))
-    return merged
+    return _concavifications(u, [lo], [hi])[0]

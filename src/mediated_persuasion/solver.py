@@ -11,8 +11,8 @@ Through a breakpoint belief the feasible slice is a ray of composite rows
 cut by the square in closed form, so a slice as narrow as a single point is
 found. The winner's experiment is built for the ordered pair the square
 test admitted, with no fallback. The mediator reads the linear span through
-the prior and its value straight from the upper-hull vertices of its
-interval; it builds no envelope.
+the prior and its value from the ``Concavification`` of its interval, the
+same upper-hull object that ``bp_solve`` reads over all of [0, 1].
 
 Each best response has one batched core, ``_sender_batch`` or
 ``_mediator_batch``, that solves a stack of strategies in one numpy pass
@@ -26,7 +26,6 @@ exact best responses.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -58,9 +57,7 @@ from .payoffs import (
     SENDER,
     Concavification,
     PiecewiseUtility,
-    _hull_chain,
-    _hull_vertices,
-    _linear_span,
+    _concavifications,
     concavify,
     expected_utility,
 )
@@ -115,15 +112,6 @@ def _babbling_response(u: PiecewiseUtility, prior: float) -> BestResponse:
     return BestResponse(UNINFORMATIVE_X.copy(), _point_mass(prior), float(u(prior)), True)
 
 
-def _envelope_value(u: PiecewiseUtility, unattained, tau: BeliefDistribution):
-    """The envelope at the prior, read through ``tau`` on hull vertices, and
-    whether ``tau`` earns it; ``unattained`` lists the (belief, value) hull
-    vertices whose value is a limit."""
-    raised = dict(unattained)
-    vals = [raised.get(b, v) for b, v in zip(tau.beliefs.tolist(), u.eval_many(tau.beliefs))]
-    return float(np.array(vals) @ tau.probs), not raised.keys() & set(tau.beliefs.tolist())
-
-
 # ---------------------------------------------------------------------------
 # Unmediated benchmark
 # ---------------------------------------------------------------------------
@@ -150,7 +138,7 @@ def bp_solve(u_s: PiecewiseUtility, prior: float) -> BenchmarkSolution:
         return BenchmarkSolution(_point_mass(prior), UNINFORMATIVE_X.copy(), base, conc, True)
     tau = _pair_tau(*conc.linear_span(prior), prior)
     x = reconstruct_experiment(np.eye(2), prior, tau)
-    value, attained = _envelope_value(u_s, conc.unattained, tau)
+    value, attained = conc.payoff(tau)
     return BenchmarkSolution(tau, x, value, conc, attained)
 
 
@@ -305,34 +293,29 @@ def _mediator_batch(u_m: PiecewiseUtility, xs: np.ndarray, prior: float) -> list
     """Mediator best responses to a stack of 2x2 experiments; see
     :func:`mediator_best_response`.
 
-    Each reply reads the envelope over its posterior interval from the hull
-    vertices (``payoffs._hull_vertices``, one breakpoint lookup for the
-    batch): the linear span through the prior, and the value of the outcome
-    on it, raised at vertices whose value is a limit.
+    Each reply reads the ``Concavification`` of its posterior interval, the
+    object ``bp_solve`` reads over [0, 1], built for the whole batch with one
+    breakpoint lookup (``payoffs._concavifications``): the linear span
+    through the prior, and the payoff of the outcome on it.
     """
     _, q = _bayes(xs[..., 0], xs[..., 1], prior)
     lo, hi = np.minimum(q[:, 0], q[:, 1]), np.maximum(q[:, 0], q[:, 1])
     informative = hi - lo > TOL
+    u_prior = float(u_m(prior))
     # an uninformative experiment leaves every garbling optimal
-    out = [None if f else BestResponse(np.eye(2), _point_mass(prior), float(u_m(prior)), True) for f in informative]
-    hulls = _hull_vertices(u_m, lo[informative], hi[informative])
-    for i, (vx, vy, raised) in zip(np.flatnonzero(informative), hulls):
-        slopes, inters, vals = _hull_chain(vx, vy)
-        tau = _pair_tau(*_linear_span(vx, vals, prior), prior)
+    out = [None if f else BestResponse(np.eye(2), _point_mass(prior), u_prior, True) for f in informative]
+    for i, conc in zip(np.flatnonzero(informative), _concavifications(u_m, lo[informative], hi[informative])):
+        tau = _pair_tau(*conc.linear_span(prior), prior)
         # one atom when the span is a point, and also when the prior is a kink of
         # the envelope: the span then starts at the prior and its far end has no mass
         if tau.is_degenerate():
-            # the envelope at the prior, read as PiecewiseUtility.__call__ reads it
-            beta = min(max(prior, vx[0]), vx[-1])
-            k = bisect_left(vx, beta)
-            value = vals[k] if vx[k] == beta else slopes[k - 1] * beta + inters[k - 1]
-            out[i] = BestResponse(UNINFORMATIVE_X.copy(), _point_mass(prior), value, value <= u_m(prior))
+            value = conc.value(prior)
+            out[i] = BestResponse(UNINFORMATIVE_X.copy(), _point_mass(prior), value, value <= u_prior)
             continue
         comp = np.column_stack(_composite(tau.beliefs, tau.probs, prior))
         sigma = np.clip(comp @ np.linalg.inv(xs[i]), 0.0, 1.0)
         sigma /= sigma.sum(axis=0, keepdims=True)
-        unattained = [(x, y) for x, y, r in zip(vx, vy, raised) if r]
-        out[i] = BestResponse(sigma, tau, *_envelope_value(u_m, unattained, tau))
+        out[i] = BestResponse(sigma, tau, *conc.payoff(tau))
     return out
 
 

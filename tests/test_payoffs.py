@@ -12,7 +12,7 @@ from mediated_persuasion import (
 )
 from mediated_persuasion.scenarios import FIXTURE_NAMES, load_fixture
 
-from conftest import random_pwl
+from conftest import random_game, random_pwl
 
 
 def kg_tables() -> ActionGame:
@@ -131,16 +131,16 @@ class TestEvalManyPinned:
     def test_zero_d_input(self, name):
         u = UTILITIES[name]
         for beta in edge_probes(u)[:3].tolist() + [0.37]:
-            got = u.eval_many(np.float64(beta))
-            assert got.shape == ()
-            assert same_bits(got, eval_many_reference(u, [beta])[0])
+            for got in (u.eval_many(np.float64(beta)), np.asarray(u(beta))):
+                assert got.shape == ()
+                assert same_bits(got, eval_many_reference(u, [beta])[0])
 
     @pytest.mark.parametrize("beta", [-1e-9, 1.0 + 1e-9, 2.0])
     def test_out_of_domain_belief_raises(self, beta):
         u = UTILITIES["pwl300"]
         with pytest.raises(ValueError, match="outside utility domain"):
             eval_many_reference(u, [0.5, beta])
-        for evaluate in (u.eval_many, u.sup_many, lambda b: u.limits_many(b, [True, False])):
+        for evaluate in (u.eval_many, u.sup_many, lambda b: u.limits_many(b, [True, False]), lambda b: u(b[1])):
             with pytest.raises(ValueError, match="outside utility domain"):
                 evaluate([0.5, beta])
 
@@ -271,6 +271,19 @@ class TestConcavify:
         u = PiecewiseUtility.from_points([(0, 1), (0.5, 1), (0.5, 0), (1, 0)])
         conc = concavify(u)
         assert any(abs(b - 0.5) < 1e-9 for b, _ in conc.unattained)
+
+    @pytest.mark.parametrize("u, want", [
+        # random game 2's mediator is 3 on [0, 0.1): the envelope meets that
+        # half-open piece, and its closure is reported
+        (random_game(2)[1], ((0.0, 0.1), (1.0, 1.0))),
+        # random game 3's mediator has a breakpoint at 0.75 between two pieces
+        # of equal value, and the run on the envelope goes through it
+        (random_game(3)[1], ((0.0, 0.0), (0.6, 0.95), (1.0, 1.0))),
+        # a singleton below the envelope splits the run
+        (PiecewiseUtility.affine(1.0, 0.0).with_singleton(0.5, 0.0), ((0.0, 0.5), (0.5, 1.0))),
+    ])
+    def test_coincident_is_exact(self, u, want):
+        assert concavify(u).coincident == want
 
 
 class TestExpectedUtility:

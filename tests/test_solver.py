@@ -506,8 +506,8 @@ def test_batch_equals_single_calls_bit_for_bit(player):
 
 def test_mediator_reply_to_full_revelation_is_the_benchmark():
     # through X = I the mediator concavifies over all of [0, 1] as bp_solve
-    # does: its span and value read from the hull vertices must match those of
-    # concavify's envelope whenever concavification gains at the prior
+    # does, and both read one Concavification: the mediator's reply must match
+    # the benchmark whenever concavification gains at the prior
     compared = 0
     for seed in range(80):
         *utilities, prior = random_game(seed)
@@ -519,9 +519,10 @@ def test_mediator_reply_to_full_revelation_is_the_benchmark():
             assert br.tau.beliefs.tolist() == sol.tau.beliefs.tolist(), seed
             assert br.tau.probs.tolist() == sol.tau.probs.tolist(), seed
             assert br.attained is sol.attained, seed
-            # with the prior on a kink of the envelope the mediator reads the
-            # envelope's segment at the prior, bp_solve the vertex value: they
-            # can differ by rounding
+            # with the prior on a kink of the envelope the mediator takes
+            # Concavification.value at the prior, read from the vertex chain,
+            # and bp_solve its payoff, read at the vertex: they can differ by
+            # rounding
             assert br.value == pytest.approx(sol.value, abs=1e-12, rel=0), seed
             compared += 1
     assert compared == 100
