@@ -1,13 +1,14 @@
 """Command-line surface: feasible-set export, solving, Blackwell ordering.
 
-Exit codes: 0 success, 2 schema/parse error, 3 rank-deficient garbling,
-4 equilibrium check refuted, 5 internal tolerance failure. Reports are
-JSON with a ``spec_version`` field; CSV columns are fixed as
-(family, p, b1, b2, prob1, prob2). ``MP_THREADS``, when set, becomes the
-default of ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and
-``MKL_NUM_THREADS``, which size numpy's thread pools (applied on package
-import, see ``mediated_persuasion``); the library starts no threads of its
-own.
+Exit codes: 0 success, 1 standard output closed before the output was
+written (the ``--out`` file, written first, is complete), 2 schema/parse
+error, 3 rank-deficient garbling, 4 equilibrium check refuted, 5 internal
+tolerance failure. Reports are JSON with a ``spec_version`` field; CSV
+columns are fixed as (family, p, b1, b2, prob1, prob2). ``MP_THREADS``,
+when set, becomes the default of ``OMP_NUM_THREADS``,
+``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS``, which size numpy's
+thread pools (applied on package import, see ``mediated_persuasion``); the
+library starts no threads of its own.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -38,6 +40,7 @@ from .solver import (
 SPEC_VERSION = "1"
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_SCHEMA = 2
 EXIT_SINGULAR = 3
 EXIT_REFUTED = 4
@@ -95,10 +98,10 @@ def _mat_list(a) -> list:
 
 def _emit(report: dict, out_path) -> None:
     text = json.dumps(report, sort_keys=True, indent=2)
-    print(text)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 def _certificate_report(cert) -> dict:
@@ -348,7 +351,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull so the flush at exit
+        # writes nowhere instead of failing again (the SIGPIPE note in the
+        # Python docs of the signal module)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -159,18 +159,21 @@ def _square_test(a: np.ndarray, prior: float, q1, q2) -> np.ndarray:
     return (inside | (deg & (np.abs(lo - prior) <= TOL))) & ok_bayes
 
 
-def _inducing_experiment(a: np.ndarray, prior: float, q1: float, q2: float) -> np.ndarray:
-    """The experiment inducing a non-degenerate ordered pair the square test admitted.
+def _inducing_experiments(a: np.ndarray, prior: float, q1, q2) -> np.ndarray:
+    """The experiments inducing non-degenerate ordered pairs the square test
+    admitted: for each garbling of the stack ``a``, shaped (n, 2, 2), the
+    experiment inducing (q1[i], q2[i]), shaped (n, 2, 2).
 
     X = sigma^-1 B with B the pair's composite, each row built from its own
     signal's posterior and weight, then clamped into [0, 1] and renormalised.
     Building X's second row as 1 minus the first would carry the rounding of
-    signal 1's row into signal 2's posterior.
+    signal 1's row into signal 2's posterior. One stacked ``inv`` and
+    ``matmul`` serve the whole stack.
     """
     w1, w2 = _pair_weights(q1, q2, prior)
-    b = np.array([_composite(q1, w1, prior), _composite(q2, w2, prior)])
+    b = np.stack([np.stack(_composite(q, w, prior), axis=-1) for q, w in ((q1, w1), (q2, w2))], axis=1)
     x = np.clip(np.linalg.inv(a) @ b, 0.0, 1.0)
-    return x / x.sum(axis=0)
+    return x / x.sum(axis=1, keepdims=True)
 
 
 def ordered_member_many(sigma, prior: float, q1s, q2s) -> np.ndarray:
@@ -203,7 +206,7 @@ def reconstruct_experiment(sigma, prior: float, tau: BeliefDistribution) -> np.n
     if not member.any():
         raise NotSigmaPlausible(f"support ({lo:.6g}, {hi:.6g}) is outside the feasible set")
     q1, q2 = (lo, hi) if member[0] else (hi, lo)
-    return _inducing_experiment(a, prior, q1, q2)
+    return _inducing_experiments(a[None], prior, np.array([q1]), np.array([q2]))[0]
 
 
 # ---------------------------------------------------------------------------

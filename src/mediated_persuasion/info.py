@@ -147,6 +147,13 @@ def _composite(q, w, prior: float):
     return (1.0 - q) * w / (1.0 - prior), q * w / prior
 
 
+def _row_dots(v, p) -> np.ndarray:
+    """``v[i] @ p[i]`` for each row of two (n, k) arrays, bit for bit: a
+    stacked ``matmul`` reduces each row as ``@`` does, where ``einsum`` or
+    ``(v * p).sum(axis=1)`` can round differently."""
+    return np.matmul(v[:, None, :], p[:, :, None])[:, 0, 0]
+
+
 def posterior_after_signal(b, prior: float, signal: int) -> float:
     """Bayes posterior of the target state after observing ``signal`` (0-based)."""
     a = _as_array(b)
@@ -218,6 +225,63 @@ class BeliefDistribution:
             prior = float(beliefs @ probs)
         return cls(beliefs, probs, float(prior))
 
+    @classmethod
+    def _from_atom_pairs(cls, beliefs, probs, prior: float) -> list["BeliefDistribution"]:
+        """``from_atoms(zip(beliefs[i], probs[i]), prior)`` for each row i of
+        two (n, 2) arrays, in one numpy pass.
+
+        The rules of :meth:`from_atoms` (drop, sort, merge) and the checks of
+        ``__post_init__`` run on all rows at once, and the objects are built
+        without running ``__post_init__`` again. A row that fails a check or
+        holds a non-finite entry goes through :meth:`from_atoms` itself, so
+        it raises as that does.
+        """
+        given = [np.asarray(a, dtype=float).reshape(-1, 2) for a in (beliefs, probs)]
+        b, p = (a.copy() for a in given)
+        keep = p > TOL
+        # sort by belief, as list.sort orders the (belief, prob) tuples (equal
+        # beliefs merge, so their order does not show); a lone second atom moves first
+        swap = np.where(keep[:, 0], keep[:, 1] & (b[:, 1] < b[:, 0]), keep[:, 1])
+        for a in (b, p, keep):
+            a[swap] = a[swap, ::-1]
+        size = keep.sum(axis=1)
+        merge = (size == 2) & (np.abs(b[:, 1] - b[:, 0]) <= TOL)
+        q = p[merge, 0] + p[merge, 1]
+        b[merge, 0] = (b[merge, 0] * p[merge, 0] + b[merge, 1] * p[merge, 1]) / q
+        p[merge, 0] = q
+        size[merge] = 1
+
+        # the checks of __post_init__. Two of them hold by construction: every
+        # kept probability exceeds TOL, and two kept beliefs are sorted and
+        # more than TOL apart, so the first is the least and the last the greatest
+        two = size == 2
+        bary = np.full(len(b), np.nan)
+        for k in (1, 2):
+            rows = size == k
+            bary[rows] = _row_dots(b[rows, :k], p[rows, :k])
+        bad = (
+            (size == 0)
+            | ~(np.isfinite(b).all(axis=1) & np.isfinite(p).all(axis=1))
+            | (np.abs(np.where(two, p[:, 0] + p[:, 1], p[:, 0]) - 1.0) > TOL)
+            | (b[:, 0] < -TOL)
+            | (np.where(two, b[:, 1], b[:, 0]) > 1.0 + TOL)
+            | ~(np.abs(bary - prior) <= TOL)
+        )
+
+        b, p, prior = np.clip(b, 0.0, 1.0), np.clip(p, 0.0, 1.0), float(prior)
+        b.setflags(write=False)
+        p.setflags(write=False)
+        out = []
+        for i, (k, fails) in enumerate(zip(size.tolist(), bad.tolist())):
+            if fails:
+                out.append(cls.from_atoms(zip(*(a[i] for a in given)), prior))
+                continue
+            tau = object.__new__(cls)
+            for name, value in (("beliefs", b[i, :k]), ("probs", p[i, :k]), ("prior", prior)):
+                object.__setattr__(tau, name, value)
+            out.append(tau)
+        return out
+
     @property
     def atoms(self):
         return list(zip(self.beliefs.tolist(), self.probs.tolist()))
@@ -251,11 +315,22 @@ def induced_tau(b, prior: float) -> BeliefDistribution:
     a = _as_array(b)
     if a.shape[1] != 2:
         raise DimensionMismatch("posteriors need a two-state structure")
+    if a.shape[0] == 2:
+        return _induced_taus(a[None], prior)[0]
     p, q = _bayes(a[:, 0], a[:, 1], prior)
     keep = p > TOL
     if not keep.any():  # only possible through float dust; the prior is certain
         return BeliefDistribution.from_atoms([(prior, 1.0)], prior)
     return BeliefDistribution.from_atoms(zip(q[keep], p[keep]), prior)
+
+
+def _induced_taus(a: np.ndarray, prior: float) -> list[BeliefDistribution]:
+    """:func:`induced_tau` of each two-signal structure in the stack ``a``,
+    shaped (n, 2, 2), built in one pass by ``_from_atom_pairs``."""
+    p, q = _bayes(a[..., 0], a[..., 1], prior)
+    # no signal with mass: _bayes put the prior on both, so give the first all of it
+    p[~(p > TOL).any(axis=1), 0] = 1.0
+    return BeliefDistribution._from_atom_pairs(q, p, prior)
 
 
 def bayes_plausible_weights(b1: float, b2: float, prior: float) -> tuple[float, float]:

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import EmptyDomain
-from .info import TOL, BeliefDistribution
+from .info import TOL, BeliefDistribution, _row_dots
 
 SENDER, MEDIATOR, RECEIVER = "sender", "mediator", "receiver"
 
@@ -239,7 +239,23 @@ class PiecewiseUtility:
 
 
 def expected_utility(u: PiecewiseUtility, tau: BeliefDistribution) -> float:
-    return float(u.eval_many(tau.beliefs) @ tau.probs)
+    return float(_expected_utilities(u, [tau])[0])
+
+
+def _expected_utilities(u: PiecewiseUtility, taus: Sequence[BeliefDistribution]) -> np.ndarray:
+    """The expected utility of each distribution, with one ``eval_many``; the
+    distributions of each support size share one stacked dot, which sums each
+    one as ``u.eval_many(tau.beliefs) @ tau.probs`` does."""
+    sizes = np.array([t.beliefs.size for t in taus])
+    vals = u.eval_many(np.concatenate([t.beliefs for t in taus]))
+    probs = np.concatenate([t.probs for t in taus])
+    starts = np.cumsum(sizes) - sizes
+    out = np.empty(len(taus))
+    for k in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == k)
+        at = starts[rows, None] + np.arange(k)
+        out[rows] = _row_dots(vals[at], probs[at])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +382,10 @@ class Concavification:
     and at its high end from below; the utility is affine in between.
     ``xs`` and ``ys`` are the hull vertices, and ``raised`` marks those whose
     value is a one-sided limit above the attained value: an optimum
-    supported there is only approached (``unattained``). ``value`` and
-    ``linear_span`` read the vertex chain; the ``envelope`` as a
-    ``PiecewiseUtility`` and the ``coincident`` set are built when first read.
+    supported there is only approached (``unattained``). ``value`` reads
+    the vertices and the chain between them, ``linear_span`` the chain; the
+    ``envelope`` as a ``PiecewiseUtility`` and the ``coincident`` set are
+    built when first read.
     """
 
     utility: PiecewiseUtility
@@ -399,14 +416,16 @@ class Concavification:
         return PiecewiseUtility.from_points(list(zip(self.xs, self.ys)))
 
     def value(self, beta: float) -> float:
-        """The envelope at ``beta``, read as ``self.envelope(beta)`` reads it."""
+        """The envelope at ``beta``: a hull vertex's own value ``ys[k]`` at the
+        vertex, else the chain segment's affine value, as ``self.envelope``
+        reads it."""
         beta, (lo, hi) = float(beta), self.domain
         if beta < lo - 1e-12 or beta > hi + 1e-12:
             raise ValueError("belief outside utility domain")
         beta = min(max(beta, lo), hi)
-        slopes, inters, vals = self._chain
+        slopes, inters, _ = self._chain
         k = bisect_left(self.xs, beta)
-        return vals[k] if self.xs[k] == beta else slopes[k - 1] * beta + inters[k - 1]
+        return self.ys[k] if self.xs[k] == beta else slopes[k - 1] * beta + inters[k - 1]
 
     def linear_span(self, beta: float) -> tuple[float, float]:
         """Endpoints of the maximal run of equal slopes (within 1e-11,
@@ -428,10 +447,9 @@ class Concavification:
     def payoff(self, tau: BeliefDistribution) -> tuple[float, bool]:
         """The envelope at the barycenter of ``tau``, read through ``tau`` on
         hull vertices (a raised vertex counts its limit), and whether ``tau``
-        earns it."""
-        raised = dict(self.unattained)
-        vals = [raised.get(b, v) for b, v in zip(tau.beliefs.tolist(), self.utility.eval_many(tau.beliefs))]
-        return float(np.array(vals) @ tau.probs), not raised.keys() & set(tau.beliefs.tolist())
+        earns it. This is a batch of one for :func:`_payoffs`."""
+        values, attained = _payoffs([self], tau.beliefs[None], tau.probs[None])
+        return float(values[0]), bool(attained[0])
 
     @cached_property
     def coincident(self) -> tuple[tuple[float, float], ...]:
@@ -454,6 +472,21 @@ class Concavification:
         on[1::2] = (env[:-1] - u.limits_many(cuts[:-1], True) <= TOL) & (env[1:] - u.limits_many(cuts[1:], False) <= TOL)
         flips = np.flatnonzero(np.diff(np.concatenate([[0], on, [0]])))  # run starts, then ends (exclusive)
         return tuple((float(cuts[s // 2]), float(cuts[e // 2])) for s, e in zip(flips[::2], flips[1::2]))
+
+
+def _payoffs(concs: Sequence[Concavification], beliefs: np.ndarray, probs: np.ndarray):
+    """:meth:`Concavification.payoff` of the distribution in each row of the
+    (n, k) arrays ``beliefs`` and ``probs`` under ``concs[i]``, concavifications
+    of one utility: one ``eval_many`` and one stacked dot for the batch.
+    Returns the values and whether each distribution earns its value."""
+    vals = concs[0].utility.eval_many(beliefs)
+    attained = np.ones(len(concs), dtype=bool)
+    for i, conc in enumerate(concs):
+        for x, y in conc.unattained:
+            on = beliefs[i] == x
+            vals[i, on] = y
+            attained[i] &= not on.any()
+    return _row_dots(vals, probs), attained
 
 
 def _upper_hull(xl: list, yl: list) -> list:

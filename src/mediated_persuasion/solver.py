@@ -16,12 +16,15 @@ same upper-hull object that ``bp_solve`` reads over all of [0, 1].
 
 Each best response has one batched core, ``_sender_batch`` or
 ``_mediator_batch``, that solves a stack of strategies in one numpy pass
-over all their candidates; the public single-strategy functions are a
-batch of one. Search enumerates a finite set of experiments, one per pair
-of candidate posteriors (0, 1 and the breakpoints of both utilities) on
-either side of the prior, solves the best responses they need in two
-rounds of batches, and checks the profiles each one anchors against both
-exact best responses.
+over all their candidates, then builds all the replies' outcomes with
+``BeliefDistribution._from_atom_pairs`` and their strategies with one
+stacked inverse; the public single-strategy functions are a batch of one.
+The certificate core ``_certificates`` checks a list of profiles the same
+way, and ``check_equilibrium`` is a batch of one. Search enumerates a
+finite set of experiments, one per pair of candidate posteriors (0, 1 and
+the breakpoints of both utilities) on either side of the prior, solves the
+best responses they need in two rounds of batches, and certifies the
+profiles each one anchors against both exact best responses in one call.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 from .errors import BarycenterMismatch, DimensionMismatch
 from .feasible import (
     UNINFORMATIVE_X,
-    _inducing_experiment,
+    _inducing_experiments,
     _slice_ends,
     _square_test,
     reconstruct_experiment,
@@ -45,10 +48,10 @@ from .info import (
     _as_array,
     _bayes,
     _composite,
+    _induced_taus,
     _pair_weights,
     bayes_plausible_weights,
     garbling_rank,
-    induced_tau,
     is_mps,
 )
 from .payoffs import (
@@ -58,6 +61,8 @@ from .payoffs import (
     Concavification,
     PiecewiseUtility,
     _concavifications,
+    _expected_utilities,
+    _payoffs,
     concavify,
     expected_utility,
 )
@@ -100,12 +105,24 @@ def _point_mass(prior: float) -> BeliefDistribution:
     return BeliefDistribution.from_atoms([(prior, 1.0)], prior)
 
 
-def _pair_tau(q1: float, q2: float, prior: float) -> BeliefDistribution:
-    lo, hi = min(q1, q2), max(q1, q2)
-    if hi - lo <= TOL:
-        return _point_mass(prior)
-    p_lo, p_hi = bayes_plausible_weights(lo, hi, prior)
-    return BeliefDistribution.from_atoms([(lo, p_lo), (hi, p_hi)], prior)
+def _pair_taus(q1, q2, prior: float) -> list[BeliefDistribution]:
+    """The outcome of each posterior pair (q1[i], q2[i]), built in one pass: a
+    point mass at the prior when the pair is at most ``TOL`` wide, else both
+    posteriors with the weights of :func:`bayes_plausible_weights`."""
+    q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
+    lo, hi = np.where(q2 < q1, q2, q1), np.where(q2 > q1, q2, q1)  # as min() and max() pick
+    wide = ~(hi - lo <= TOL)
+    outside = wide & ~((lo - TOL <= prior) & (prior <= hi + TOL))
+    if outside.any():
+        i = int(np.argmax(outside))
+        bayes_plausible_weights(lo[i], hi[i], prior)  # raises PriorOutsideSupport
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p_lo = (hi - prior) / (hi - lo)
+    p_lo = np.where(p_lo < 0.0, 0.0, np.where(p_lo > 1.0, 1.0, p_lo))
+    # a narrow pair becomes the atom (prior, 1) next to one of no mass
+    beliefs = np.where(wide[:, None], np.column_stack([lo, hi]), prior)
+    probs = np.where(wide[:, None], np.column_stack([p_lo, 1.0 - p_lo]), [1.0, 0.0])
+    return BeliefDistribution._from_atom_pairs(beliefs, probs, prior)
 
 
 def _babbling_response(u: PiecewiseUtility, prior: float) -> BestResponse:
@@ -136,7 +153,8 @@ def bp_solve(u_s: PiecewiseUtility, prior: float) -> BenchmarkSolution:
     base = float(u_s(prior))
     if conc.value(prior) <= base + TOL:
         return BenchmarkSolution(_point_mass(prior), UNINFORMATIVE_X.copy(), base, conc, True)
-    tau = _pair_tau(*conc.linear_span(prior), prior)
+    lo, hi = conc.linear_span(prior)
+    tau = _pair_taus([lo], [hi], prior)[0]
     x = reconstruct_experiment(np.eye(2), prior, tau)
     value, attained = conc.payoff(tau)
     return BenchmarkSolution(tau, x, value, conc, attained)
@@ -259,16 +277,21 @@ def _sender_batch(u_s: PiecewiseUtility, sigmas: np.ndarray, prior: float) -> li
     short = attained < vmax - 1e-12
     # ties first, then attained, then the smallest sorted pair, then candidate order
     best = np.lexsort((np.maximum(q1, q2), np.minimum(q1, q2), short, ~tie), axis=-1)[:, :1]
-    picked = (np.take_along_axis(v, best, axis=1)[:, 0] for v in (q1, q2, attained))
-    for i, a_i, b, v, b1, b2, got in zip(np.flatnonzero(full), a, best[:, 0].tolist(), vmax[:, 0].tolist(), *picked):
-        tau = _pair_tau(b1, b2, prior)
-        if kind[b] == _BABBLING or tau.is_degenerate():
+    b1, b2, got = (np.take_along_axis(v, best, axis=1)[:, 0] for v in (q1, q2, attained))
+    best = best[:, 0]
+    taus = _pair_taus(b1, b2, prior)
+    # a one-atom outcome is babbling, whichever candidate won
+    kinds = np.where([t.is_degenerate() for t in taus], _BABBLING, kind[best])
+    inducing = kinds > _CORNER
+    xs = iter(_inducing_experiments(a[inducing], prior, b1[inducing], b2[inducing]))
+    for i, b, k, tau, v, g in zip(np.flatnonzero(full), best.tolist(), kinds.tolist(), taus, vmax[:, 0].tolist(), got.tolist()):
+        if k == _BABBLING:
             x = UNINFORMATIVE_X.copy()
-        elif kind[b] == _CORNER:
+        elif k == _CORNER:
             x = np.eye(2) if b == 1 else np.eye(2)[::-1]
         else:
-            x = _inducing_experiment(a_i, prior, b1, b2)
-        out[i] = BestResponse(x, tau, v, bool(got >= v - 1e-12))
+            x = next(xs)
+        out[i] = BestResponse(x, tau, v, g >= v - 1e-12)
     return out
 
 
@@ -304,18 +327,27 @@ def _mediator_batch(u_m: PiecewiseUtility, xs: np.ndarray, prior: float) -> list
     u_prior = float(u_m(prior))
     # an uninformative experiment leaves every garbling optimal
     out = [None if f else BestResponse(np.eye(2), _point_mass(prior), u_prior, True) for f in informative]
-    for i, conc in zip(np.flatnonzero(informative), _concavifications(u_m, lo[informative], hi[informative])):
-        tau = _pair_tau(*conc.linear_span(prior), prior)
+    rows = np.flatnonzero(informative)
+    concs = _concavifications(u_m, lo[rows], hi[rows])
+    spans = np.array([conc.linear_span(prior) for conc in concs]).reshape(-1, 2)
+    splits = []
+    for i, conc, tau in zip(rows, concs, _pair_taus(spans[:, 0], spans[:, 1], prior)):
         # one atom when the span is a point, and also when the prior is a kink of
         # the envelope: the span then starts at the prior and its far end has no mass
         if tau.is_degenerate():
             value = conc.value(prior)
             out[i] = BestResponse(UNINFORMATIVE_X.copy(), _point_mass(prior), value, value <= u_prior)
-            continue
-        comp = np.column_stack(_composite(tau.beliefs, tau.probs, prior))
-        sigma = np.clip(comp @ np.linalg.inv(xs[i]), 0.0, 1.0)
-        sigma /= sigma.sum(axis=0, keepdims=True)
-        out[i] = BestResponse(sigma, tau, *conc.payoff(tau))
+        else:
+            splits.append((i, conc, tau))
+    if splits:
+        rows, concs, taus = zip(*splits)
+        beliefs, probs = np.array([t.beliefs for t in taus]), np.array([t.probs for t in taus])
+        comp = np.stack(_composite(beliefs, probs, prior), axis=-1)
+        sigmas = np.clip(comp @ np.linalg.inv(xs[list(rows)]), 0.0, 1.0)
+        sigmas /= sigmas.sum(axis=1, keepdims=True)
+        values, attained = _payoffs(concs, beliefs, probs)
+        for i, sigma, tau, v, a in zip(rows, sigmas, taus, values.tolist(), attained.tolist()):
+            out[i] = BestResponse(sigma, tau, v, a)
     return out
 
 
@@ -362,31 +394,47 @@ class EquilibriumCertificate:
         return max(self.sender_gap, self.mediator_gap)
 
 
-def _certificate(game, xa, sa, br_s, br_m, tol) -> EquilibriumCertificate:
-    tau = induced_tau(sa @ xa, game.prior)
-    cur_s = float(expected_utility(game.u_sender, tau))
-    cur_m = float(expected_utility(game.u_mediator, tau))
-    gap_s = max(br_s.value - cur_s, 0.0)
-    gap_m = max(br_m.value - cur_m, 0.0)
-    verified = gap_s <= tol and gap_m <= tol
-    witness = None
-    if not verified:
-        if gap_s >= gap_m:
-            witness = Deviation(SENDER, br_s.strategy, br_s.tau, br_s.value, gap_s)
-        else:
-            witness = Deviation(MEDIATOR, br_m.strategy, br_m.tau, br_m.value, gap_m)
-    return EquilibriumCertificate(
-        x=xa,
-        sigma=sa,
-        tau=tau,
-        sender_value=cur_s,
-        mediator_value=cur_m,
-        sender_gap=gap_s,
-        mediator_gap=gap_m,
-        verified=verified,
-        tol=tol,
-        witness=witness,
-    )
+def _certificates(game: GameSpec, xs, sigmas, tol: float, memo: "_ResponseMemo") -> list[EquilibriumCertificate]:
+    """Certificates of the profiles (xs[i], sigmas[i]), checked in one pass.
+
+    Both players' best responses come from ``memo`` in one lookup each. The
+    composites sigma X are one stacked ``matmul``, their outcomes are built by
+    ``_induced_taus`` and each player's payoffs by ``_expected_utilities``,
+    each bit for bit what the same steps give profile by profile.
+    """
+    xs, sigmas = [_as_array(x) for x in xs], [_as_array(s) for s in sigmas]
+    if any(a.shape != (2, 2) for a in (*xs, *sigmas)):
+        raise DimensionMismatch("profiles are pairs of 2x2 experiments and garblings")
+    br_s, br_m = memo.senders(sigmas), memo.mediators(xs)
+    taus = _induced_taus(np.matmul(sigmas, xs), game.prior)
+    cur_s, cur_m = (_expected_utilities(u, taus) for u in (game.u_sender, game.u_mediator))
+    gap_s = np.array([r.value for r in br_s]) - cur_s
+    gap_m = np.array([r.value for r in br_m]) - cur_m
+    gap_s, gap_m = (np.where(gap < 0.0, 0.0, gap) for gap in (gap_s, gap_m))  # as max(gap, 0.0) picks
+    certs = []
+    for xa, sa, tau, bs, bm, vs, vm, gs, gm in zip(
+        xs, sigmas, taus, br_s, br_m, cur_s.tolist(), cur_m.tolist(), gap_s.tolist(), gap_m.tolist()
+    ):
+        verified = gs <= tol and gm <= tol
+        witness = None
+        if not verified:
+            if gs >= gm:
+                witness = Deviation(SENDER, bs.strategy, bs.tau, bs.value, gs)
+            else:
+                witness = Deviation(MEDIATOR, bm.strategy, bm.tau, bm.value, gm)
+        certs.append(EquilibriumCertificate(
+            x=xa,
+            sigma=sa,
+            tau=tau,
+            sender_value=vs,
+            mediator_value=vm,
+            sender_gap=gs,
+            mediator_gap=gm,
+            verified=verified,
+            tol=tol,
+            witness=witness,
+        ))
+    return certs
 
 
 class _ResponseMemo:
@@ -396,21 +444,15 @@ class _ResponseMemo:
     mediator's only on the experiment, so each is keyed by the float64 bytes
     of that strategy. A lookup takes a list of strategies and hands the
     distinct ones it has not seen to the batched core (``_sender_batch`` or
-    ``_mediator_batch``) in one call. A search makes one memo and drops it
-    when it returns. Callers share the returned responses and must not
-    modify their arrays.
+    ``_mediator_batch``) in one call; a single check looks up a list of one.
+    A search makes one memo and drops it when it returns. Callers share the
+    returned responses and must not modify their arrays.
     """
 
     def __init__(self, game: GameSpec):
         self.game = game
         self._sender: dict[bytes, BestResponse] = {}
         self._mediator: dict[bytes, BestResponse] = {}
-
-    def sender(self, sigma) -> BestResponse:
-        return self.senders([sigma])[0]
-
-    def mediator(self, x) -> BestResponse:
-        return self.mediators([x])[0]
 
     def senders(self, sigmas) -> list[BestResponse]:
         return self._solve(self._sender, _sender_batch, self.game.u_sender, sigmas)
@@ -434,11 +476,11 @@ def check_equilibrium(
 
     With ``memo`` the best responses come from it (computed there on first
     use), so repeated checks of one strategy solve its best response once.
+    This is a batch of one for the certificate core ``_certificates``.
     """
-    xa, sa = _as_array(x), _as_array(sigma)
     tol = game.tol_dev if tol is None else tol
     memo = _ResponseMemo(game) if memo is None else memo
-    return _certificate(game, xa, sa, memo.sender(sa), memo.mediator(xa), tol)
+    return _certificates(game, [x], [sigma], tol, memo)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -458,16 +500,16 @@ def search_equilibria(game: GameSpec) -> list[EquilibriumCertificate]:
     profiles are checked per B: the sender plays B and the mediator its
     reply to B; and the mediator plays B as a garbling and the sender its
     reply to that garbling. Babbling, with one signal from both players, is
-    checked as well. Each profile goes through ``check_equilibrium`` at
-    ``tol_dev``.
+    checked as well. Each profile is certified at ``tol_dev``.
 
     One ``_ResponseMemo``, which lives only for this call, solves the best
     responses in two rounds of batches, one batch per player per round.
     Round 1 solves the mediator's reply to every B and the sender's reply to
     every B as a garbling, both with babbling. Round 2 solves the sender's
     replies to the mediator's round-1 garblings and the mediator's replies
-    to the sender's round-1 experiments. Every check then reads both best
-    responses from the memo, and each distinct strategy is solved once.
+    to the sender's round-1 experiments. One call to the certificate core
+    then checks every profile, reading both best responses from the memo,
+    so each distinct strategy is solved once.
 
     Returns the verified certificates, sorted by support size, support and
     largest gap, keeping the first of those with ``allclose`` outcomes.
@@ -485,10 +527,11 @@ def search_equilibria(game: GameSpec) -> list[EquilibriumCertificate]:
     memo.senders([r.strategy for r in mediator_replies])
     memo.mediators([r.strategy for r in sender_replies])
 
-    certs = [check_equilibrium(game, _BABBLING_PROFILE, _BABBLING_PROFILE, memo=memo)]
+    xs, sigmas = [_BABBLING_PROFILE], [_BABBLING_PROFILE]
     for b, to_b, from_b in zip(bs, mediator_replies, sender_replies):
-        certs.append(check_equilibrium(game, b, to_b.strategy, memo=memo))
-        certs.append(check_equilibrium(game, from_b.strategy, b, memo=memo))
+        xs += [b, from_b.strategy]
+        sigmas += [to_b.strategy, b]
+    certs = _certificates(game, xs, sigmas, game.tol_dev, memo)
 
     final: list[EquilibriumCertificate] = []
     for cert in sorted(

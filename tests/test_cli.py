@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ import mediated_persuasion
 from mediated_persuasion import check_equilibrium, load_scenario
 from mediated_persuasion.cli import main
 
-from conftest import run_fresh
+from conftest import SRC, run_fresh
 
 FIXTURES = Path(mediated_persuasion.__file__).parent / "fixtures"
 
@@ -329,3 +331,28 @@ def test_mp_threads_sizes_numpy_pools_on_package_import():
     code = "import os, mediated_persuasion; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
     env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "MP_THREADS")}
     assert run_fresh(code, env=dict(env, MP_THREADS="3")).strip() == "3"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", str(FIXTURES / "kg.json"), "--mode", "search"], ["feasible", str(FIXTURES / "fig19.json"), "--format", "json"]],
+    ids=["search", "feasible-json"],
+)
+def test_closed_stdout_ends_quietly_after_writing_the_out_file(argv, tmp_path):
+    # the reader closes its end before anything is written: the report still
+    # reaches --out, and the CLI exits 1 without a traceback, for a short
+    # report (search) and one larger than a pipe's buffer (feasible)
+    out = tmp_path / "report.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mediated_persuasion.cli", *argv, "--out", str(out)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))),
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == 1
+    assert json.loads(out.read_text())["spec_version"] == "1"

@@ -385,6 +385,83 @@ class TestBeliefDistribution:
         tau = BeliefDistribution.from_atoms([(0.1, 0.0), (0.4, 1.0)])
         assert tau.beliefs.tolist() == [0.4]
 
+    def test_atom_pair_batch_equals_from_atoms_bit_for_bit(self, monkeypatch):
+        # every row passes the batch's own checks: none falls back to from_atoms
+        scalar = []
+        post_init = BeliefDistribution.__post_init__
+        monkeypatch.setattr(BeliefDistribution, "__post_init__", lambda tau: scalar.append(post_init(tau)))
+        rng = np.random.default_rng(7)
+        built = 0
+        for _ in range(200):
+            prior = rng.uniform(0.05, 0.95)
+            rows = [atom_pair_row(rng, prior, kind) for kind in range(len(ATOM_PAIR_KINDS))]
+            rows += [atom_pair_row(rng, prior, rng.integers(len(ATOM_PAIR_KINDS))) for _ in range(8)]
+            beliefs, probs = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+            batch = BeliefDistribution._from_atom_pairs(beliefs, probs, prior)
+            assert not scalar
+            for (b, p), got in zip(rows, batch):
+                want = BeliefDistribution.from_atoms(zip(b, p), prior)
+                assert as_bytes(got) == as_bytes(want), (b, p, prior)
+                built += 1
+            scalar.clear()
+        assert built == 200 * (len(ATOM_PAIR_KINDS) + 8)
+
+    @pytest.mark.parametrize(
+        "beliefs, probs",
+        [
+            ((0.2, 0.4 / 1.5), (-0.5, 1.5)),  # a negative weight: dropped, so the rest sums to 1.5
+            ((0.2, 1.2), (0.8, 0.2)),  # a belief above 1
+            ((-0.2, 0.6), (0.25, 0.75)),  # a belief below 0
+            ((0.2, 0.8), (0.5, 0.5)),  # barycenter 0.5, off the prior
+            ((0.2, 0.6), (0.0, TOL)),  # no atom with mass
+        ],
+        ids=["negative-weight", "belief-above-one", "belief-below-zero", "off-prior", "no-mass"],
+    )
+    def test_atom_pair_batch_rejects_as_from_atoms(self, beliefs, probs):
+        # a rejected row raises from the batch what from_atoms raises, with
+        # accepted rows on either side of it; each row but the last two
+        # averages to the prior, so it fails one check alone
+        with pytest.raises(Exception) as want:
+            BeliefDistribution.from_atoms(zip(beliefs, probs), 0.4)
+        batch_b, batch_p = [(0.2, 0.6), beliefs, (0.6, 0.2)], [(0.5, 0.5), probs, (0.5, 0.5)]
+        with pytest.raises(Exception) as got:
+            BeliefDistribution._from_atom_pairs(np.array(batch_b), np.array(batch_p), 0.4)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+# the kinds of row atom_pair_row draws
+ATOM_PAIR_KINDS = ("split", "swapped", "tiny atom", "merged", "equal beliefs", "ends")
+
+
+def atom_pair_row(rng, prior, kind):
+    """One (beliefs, probs) pair of atoms averaging to ``prior`` that
+    from_atoms accepts, of the kind ``ATOM_PAIR_KINDS[kind]``; the atoms come
+    in either order."""
+    lo, hi = rng.uniform(0.0, prior), rng.uniform(prior, 1.0)
+    w = (hi - prior) / (hi - lo)
+    name = ATOM_PAIR_KINDS[kind]
+    if name in ("split", "swapped"):
+        row = ((lo, hi), (w, 1.0 - w))
+    elif name == "tiny atom":  # dropped: no mass, -0.0, half of TOL or TOL itself
+        row = ((prior, rng.uniform()), (1.0, rng.choice([0.0, -0.0, TOL / 2, TOL])))
+    elif name == "merged":  # beliefs closer than TOL on either side of the prior
+        d = rng.uniform(0.0, TOL / 3, size=2)
+        row = ((prior - d[0], prior + d[1]), (w, 1.0 - w))
+    elif name == "equal beliefs":  # equal weights too, or not
+        row = ((prior, prior), (0.5, 0.5) if rng.integers(2) else (w, 1.0 - w))
+    else:
+        row = ((0.0, 1.0), (1.0 - prior, prior))
+    if name == "swapped" or rng.integers(2):
+        row = (row[0][::-1], row[1][::-1])
+    return row
+
+
+def as_bytes(tau):
+    return (
+        tau.beliefs.tobytes(), tau.probs.tobytes(), tau.beliefs.shape, tau.probs.shape, tau.prior,
+        tau.beliefs.flags.writeable, tau.probs.flags.writeable,
+    )
+
 
 # is_mps on supports of more than two atoms in a fresh interpreter, where the
 # LP solver is not yet loaded: a 3-atom spread of a 2-atom distribution, and
