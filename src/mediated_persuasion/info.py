@@ -169,6 +169,41 @@ def posterior_after_signal(b, prior: float, signal: int) -> float:
     return float(q[signal])
 
 
+def _checked_atoms(beliefs, probs, size, prior: float):
+    """The checks of a ``BeliefDistribution`` on each row i of two (n, k)
+    arrays whose first ``size[i]`` entries are its atoms, in one pass.
+
+    Raises the error of the first row that fails a check: a row with no atom,
+    a negative probability, probabilities that do not sum to 1, a belief
+    outside [0, 1], beliefs that do not increase by more than ``TOL``, or a
+    barycenter off the prior. Returns both arrays clipped into [0, 1].
+    """
+    size = np.asarray(size)
+    atom = np.arange(beliefs.shape[1]) < size[:, None]
+    b, p = np.where(atom, beliefs, 0.0), np.where(atom, probs, 0.0)  # a zero pad passes each check
+    total, bary = p.sum(axis=1), _row_dots(b, p)
+    checks = (
+        size == 0,
+        p.min(axis=1) < -TOL,
+        np.abs(total - 1.0) > TOL,
+        (b.min(axis=1) < -TOL) | (b.max(axis=1) > 1.0 + TOL),
+        ((b[:, 1:] - b[:, :-1] <= TOL) & atom[:, 1:]).any(axis=1),
+        np.abs(bary - prior) > TOL,
+    )
+    failed = np.any(checks, axis=0)
+    if failed.any():
+        i = int(np.argmax(failed))
+        raise (
+            ValueError("no atoms with positive probability"),
+            ValueError(f"negative probability {p[i].min():.3g}"),
+            ValueError(f"probabilities sum to {total[i]:.12g}"),
+            ValueError("beliefs outside [0, 1]"),
+            ValueError("beliefs must be strictly increasing; merge duplicates"),
+            BarycenterMismatch(f"barycenter {bary[i]:.12g} != prior {prior:.12g}"),
+        )[next(k for k, fails in enumerate(checks) if fails[i])]
+    return np.clip(beliefs, 0.0, 1.0), np.clip(probs, 0.0, 1.0)
+
+
 @dataclass(frozen=True, eq=False)
 class BeliefDistribution:
     """Finite distribution of posterior beliefs, sorted, averaging to the prior."""
@@ -182,21 +217,8 @@ class BeliefDistribution:
         probs = np.atleast_1d(np.asarray(self.probs, dtype=float))
         if beliefs.shape != probs.shape or beliefs.ndim != 1 or beliefs.size == 0:
             raise ValueError("beliefs and probs must be equal-length 1-d arrays")
-        if probs.min() < -TOL:
-            raise ValueError(f"negative probability {probs.min():.3g}")
-        if abs(probs.sum() - 1.0) > TOL:
-            raise ValueError(f"probabilities sum to {probs.sum():.12g}")
-        if beliefs.min() < -TOL or beliefs.max() > 1.0 + TOL:
-            raise ValueError("beliefs outside [0, 1]")
-        if np.any(np.diff(beliefs) <= TOL):
-            raise ValueError("beliefs must be strictly increasing; merge duplicates")
-        bary = float(beliefs @ probs)
-        if abs(bary - self.prior) > TOL:
-            raise BarycenterMismatch(
-                f"barycenter {bary:.12g} != prior {self.prior:.12g}"
-            )
-        beliefs = np.clip(beliefs, 0.0, 1.0)
-        probs = np.clip(probs, 0.0, 1.0)
+        checked = _checked_atoms(beliefs[None], probs[None], [beliefs.size], self.prior)  # a batch of one
+        beliefs, probs = (a[0] for a in checked)
         beliefs.setflags(write=False)
         probs.setflags(write=False)
         object.__setattr__(self, "beliefs", beliefs)
@@ -230,14 +252,13 @@ class BeliefDistribution:
         """``from_atoms(zip(beliefs[i], probs[i]), prior)`` for each row i of
         two (n, 2) arrays, in one numpy pass.
 
-        The rules of :meth:`from_atoms` (drop, sort, merge) and the checks of
-        ``__post_init__`` run on all rows at once, and the objects are built
-        without running ``__post_init__`` again. A row that fails a check or
-        holds a non-finite entry goes through :meth:`from_atoms` itself, so
-        it raises as that does.
+        The rules of :meth:`from_atoms` (drop, sort, merge) run on all rows at
+        once, then the checks of ``__post_init__`` through
+        :func:`_checked_atoms`, and the objects are built without running
+        ``__post_init__`` again. A batch with a rejected row raises what
+        :meth:`from_atoms` raises for the first such row.
         """
-        given = [np.asarray(a, dtype=float).reshape(-1, 2) for a in (beliefs, probs)]
-        b, p = (a.copy() for a in given)
+        b, p = (np.array(a, dtype=float).reshape(-1, 2) for a in (beliefs, probs))
         keep = p > TOL
         # sort by belief, as list.sort orders the (belief, prob) tuples (equal
         # beliefs merge, so their order does not show); a lone second atom moves first
@@ -251,31 +272,12 @@ class BeliefDistribution:
         p[merge, 0] = q
         size[merge] = 1
 
-        # the checks of __post_init__. Two of them hold by construction: every
-        # kept probability exceeds TOL, and two kept beliefs are sorted and
-        # more than TOL apart, so the first is the least and the last the greatest
-        two = size == 2
-        bary = np.full(len(b), np.nan)
-        for k in (1, 2):
-            rows = size == k
-            bary[rows] = _row_dots(b[rows, :k], p[rows, :k])
-        bad = (
-            (size == 0)
-            | ~(np.isfinite(b).all(axis=1) & np.isfinite(p).all(axis=1))
-            | (np.abs(np.where(two, p[:, 0] + p[:, 1], p[:, 0]) - 1.0) > TOL)
-            | (b[:, 0] < -TOL)
-            | (np.where(two, b[:, 1], b[:, 0]) > 1.0 + TOL)
-            | ~(np.abs(bary - prior) <= TOL)
-        )
-
-        b, p, prior = np.clip(b, 0.0, 1.0), np.clip(p, 0.0, 1.0), float(prior)
+        prior = float(prior)
+        b, p = _checked_atoms(b, p, size, prior)
         b.setflags(write=False)
         p.setflags(write=False)
         out = []
-        for i, (k, fails) in enumerate(zip(size.tolist(), bad.tolist())):
-            if fails:
-                out.append(cls.from_atoms(zip(*(a[i] for a in given)), prior))
-                continue
+        for i, k in enumerate(size.tolist()):
             tau = object.__new__(cls)
             for name, value in (("beliefs", b[i, :k]), ("probs", p[i, :k]), ("prior", prior)):
                 object.__setattr__(tau, name, value)
@@ -315,8 +317,6 @@ def induced_tau(b, prior: float) -> BeliefDistribution:
     a = _as_array(b)
     if a.shape[1] != 2:
         raise DimensionMismatch("posteriors need a two-state structure")
-    if a.shape[0] == 2:
-        return _induced_taus(a[None], prior)[0]
     p, q = _bayes(a[:, 0], a[:, 1], prior)
     keep = p > TOL
     if not keep.any():  # only possible through float dust; the prior is certain
@@ -333,18 +333,25 @@ def _induced_taus(a: np.ndarray, prior: float) -> list[BeliefDistribution]:
     return BeliefDistribution._from_atom_pairs(q, p, prior)
 
 
-def bayes_plausible_weights(b1: float, b2: float, prior: float) -> tuple[float, float]:
+def bayes_plausible_weights(b1, b2, prior: float):
     """Unique probabilities (p1, p2) with p1*b1 + p2*b2 = prior.
 
     Degenerate support b1 = b2 = prior returns (1/2, 1/2) by convention.
+    Broadcasts over arrays of b1 and b2: floats for scalars, arrays else;
+    the first pair whose support misses the prior raises.
     """
-    if not (b1 - TOL <= prior <= b2 + TOL) or b1 > b2 + TOL:
-        raise PriorOutsideSupport(f"need b1 <= prior <= b2, got ({b1}, {prior}, {b2})")
-    if b2 - b1 <= TOL:
-        return 0.5, 0.5
-    p1 = (b2 - prior) / (b2 - b1)
-    p1 = min(max(p1, 0.0), 1.0)
-    return p1, 1.0 - p1
+    lo, hi = np.asarray(b1, dtype=float), np.asarray(b2, dtype=float)
+    outside = ~((lo - TOL <= prior) & (prior <= hi + TOL)) | (lo > hi + TOL)
+    if outside.any():
+        i = np.unravel_index(int(np.argmax(outside)), outside.shape)
+        raise PriorOutsideSupport(f"need b1 <= prior <= b2, got ({lo[i]}, {prior}, {hi[i]})")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p1 = (hi - prior) / (hi - lo)
+    p1 = np.where(hi - lo <= TOL, 0.5, np.where(p1 < 0.0, 0.0, np.where(p1 > 1.0, 1.0, p1)))  # as min() and max() clamp
+    p2 = 1.0 - p1
+    if p1.ndim == 0:
+        return float(p1), float(p2)
+    return p1, p2
 
 
 # ---------------------------------------------------------------------------

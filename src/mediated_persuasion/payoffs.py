@@ -417,8 +417,9 @@ class Concavification:
 
     def value(self, beta: float) -> float:
         """The envelope at ``beta``: a hull vertex's own value ``ys[k]`` at the
-        vertex, else the chain segment's affine value, as ``self.envelope``
-        reads it."""
+        vertex, else the chain segment's affine value. At a vertex this can
+        differ by rounding from ``self.envelope(beta)`` and from the values
+        ``linear_span`` reads, which recompute the vertex from its segment."""
         beta, (lo, hi) = float(beta), self.domain
         if beta < lo - 1e-12 or beta > hi + 1e-12:
             raise ValueError("belief outside utility domain")

@@ -112,16 +112,11 @@ def _pair_taus(q1, q2, prior: float) -> list[BeliefDistribution]:
     q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
     lo, hi = np.where(q2 < q1, q2, q1), np.where(q2 > q1, q2, q1)  # as min() and max() pick
     wide = ~(hi - lo <= TOL)
-    outside = wide & ~((lo - TOL <= prior) & (prior <= hi + TOL))
-    if outside.any():
-        i = int(np.argmax(outside))
-        bayes_plausible_weights(lo[i], hi[i], prior)  # raises PriorOutsideSupport
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p_lo = (hi - prior) / (hi - lo)
-    p_lo = np.where(p_lo < 0.0, 0.0, np.where(p_lo > 1.0, 1.0, p_lo))
+    # a narrow pair is weighed as (prior, prior), whose weights it does not use
+    p_lo, p_hi = bayes_plausible_weights(np.where(wide, lo, prior), np.where(wide, hi, prior), prior)
     # a narrow pair becomes the atom (prior, 1) next to one of no mass
     beliefs = np.where(wide[:, None], np.column_stack([lo, hi]), prior)
-    probs = np.where(wide[:, None], np.column_stack([p_lo, 1.0 - p_lo]), [1.0, 0.0])
+    probs = np.where(wide[:, None], np.column_stack([p_lo, p_hi]), [1.0, 0.0])
     return BeliefDistribution._from_atom_pairs(beliefs, probs, prior)
 
 

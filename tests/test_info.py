@@ -30,6 +30,7 @@ from mediated_persuasion.info import (
     _composite,
     _garbling_closed_form,
     _garbling_lp,
+    _induced_taus,
     _pair_weights,
 )
 
@@ -200,6 +201,20 @@ class TestBayesPlausibleWeights:
     def test_prior_outside_support(self):
         with pytest.raises(PriorOutsideSupport):
             bayes_plausible_weights(0.5, 0.8, 0.3)
+
+    def test_arrays_give_each_pair_its_scalar_weights(self):
+        rng = np.random.default_rng(5)
+        prior = 0.4
+        lo, hi = rng.uniform(0.0, prior, 200), rng.uniform(prior, 1.0, 200)
+        lo[:20] = hi[:20] = prior  # degenerate support
+        p1, p2 = bayes_plausible_weights(lo, hi, prior)
+        want = [bayes_plausible_weights(a, b, prior) for a, b in zip(lo.tolist(), hi.tolist())]
+        assert all(type(w) is float for pair in want for w in pair)
+        assert list(zip(p1.tolist(), p2.tolist())) == want
+
+    def test_arrays_raise_for_the_first_pair_outside(self):
+        with pytest.raises(PriorOutsideSupport, match=r"\(0\.5, 0\.3, 0\.8\)"):
+            bayes_plausible_weights(np.array([0.1, 0.5, 0.6]), np.array([0.9, 0.8, 0.7]), 0.3)
 
     @given(
         b1=st.floats(0, 1),
@@ -386,7 +401,7 @@ class TestBeliefDistribution:
         assert tau.beliefs.tolist() == [0.4]
 
     def test_atom_pair_batch_equals_from_atoms_bit_for_bit(self, monkeypatch):
-        # every row passes the batch's own checks: none falls back to from_atoms
+        # the batch checks its rows itself: it runs no scalar __post_init__
         scalar = []
         post_init = BeliefDistribution.__post_init__
         monkeypatch.setattr(BeliefDistribution, "__post_init__", lambda tau: scalar.append(post_init(tau)))
@@ -428,6 +443,28 @@ class TestBeliefDistribution:
             BeliefDistribution._from_atom_pairs(np.array(batch_b), np.array(batch_p), 0.4)
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
+    def test_atom_pair_batch_raises_for_its_first_rejected_row(self):
+        # the batch's checks are the scalar constructor's, read row by row
+        beliefs = np.array([(0.2, 0.6), (0.2, 0.8), (0.2, 1.2)])
+        probs = np.array([(0.5, 0.5), (0.5, 0.5), (0.8, 0.2)])
+        with pytest.raises(BarycenterMismatch, match="barycenter 0.5 != prior 0.4"):
+            BeliefDistribution._from_atom_pairs(beliefs, probs, 0.4)
+        with pytest.raises(ValueError, match=r"beliefs outside \[0, 1\]"):
+            BeliefDistribution._from_atom_pairs(beliefs[::-1], probs[::-1], 0.4)
+
+
+    def test_induced_tau_batch_equals_single_calls_bit_for_bit(self):
+        # the certificate core builds its outcomes with _induced_taus: each must
+        # be what induced_tau builds for the one structure
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            prior = rng.uniform(0.05, 0.95)
+            stack = [random_experiment(rng) for _ in range(20)]
+            stack += [np.eye(2), np.eye(2)[::-1], np.array([[0.0, 0.0], [1.0, 1.0]]), np.full((2, 2), 0.5)]
+            stack += [np.array([[x, x * (1 + d)], [1 - x, 1 - x * (1 + d)]]) for x, d in ((0.3, 1e-10), (0.7, 1e-12))]
+            batch = _induced_taus(np.array(stack), prior)
+            for a, got in zip(stack, batch):
+                assert as_bytes(got) == as_bytes(induced_tau(a, prior)), (a, prior)
 
 # the kinds of row atom_pair_row draws
 ATOM_PAIR_KINDS = ("split", "swapped", "tiny atom", "merged", "equal beliefs", "ends")

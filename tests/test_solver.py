@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mediated_persuasion import BeliefDistribution, GameSpec, PiecewiseUtility, solver
 from mediated_persuasion.feasible import brute_force_pairs, posterior_pair
+from mediated_persuasion.errors import DimensionMismatch
 from mediated_persuasion.info import TOL, induced_tau, is_mps
 from mediated_persuasion.payoffs import expected_utility
 from mediated_persuasion.solver import (
@@ -535,6 +536,22 @@ def test_certificate_batch_equals_single_checks_bit_for_bit():
                 assert value == float(u.eval_many(got.tau.beliefs) @ got.tau.probs), seed
             verdicts.add(got.verified)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "x, sigma",
+    [
+        ([[0.2, 0.1], [0.3, 0.6], [0.5, 0.3]], np.eye(2)),  # an experiment of three signals
+        (np.eye(2), [[0.2, 0.2], [0.3, 0.3], [0.5, 0.5]]),  # a rank-deficient garbling of three signals
+        (np.eye(2), [[0.2, 0.1], [0.3, 0.6], [0.5, 0.3]]),  # a full-rank garbling of three signals
+    ],
+    ids=["3x2-experiment", "rank-deficient-3x2-garbling", "3x2-garbling"],
+)
+def test_check_rejects_profiles_that_are_not_2x2(kg_game, x, sigma):
+    # the best responses are solved for two signals only, so a profile of
+    # any other shape is refused, not read through its first two rows
+    with pytest.raises(DimensionMismatch, match="profiles are pairs of 2x2"):
+        check_equilibrium(kg_game, np.array(x), np.array(sigma))
 
 
 def test_mediator_reply_to_full_revelation_is_the_benchmark():
