@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     EmptyDomain,
     NegativeEntry,
+    NonFiniteEntry,
     NotSigmaPlausible,
     PersuasionError,
     PriorOutsideSupport,

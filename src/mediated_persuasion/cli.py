@@ -75,13 +75,13 @@ def format_matrix_flag(rows) -> str:
 def _checked_matrix(rows, flag: str, shape=None) -> np.ndarray:
     """Floats of a parsed matrix flag, checked to be column-stochastic.
 
-    A bad matrix, or one of another ``shape`` than asked for, raises
-    ``ScenarioError`` (exit code 2).
+    A bad matrix, an entry too large for a float, or a matrix of another
+    ``shape`` than asked for, raises ``ScenarioError`` (exit code 2).
     """
-    a = np.array([[float(c) for c in row] for row in rows])
     try:
+        a = np.array([[float(c) for c in row] for row in rows])
         validate_stochastic(a)
-    except PersuasionError as exc:
+    except (PersuasionError, OverflowError) as exc:
         raise ScenarioError(f"bad {flag} matrix: {exc}") from None
     if shape is not None and a.shape != shape:
         raise ScenarioError(f"{flag} must be {shape[0]}x{shape[1]}, got {a.shape[0]}x{a.shape[1]}")

@@ -13,6 +13,14 @@ class NegativeEntry(PersuasionError):
         super().__init__(f"entry ({row}, {col}) = {value!r} is negative")
 
 
+class NonFiniteEntry(PersuasionError):
+    """A matrix entry is NaN or infinite."""
+
+    def __init__(self, row, col, value):
+        self.row, self.col, self.value = row, col, value
+        super().__init__(f"entry ({row}, {col}) = {value!r} is not finite")
+
+
 class ColumnSumMismatch(PersuasionError):
     """A column of a stochastic matrix does not sum to one.
 

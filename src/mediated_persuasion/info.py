@@ -34,6 +34,7 @@ from .errors import (
     ColumnSumMismatch,
     DimensionMismatch,
     NegativeEntry,
+    NonFiniteEntry,
     PriorOutsideSupport,
     TooFewRealizations,
     ZeroProbabilitySignal,
@@ -56,7 +57,7 @@ class StochasticMatrix:
     """A validated column-stochastic matrix with m >= n.
 
     Entries within ``TOL`` of [0, 1] are clipped on construction; anything
-    beyond raises.
+    beyond, and any entry that is not finite, raises.
     """
 
     a: np.ndarray
@@ -65,6 +66,10 @@ class StochasticMatrix:
         a = np.asarray(self.a, dtype=float)
         if a.ndim != 2:
             raise DimensionMismatch(f"expected a 2-d matrix, got shape {a.shape}")
+        finite = np.isfinite(a)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise NonFiniteEntry(int(i), int(j), float(a[i, j]))
         worst = a.min()
         if worst < -TOL:
             i, j = np.unravel_index(int(a.argmin()), a.shape)
@@ -173,27 +178,33 @@ def _checked_atoms(beliefs, probs, size, prior: float):
     """The checks of a ``BeliefDistribution`` on each row i of two (n, k)
     arrays whose first ``size[i]`` entries are its atoms, in one pass.
 
-    Raises the error of the first row that fails a check: a row with no atom,
-    a negative probability, probabilities that do not sum to 1, a belief
-    outside [0, 1], beliefs that do not increase by more than ``TOL``, or a
-    barycenter off the prior. Returns both arrays clipped into [0, 1].
+    Raises the error of the first row that fails a check: an atom that is not
+    finite (NaN or infinite), a row with no atom, a negative probability,
+    probabilities that do not sum to 1, a belief outside [0, 1], beliefs that
+    do not increase by more than ``TOL``, or a barycenter off the prior (or a
+    NaN prior). Returns both arrays clipped into [0, 1].
     """
     size = np.asarray(size)
     atom = np.arange(beliefs.shape[1]) < size[:, None]
     b, p = np.where(atom, beliefs, 0.0), np.where(atom, probs, 0.0)  # a zero pad passes each check
+    finite = np.isfinite(b).all(axis=1) & np.isfinite(p).all(axis=1)
+    # such a row fails that check first, and is zeroed so the checks below compute no NaN
+    b, p = np.where(finite[:, None], b, 0.0), np.where(finite[:, None], p, 0.0)
     total, bary = p.sum(axis=1), _row_dots(b, p)
     checks = (
+        ~finite,
         size == 0,
         p.min(axis=1) < -TOL,
         np.abs(total - 1.0) > TOL,
         (b.min(axis=1) < -TOL) | (b.max(axis=1) > 1.0 + TOL),
         ((b[:, 1:] - b[:, :-1] <= TOL) & atom[:, 1:]).any(axis=1),
-        np.abs(bary - prior) > TOL,
+        ~(np.abs(bary - prior) <= TOL),
     )
     failed = np.any(checks, axis=0)
     if failed.any():
         i = int(np.argmax(failed))
         raise (
+            ValueError("beliefs and probabilities must be finite"),
             ValueError("no atoms with positive probability"),
             ValueError(f"negative probability {p[i].min():.3g}"),
             ValueError(f"probabilities sum to {total[i]:.12g}"),

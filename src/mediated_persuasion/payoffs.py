@@ -19,6 +19,7 @@ from .errors import EmptyDomain
 from .info import TOL, BeliefDistribution, _row_dots
 
 SENDER, MEDIATOR, RECEIVER = "sender", "mediator", "receiver"
+_VALUE, _SUP, _ABOVE, _BELOW = range(4)  # rows of PiecewiseUtility._at
 
 
 @dataclass(frozen=True)
@@ -91,11 +92,9 @@ class PiecewiseUtility:
             below = slope_at * ev + inter_at
             above = np.append(slope_at[1:] * ev[:-1] + inter_at[1:], below[-1])
             below_at, above_at = (np.where(np.abs(v - value_at) <= TOL, value_at, v) for v in (below, above))
-        tables = {
-            "_edges": ev, "_slope_at": slope_at, "_inter_at": inter_at, "_value_at": value_at,
-            "_below_at": below_at, "_above_at": above_at,
-            "_sup_at": np.maximum(value_at, np.maximum(below_at, above_at)),  # raised at a jump up
-        }
+        sup_at = np.maximum(value_at, np.maximum(below_at, above_at))  # raised at a jump up
+        at = np.stack([value_at, sup_at, above_at, below_at])  # rows _VALUE, _SUP, _ABOVE, _BELOW
+        tables = {"_edges": ev, "_slope_at": slope_at, "_inter_at": inter_at, "_at": at}
         for name, a in tables.items():
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -122,38 +121,45 @@ class PiecewiseUtility:
         return self._edges
 
     def __call__(self, beta: float) -> float:
-        return float(self._lookup(beta, "_value_at"))
+        return float(self.eval_many(beta))
 
     def eval_many(self, betas) -> np.ndarray:
-        return self._lookup(betas, "_value_at")
+        return self._read(self._locate(betas), _VALUE)
 
     def sup_many(self, betas) -> np.ndarray:
         """Like ``eval_many``, but a belief on a jump gets the larger of its
         attained value and its one-sided limits."""
-        return self._lookup(betas, "_sup_at")
+        return self._read(self._locate(betas), _SUP)
 
     def limits_many(self, betas, above) -> np.ndarray:
         """One-sided limits at the beliefs: from above where ``above`` holds, else from below."""
-        return np.where(above, self._lookup(betas, "_above_at"), self._lookup(betas, "_below_at"))
+        return self._read(self._locate(betas), np.where(above, _ABOVE, _BELOW))
 
-    def _lookup(self, betas, table: str) -> np.ndarray:
-        """Values at the beliefs, checked against the domain and clamped into
-        it. Each belief's segment is found with one ``searchsorted`` against
-        the edges: a belief on an edge gets the entry of the per-edge
-        ``table`` there, any other belief the affine value of its open
-        segment."""
+    def _locate(self, betas):
+        """Find each belief's segment once, for any number of table reads.
+
+        The beliefs are checked against the domain (a NaN fails) and clamped
+        into it, and one ``searchsorted`` against the edges gives each one's
+        left insertion index. Returns ``(idx, exact, affine)``: that index,
+        whether the belief sits on the edge there, and the affine value of
+        the open segment left of it, which every table shares off the edges.
+        """
         b = np.asarray(betas, dtype=float)
-        lo, hi = self.domain
-        if b.size and (b.min() < lo - 1e-12 or b.max() > hi + 1e-12):
-            raise ValueError("belief outside utility domain")
-        shape = b.shape
-        b = np.minimum(np.maximum(b.reshape(-1), lo), hi)
         edges = self._edges
+        lo, hi = edges[0], edges[-1]
+        if b.size and not (b.min() >= lo - 1e-12 and b.max() <= hi + 1e-12):
+            raise ValueError("belief outside utility domain")
+        b = np.minimum(np.maximum(b, lo), hi)
         idx = np.minimum(np.searchsorted(edges, b, side="left"), len(edges) - 1)
-        exact = edges[idx] == b
-        v = self._slope_at[idx] * b + self._inter_at[idx]
-        v[exact] = getattr(self, table)[idx[exact]]
-        return v.reshape(shape)
+        return idx, edges[idx] == b, self._slope_at[idx] * b + self._inter_at[idx]
+
+    def _read(self, loc, row) -> np.ndarray:
+        """Values at beliefs located by :meth:`_locate`: a belief on an edge
+        gets the entry of the per-edge table ``row`` (``_VALUE``, ``_SUP``,
+        ``_ABOVE`` or ``_BELOW``, or an array of them broadcast against the
+        beliefs) there, any other belief the affine value of its segment."""
+        idx, exact, affine = loc
+        return np.where(exact, self._at[row, idx], affine)
 
     # -- constructors -------------------------------------------------------
 
@@ -469,8 +475,9 @@ class Concavification:
         cuts = np.concatenate([[lo], bps[(bps > lo) & (bps < hi)], [hi]])
         env = np.array([self.value(c) for c in cuts])
         on = np.empty(2 * cuts.size - 1, dtype=bool)  # cut 0, segment 0, cut 1, ..., cut n
-        on[0::2] = env - u.eval_many(cuts) <= TOL
-        on[1::2] = (env[:-1] - u.limits_many(cuts[:-1], True) <= TOL) & (env[1:] - u.limits_many(cuts[1:], False) <= TOL)
+        at = u._locate(cuts)
+        on[0::2] = env - u._read(at, _VALUE) <= TOL
+        on[1::2] = (env[:-1] - u._read(at, _ABOVE)[:-1] <= TOL) & (env[1:] - u._read(at, _BELOW)[1:] <= TOL)
         flips = np.flatnonzero(np.diff(np.concatenate([[0], on, [0]])))  # run starts, then ends (exclusive)
         return tuple((float(cuts[s // 2]), float(cuts[e // 2])) for s, e in zip(flips[::2], flips[1::2]))
 
@@ -507,13 +514,15 @@ def _upper_hull(xl: list, yl: list) -> list:
 
 
 def _concavifications(u: PiecewiseUtility, los, his) -> list[Concavification]:
-    """The concavification of ``u`` over each interval [lo, hi], with the
-    breakpoints' values looked up once for all intervals."""
+    """The concavification of ``u`` over each interval [lo, hi]: the
+    breakpoints' values read from the utility's per-edge tables, and the
+    interval ends located once for all intervals."""
     bps = u.breakpoints
-    bx, by, ba = bps.tolist(), u.sup_many(bps).tolist(), u.eval_many(bps).tolist()
+    bx, by, ba = bps.tolist(), u._at[_SUP].tolist(), u._at[_VALUE].tolist()  # the tables at their own edges
     ends = np.column_stack([los, his])
-    end_att = u.eval_many(ends)
-    end_sup = np.maximum(end_att, u.limits_many(ends, [True, False])).tolist()
+    at_ends = u._locate(ends)
+    end_att = u._read(at_ends, _VALUE)
+    end_sup = np.maximum(end_att, u._read(at_ends, [_ABOVE, _BELOW])).tolist()  # inward limits
     firsts = np.searchsorted(bps, ends[:, 0], side="right").tolist()
     lasts = np.searchsorted(bps, ends[:, 1], side="left").tolist()
     out = []

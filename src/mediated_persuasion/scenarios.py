@@ -10,6 +10,7 @@ unrounded.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -40,17 +41,20 @@ FIXTURE_NAMES = (
 
 
 def parse_number(value) -> float:
-    """Accept ints, floats, and exact fraction strings like '6/7'."""
-    if isinstance(value, bool):
+    """Accept ints, floats, and exact fraction strings like '6/7'.
+
+    A number that is not finite (JSON's NaN and Infinity) or too large for a
+    float raises ``ScenarioError``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ScenarioError(f"expected a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ScenarioError(f"bad number {value!r}: {exc}") from None
-    raise ScenarioError(f"expected a number, got {value!r}")
+    try:
+        number = float(Fraction(value)) if isinstance(value, str) else float(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ScenarioError(f"bad number {value!r}: {exc}") from None
+    if not math.isfinite(number):
+        raise ScenarioError(f"bad number {value!r}: not finite")
+    return number
 
 
 def parse_matrix(rows) -> np.ndarray:

@@ -19,12 +19,14 @@ Each best response has one batched core, ``_sender_batch`` or
 over all their candidates, then builds all the replies' outcomes with
 ``BeliefDistribution._from_atom_pairs`` and their strategies with one
 stacked inverse; the public single-strategy functions are a batch of one.
-The certificate core ``_certificates`` checks a list of profiles the same
-way, and ``check_equilibrium`` is a batch of one. Search enumerates a
-finite set of experiments, one per pair of candidate posteriors (0, 1 and
-the breakpoints of both utilities) on either side of the prior, solves the
-best responses they need in two rounds of batches, and certifies the
-profiles each one anchors against both exact best responses in one call.
+Each core locates a stack of beliefs on the utility once
+(``PiecewiseUtility._locate``) and reads every value it needs there. The
+certificate core ``_certificates`` checks a list of profiles the same way,
+and ``check_equilibrium`` is a batch of one. Search enumerates a finite set
+of experiments, one per pair of candidate posteriors (0, 1 and the
+breakpoints of both utilities) on either side of the prior, solves the best
+responses they need in three batches, and certifies the profiles each one
+anchors against both exact best responses in one call.
 """
 
 from __future__ import annotations
@@ -51,10 +53,13 @@ from .info import (
     _induced_taus,
     _pair_weights,
     bayes_plausible_weights,
-    garbling_rank,
     is_mps,
 )
 from .payoffs import (
+    _ABOVE,
+    _BELOW,
+    _SUP,
+    _VALUE,
     MEDIATOR,
     RECEIVER,
     SENDER,
@@ -105,10 +110,13 @@ def _point_mass(prior: float) -> BeliefDistribution:
     return BeliefDistribution.from_atoms([(prior, 1.0)], prior)
 
 
-def _pair_taus(q1, q2, prior: float) -> list[BeliefDistribution]:
+def _pair_taus(q1, q2, prior: float) -> tuple[list[BeliefDistribution], np.ndarray]:
     """The outcome of each posterior pair (q1[i], q2[i]), built in one pass: a
     point mass at the prior when the pair is at most ``TOL`` wide, else both
-    posteriors with the weights of :func:`bayes_plausible_weights`."""
+    posteriors with the weights of :func:`bayes_plausible_weights`. Returns
+    the outcomes and which of them have one atom: a narrow pair, or a wide
+    one with a posterior of weight at most ``TOL``, which ``from_atoms``
+    drops."""
     q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
     lo, hi = np.where(q2 < q1, q2, q1), np.where(q2 > q1, q2, q1)  # as min() and max() pick
     wide = ~(hi - lo <= TOL)
@@ -117,7 +125,7 @@ def _pair_taus(q1, q2, prior: float) -> list[BeliefDistribution]:
     # a narrow pair becomes the atom (prior, 1) next to one of no mass
     beliefs = np.where(wide[:, None], np.column_stack([lo, hi]), prior)
     probs = np.where(wide[:, None], np.column_stack([p_lo, p_hi]), [1.0, 0.0])
-    return BeliefDistribution._from_atom_pairs(beliefs, probs, prior)
+    return BeliefDistribution._from_atom_pairs(beliefs, probs, prior), ~(probs > TOL).all(axis=1)
 
 
 def _babbling_response(u: PiecewiseUtility, prior: float) -> BestResponse:
@@ -149,7 +157,7 @@ def bp_solve(u_s: PiecewiseUtility, prior: float) -> BenchmarkSolution:
     if conc.value(prior) <= base + TOL:
         return BenchmarkSolution(_point_mass(prior), UNINFORMATIVE_X.copy(), base, conc, True)
     lo, hi = conc.linear_span(prior)
-    tau = _pair_taus([lo], [hi], prior)[0]
+    (tau,), _ = _pair_taus([lo], [hi], prior)
     x = reconstruct_experiment(np.eye(2), prior, tau)
     value, attained = conc.payoff(tau)
     return BenchmarkSolution(tau, x, value, conc, attained)
@@ -218,34 +226,39 @@ def _sender_values(u: PiecewiseUtility, a: np.ndarray, prior: float, q1, q2):
     breakpoint, the expected utility is linear, so near a vertex it tends to
     one-sided limits. Inside its range ([corner, prior] for the low
     posterior, [prior, corner] for the high one) a posterior takes either
-    side (``sup_many``); at a range end only the inward limit. Next to
+    side (``_SUP``); at a range end only the inward limit. Next to
     babbling, the square's diagonal corners (t, t), t in {m, M}, put weight t
-    on the low posterior, or 1 - t with the labels swapped.
+    on the low posterior, or 1 - t with the labels swapped. Each posterior
+    stack is located once (``PiecewiseUtility._locate``) and every value is
+    a read of that location.
     """
     deg = np.abs(q2 - q1) <= TOL
     w1, w2 = _pair_weights(q1, q2, prior)
     q1, q2 = np.clip(q1, 0.0, 1.0), np.clip(q2, 0.0, 1.0)
-    u_prior = float(u(prior))
-    attained = np.where(deg, u_prior, w1 * u.eval_many(q1) + w2 * u.eval_many(q2))
-
-    natural = q1 <= q2
-    # columns of the natural corner (q1 <= q2) and of the other one: X = I's
-    # corner is the natural one unless only the swap's is
-    swap = (q1[:, 1] > q2[:, 1]) & (q1[:, 2] <= q2[:, 2])
-    nat, per = np.where(swap, 2, 1)[:, None], np.where(swap, 1, 2)[:, None]
-    (n1, n2), (p1, p2) = ((np.take_along_axis(q, c, axis=1) for q in (q1, q2)) for c in (nat, per))
-    sides = []
-    for q, r_lo, r_hi in ((np.minimum(q1, q2), np.where(natural, n1, p2), prior),
-                          (np.maximum(q1, q2), prior, np.where(natural, n2, p1))):
-        at_lo, at_hi = np.abs(q - r_lo) <= TOL, np.abs(q - r_hi) <= TOL
-        sides.append(np.where(at_lo | at_hi, u.limits_many(q, at_lo), u.sup_many(q)))
-    v1, v2 = np.where(natural, sides[0], sides[1]), np.where(natural, sides[1], sides[0])
-    sup = np.where(deg, u_prior, np.maximum(attained, w1 * v1 + w2 * v2))
-
     # babbling: a jump within TOL of the prior counts as at the prior, as in
     # the feasible slices, so the limits are taken outside the TOL window
     near = u.breakpoints[np.abs(u.breakpoints - prior) <= TOL]
-    lims = np.sort(u.limits_many([near.min(initial=prior), near.max(initial=prior)], [False, True]))
+    at_prior = u._locate([prior, near.min(initial=prior), near.max(initial=prior)])
+    u_prior, *lims = u._read(at_prior, [_VALUE, _BELOW, _ABOVE]).tolist()
+    lims.sort()
+    at1, at2 = u._locate(q1), u._locate(q2)
+    attained = np.where(deg, u_prior, w1 * u._read(at1, _VALUE) + w2 * u._read(at2, _VALUE))
+
+    natural = q1 <= q2
+    # the natural corner (q1 <= q2) and the other one: X = I's corner is the
+    # natural one unless only the swap's is
+    swap = (q1[:, 1] > q2[:, 1]) & (q1[:, 2] <= q2[:, 2])
+    nat, rows = np.where(swap, 2, 1)[:, None], np.arange(len(a))[:, None]
+    (n1, n2), (p1, p2) = ((q1[rows, c], q2[rows, c]) for c in (nat, 3 - nat))
+
+    def inward(at, q, r_lo, r_hi):  # either side inside the range [r_lo, r_hi], the inward limit at its ends
+        return u._read(at, np.where(np.abs(q - r_lo) <= TOL, _ABOVE, np.where(np.abs(q - r_hi) <= TOL, _BELOW, _SUP)))
+
+    # the low posterior's range runs from its corner to the prior, the high one's from the prior to its corner
+    v1 = inward(at1, q1, np.where(natural, n1, prior), np.where(natural, prior, p1))
+    v2 = inward(at2, q2, np.where(natural, prior, p2), np.where(natural, n2, prior))
+    sup = np.where(deg, u_prior, np.maximum(attained, w1 * v1 + w2 * v2))
+
     w = np.maximum(a[:, 0].max(axis=-1), 1.0 - a[:, 0].min(axis=-1))  # the most weight the larger limit can carry
     sup[:, 0] = np.maximum(u_prior, lims[0] + w * (lims[1] - lims[0]))
     return attained, sup
@@ -254,39 +267,36 @@ def _sender_values(u: PiecewiseUtility, a: np.ndarray, prior: float, q1, q2):
 def _sender_batch(u_s: PiecewiseUtility, sigmas: np.ndarray, prior: float) -> list[BestResponse]:
     """Sender best responses to a stack of 2x2 garblings, in one numpy pass
     over all their candidates; see :func:`sender_best_response`."""
-    full = np.array([garbling_rank(s).full_rank for s in sigmas], dtype=bool)
-    out = [None if f else _babbling_response(u_s, prior) for f in full]
+    if sigmas.shape[1:] != (2, 2):
+        raise DimensionMismatch("expected a 2x2 garbling")
+    full = ~(np.abs(sigmas[..., 0] - sigmas[..., 1]).max(axis=1) <= TOL)  # as garbling_rank decides
+    out = [None if f else _babbling_response(u_s, prior) for f in full.tolist()]
     if not full.any():
         return out
     a = sigmas[full]
-    if a.shape[1:] != (2, 2):
-        raise DimensionMismatch("expected a 2x2 garbling")
     q1, q2, kind, exists = _sender_candidates(u_s, a, prior)
     feasible = _square_test(a[:, None], prior, q1, q2) & exists
     feasible[:, :3] = True  # babbling and the corners are always available
     attained, sup = _sender_values(u_s, a, prior, q1, q2)
     sup[~feasible] = -np.inf
 
-    vmax = sup.max(axis=1, keepdims=True)
-    tie = sup >= vmax - 1e-12
-    short = attained < vmax - 1e-12
+    vmax = sup.max(axis=1)
+    tie = sup >= vmax[:, None] - 1e-12
+    short = attained < vmax[:, None] - 1e-12
     # ties first, then attained, then the smallest sorted pair, then candidate order
-    best = np.lexsort((np.maximum(q1, q2), np.minimum(q1, q2), short, ~tie), axis=-1)[:, :1]
-    b1, b2, got = (np.take_along_axis(v, best, axis=1)[:, 0] for v in (q1, q2, attained))
-    best = best[:, 0]
-    taus = _pair_taus(b1, b2, prior)
+    best = np.lexsort((np.maximum(q1, q2), np.minimum(q1, q2), short, ~tie), axis=-1)[:, 0]
+    rows = np.arange(len(a))
+    b1, b2, got = q1[rows, best], q2[rows, best], attained[rows, best]
+    taus, one_atom = _pair_taus(b1, b2, prior)
     # a one-atom outcome is babbling, whichever candidate won
-    kinds = np.where([t.is_degenerate() for t in taus], _BABBLING, kind[best])
+    kinds = np.where(one_atom, _BABBLING, kind[best])
+    # corner 1 is induced by X = I, corner 2 by the column swap
+    corner_x = np.where((best == 1)[:, None, None], np.eye(2), np.eye(2)[::-1])
+    xs = np.where((kinds == _BABBLING)[:, None, None], UNINFORMATIVE_X, corner_x)
     inducing = kinds > _CORNER
-    xs = iter(_inducing_experiments(a[inducing], prior, b1[inducing], b2[inducing]))
-    for i, b, k, tau, v, g in zip(np.flatnonzero(full), best.tolist(), kinds.tolist(), taus, vmax[:, 0].tolist(), got.tolist()):
-        if k == _BABBLING:
-            x = UNINFORMATIVE_X.copy()
-        elif k == _CORNER:
-            x = np.eye(2) if b == 1 else np.eye(2)[::-1]
-        else:
-            x = next(xs)
-        out[i] = BestResponse(x, tau, v, g >= v - 1e-12)
+    xs[inducing] = _inducing_experiments(a[inducing], prior, b1[inducing], b2[inducing])
+    for i, x, tau, v, g in zip(np.flatnonzero(full), xs, taus, vmax.tolist(), (got >= vmax - 1e-12).tolist()):
+        out[i] = BestResponse(x, tau, v, g)
     return out
 
 
@@ -312,9 +322,9 @@ def _mediator_batch(u_m: PiecewiseUtility, xs: np.ndarray, prior: float) -> list
     :func:`mediator_best_response`.
 
     Each reply reads the ``Concavification`` of its posterior interval, the
-    object ``bp_solve`` reads over [0, 1], built for the whole batch with one
-    breakpoint lookup (``payoffs._concavifications``): the linear span
-    through the prior, and the payoff of the outcome on it.
+    object ``bp_solve`` reads over [0, 1], built for the whole batch in one
+    pass (``payoffs._concavifications``): the linear span through the prior,
+    and the payoff of the outcome on it.
     """
     _, q = _bayes(xs[..., 0], xs[..., 1], prior)
     lo, hi = np.minimum(q[:, 0], q[:, 1]), np.maximum(q[:, 0], q[:, 1])
@@ -325,11 +335,12 @@ def _mediator_batch(u_m: PiecewiseUtility, xs: np.ndarray, prior: float) -> list
     rows = np.flatnonzero(informative)
     concs = _concavifications(u_m, lo[rows], hi[rows])
     spans = np.array([conc.linear_span(prior) for conc in concs]).reshape(-1, 2)
+    taus, one_atom = _pair_taus(spans[:, 0], spans[:, 1], prior)
     splits = []
-    for i, conc, tau in zip(rows, concs, _pair_taus(spans[:, 0], spans[:, 1], prior)):
+    for i, conc, tau, one in zip(rows.tolist(), concs, taus, one_atom.tolist()):
         # one atom when the span is a point, and also when the prior is a kink of
         # the envelope: the span then starts at the prior and its far end has no mass
-        if tau.is_degenerate():
+        if one:
             value = conc.value(prior)
             out[i] = BestResponse(UNINFORMATIVE_X.copy(), _point_mass(prior), value, value <= u_prior)
         else:
@@ -498,13 +509,13 @@ def search_equilibria(game: GameSpec) -> list[EquilibriumCertificate]:
     checked as well. Each profile is certified at ``tol_dev``.
 
     One ``_ResponseMemo``, which lives only for this call, solves the best
-    responses in two rounds of batches, one batch per player per round.
-    Round 1 solves the mediator's reply to every B and the sender's reply to
-    every B as a garbling, both with babbling. Round 2 solves the sender's
-    replies to the mediator's round-1 garblings and the mediator's replies
-    to the sender's round-1 experiments. One call to the certificate core
-    then checks every profile, reading both best responses from the memo,
-    so each distinct strategy is solved once.
+    responses in three batches. The first solves the mediator's replies to
+    babbling and every B. The second, the one sender batch, solves the
+    sender's replies to babbling, every B as a garbling and the mediator's
+    replies. The third solves the mediator's replies to the sender's
+    experiments. One call to the certificate core then checks every
+    profile, reading both best responses from the memo, so each distinct
+    strategy is solved once.
 
     Returns the verified certificates, sorted by support size, support and
     largest gap, keeping the first of those with ``allclose`` outcomes.
@@ -512,14 +523,11 @@ def search_equilibria(game: GameSpec) -> list[EquilibriumCertificate]:
     memo = _ResponseMemo(game)
     pi = game.prior
     beliefs = np.unique(np.concatenate([(0.0, 1.0), game.u_sender.breakpoints, game.u_mediator.breakpoints]))
-    bs = []
-    for lo in beliefs[beliefs < pi - TOL]:
-        for hi in beliefs[beliefs > pi + TOL]:
-            w = np.array(_pair_weights(lo, hi, pi))
-            bs.append(np.column_stack(_composite(np.array([lo, hi]), w, pi)))  # posteriors lo, hi
+    lo, hi = (m.ravel() for m in np.meshgrid(beliefs[beliefs < pi - TOL], beliefs[beliefs > pi + TOL], indexing="ij"))
+    q, w = np.column_stack([lo, hi]), np.column_stack(_pair_weights(lo, hi, pi))
+    bs = np.stack(_composite(q, w, pi), axis=-1)  # B[i] has posteriors lo[i], hi[i]
     mediator_replies = memo.mediators([_BABBLING_PROFILE, *bs])[1:]
-    sender_replies = memo.senders([_BABBLING_PROFILE, *bs])[1:]
-    memo.senders([r.strategy for r in mediator_replies])
+    sender_replies = memo.senders([_BABBLING_PROFILE, *bs, *(r.strategy for r in mediator_replies)])[1 : len(bs) + 1]
     memo.mediators([r.strategy for r in sender_replies])
 
     xs, sigmas = [_BABBLING_PROFILE], [_BABBLING_PROFILE]

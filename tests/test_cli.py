@@ -60,6 +60,27 @@ def test_exit_schema_on_sender_reply_to_three_signal_garbling(tmp_path, capsys):
     assert "expected a 2x2 garbling" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"sigma": [[float("nan"), 0], [1, 1]]}, "bad number nan: not finite"),  # the JSON literal NaN
+        ({"prior": float("inf")}, "bad number inf: not finite"),  # the JSON literal Infinity
+        ({"prior": "1e400"}, "bad number '1e400'"),
+        ({"prior": 10**400}, "bad number 1000"),
+    ],
+    ids=["nan-sigma", "infinite-prior", "fraction-too-large-for-a-float", "integer-too-large-for-a-float"],
+)
+def test_exit_schema_on_numbers_a_float_cannot_hold(tmp_path, capsys, changes, message):
+    # a scenario number must be a finite float: NaN would otherwise reach the
+    # report as the invalid JSON token NaN, and an overflow would escape as a
+    # traceback
+    assert main(["solve", write_scenario(tmp_path, **changes), "--mode", "sender-br"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_exit_ok_on_feasible(capsys):
     assert main(["feasible", str(FIXTURES / "kg.json"), "--points", "8"]) == 0
 
@@ -166,6 +187,7 @@ FIG18 = str(FIXTURES / "fig18.json")
         (["solve", KG, "--mode", "check", "--x", "identity", "--sigma", "2,0;-1,1"], "bad --sigma matrix"),
         (["solve", KG, "--mode", "mediator-br", "--x", "1,0,0;0,1,1"], "bad --x matrix"),
         (["solve", KG, "--mode", "mediator-br", "--x", "1,0;0,1;0,0"], "--x must be 2x2, got 3x2"),
+        (["solve", KG, "--mode", "mediator-br", "--x", "1e400,0;0,1"], "bad --x matrix"),
         (["order", "--a", "identity", "--b", "2,0;-1,1"], "bad --b matrix"),
         (["feasible", KG, "--points", "1"], "--points 1 must be at least 2"),
         (["feasible", FIG18, "--resolution", "0"], "--resolution 0.0 outside (0, 1]"),
@@ -176,6 +198,7 @@ FIG18 = str(FIXTURES / "fig18.json")
         "check-non-stochastic-sigma",
         "mediator-br-2x3-x",
         "mediator-br-3x2-x",
+        "mediator-br-x-too-large-for-a-float",
         "order-non-stochastic-b",
         "feasible-one-point",
         "feasible-zero-resolution",

@@ -12,6 +12,7 @@ from mediated_persuasion import (
     BlackwellOrder,
     ColumnSumMismatch,
     NegativeEntry,
+    NonFiniteEntry,
     PriorOutsideSupport,
     TooFewRealizations,
     ZeroProbabilitySignal,
@@ -55,6 +56,13 @@ class TestValidateStochastic:
     def test_negative_entry(self):
         with pytest.raises(NegativeEntry):
             validate_stochastic([[1.2, 0], [-0.2, 1]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry(self, bad):
+        # each check below is a comparison, which NaN never fails
+        with pytest.raises(NonFiniteEntry) as exc:
+            validate_stochastic([[0.5, 0.25], [0.5, bad]])
+        assert (exc.value.row, exc.value.col) == (1, 1)
 
     def test_too_few_realizations(self):
         with pytest.raises(TooFewRealizations):
@@ -396,6 +404,26 @@ class TestBeliefDistribution:
         with pytest.raises(BarycenterMismatch):
             BeliefDistribution(np.array([0.2, 0.8]), np.array([0.5, 0.5]), prior=0.3)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: BeliefDistribution(np.array([np.nan]), np.array([1.0]), 0.5),
+            lambda: BeliefDistribution([0.2, np.nan], [0.5, 0.5], 0.3),
+            lambda: BeliefDistribution([0.5], [np.nan], 0.5),
+            lambda: BeliefDistribution([0.2, np.inf], [0.5, 0.5], 0.3),
+            lambda: BeliefDistribution.from_atoms([(np.nan, 1.0)], 0.5),
+        ],
+        ids=["nan-belief", "nan-second-belief", "nan-prob", "infinite-belief", "from-atoms-nan"],
+    )
+    def test_rejects_non_finite_atoms(self, build):
+        # each other check is a comparison, which NaN never fails
+        with pytest.raises(ValueError, match="beliefs and probabilities must be finite"):
+            build()
+
+    def test_rejects_nan_prior(self):
+        with pytest.raises(BarycenterMismatch, match="prior nan"):
+            BeliefDistribution([0.5], [1.0], np.nan)
+
     def test_drops_zero_probability_atoms(self):
         tau = BeliefDistribution.from_atoms([(0.1, 0.0), (0.4, 1.0)])
         assert tau.beliefs.tolist() == [0.4]
@@ -429,8 +457,10 @@ class TestBeliefDistribution:
             ((-0.2, 0.6), (0.25, 0.75)),  # a belief below 0
             ((0.2, 0.8), (0.5, 0.5)),  # barycenter 0.5, off the prior
             ((0.2, 0.6), (0.0, TOL)),  # no atom with mass
+            ((0.2, np.nan), (0.5, 0.5)),  # a NaN belief
+            ((0.2, np.inf), (0.5, 0.5)),  # an infinite belief
         ],
-        ids=["negative-weight", "belief-above-one", "belief-below-zero", "off-prior", "no-mass"],
+        ids=["negative-weight", "belief-above-one", "belief-below-zero", "off-prior", "no-mass", "nan-belief", "infinite-belief"],
     )
     def test_atom_pair_batch_rejects_as_from_atoms(self, beliefs, probs):
         # a rejected row raises from the batch what from_atoms raises, with

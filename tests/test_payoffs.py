@@ -10,6 +10,7 @@ from mediated_persuasion import (
     expected_utility,
     induce_belief_utilities,
 )
+from mediated_persuasion.payoffs import _ABOVE, _BELOW, _SUP, _VALUE
 from mediated_persuasion.scenarios import FIXTURE_NAMES, load_fixture
 
 from conftest import random_game, random_pwl
@@ -143,6 +144,53 @@ class TestEvalManyPinned:
         for evaluate in (u.eval_many, u.sup_many, lambda b: u.limits_many(b, [True, False]), lambda b: u(b[1])):
             with pytest.raises(ValueError, match="outside utility domain"):
                 evaluate([0.5, beta])
+
+    def test_nan_belief_raises(self):
+        # the domain check is written so that NaN fails it, not passes as NaN
+        u = UTILITIES["pwl300"]
+        for evaluate in (u.eval_many, u.sup_many, lambda b: u.limits_many(b, [True, False]), lambda b: u(b[1])):
+            with pytest.raises(ValueError, match="outside utility domain"):
+                evaluate([0.5, np.nan])
+
+
+def lookup_reference(u: PiecewiseUtility, betas, table) -> np.ndarray:
+    """The per-edge ``table`` at the beliefs as each lookup read it before
+    one location served every table: the old body, kept verbatim."""
+    b = np.asarray(betas, dtype=float)
+    lo, hi = u.domain
+    shape = b.shape
+    b = np.minimum(np.maximum(b.reshape(-1), lo), hi)
+    edges = u._edges
+    idx = np.minimum(np.searchsorted(edges, b, side="left"), len(edges) - 1)
+    exact = edges[idx] == b
+    v = u._slope_at[idx] * b + u._inter_at[idx]
+    v[exact] = table[idx[exact]]
+    return v.reshape(shape)
+
+
+class TestOneLocate:
+    """Every read of one ``_locate`` is the lookup of its own table."""
+
+    @pytest.mark.parametrize("name", sorted(UTILITIES))
+    def test_reads_equal_the_lookups_bit_for_bit(self, name):
+        # each edge, one ulp either side of it, the domain ends, and beliefs
+        # between, in a 2-d stack as the best responses locate them
+        u = UTILITIES[name]
+        uniform = np.random.default_rng(13).uniform(0.0, 1.0, 1_000)
+        betas = np.concatenate([edge_probes(u), [0.0, 1.0], uniform])
+        betas = betas[: betas.size // 2 * 2].reshape(-1, 2)
+        above = np.random.default_rng(14).integers(0, 2, betas.shape).astype(bool)
+        ref = {row: lookup_reference(u, betas, u._at[row]) for row in (_VALUE, _SUP, _ABOVE, _BELOW)}
+        loc = u._locate(betas)
+        for row, want in ref.items():
+            assert same_bits(u._read(loc, row), want)
+        assert same_bits(u._read(loc, np.where(above, _ABOVE, _BELOW)), np.where(above, ref[_ABOVE], ref[_BELOW]))
+        assert same_bits(u.eval_many(betas), ref[_VALUE])
+        assert same_bits(u.sup_many(betas), ref[_SUP])
+        assert same_bits(u.limits_many(betas, above), np.where(above, ref[_ABOVE], ref[_BELOW]))
+        # the concavifications read the tables at their own edges
+        assert same_bits(u._at[_VALUE], u.eval_many(u.breakpoints))
+        assert same_bits(u._at[_SUP], u.sup_many(u.breakpoints))
 
 
 class TestInducedUtilities:
