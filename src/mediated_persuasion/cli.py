@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_s.add_argument("--out", default=None)
     p_s.set_defaults(func=cmd_solve)
 
-    p_o = sub.add_parser("order", help="Blackwell-rank two structures")
+    p_o = sub.add_parser("order", help="Blackwell-rank two two-state structures")
     p_o.add_argument("--a", required=True)
     p_o.add_argument("--b", required=True)
     p_o.set_defaults(func=cmd_order)

@@ -303,7 +303,10 @@ def nesting_report(s1, s2, prior: float) -> NestingReport:
     the pair X = I induces through s2 (the square's off-diagonal corner) is a
     member of F(s1) in either order; ``violations`` holds that pair if not.
     When ``s1`` Blackwell-dominates ``s2`` the constructive witness
-    Y = s1^-1 G s1 X is validated too; Y is linear in X, so at X = I. Nesting
+    Y = s1^-1 G s1 X is validated too; Y is linear in X, so at X = I. G is
+    the garbling of :func:`blackwell_compare`: the two-state order holds when
+    the posteriors of ``s1`` spread those of ``s2`` in the convex order, and
+    G comes from their curtain coupling by Bayes' rule. Nesting
     compares unordered outcomes, so the witness may reproduce s2 with its
     signals relabelled (G replaced by the row swap of G); a failure is
     recorded only when neither labelling works.

@@ -372,7 +372,13 @@ def bayes_plausible_weights(b1, b2, prior: float):
 
 @dataclass(frozen=True)
 class MpsResult:
-    """Outcome of a mean-preserving-spread test, with the transition witness."""
+    """Outcome of a mean-preserving-spread test, with the transition witness.
+
+    On a positive answer ``witness`` is the left-curtain coupling T: entry
+    (i, j) is the share of contracted atom j that goes to spread atom i. Its
+    columns sum to 1, ``T @ contracted.probs`` is ``spread.probs`` and
+    ``spread.beliefs @ T`` is ``contracted.beliefs``, each within ``TOL``.
+    """
 
     is_spread: bool
     witness: Optional[np.ndarray] = None  # rows: spread atoms, cols: contracted atoms
@@ -381,107 +387,74 @@ class MpsResult:
         return self.is_spread
 
 
-def _validate_mps_witness(T, spread, contracted, tol=TOL) -> bool:
-    if T.min() < -tol or abs(T.sum(axis=0) - 1.0).max() > tol:
+def _validate_mps_witness(T, spread, contracted) -> bool:
+    if T.min() < -TOL or abs(T.sum(axis=0) - 1.0).max() > TOL:
         return False
     transport = T @ contracted.probs - spread.probs
     means = spread.beliefs @ T - contracted.beliefs
-    return abs(transport).max() <= tol and abs(means).max() <= tol
+    return abs(transport).max() <= TOL and abs(means).max() <= TOL
 
 
-def _mps_two_point(spread, contracted):
-    a, f = spread.beliefs, spread.probs
-    b, g = contracted.beliefs, contracted.probs
-    if a.size == 1:
-        # a single spread atom can only dominate itself
-        if b.size == 1 and abs(a[0] - b[0]) <= TOL:
-            return MpsResult(True, np.ones((1, 1)))
-        return MpsResult(False)
-    lo, hi = a[0], a[-1]
-    if b[0] < lo - TOL or b[-1] > hi + TOL:
-        return MpsResult(False)
-    # column j splits contracted atom j across the two spread atoms, keeping its mean
-    t = (hi - b) / (hi - lo)
-    t = np.clip(t, 0.0, 1.0)
-    T = np.vstack([t, 1.0 - t])
-    return MpsResult(True, T)
+def _potential(tau: BeliefDistribution, x) -> np.ndarray:
+    """The potential sum_i p_i |x - beta_i| of ``tau`` at each point of ``x``."""
+    return np.abs(x[:, None] - tau.beliefs) @ tau.probs
 
 
-def _mps_linear_program(spread, contracted):
-    # Deferred: scipy.optimize is slow to import and large in memory, and only
-    # the two LP fallbacks (this one and _garbling_lp) need it.
-    from scipy.optimize import linprog
+def _window(s, g, edges, left) -> np.ndarray:
+    """The mass the quantile window [s, s + g] takes from each atom, where an
+    atom holds the mass ``left`` above the cumulative mass ``edges``."""
+    return np.clip(s + g - edges, 0.0, left) - np.clip(s - edges, 0.0, left)
 
-    nf, ng = spread.beliefs.size, contracted.beliefs.size
-    nvar = nf * ng
 
-    def cell(i, j):
-        return i * ng + j
+def _left_curtain(spread: BeliefDistribution, contracted: BeliefDistribution) -> np.ndarray:
+    """The left-curtain coupling of ``contracted`` into ``spread``.
 
-    rows, rhs = [], []
-    for i in range(nf):  # transport: sum_j T[i,j] g_j = f_i
-        r = np.zeros(nvar)
-        for j in range(ng):
-            r[cell(i, j)] = contracted.probs[j]
-        rows.append(r)
-        rhs.append(spread.probs[i])
-    for j in range(ng):  # column stochasticity
-        r = np.zeros(nvar)
-        for i in range(nf):
-            r[cell(i, j)] = 1.0
-        rows.append(r)
-        rhs.append(1.0)
-    for j in range(ng):  # column means preserved
-        r = np.zeros(nvar)
-        for i in range(nf):
-            r[cell(i, j)] = spread.beliefs[i]
-        rows.append(r)
-        rhs.append(contracted.beliefs[j])
-    A = np.array(rows)
-    res = linprog(
-        c=np.zeros(nvar), A_eq=A, b_eq=np.array(rhs), bounds=(0, 1), method="highs"
-    )
-    if not res.success:
-        return MpsResult(False)
-    T = res.x.reshape(nf, ng)
-    # polish on the LP support so the witness meets the 1e-9 contract exactly
-    mask = res.x > 1e-12
-    if mask.any():
-        sub, *_ = np.linalg.lstsq(A[:, mask], np.array(rhs), rcond=None)
-        cand = np.zeros(nvar)
-        cand[mask] = sub
-        if cand.min() > -1e-12:
-            cand = np.clip(cand, 0.0, 1.0)
-            Tc = cand.reshape(nf, ng)
-            if _validate_mps_witness(Tc, spread, contracted):
-                return MpsResult(True, Tc)
-    if _validate_mps_witness(T, spread, contracted, tol=1e-7):
-        return MpsResult(True, T)
-    return MpsResult(False)
+    The contracted atoms go from left to right. Each, of mass g and belief b,
+    takes the quantile window [s, s + g] of mean b from the spread mass the
+    earlier ones left. The mass a window takes from each atom is piecewise
+    linear in s, with breakpoints where s or s + g crosses a cumulative mass,
+    so the window's mean is piecewise linear and nondecreasing in s: s
+    interpolates between the two breakpoints whose means bracket b.
+    """
+    a, left = spread.beliefs, spread.probs.copy()
+    T = np.zeros((a.size, contracted.beliefs.size))
+    for j, (b, g) in enumerate(zip(contracted.beliefs, contracted.probs)):
+        edges = np.concatenate(([0.0], np.cumsum(left)))  # the mass left of each atom, then all of it
+        starts = np.unique(np.clip(np.concatenate((edges, edges - g)), 0.0, max(edges[-1] - g, 0.0)))
+        means = _window(starts[:, None], g, edges[:-1], left) @ a / g
+        k = int(np.searchsorted(means, b))  # the first breakpoint whose mean reaches b
+        if 0 < k < starts.size:
+            s = starts[k - 1] + (b - means[k - 1]) * (starts[k] - starts[k - 1]) / (means[k] - means[k - 1])
+        else:
+            s = starts[min(k, starts.size - 1)]
+        window = _window(s, g, edges[:-1], left)
+        T[:, j] = window / g
+        left = np.maximum(left - window, 0.0)
+    return T
 
 
 def is_mps(tau_spread: BeliefDistribution, tau_contracted: BeliefDistribution) -> MpsResult:
     """Test whether ``tau_spread`` is a mean-preserving spread of ``tau_contracted``.
 
-    Two-point supports use the exact interval-containment criterion; larger
-    supports are decided by a linear feasibility problem, and scipy is loaded
-    on the first such problem only. A valid transition witness (columns
-    spread each contracted atom while keeping its mean) accompanies every
-    positive answer.
+    On the line, with equal means, it is exactly when the potential
+    sum_i p_i |x - beta_i| of ``tau_spread`` is at least that of
+    ``tau_contracted`` at every x (Rothschild and Stiglitz). Both potentials
+    are piecewise linear with kinks at the atoms, so the atoms of either
+    distribution suffice; each is compared within ``TOL``. A positive answer
+    carries the left-curtain coupling (Beiglboeck and Juillet) as its
+    witness, validated at ``TOL``.
     """
     if abs(tau_spread.prior - tau_contracted.prior) > TOL:
         raise BarycenterMismatch(
             f"priors differ: {tau_spread.prior} vs {tau_contracted.prior}"
         )
-    if tau_spread.beliefs.size <= 2 and tau_contracted.beliefs.size <= 2:
-        res = _mps_two_point(tau_spread, tau_contracted)
-    else:
-        res = _mps_linear_program(tau_spread, tau_contracted)
-    if res.is_spread and not _validate_mps_witness(
-        res.witness, tau_spread, tau_contracted, tol=1e-7
-    ):
+    x = np.concatenate((tau_spread.beliefs, tau_contracted.beliefs))
+    if (_potential(tau_spread, x) < _potential(tau_contracted, x) - TOL).any():
+        return MpsResult(False)
+    T = _left_curtain(tau_spread, tau_contracted)
+    if not _validate_mps_witness(T, tau_spread, tau_contracted):
         raise AssertionError("internal: MPS witness failed validation")
-    return res
+    return MpsResult(True, T)
 
 
 # ---------------------------------------------------------------------------
@@ -503,87 +476,43 @@ class BlackwellResult:
     to_first: Optional[np.ndarray] = None  # G with G @ s2 = s1
 
 
-def _garbling_closed_form(a: np.ndarray, b: np.ndarray, tol=TOL) -> Optional[np.ndarray]:
-    """For square invertible ``a``: the unique G with G a = b, if stochastic."""
-    det = np.linalg.det(a)
-    if abs(det) < 1e-12:
+def _garbling(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
+    """A column-stochastic G with ``G @ a == b``, or None if there is none.
+
+    Signal i of ``a`` has its posterior at atom alpha(i) of ``induced_tau(a,
+    1/2)``, signal j of ``b`` at atom beta(j) of ``induced_tau(b, 1/2)``, and
+    T is the curtain of the second into the first. Bayes' rule gives
+    G[j, i] = T[alpha(i), beta(j)] P_b(j) / P_a(alpha(i)). A signal of ``a``
+    with no mass sends all of it to signal 0.
+    """
+    spread, contracted = induced_tau(a, 0.5), induced_tau(b, 0.5)
+    res = is_mps(spread, contracted)
+    if not res:
         return None
-    G = b @ np.linalg.inv(a)
-    if G.min() < -tol:
-        return None
-    G = np.clip(G, 0.0, 1.0)
-    G /= G.sum(axis=0, keepdims=True)
-    return G
-
-
-def _garbling_lp(a: np.ndarray, b: np.ndarray, tol=TOL) -> Optional[np.ndarray]:
-    from scipy.optimize import linprog  # deferred, see _mps_linear_program
-
-    ma, n = a.shape
-    mb = b.shape[0]
-    nvar = mb * ma
-
-    def cell(i, k):
-        return i * ma + k
-
-    rows, rhs = [], []
-    for i in range(mb):  # (G a)[i, j] = b[i, j]
-        for j in range(n):
-            r = np.zeros(nvar)
-            for k in range(ma):
-                r[cell(i, k)] = a[k, j]
-            rows.append(r)
-            rhs.append(b[i, j])
-    for k in range(ma):  # columns of G sum to one
-        r = np.zeros(nvar)
-        for i in range(mb):
-            r[cell(i, k)] = 1.0
-        rows.append(r)
-        rhs.append(1.0)
-    A = np.array(rows)
-    res = linprog(
-        c=np.zeros(nvar), A_eq=A, b_eq=np.array(rhs), bounds=(0, 1), method="highs"
-    )
-    if not res.success:
-        return None
-    mask = res.x > 1e-12
-    G = None
-    if mask.any():
-        sub, *_ = np.linalg.lstsq(A[:, mask], np.array(rhs), rcond=None)
-        cand = np.zeros(nvar)
-        cand[mask] = sub
-        if cand.min() > -1e-12:
-            G = np.clip(cand, 0.0, 1.0).reshape(mb, ma)
-    if G is None:
-        G = res.x.reshape(mb, ma)
-    if abs(G @ a - b).max() > 1e-7 or abs(G.sum(axis=0) - 1.0).max() > 1e-7:
-        return None
-    return G
-
-
-def _find_garbling(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    if a.shape[0] == a.shape[1]:
-        G = _garbling_closed_form(a, b)
-        if G is not None:
-            return G
-        if abs(np.linalg.det(a)) >= 1e-12:
-            return None  # unique candidate was not stochastic
-    return _garbling_lp(a, b)
+    (pa, qa), (pb, qb) = _bayes(a[:, 0], a[:, 1], 0.5), _bayes(b[:, 0], b[:, 1], 0.5)
+    alpha = np.abs(qa[:, None] - spread.beliefs).argmin(axis=1)
+    beta = np.abs(qb[:, None] - contracted.beliefs).argmin(axis=1)
+    G = res.witness[np.ix_(alpha, beta)].T * pb[:, None] / spread.probs[alpha]
+    return np.where(pa > TOL, G, np.eye(b.shape[0], 1))
 
 
 def blackwell_compare(s1, s2) -> BlackwellResult:
-    """Blackwell-rank two structures over the same conditioning space.
+    """Blackwell-rank two two-state structures.
 
-    ``DOMINATES`` means a column-stochastic G with ``G s1 = s2`` exists; the
-    witness(es) are attached. Square invertible cases use the closed form
-    ``G = s2 s1^-1``, everything else a linear feasibility problem; scipy is
-    loaded on the first such problem only.
+    ``DOMINATES`` means a column-stochastic G with ``G s1 = s2`` exists, and
+    it is attached. With two states that holds exactly when the posteriors
+    ``s1`` induces at the prior 1/2 are a mean-preserving spread of those of
+    ``s2`` (Blackwell); G follows from the curtain witness of :func:`is_mps`
+    by Bayes' rule. Both inputs are validated as by
+    :func:`validate_stochastic`, and each must have exactly two columns
+    (``DimensionMismatch`` otherwise).
     """
-    a, b = _as_array(s1), _as_array(s2)
-    if a.shape[1] != b.shape[1]:
-        raise DimensionMismatch("structures condition on different spaces")
-    fwd = _find_garbling(a, b)
-    rev = _find_garbling(b, a)
+    a, b = validate_stochastic(s1).a, validate_stochastic(s2).a
+    if a.shape[1] != 2 or b.shape[1] != 2:
+        raise DimensionMismatch(
+            f"Blackwell order needs two-state structures, got {a.shape[1]} and {b.shape[1]} columns"
+        )
+    fwd, rev = _garbling(a, b), _garbling(b, a)
     if fwd is not None and rev is not None:
         order = BlackwellOrder.EQUIVALENT
     elif fwd is not None:

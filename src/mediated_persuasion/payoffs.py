@@ -8,6 +8,7 @@ express step payoffs that take distinct values at isolated beliefs.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,6 +61,8 @@ class PiecewiseUtility:
         if not pieces:
             raise ValueError("need at least one piece")
         for p in pieces:
+            if not all(map(math.isfinite, (p.lo, p.hi, p.slope, p.intercept))):
+                raise ValueError(f"piece {p} is not finite")
             if p.lo > p.hi:
                 raise ValueError(f"inverted piece [{p.lo}, {p.hi}]")
             if p.is_singleton and not (p.lo_closed and p.hi_closed):

@@ -189,6 +189,7 @@ FIG18 = str(FIXTURES / "fig18.json")
         (["solve", KG, "--mode", "mediator-br", "--x", "1,0;0,1;0,0"], "--x must be 2x2, got 3x2"),
         (["solve", KG, "--mode", "mediator-br", "--x", "1e400,0;0,1"], "bad --x matrix"),
         (["order", "--a", "identity", "--b", "2,0;-1,1"], "bad --b matrix"),
+        (["order", "--a", "1,0,0;0,1,0;0,0,1", "--b", "identity"], "Blackwell order needs two-state structures"),
         (["feasible", KG, "--points", "1"], "--points 1 must be at least 2"),
         (["feasible", FIG18, "--resolution", "0"], "--resolution 0.0 outside (0, 1]"),
         (["feasible", FIG18, "--resolution", "-0.1"], "--resolution -0.1 outside (0, 1]"),
@@ -200,6 +201,7 @@ FIG18 = str(FIXTURES / "fig18.json")
         "mediator-br-3x2-x",
         "mediator-br-x-too-large-for-a-float",
         "order-non-stochastic-b",
+        "order-three-states",
         "feasible-one-point",
         "feasible-zero-resolution",
         "feasible-negative-resolution",
@@ -285,7 +287,7 @@ def test_feasible_wing_vertices_are_family_points(name, points, capsys):
 
 
 # Runs one command line through cli.main in a fresh interpreter and reports
-# whether scipy.optimize was loaded after the imports and after the call.
+# whether scipy was loaded after the imports and after the call.
 SCIPY_PROBE = """
 import json
 import sys
@@ -295,10 +297,10 @@ from io import StringIO
 import mediated_persuasion
 import mediated_persuasion.cli as cli
 
-loaded = ["scipy.optimize" in sys.modules]
+loaded = ["scipy" in sys.modules]
 with redirect_stdout(StringIO()) as out:
     rc = cli.main(sys.argv[1:])
-loaded.append("scipy.optimize" in sys.modules)
+loaded.append("scipy" in sys.modules)
 print(json.dumps({"rc": rc, "loaded": loaded, "out": out.getvalue()}))
 """
 
@@ -318,22 +320,27 @@ FIG22_PROFILE = ["--x", "identity", "--sigma", "6/7,3/7;1/7,4/7"]
         ["solve", FIG22, "--mode", "compare", *FIG22_PROFILE],
         ["feasible", FIG19, "--points", "32"],
         ["feasible", FIG18],
+        ["order", "--a", "1/2,0;1/2,0;0,1", "--b", "1,0;0,1"],
     ],
-    ids=["search", "check", "bp", "sender-br", "mediator-br", "compare", "feasible-2x2", "feasible-3-signals"],
+    ids=[
+        "search", "check", "bp", "sender-br", "mediator-br", "compare", "feasible-2x2", "feasible-3-signals",
+        "order",
+    ],
 )
 def test_modes_without_a_linear_program_never_import_scipy_optimize(argv):
-    # only the LP fallbacks of is_mps and blackwell_compare load scipy.optimize,
-    # which takes most of a bare process's start-up time and memory
+    # no mode imports scipy, which would take most of a bare process's
+    # start-up time and memory; the library needs only numpy
     report = json.loads(run_fresh(SCIPY_PROBE, *argv))
     assert report["rc"] == 0
     assert report["loaded"] == [False, False]
 
 
-def test_order_of_a_three_signal_structure_loads_the_lp_on_demand():
-    # a 3x2 structure has no closed-form garbling, so the LP decides it
+def test_order_of_a_three_signal_structure_needs_no_scipy():
+    # a 3x2 structure and its 2x2 merge are equivalent: the curtain coupling
+    # of their posteriors gives both garblings, without a linear program
     report = json.loads(run_fresh(SCIPY_PROBE, "order", "--a", "1/2,0;1/2,0;0,1", "--b", "1,0;0,1"))
     assert report["rc"] == 0
-    assert report["loaded"] == [False, True]
+    assert report["loaded"] == [False, False]
     assert report["out"].splitlines() == [
         "a = 1/2,0;1/2,0;0,1",
         "b = 1,0;0,1",

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +9,7 @@ from mediated_persuasion import (
     BeliefDistribution,
     BlackwellOrder,
     ColumnSumMismatch,
+    DimensionMismatch,
     NegativeEntry,
     NonFiniteEntry,
     PriorOutsideSupport,
@@ -29,13 +28,13 @@ from mediated_persuasion.info import (
     TOL,
     _bayes,
     _composite,
-    _garbling_closed_form,
-    _garbling_lp,
     _induced_taus,
     _pair_weights,
+    _validate_mps_witness,
 )
 
-from conftest import RANKED_PAIR, UNRANKED_PAIR, random_experiment, random_garbling, run_fresh
+from conftest import RANKED_PAIR, UNRANKED_PAIR, random_experiment, random_garbling
+from lp_oracle import garbling_lp, mps_linear_program
 
 
 class TestValidateStochastic:
@@ -291,6 +290,36 @@ class TestMeanPreservingSpread:
         assert_allclose(spread.beliefs @ T, mid.beliefs, atol=1e-9)
         assert not is_mps(mid, spread)
 
+    def test_curtain_witness_of_a_three_atom_spread(self):
+        # each contracted atom, from the left, takes the window of its mean
+        # from what the earlier atoms left; dyadic numbers make it exact
+        spread = BeliefDistribution.from_atoms([(0.0, 0.25), (0.5, 0.5), (1.0, 0.25)])
+        contracted = BeliefDistribution.from_atoms([(0.25, 0.5), (0.75, 0.5)])
+        fwd, rev = is_mps(spread, contracted), is_mps(contracted, spread)
+        assert fwd and mps_linear_program(spread, contracted)
+        T = fwd.witness
+        assert np.array_equal(T, [[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
+        assert np.array_equal(T @ contracted.probs, spread.probs)  # transports the mass
+        assert np.array_equal(spread.beliefs @ T, contracted.beliefs)  # keeps each column's mean
+        assert not rev and not mps_linear_program(contracted, spread)
+        assert rev.witness is None
+
+    def test_verdicts_equal_the_lp_oracle(self):
+        # distributions of 1 to 11 atoms; half the pairs are ordered by a garbling
+        rng = np.random.default_rng(37)
+        verdicts = []
+        for _ in range(300):
+            prior = rng.uniform(0.05, 0.95)
+            x = random_structure(rng, rng.integers(1, 12))
+            y = garbled(rng, x, rng.integers(1, 12)) if rng.uniform() < 0.5 else random_structure(rng, rng.integers(1, 12))
+            a, b = induced_tau(x, prior), induced_tau(y, prior)
+            for spread, contracted in ((a, b), (b, a)):
+                res = is_mps(spread, contracted)
+                assert res.is_spread == mps_linear_program(spread, contracted).is_spread, (spread, contracted)
+                assert res.witness is None or _validate_mps_witness(res.witness, spread, contracted)
+                verdicts.append(res.is_spread)
+        assert 200 < sum(verdicts) < 500
+
     def test_witness_satisfies_both_conditions(self):
         rng = np.random.default_rng(5)
         for _ in range(300):
@@ -373,9 +402,66 @@ class TestBlackwellCompare:
                 if rng.uniform() < 0.5
                 else random_garbling(rng, lo=0.02, hi=0.98, min_det=0.02)
             )
-            closed = _garbling_closed_form(s1, s2)
-            lp = _garbling_lp(s1, s2)
-            assert (closed is None) == (lp is None)
+            G = blackwell_compare(s1, s2).to_second
+            assert (G is None) == (garbling_lp(s1, s2) is None)
+            assert G is None or np.abs(G @ s1 - s2).max() <= TOL
+
+    def test_verdicts_equal_the_lp_oracle_on_m_by_2_pairs(self):
+        # 2 to 5 signals, with signals of no mass and signals that share a
+        # posterior; half the pairs are ordered by a garbling
+        rng = np.random.default_rng(41)
+        ranked = 0
+        for _ in range(200):
+            m1, m2 = rng.integers(2, 6, size=2)
+            s1 = random_structure(rng, m1)
+            s2 = garbled(rng, s1, m2) if rng.uniform() < 0.5 else random_structure(rng, m2)
+            res = blackwell_compare(s1, s2)
+            for G, a, b in ((res.to_second, s1, s2), (res.to_first, s2, s1)):
+                assert (G is None) == (garbling_lp(a, b) is None), (a, b)
+                if G is not None:
+                    ranked += 1
+                    assert G.min() >= 0.0
+                    assert np.abs(G.sum(axis=0) - 1.0).max() <= TOL
+                    assert np.abs(G @ a - b).max() <= TOL
+        assert 100 < ranked < 300
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ([[2, 0], [-1, 1]], NegativeEntry),
+            ([[np.nan, 0], [1, 1]], NonFiniteEntry),
+            ([[0.5, 0.6], [0.5, 0.5]], ColumnSumMismatch),
+            (np.eye(3), DimensionMismatch),
+        ],
+        ids=["negative", "nan", "column-sum", "three-states"],
+    )
+    def test_rejects_invalid_structures(self, bad, error):
+        for s1, s2 in ((bad, np.eye(2)), (np.eye(2), bad)):
+            with pytest.raises(error):
+                blackwell_compare(s1, s2)
+
+
+def random_structure(rng, m):
+    """Random m x 2 column-stochastic structure. With m > 2, one signal may
+    have no mass, and two may share a posterior (one signal split in two)."""
+    s = rng.dirichlet(np.ones(m), size=2).T
+    if m > 2 and rng.uniform() < 0.3:
+        s[rng.integers(m)] = 0.0
+        s /= s.sum(axis=0)
+    if m > 2 and rng.uniform() < 0.3:
+        i, k = rng.choice(m, 2, replace=False)
+        total, t = s[i] + s[k], rng.uniform()
+        s[i], s[k] = t * total, (1.0 - t) * total
+    return s
+
+
+def garbled(rng, s, m):
+    """``G @ s`` for a random garbling G with m rows; one of its columns may
+    send all its mass to one signal."""
+    G = rng.dirichlet(np.ones(m), size=s.shape[0]).T
+    if rng.uniform() < 0.3:
+        G[:, rng.integers(s.shape[0])] = np.eye(m)[rng.integers(m)]
+    return G @ s
 
 
 class TestGarblingRank:
@@ -528,35 +614,3 @@ def as_bytes(tau):
         tau.beliefs.tobytes(), tau.probs.tobytes(), tau.beliefs.shape, tau.probs.shape, tau.prior,
         tau.beliefs.flags.writeable, tau.probs.flags.writeable,
     )
-
-
-# is_mps on supports of more than two atoms in a fresh interpreter, where the
-# LP solver is not yet loaded: a 3-atom spread of a 2-atom distribution, and
-# the reverse
-MPS_PROBE = """
-import json
-import sys
-
-from mediated_persuasion import BeliefDistribution, is_mps
-
-spread = BeliefDistribution.from_atoms([(0.0, 0.25), (0.5, 0.5), (1.0, 0.25)])
-contracted = BeliefDistribution.from_atoms([(0.25, 0.5), (0.75, 0.5)])
-cold = "scipy.optimize" not in sys.modules
-fwd, rev = is_mps(spread, contracted), is_mps(contracted, spread)
-print(json.dumps({"cold": cold, "fwd": fwd.is_spread, "witness": fwd.witness.tolist(),
-                  "rev": rev.is_spread, "rev_witness": rev.witness}))
-"""
-
-
-def test_mps_linear_program_from_a_cold_start():
-    report = json.loads(run_fresh(MPS_PROBE))
-    assert report["cold"]
-    assert report["fwd"] is True
-    T = np.array(report["witness"])
-    assert T.shape == (3, 2)
-    assert T.min() >= 0.0
-    assert_allclose(T.sum(axis=0), 1.0, atol=1e-9)
-    assert_allclose(T @ [0.5, 0.5], [0.25, 0.5, 0.25], atol=1e-9)  # transports the mass
-    assert_allclose([0.0, 0.5, 1.0] @ T, [0.25, 0.75], atol=1e-9)  # keeps each column's mean
-    assert report["rev"] is False
-    assert report["rev_witness"] is None

@@ -55,6 +55,20 @@ class TestEvalUtility:
         with pytest.raises(ValueError):
             PiecewiseUtility.from_points([(0, 0), (0.5, 1), (0.4, 0), (1, 0)])
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PiecewiseUtility.from_points([(0, np.nan), (1, 0)]),
+            lambda: PiecewiseUtility.from_points([(0, 0), (0.5, np.inf), (1, 0)]),
+            lambda: PiecewiseUtility.step([0.5], [0, np.nan]),
+        ],
+        ids=["nan-value", "infinite-value", "nan-step"],
+    )
+    def test_rejects_non_finite_pieces(self, build):
+        # each other piece check is a comparison, which NaN never fails
+        with pytest.raises(ValueError, match="is not finite"):
+            build()
+
 
 def edge_probes(u: PiecewiseUtility) -> np.ndarray:
     """Every edge of ``u`` and both float neighbours of each."""
