@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 standard output closed before the output was
 written (the ``--out`` file, written first, is complete), 2 schema/parse
-error, 3 rank-deficient garbling, 4 equilibrium check refuted, 5 internal
-tolerance failure. Reports are JSON with a ``spec_version`` field; CSV
-columns are fixed as (family, p, b1, b2, prob1, prob2). ``MP_THREADS``,
+error or an unreadable scenario file, 3 rank-deficient garbling, 4
+equilibrium check refuted, 5 internal tolerance failure. Reports are JSON
+with a ``spec_version`` field; CSV rows are written as they are made, with
+columns fixed as (family, p, b1, b2, prob1, prob2). ``MP_THREADS``,
 when set, becomes the default of ``OMP_NUM_THREADS``,
 ``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS``, which size numpy's
 thread pools (applied on package import, see ``mediated_persuasion``); the
@@ -14,9 +15,10 @@ library starts no threads of its own.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
+import itertools
 import json
 import os
 import sys
@@ -134,46 +136,8 @@ def cmd_feasible(args) -> int:
     if not 0.0 < args.resolution <= 1.0:
         raise ScenarioError(f"--resolution {args.resolution} outside (0, 1]")
     scenario = load_scenario(args.scenario)
-    rows = []
-    if scenario.sigma.shape == (2, 2):
-        fs = wing_polygons(scenario.sigma, scenario.prior, args.points)
-        for fam in sorted(fs.curves):
-            c = fs.curves[fam]
-            for p, (b1, b2) in zip(c.params, c.points):
-                p1, p2 = _pair_probs(b1, b2, scenario.prior)
-                rows.append((fam, f"{p:.10g}", b1, b2, p1, p2))
-        for name, wing in (("vertex_left", fs.left), ("vertex_right", fs.right)):
-            for b1, b2 in wing:
-                p1, p2 = _pair_probs(b1, b2, scenario.prior)
-                rows.append((name, "", b1, b2, p1, p2))
-    else:
-        cloud = sample_feasible_general(scenario.sigma, scenario.prior, args.resolution)
-        for post, prob in zip(cloud.posteriors, cloud.probs):
-            rows.append(
-                ("sample", "")
-                + tuple(float(v) for v in post)
-                + tuple(float(v) for v in prob)
-            )
-    if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        if scenario.sigma.shape == (2, 2):
-            w.writerow(["family", "p", "b1", "b2", "prob1", "prob2"])
-        else:
-            m = scenario.sigma.shape[0]
-            w.writerow(
-                ["family", "p"]
-                + [f"b{i+1}" for i in range(m)]
-                + [f"prob{i+1}" for i in range(m)]
-            )
-        w.writerows(rows)
-        text = buf.getvalue()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
+    rows = _feasible_rows(scenario, args.points, args.resolution)
+    if args.format == "json":
         report = {
             "spec_version": SPEC_VERSION,
             "prior": scenario.prior,
@@ -181,7 +145,32 @@ def cmd_feasible(args) -> int:
             "rows": [list(r) for r in rows],
         }
         _emit(report, args.out)
+        return EXIT_OK
+    m = scenario.sigma.shape[0]
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        w = csv.writer(fh)
+        w.writerow(["family", "p", *(f"b{i + 1}" for i in range(m)), *(f"prob{i + 1}" for i in range(m))])
+        w.writerows(rows)
     return EXIT_OK
+
+
+def _feasible_rows(scenario, points: int, resolution: float):
+    """The rows of the ``feasible`` export, made one at a time: the boundary
+    curves and wing vertices of a 2x2 garbling, or the sampled cloud of a
+    larger one. Those are computed here, so a garbling they reject raises
+    before any row is written."""
+    prior = scenario.prior
+    if scenario.sigma.shape != (2, 2):
+        cloud = sample_feasible_general(scenario.sigma, prior, resolution)
+        return (("sample", "", *map(float, post), *map(float, prob)) for post, prob in zip(cloud.posteriors, cloud.probs))
+    fs = wing_polygons(scenario.sigma, prior, points)
+    curves = (
+        (fam, f"{p:.10g}", b1, b2)
+        for fam in sorted(fs.curves)
+        for p, (b1, b2) in zip(fs.curves[fam].params, fs.curves[fam].points)
+    )
+    wings = ((name, "", b1, b2) for name, wing in (("vertex_left", fs.left), ("vertex_right", fs.right)) for b1, b2 in wing)
+    return ((*row, *_pair_probs(row[2], row[3], prior)) for row in itertools.chain(curves, wings))
 
 
 def _pair_probs(b1: float, b2: float, prior: float):

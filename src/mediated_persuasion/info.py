@@ -19,6 +19,9 @@ Conventions used throughout the library:
   ``sample_feasible_general``), drop (``induced_tau``),
   raise (``posterior_after_signal``) or the limit along the experiment
   family (``pairs_along_family``).
+* Every distribution built from atoms goes through one rules kernel,
+  ``_belief_rows`` (drop, sort, merge), and one check, ``_checked_atoms``.
+  With the three kernels above they are where exact twins plug in.
 """
 
 from __future__ import annotations
@@ -174,6 +177,36 @@ def posterior_after_signal(b, prior: float, signal: int) -> float:
     return float(q[signal])
 
 
+def _belief_rows(beliefs, probs):
+    """The rules that turn atoms into a ``BeliefDistribution``, on each row of
+    two (n, k) arrays: drop atoms of probability at most ``TOL``, order the
+    rest as (belief, probability) tuples sort, and merge each into the last
+    kept atom when their beliefs are within ``TOL``. Returns the rows
+    left-aligned, cut to the longest and zero past each row's atoms, and
+    each row's number of atoms."""
+    p = np.asarray(probs, dtype=float)
+    keep = p > TOL
+    b, p = np.where(keep, beliefs, 0.0), np.where(keep, p, 0.0)
+    rows = np.arange(len(p))
+    order = rows[:, None], np.lexsort((p, b, ~keep), axis=-1)  # dropped atoms last
+    b, p, keep = b[order], p[order], keep[order]
+    # the atoms go to columns 1, 2, ...; column 0 has a NaN belief, so no atom merges into it
+    out_b, out_p = np.zeros((2, len(p), p.shape[1] + 1))
+    out_b[:, 0] = np.nan
+    size = np.zeros(len(p), dtype=int)
+    with np.errstate(all="ignore"):  # a non-finite atom makes NaN here, which the checks reject
+        for bj, pj, kj in zip(b.T, p.T, keep.T):  # one pass per column
+            lb, lp = out_b[rows, size], out_p[rows, size]
+            merge = kj & (np.abs(bj - lb) <= TOL)
+            q = lp + pj
+            at = size + ~merge  # a dropped atom writes its zeros past the row's atoms
+            out_b[rows, at] = np.where(merge, (lb * lp + bj * pj) / q, bj)
+            out_p[rows, at] = np.where(merge, q, pj)
+            size += kj & ~merge
+    k = int(size.max(initial=0))
+    return out_b[:, 1 : k + 1], out_p[:, 1 : k + 1], size
+
+
 def _checked_atoms(beliefs, probs, size, prior: float):
     """The checks of a ``BeliefDistribution`` on each row i of two (n, k)
     arrays whose first ``size[i]`` entries are its atoms, in one pass.
@@ -194,9 +227,9 @@ def _checked_atoms(beliefs, probs, size, prior: float):
     checks = (
         ~finite,
         size == 0,
-        p.min(axis=1) < -TOL,
+        p.min(axis=1, initial=0.0) < -TOL,
         np.abs(total - 1.0) > TOL,
-        (b.min(axis=1) < -TOL) | (b.max(axis=1) > 1.0 + TOL),
+        (b.min(axis=1, initial=0.0) < -TOL) | (b.max(axis=1, initial=0.0) > 1.0 + TOL),
         ((b[:, 1:] - b[:, :-1] <= TOL) & atom[:, 1:]).any(axis=1),
         ~(np.abs(bary - prior) <= TOL),
     )
@@ -206,7 +239,7 @@ def _checked_atoms(beliefs, probs, size, prior: float):
         raise (
             ValueError("beliefs and probabilities must be finite"),
             ValueError("no atoms with positive probability"),
-            ValueError(f"negative probability {p[i].min():.3g}"),
+            ValueError(f"negative probability {p[i].min(initial=0.0):.3g}"),
             ValueError(f"probabilities sum to {total[i]:.12g}"),
             ValueError("beliefs outside [0, 1]"),
             ValueError("beliefs must be strictly increasing; merge duplicates"),
@@ -237,63 +270,33 @@ class BeliefDistribution:
 
     @classmethod
     def from_atoms(cls, atoms, prior: Optional[float] = None) -> "BeliefDistribution":
-        """Build from (belief, prob) pairs; sorts, drops zero-probability atoms
-        and merges beliefs closer than ``TOL``."""
-        atoms = [(float(b), float(p)) for b, p in atoms]
-        atoms = [(b, p) for b, p in atoms if p > TOL]
-        if not atoms:
-            raise ValueError("no atoms with positive probability")
-        atoms.sort()
-        merged: list[list[float]] = []
-        for b, p in atoms:
-            if merged and abs(b - merged[-1][0]) <= TOL:
-                q = merged[-1][1] + p
-                merged[-1][0] = (merged[-1][0] * merged[-1][1] + b * p) / q
-                merged[-1][1] = q
-            else:
-                merged.append([b, p])
-        beliefs = np.array([b for b, _ in merged])
-        probs = np.array([p for _, p in merged])
-        if prior is None:
-            prior = float(beliefs @ probs)
-        return cls(beliefs, probs, float(prior))
+        """Build from (belief, prob) pairs by the rules of :func:`_belief_rows`,
+        the path the outcomes of m-signal structures (:func:`induced_tau`)
+        take too; without ``prior``, the merged atoms' barycenter is used."""
+        a = np.array([(float(b), float(p)) for b, p in atoms]).reshape(1, -1, 2)
+        return cls._from_rows(a[..., 0], a[..., 1], prior)[0][0]
 
     @classmethod
-    def _from_atom_pairs(cls, beliefs, probs, prior: float) -> list["BeliefDistribution"]:
-        """``from_atoms(zip(beliefs[i], probs[i]), prior)`` for each row i of
-        two (n, 2) arrays, in one numpy pass.
-
-        The rules of :meth:`from_atoms` (drop, sort, merge) run on all rows at
-        once, then the checks of ``__post_init__`` through
-        :func:`_checked_atoms`, and the objects are built without running
-        ``__post_init__`` again. A batch with a rejected row raises what
-        :meth:`from_atoms` raises for the first such row.
-        """
-        b, p = (np.array(a, dtype=float).reshape(-1, 2) for a in (beliefs, probs))
-        keep = p > TOL
-        # sort by belief, as list.sort orders the (belief, prob) tuples (equal
-        # beliefs merge, so their order does not show); a lone second atom moves first
-        swap = np.where(keep[:, 0], keep[:, 1] & (b[:, 1] < b[:, 0]), keep[:, 1])
-        for a in (b, p, keep):
-            a[swap] = a[swap, ::-1]
-        size = keep.sum(axis=1)
-        merge = (size == 2) & (np.abs(b[:, 1] - b[:, 0]) <= TOL)
-        q = p[merge, 0] + p[merge, 1]
-        b[merge, 0] = (b[merge, 0] * p[merge, 0] + b[merge, 1] * p[merge, 1]) / q
-        p[merge, 0] = q
-        size[merge] = 1
-
+    def _from_rows(cls, beliefs, probs, prior: Optional[float]):
+        """The distributions of the atoms in each row of two (n, k) arrays, by
+        :func:`_belief_rows` and :func:`_checked_atoms` in one pass each, and
+        their rows: read-only beliefs and probs, and sizes. A ``prior`` of
+        None is the barycenter of a batch of one."""
+        beliefs, probs, size = _belief_rows(beliefs, probs)
+        if prior is None:
+            with np.errstate(all="ignore"):  # a non-finite atom, which the checks reject
+                prior = beliefs[0] @ probs[0]
         prior = float(prior)
-        b, p = _checked_atoms(b, p, size, prior)
-        b.setflags(write=False)
-        p.setflags(write=False)
+        beliefs, probs = _checked_atoms(beliefs, probs, size, prior)
+        beliefs.setflags(write=False)
+        probs.setflags(write=False)
         out = []
         for i, k in enumerate(size.tolist()):
-            tau = object.__new__(cls)
-            for name, value in (("beliefs", b[i, :k]), ("probs", p[i, :k]), ("prior", prior)):
+            tau = object.__new__(cls)  # checked above: no second __post_init__
+            for name, value in (("beliefs", beliefs[i, :k]), ("probs", probs[i, :k]), ("prior", prior)):
                 object.__setattr__(tau, name, value)
             out.append(tau)
-        return out
+        return out, beliefs, probs, size
 
     @property
     def atoms(self):
@@ -321,27 +324,26 @@ class BeliefDistribution:
 
 
 def induced_tau(b, prior: float) -> BeliefDistribution:
-    """Distribution of posteriors induced by a two-state structure.
+    """Distribution of posteriors induced by a two-state structure of any
+    number of signals; a batch of one for :func:`_induced_taus`.
 
     Zero-probability signals are dropped; coincident posteriors merge.
     """
     a = _as_array(b)
     if a.shape[1] != 2:
         raise DimensionMismatch("posteriors need a two-state structure")
-    p, q = _bayes(a[:, 0], a[:, 1], prior)
-    keep = p > TOL
-    if not keep.any():  # only possible through float dust; the prior is certain
-        return BeliefDistribution.from_atoms([(prior, 1.0)], prior)
-    return BeliefDistribution.from_atoms(zip(q[keep], p[keep]), prior)
+    return _induced_taus(a[None], prior)[0][0]
 
 
-def _induced_taus(a: np.ndarray, prior: float) -> list[BeliefDistribution]:
-    """:func:`induced_tau` of each two-signal structure in the stack ``a``,
-    shaped (n, 2, 2), built in one pass by ``_from_atom_pairs``."""
+def _induced_taus(a: np.ndarray, prior: float):
+    """:func:`induced_tau` of each structure in the stack ``a``, shaped
+    (n, m, 2), and their rows, as ``BeliefDistribution._from_rows`` builds
+    them in one pass."""
     p, q = _bayes(a[..., 0], a[..., 1], prior)
-    # no signal with mass: _bayes put the prior on both, so give the first all of it
-    p[~(p > TOL).any(axis=1), 0] = 1.0
-    return BeliefDistribution._from_atom_pairs(q, p, prior)
+    # no signal with mass (only through float dust): the prior is certain
+    none = ~(p > TOL).any(axis=1)
+    p[none, 0], q[none, 0] = 1.0, prior
+    return BeliefDistribution._from_rows(q, p, prior)
 
 
 def bayes_plausible_weights(b1, b2, prior: float):

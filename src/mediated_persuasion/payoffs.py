@@ -248,22 +248,21 @@ class PiecewiseUtility:
 
 
 def expected_utility(u: PiecewiseUtility, tau: BeliefDistribution) -> float:
-    return float(_expected_utilities(u, [tau])[0])
+    return float(_expected_utilities(u, tau.beliefs[None], tau.probs[None], np.array([tau.beliefs.size]))[0])
 
 
-def _expected_utilities(u: PiecewiseUtility, taus: Sequence[BeliefDistribution]) -> np.ndarray:
-    """The expected utility of each distribution, with one ``eval_many``; the
-    distributions of each support size share one stacked dot, which sums each
-    one as ``u.eval_many(tau.beliefs) @ tau.probs`` does."""
-    sizes = np.array([t.beliefs.size for t in taus])
-    vals = u.eval_many(np.concatenate([t.beliefs for t in taus]))
-    probs = np.concatenate([t.probs for t in taus])
-    starts = np.cumsum(sizes) - sizes
-    out = np.empty(len(taus))
+def _expected_utilities(u: PiecewiseUtility, beliefs, probs, sizes) -> np.ndarray:
+    """The expected utility of the atoms in the first ``sizes[i]`` entries of
+    each row of the (n, k) ``beliefs`` and ``probs``, with one ``eval_many``;
+    the rows of each size share one stacked dot, which sums each one as
+    ``u.eval_many(tau.beliefs) @ tau.probs`` does."""
+    atom = np.arange(beliefs.shape[1]) < sizes[:, None]
+    vals = np.zeros(beliefs.shape)
+    vals[atom] = u.eval_many(beliefs[atom])
+    out = np.empty(len(sizes))
     for k in np.unique(sizes).tolist():
         rows = np.flatnonzero(sizes == k)
-        at = starts[rows, None] + np.arange(k)
-        out[rows] = _row_dots(vals[at], probs[at])
+        out[rows] = _row_dots(vals[rows, :k], probs[rows, :k])
     return out
 
 

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ColumnSumMismatch, NegativeEntry, ScenarioError
+from .errors import ColumnSumMismatch, NegativeEntry, PersuasionError, ScenarioError
 from .info import validate_stochastic
 from .payoffs import ActionGame, PiecewiseUtility, induce_belief_utilities
 from .solver import GameSpec
@@ -89,10 +89,21 @@ def parse_utility(obj: dict, where: str) -> dict:
         for key in ("actions", "payoffs"):
             if key not in obj:
                 raise ScenarioError(f"{where}: actions utility needs {key!r}")
+        if not isinstance(obj["payoffs"], dict):
+            raise ScenarioError(f"{where}.payoffs must be an object")
         _reject_unknown(obj["payoffs"], set(_PLAYERS), f"{where}.payoffs")
     else:
         raise ScenarioError(f"{where}: unknown utility type {obj['type']!r}")
     return obj
+
+
+def _built(where: str, build):
+    """``build()``, where a value of the file that it rejects raises
+    ``ScenarioError`` naming ``where``, the key it came from."""
+    try:
+        return build()
+    except (PersuasionError, ValueError, TypeError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
 
 
 def _build_pwl(obj: dict) -> PiecewiseUtility:
@@ -124,11 +135,18 @@ class Scenario:
 
 
 def load_scenario(source) -> Scenario:
-    """Parse a scenario from a dict, JSON string, or file path."""
+    """Parse a scenario from a dict, JSON string, or UTF-8 file path.
+
+    Anything it rejects, from an unreadable file to utilities that make no
+    game, raises ``ScenarioError``.
+    """
     if isinstance(source, dict):
         doc = source
     else:
-        text = Path(source).read_text() if not str(source).lstrip().startswith("{") else str(source)
+        try:
+            text = str(source) if str(source).lstrip().startswith("{") else Path(source).read_text("utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ScenarioError(f"cannot read scenario {str(source)!r}: {exc}") from None
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -174,16 +192,13 @@ def load_scenario(source) -> Scenario:
                     "an 'actions' utility describes the whole game; give the "
                     "identical object for every player"
                 )
-            u_s, u_m, u_r = induce_belief_utilities(
-                _build_action_game(next(iter(parsed.values())))
-            )
+            actions = next(iter(parsed.values()))
+            u_s, u_m, u_r = _built("utilities", lambda: induce_belief_utilities(_build_action_game(actions)))
         else:
-            u_s = _build_pwl(parsed["sender"])
-            u_m = _build_pwl(parsed["mediator"])
-            u_r = _build_pwl(parsed["receiver"]) if "receiver" in parsed else None
-        game = GameSpec(
-            prior=prior, u_sender=u_s, u_mediator=u_m, u_receiver=u_r, **search
-        )
+            u_s, u_m, u_r = (
+                _built(f"utilities.{p}", lambda: _build_pwl(parsed[p])) if p in parsed else None for p in _PLAYERS
+            )
+        game = _built("scenario", lambda: GameSpec(prior=prior, u_sender=u_s, u_mediator=u_m, u_receiver=u_r, **search))
     return Scenario(prior=prior, sigma=sigma, game=game)
 
 

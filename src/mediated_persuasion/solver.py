@@ -16,9 +16,10 @@ same upper-hull object that ``bp_solve`` reads over all of [0, 1].
 
 Each best response has one batched core, ``_sender_batch`` or
 ``_mediator_batch``, that solves a stack of strategies in one numpy pass
-over all their candidates, then builds all the replies' outcomes with
-``BeliefDistribution._from_atom_pairs`` and their strategies with one
-stacked inverse; the public single-strategy functions are a batch of one.
+over all their candidates, then builds all the replies' outcomes with the
+rules kernel ``info._belief_rows``, which every distribution goes through,
+and their strategies with one stacked inverse; the public single-strategy
+functions are a batch of one.
 Each core locates a stack of beliefs on the utility once
 (``PiecewiseUtility._locate``) and reads every value it needs there. The
 certificate core ``_certificates`` checks a list of profiles the same way,
@@ -54,6 +55,7 @@ from .info import (
     _pair_weights,
     bayes_plausible_weights,
     is_mps,
+    validate_stochastic,
 )
 from .payoffs import (
     _ABOVE,
@@ -86,9 +88,9 @@ class GameSpec:
     def __post_init__(self):
         if not TOL < self.prior < 1.0 - TOL:
             raise ValueError("prior must be interior to (0, 1)")
-        for u in (self.u_sender, self.u_mediator, self.u_receiver):
+        for name, u in ((SENDER, self.u_sender), (MEDIATOR, self.u_mediator), (RECEIVER, self.u_receiver)):
             if u is not None and u.domain != (0.0, 1.0):
-                raise ValueError("game utilities must cover the whole belief space")
+                raise ValueError(f"the {name} utility must cover the whole belief space")
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,16 +109,15 @@ class BestResponse:
 
 
 def _point_mass(prior: float) -> BeliefDistribution:
-    return BeliefDistribution.from_atoms([(prior, 1.0)], prior)
+    return BeliefDistribution(np.array([prior], dtype=float), np.array([1.0]), float(prior))  # one atom: no rule applies
 
 
-def _pair_taus(q1, q2, prior: float) -> tuple[list[BeliefDistribution], np.ndarray]:
+def _pair_taus(q1, q2, prior: float):
     """The outcome of each posterior pair (q1[i], q2[i]), built in one pass: a
     point mass at the prior when the pair is at most ``TOL`` wide, else both
     posteriors with the weights of :func:`bayes_plausible_weights`. Returns
-    the outcomes and which of them have one atom: a narrow pair, or a wide
-    one with a posterior of weight at most ``TOL``, which ``from_atoms``
-    drops."""
+    the outcomes and their rows (``BeliefDistribution._from_rows``); a wide
+    pair has one atom when a posterior's weight is at most ``TOL``."""
     q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
     lo, hi = np.where(q2 < q1, q2, q1), np.where(q2 > q1, q2, q1)  # as min() and max() pick
     wide = ~(hi - lo <= TOL)
@@ -125,7 +126,7 @@ def _pair_taus(q1, q2, prior: float) -> tuple[list[BeliefDistribution], np.ndarr
     # a narrow pair becomes the atom (prior, 1) next to one of no mass
     beliefs = np.where(wide[:, None], np.column_stack([lo, hi]), prior)
     probs = np.where(wide[:, None], np.column_stack([p_lo, p_hi]), [1.0, 0.0])
-    return BeliefDistribution._from_atom_pairs(beliefs, probs, prior), ~(probs > TOL).all(axis=1)
+    return BeliefDistribution._from_rows(beliefs, probs, prior)
 
 
 def _babbling_response(u: PiecewiseUtility, prior: float) -> BestResponse:
@@ -157,7 +158,7 @@ def bp_solve(u_s: PiecewiseUtility, prior: float) -> BenchmarkSolution:
     if conc.value(prior) <= base + TOL:
         return BenchmarkSolution(_point_mass(prior), UNINFORMATIVE_X.copy(), base, conc, True)
     lo, hi = conc.linear_span(prior)
-    (tau,), _ = _pair_taus([lo], [hi], prior)
+    (tau,), *_ = _pair_taus([lo], [hi], prior)
     x = reconstruct_experiment(np.eye(2), prior, tau)
     value, attained = conc.payoff(tau)
     return BenchmarkSolution(tau, x, value, conc, attained)
@@ -269,7 +270,9 @@ def _sender_batch(u_s: PiecewiseUtility, sigmas: np.ndarray, prior: float) -> li
     over all their candidates; see :func:`sender_best_response`."""
     if sigmas.shape[1:] != (2, 2):
         raise DimensionMismatch("expected a 2x2 garbling")
-    full = ~(np.abs(sigmas[..., 0] - sigmas[..., 1]).max(axis=1) <= TOL)  # as garbling_rank decides
+    # a rank-deficient garbling (as garbling_rank decides), or a prior within
+    # TOL of 0 or 1, leaves only babbling
+    full = ~(np.abs(sigmas[..., 0] - sigmas[..., 1]).max(axis=1) <= TOL) & (TOL < prior < 1.0 - TOL)
     out = [None if f else _babbling_response(u_s, prior) for f in full.tolist()]
     if not full.any():
         return out
@@ -287,9 +290,9 @@ def _sender_batch(u_s: PiecewiseUtility, sigmas: np.ndarray, prior: float) -> li
     best = np.lexsort((np.maximum(q1, q2), np.minimum(q1, q2), short, ~tie), axis=-1)[:, 0]
     rows = np.arange(len(a))
     b1, b2, got = q1[rows, best], q2[rows, best], attained[rows, best]
-    taus, one_atom = _pair_taus(b1, b2, prior)
+    taus, _, _, sizes = _pair_taus(b1, b2, prior)
     # a one-atom outcome is babbling, whichever candidate won
-    kinds = np.where(one_atom, _BABBLING, kind[best])
+    kinds = np.where(sizes == 1, _BABBLING, kind[best])
     # corner 1 is induced by X = I, corner 2 by the column swap
     corner_x = np.where((best == 1)[:, None, None], np.eye(2), np.eye(2)[::-1])
     xs = np.where((kinds == _BABBLING)[:, None, None], UNINFORMATIVE_X, corner_x)
@@ -303,12 +306,15 @@ def _sender_batch(u_s: PiecewiseUtility, sigmas: np.ndarray, prior: float) -> li
 def sender_best_response(u_s: PiecewiseUtility, sigma, prior: float) -> BestResponse:
     """Supremum of expected sender utility over the feasible set of ``sigma``.
 
-    A rank-deficient garbling leaves only the babbling outcome. Ties within
+    ``sigma`` is checked as by :func:`validate_stochastic` and used as given. A
+    rank-deficient garbling, or a prior within ``TOL`` of 0 or 1, leaves only
+    the babbling outcome. Ties within
     1e-12 break first to candidates that attain the supremum, then to the
     lexicographically smallest sorted posterior pair, and among equal pairs
     to the first candidate in ``_sender_candidates`` order. This is a batch
     of one for :func:`_sender_batch`.
     """
+    validate_stochastic(sigma)
     return _sender_batch(u_s, _as_array(sigma)[None], prior)[0]
 
 
@@ -335,25 +341,21 @@ def _mediator_batch(u_m: PiecewiseUtility, xs: np.ndarray, prior: float) -> list
     rows = np.flatnonzero(informative)
     concs = _concavifications(u_m, lo[rows], hi[rows])
     spans = np.array([conc.linear_span(prior) for conc in concs]).reshape(-1, 2)
-    taus, one_atom = _pair_taus(spans[:, 0], spans[:, 1], prior)
-    splits = []
-    for i, conc, tau, one in zip(rows.tolist(), concs, taus, one_atom.tolist()):
-        # one atom when the span is a point, and also when the prior is a kink of
-        # the envelope: the span then starts at the prior and its far end has no mass
-        if one:
-            value = conc.value(prior)
-            out[i] = BestResponse(UNINFORMATIVE_X.copy(), _point_mass(prior), value, value <= u_prior)
-        else:
-            splits.append((i, conc, tau))
-    if splits:
-        rows, concs, taus = zip(*splits)
-        beliefs, probs = np.array([t.beliefs for t in taus]), np.array([t.probs for t in taus])
+    taus, beliefs, probs, sizes = _pair_taus(spans[:, 0], spans[:, 1], prior)
+    # one atom when the span is a point, and also when the prior is a kink of
+    # the envelope: the span then starts at the prior and its far end has no mass
+    for j in np.flatnonzero(sizes == 1).tolist():
+        value = concs[j].value(prior)
+        out[rows[j]] = BestResponse(UNINFORMATIVE_X.copy(), _point_mass(prior), value, value <= u_prior)
+    split = np.flatnonzero(sizes == 2)
+    if split.size:
+        beliefs, probs = beliefs[split], probs[split]
         comp = np.stack(_composite(beliefs, probs, prior), axis=-1)
-        sigmas = np.clip(comp @ np.linalg.inv(xs[list(rows)]), 0.0, 1.0)
+        sigmas = np.clip(comp @ np.linalg.inv(xs[rows[split]]), 0.0, 1.0)
         sigmas /= sigmas.sum(axis=1, keepdims=True)
-        values, attained = _payoffs(concs, beliefs, probs)
-        for i, sigma, tau, v, a in zip(rows, sigmas, taus, values.tolist(), attained.tolist()):
-            out[i] = BestResponse(sigma, tau, v, a)
+        values, attained = _payoffs([concs[j] for j in split], beliefs, probs)
+        for j, sigma, v, a in zip(split.tolist(), sigmas, values.tolist(), attained.tolist()):
+            out[rows[j]] = BestResponse(sigma, taus[j], v, a)
     return out
 
 
@@ -363,9 +365,14 @@ def mediator_best_response(u_m: PiecewiseUtility, x, prior: float) -> BestRespon
     Among payoff-equal optimal garblings the Blackwell-most-informative one
     is selected (the maximal coincident linear run through the prior), so an
     indifferent mediator reproduces the experiment faithfully (identity).
-    This is a batch of one for :func:`_mediator_batch`.
+    ``x`` is checked as by :func:`validate_stochastic`, used as given, and
+    must be 2x2. This is a batch of one for :func:`_mediator_batch`.
     """
-    return _mediator_batch(u_m, _as_array(x)[None], prior)[0]
+    validate_stochastic(x)
+    x = _as_array(x)
+    if x.shape != (2, 2):
+        raise DimensionMismatch("expected a 2x2 experiment")
+    return _mediator_batch(u_m, x[None], prior)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -405,15 +412,15 @@ def _certificates(game: GameSpec, xs, sigmas, tol: float, memo: "_ResponseMemo")
 
     Both players' best responses come from ``memo`` in one lookup each. The
     composites sigma X are one stacked ``matmul``, their outcomes are built by
-    ``_induced_taus`` and each player's payoffs by ``_expected_utilities``,
-    each bit for bit what the same steps give profile by profile.
+    ``_induced_taus`` and each player's payoffs by ``_expected_utilities`` on
+    their rows, each bit for bit what the same steps give profile by profile.
     """
     xs, sigmas = [_as_array(x) for x in xs], [_as_array(s) for s in sigmas]
     if any(a.shape != (2, 2) for a in (*xs, *sigmas)):
         raise DimensionMismatch("profiles are pairs of 2x2 experiments and garblings")
     br_s, br_m = memo.senders(sigmas), memo.mediators(xs)
-    taus = _induced_taus(np.matmul(sigmas, xs), game.prior)
-    cur_s, cur_m = (_expected_utilities(u, taus) for u in (game.u_sender, game.u_mediator))
+    taus, beliefs, probs, sizes = _induced_taus(np.matmul(sigmas, xs), game.prior)
+    cur_s, cur_m = (_expected_utilities(u, beliefs, probs, sizes) for u in (game.u_sender, game.u_mediator))
     gap_s = np.array([r.value for r in br_s]) - cur_s
     gap_m = np.array([r.value for r in br_m]) - cur_m
     gap_s, gap_m = (np.where(gap < 0.0, 0.0, gap) for gap in (gap_s, gap_m))  # as max(gap, 0.0) picks
@@ -482,8 +489,11 @@ def check_equilibrium(
 
     With ``memo`` the best responses come from it (computed there on first
     use), so repeated checks of one strategy solve its best response once.
-    This is a batch of one for the certificate core ``_certificates``.
+    Both strategies are checked as by :func:`validate_stochastic` and used as
+    given. This is a batch of one for the certificate core ``_certificates``.
     """
+    validate_stochastic(x)
+    validate_stochastic(sigma)
     tol = game.tol_dev if tol is None else tol
     memo = _ResponseMemo(game) if memo is None else memo
     return _certificates(game, [x], [sigma], tol, memo)[0]

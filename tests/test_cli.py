@@ -176,8 +176,58 @@ def test_exit_schema_on_bad_search_grid_and_non_stochastic_sigma(tmp_path, capsy
     assert "sigma is not column-stochastic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"utilities": {"sender": {"type": "pwl", "points": [[0], [1, 1]]}, "mediator": {"type": "pwl", "points": [[0, 0], [1, 1]]}}},
+        {"utilities": {"sender": {"type": "pwl", "points": 5}, "mediator": {"type": "pwl", "points": [[0, 0], [1, 1]]}}},
+        {"utilities": {"sender": {"type": "pwl", "points": [[1, 0], [0, 1]]}, "mediator": {"type": "pwl", "points": [[0, 0], [1, 1]]}}},
+        {"utilities": {"sender": {"type": "pwl", "points": [[0, 0], [0.5, 1]]}, "mediator": {"type": "pwl", "points": [[0, 0], [1, 1]]}}},
+        {"prior": 0},
+        {"utilities": {"sender": {"type": "pwl", "points": [[0, 0], [1, 1]], "singletons": [[2, 1]]}, "mediator": {"type": "pwl", "points": [[0, 0], [1, 1]]}}},
+        {"utilities": {p: {"type": "actions", "actions": ["a"], "payoffs": {q: [[0, 1]] for q in ("sender", "mediator", "receiver")}} for p in ("sender", "mediator")}},
+        {"utilities": {p: {"type": "actions", "actions": ["a", "b"], "payoffs": {"sender": [[0, 1], [1, 0]], "mediator": [[0, 1], [1, 0]], "receiver": [[0, 1, 2], [1, 0, 2]]}} for p in ("sender", "mediator")}},
+        "missing",
+        "directory",
+        "not-utf-8",
+    ],
+    ids=[
+        "point-of-one-coordinate", "points-not-a-list", "decreasing-abscissas", "utility-short-of-one", "prior-zero-with-utilities",
+        "singleton-at-two", "one-action", "receiver-table-of-three-columns", "missing-file", "directory", "not-utf-8",
+    ],
+)
+def test_exit_schema_on_scenarios_the_loader_rejects(tmp_path, capsys, changes):
+    # exit 1 is kept for a closed standard output: a scenario that cannot be
+    # read or makes no game is a schema error, reported in one line
+    if isinstance(changes, dict):
+        path = write_scenario(tmp_path, **changes)
+    else:
+        path = tmp_path / "scenario.json"
+        if changes == "directory":
+            path.mkdir()
+        elif changes == "not-utf-8":
+            path.write_bytes(b"\xff{}")
+    assert main(["solve", str(path), "--mode", "bp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 KG = str(FIXTURES / "kg.json")
 FIG18 = str(FIXTURES / "fig18.json")
+
+
+def test_feasible_csv_file_holds_the_bytes_printed(tmp_path, capsysbinary):
+    # the rows are streamed to the file or to standard output, with the
+    # same line endings
+    out = tmp_path / "f18.csv"
+    assert main(["feasible", FIG18, "--resolution", "0.25", "--out", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert main(["feasible", FIG18, "--resolution", "0.25"]) == 0
+    printed = capsysbinary.readouterr().out
+    assert printed.count(b"\r\n") == printed.count(b"\n") > 1
+    assert out.read_bytes() == printed
 
 
 @pytest.mark.parametrize(

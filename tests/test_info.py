@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from mediated_persuasion import (
 from mediated_persuasion.info import (
     TOL,
     _bayes,
+    _belief_rows,
     _composite,
     _induced_taus,
     _pair_weights,
@@ -515,7 +518,8 @@ class TestBeliefDistribution:
         assert tau.beliefs.tolist() == [0.4]
 
     def test_atom_pair_batch_equals_from_atoms_bit_for_bit(self, monkeypatch):
-        # the batch checks its rows itself: it runs no scalar __post_init__
+        # the rules kernel and the builder check their rows themselves: they
+        # run no scalar __post_init__
         scalar = []
         post_init = BeliefDistribution.__post_init__
         monkeypatch.setattr(BeliefDistribution, "__post_init__", lambda tau: scalar.append(post_init(tau)))
@@ -526,10 +530,10 @@ class TestBeliefDistribution:
             rows = [atom_pair_row(rng, prior, kind) for kind in range(len(ATOM_PAIR_KINDS))]
             rows += [atom_pair_row(rng, prior, rng.integers(len(ATOM_PAIR_KINDS))) for _ in range(8)]
             beliefs, probs = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
-            batch = BeliefDistribution._from_atom_pairs(beliefs, probs, prior)
+            batch = distributions(beliefs, probs, prior)
             assert not scalar
             for (b, p), got in zip(rows, batch):
-                want = BeliefDistribution.from_atoms(zip(b, p), prior)
+                want = scalar_from_atoms(zip(b, p), prior)
                 assert as_bytes(got) == as_bytes(want), (b, p, prior)
                 built += 1
             scalar.clear()
@@ -549,14 +553,14 @@ class TestBeliefDistribution:
         ids=["negative-weight", "belief-above-one", "belief-below-zero", "off-prior", "no-mass", "nan-belief", "infinite-belief"],
     )
     def test_atom_pair_batch_rejects_as_from_atoms(self, beliefs, probs):
-        # a rejected row raises from the batch what from_atoms raises, with
-        # accepted rows on either side of it; each row but the last two
+        # a rejected row raises from the batch what the scalar rules raise,
+        # with accepted rows on either side of it; each row but the last two
         # averages to the prior, so it fails one check alone
         with pytest.raises(Exception) as want:
-            BeliefDistribution.from_atoms(zip(beliefs, probs), 0.4)
+            scalar_from_atoms(zip(beliefs, probs), 0.4)
         batch_b, batch_p = [(0.2, 0.6), beliefs, (0.6, 0.2)], [(0.5, 0.5), probs, (0.5, 0.5)]
         with pytest.raises(Exception) as got:
-            BeliefDistribution._from_atom_pairs(np.array(batch_b), np.array(batch_p), 0.4)
+            distributions(np.array(batch_b), np.array(batch_p), 0.4)
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
     def test_atom_pair_batch_raises_for_its_first_rejected_row(self):
@@ -564,10 +568,9 @@ class TestBeliefDistribution:
         beliefs = np.array([(0.2, 0.6), (0.2, 0.8), (0.2, 1.2)])
         probs = np.array([(0.5, 0.5), (0.5, 0.5), (0.8, 0.2)])
         with pytest.raises(BarycenterMismatch, match="barycenter 0.5 != prior 0.4"):
-            BeliefDistribution._from_atom_pairs(beliefs, probs, 0.4)
+            distributions(beliefs, probs, 0.4)
         with pytest.raises(ValueError, match=r"beliefs outside \[0, 1\]"):
-            BeliefDistribution._from_atom_pairs(beliefs[::-1], probs[::-1], 0.4)
-
+            distributions(beliefs[::-1], probs[::-1], 0.4)
 
     def test_induced_tau_batch_equals_single_calls_bit_for_bit(self):
         # the certificate core builds its outcomes with _induced_taus: each must
@@ -578,9 +581,127 @@ class TestBeliefDistribution:
             stack = [random_experiment(rng) for _ in range(20)]
             stack += [np.eye(2), np.eye(2)[::-1], np.array([[0.0, 0.0], [1.0, 1.0]]), np.full((2, 2), 0.5)]
             stack += [np.array([[x, x * (1 + d)], [1 - x, 1 - x * (1 + d)]]) for x, d in ((0.3, 1e-10), (0.7, 1e-12))]
-            batch = _induced_taus(np.array(stack), prior)
-            for a, got in zip(stack, batch):
+            batch, beliefs, probs, sizes = _induced_taus(np.array(stack), prior)
+            for i, (a, got) in enumerate(zip(stack, batch)):
                 assert as_bytes(got) == as_bytes(induced_tau(a, prior)), (a, prior)
+                # the rows returned with the batch are its distributions'
+                k = sizes[i]
+                assert (beliefs[i, :k].tobytes(), probs[i, :k].tobytes()) == as_bytes(got)[:2]
+
+    def test_from_atoms_equals_the_scalar_rules(self):
+        # 10,000 seeded lists of 0 to 6 atoms: near-duplicates, zero and tiny
+        # probabilities, negative and non-finite entries, with and without a
+        # prior. from_atoms builds what the scalar rules build, bit for bit,
+        # or raises the same error; it warns for none of them, where the
+        # scalar rules may (their warnings are ignored here)
+        rng = np.random.default_rng(18)
+        for _ in range(10_000):
+            atoms = random_atoms(rng)
+            prior = None if rng.uniform() < 0.5 else float(rng.uniform())
+            if prior is not None and rng.uniform() < 0.5:  # the barycenter, where one exists
+                prior = sum(b * p for b, p in atoms if np.isfinite(b) and np.isfinite(p))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = built_or_raised(scalar_from_atoms, atoms, prior)
+            got = built_or_raised(BeliefDistribution.from_atoms, iter(atoms), prior)  # read once
+            assert got == want, (atoms, prior)
+
+    def test_induced_tau_equals_the_scalar_rules(self):
+        # m-signal structures, m = 2 to 5, with zero-mass and coincident
+        # signals, go through the same rules as two-signal ones
+        rng = np.random.default_rng(19)
+        for _ in range(2_000):
+            m, prior = int(rng.integers(2, 6)), float(rng.uniform(0.01, 0.99))
+            a = rng.dirichlet(np.ones(m), size=2).T
+            i, j = rng.choice(m, 2, replace=False)
+            kind = rng.integers(4)
+            if kind == 0:  # a signal of no mass
+                a[i] = 0.0
+            elif kind == 1:  # two signals with one posterior, or one within TOL
+                a[j] = a[i] * rng.uniform(0.1, 2.0) * (1.0 + rng.choice([0.0, 1e-12, 1e-10]))
+            elif kind == 2:  # no information
+                a = np.ones((m, 2))
+            a /= a.sum(axis=0)
+            assert built_or_raised(induced_tau, a, prior) == built_or_raised(scalar_induced_tau, a, prior), (a, prior)
+
+    def test_no_atom_raises_for_any_width(self):
+        with pytest.raises(ValueError, match="no atoms with positive probability"):
+            BeliefDistribution.from_atoms([], 0.5)
+        with pytest.raises(ValueError, match="no atoms with positive probability"):
+            distributions(np.empty((2, 0)), np.empty((2, 0)), 0.5)
+        beliefs, probs, size = _belief_rows(np.empty((2, 0)), np.empty((2, 0)))
+        assert beliefs.shape == probs.shape == (2, 0) and size.tolist() == [0, 0]
+
+
+def scalar_from_atoms(atoms, prior=None):
+    """``BeliefDistribution.from_atoms`` as one loop over Python floats: the
+    oracle of the rules kernel ``_belief_rows``."""
+    atoms = [(float(b), float(p)) for b, p in atoms]
+    atoms = [(b, p) for b, p in atoms if p > TOL]
+    if not atoms:
+        raise ValueError("no atoms with positive probability")
+    atoms.sort()
+    merged: list[list[float]] = []
+    for b, p in atoms:
+        if merged and abs(b - merged[-1][0]) <= TOL:
+            q = merged[-1][1] + p
+            merged[-1][0] = (merged[-1][0] * merged[-1][1] + b * p) / q
+            merged[-1][1] = q
+        else:
+            merged.append([b, p])
+    beliefs = np.array([b for b, _ in merged])
+    probs = np.array([p for _, p in merged])
+    if prior is None:
+        prior = float(beliefs @ probs)
+    return BeliefDistribution(beliefs, probs, float(prior))
+
+
+def scalar_induced_tau(b, prior):
+    """``induced_tau`` on the scalar rules of :func:`scalar_from_atoms`."""
+    a = np.asarray(b, dtype=float)
+    p, q = _bayes(a[:, 0], a[:, 1], prior)
+    keep = p > TOL
+    if not keep.any():
+        return scalar_from_atoms([(prior, 1.0)], prior)
+    return scalar_from_atoms(zip(q[keep], p[keep]), prior)
+
+
+def distributions(beliefs, probs, prior):
+    """The distributions the rules kernel and its builder make of the rows."""
+    return BeliefDistribution._from_rows(beliefs, probs, prior)[0]
+
+
+def random_atoms(rng):
+    """A list of 0 to 6 (belief, prob) atoms, often summing to 1, with
+    near-duplicate beliefs 1e-12 to 2e-9 apart (and beliefs 0, TOL and
+    2 TOL), probabilities of 0, -0.0, 1e-10, TOL and 2e-9, and the odd
+    negative, NaN or infinite entry."""
+    atoms = []
+    for _ in range(rng.integers(7)):
+        if atoms and rng.uniform() < 0.3:
+            b = atoms[rng.integers(len(atoms))][0] + rng.choice([-1, 1]) * rng.choice([0.0, 1e-12, 1e-10, 5e-10, TOL, 2e-9])
+        else:
+            b = rng.uniform(-0.01, 1.01) if rng.uniform() < 0.2 else rng.uniform()
+        p = rng.uniform() if rng.uniform() < 0.6 else rng.choice([1.0, 0.0, -0.0, 1e-10, TOL, 2e-9, -0.1])
+        if rng.uniform() < 0.1:  # 0 and TOL are exactly TOL apart
+            b = rng.choice([0.0, TOL, 2 * TOL])
+        if rng.uniform() < 0.03:
+            b = rng.choice([np.nan, np.inf, -np.inf, -0.0])
+        if rng.uniform() < 0.03:
+            p = rng.choice([np.nan, np.inf, -np.inf])
+        atoms.append((float(b), float(p)))
+    total = sum(p for _, p in atoms if p > TOL)
+    if rng.uniform() < 0.8 and 0.0 < total < np.inf:
+        atoms = [(b, p / total if p > TOL else p) for b, p in atoms]
+    return atoms
+
+
+def built_or_raised(build, *args):
+    try:
+        return as_bytes(build(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
 
 # the kinds of row atom_pair_row draws
 ATOM_PAIR_KINDS = ("split", "swapped", "tiny atom", "merged", "equal beliefs", "ends")

@@ -20,6 +20,13 @@ def test_non_integer_seed_rejected(seed):
 PWL = {"type": "pwl", "points": [[0, 0], [1, 1]]}
 
 
+def actions(names, table, receiver=None):
+    """The same action game for every player: ``table`` for the sender and
+    the mediator, ``receiver`` (default ``table``) for the receiver."""
+    game = {"type": "actions", "actions": names, "payoffs": {"sender": table, "mediator": table, "receiver": receiver or table}}
+    return {"sender": game, "mediator": game}
+
+
 def scenario(**changes):
     doc = {"prior": "3/10", "sigma": [[1, 0], [0, 1]], "utilities": {"sender": PWL, "mediator": PWL}}
     doc.update(changes)
@@ -67,8 +74,34 @@ def test_non_stochastic_sigma_rejected(sigma, match):
         ({"sender": PWL, "mediator": {"type": "spline", "points": []}}, "utilities.mediator: unknown utility type 'spline'"),
         ({"sender": {"type": "pwl"}, "mediator": PWL}, "utilities.sender: pwl utility needs 'points'"),
         ({"sender": PWL}, "utilities missing 'mediator'"),
+        ({"sender": {"type": "pwl", "points": [[0], [1, 1]]}, "mediator": PWL}, "utilities.sender: not enough values to unpack"),
+        ({"sender": {"type": "pwl", "points": 5}, "mediator": PWL}, "utilities.sender: 'int' object is not iterable"),
+        ({"sender": {"type": "pwl", "points": [[1, 0], [0, 1]]}, "mediator": PWL}, "utilities.sender: points must have nondecreasing abscissas"),
+        ({"sender": PWL, "mediator": {"type": "pwl", "points": [[0, 0], [0.5, 1]]}}, "scenario: the mediator utility must cover the whole belief space"),
+        ({"sender": PWL, "mediator": {**PWL, "singletons": [[2, 1]]}}, "utilities.mediator: singleton 2.0 outside domain"),
+        (actions(["stay"], [[0, 1]]), "utilities: need at least two actions"),
+        (actions(["stay", "go"], [[0, 1], [1, 0]], receiver=[[0, 1, 2], [1, 0, 2]]), r"utilities: receiver table must be \(n_actions, 2\)"),
+        ({"sender": {**actions(["stay", "go"], [[0, 1], [1, 0]])["sender"], "payoffs": 5}, "mediator": PWL}, "utilities.sender.payoffs must be an object"),
     ],
 )
 def test_bad_utilities_rejected(utilities, match):
     with pytest.raises(ScenarioError, match=match):
         load_scenario(scenario(utilities=utilities))
+
+
+def test_prior_on_the_boundary_of_a_game_rejected():
+    # a prior of 0 or 1 makes no game, so it is a schema error once there are utilities
+    assert load_scenario({"prior": 0, "sigma": [[1, 0], [0, 1]]}).game is None
+    with pytest.raises(ScenarioError, match=r"scenario: prior must be interior to \(0, 1\)"):
+        load_scenario(scenario(prior=0))
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])
+def test_unreadable_scenario_rejected(tmp_path, kind):
+    path = tmp_path / "scenario.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf-8":
+        path.write_bytes(b'\xff{"prior": 0.5}')
+    with pytest.raises(ScenarioError, match=f"cannot read scenario '{path}'"):
+        load_scenario(path)

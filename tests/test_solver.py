@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mediated_persuasion import BeliefDistribution, GameSpec, PiecewiseUtility, solver
 from mediated_persuasion.feasible import brute_force_pairs, posterior_pair
-from mediated_persuasion.errors import DimensionMismatch
+from mediated_persuasion.errors import ColumnSumMismatch, DimensionMismatch, NegativeEntry, NonFiniteEntry
 from mediated_persuasion.info import TOL, induced_tau, is_mps
 from mediated_persuasion.payoffs import expected_utility
 from mediated_persuasion.solver import (
@@ -695,3 +695,33 @@ class TestResponseMemo:
         for _ in range(2):  # the second check reads both best responses from the memo
             cert = check_equilibrium(game, x, sigma, memo=memo)
             assert as_certificate(cert) == as_certificate(plain)
+
+
+class TestPublicInputs:
+    """The public best responses and check validate their strategies; the
+    batched cores that search feeds do not."""
+
+    def test_mediator_reply_rejects_a_non_finite_experiment(self, fig22_game):
+        with pytest.raises(NonFiniteEntry):
+            solver.mediator_best_response(fig22_game.u_mediator, [[np.nan, 0.2], [0.5, 0.8]], 0.5)
+
+    def test_sender_reply_rejects_a_column_that_does_not_sum_to_one(self, fig22_game):
+        with pytest.raises(ColumnSumMismatch, match="column 0 sums to 1"):
+            solver.sender_best_response(fig22_game.u_sender, [[0.9, 0.2], [0.5, 0.8]], 0.5)
+
+    def test_check_rejects_a_column_that_does_not_sum_to_one(self, fig22_game):
+        with pytest.raises(ColumnSumMismatch, match="column 0 sums to 1"):
+            solver.check_equilibrium(fig22_game, [[0.9, 0.2], [0.5, 0.8]], np.eye(2))
+
+    def test_check_rejects_a_negative_garbling(self, fig22_game):
+        with pytest.raises(NegativeEntry):
+            solver.check_equilibrium(fig22_game, np.eye(2), [[1.2, 0.0], [-0.2, 1.0]])
+
+    @pytest.mark.parametrize("prior", [0.0, TOL / 2, 1.0 - TOL / 2, 1.0])
+    def test_sender_reply_at_a_certain_state_is_babbling(self, fig22_game, prior):
+        # no posterior can differ from a prior of 0 or 1 (and _composite would
+        # divide by it); warnings are errors under this suite's settings
+        br = solver.sender_best_response(fig22_game.u_sender, np.eye(2), prior)
+        assert br.tau.beliefs.tolist() == [prior] and br.attained
+        assert br.value == fig22_game.u_sender(prior)
+        np.testing.assert_array_equal(br.strategy, np.full((2, 2), 0.5))
