@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 standard output closed before the output was
 written (the ``--out`` file, written first, is complete), 2 schema/parse
-error or an unreadable scenario file, 3 rank-deficient garbling, 4
+error, an unreadable scenario file or an ``--out`` path that cannot be
+opened for writing, 3 rank-deficient garbling, 4
 equilibrium check refuted, 5 internal tolerance failure. Reports are JSON
 with a ``spec_version`` field; CSV rows are written as they are made, with
 columns fixed as (family, p, b1, b2, prob1, prob2). ``MP_THREADS``,
@@ -98,10 +99,20 @@ def _mat_list(a) -> list:
     return [[float(v) for v in row] for row in np.asarray(a)]
 
 
+def _open_out(path: str, **kwargs):
+    """The ``--out`` file, opened for writing; a path that cannot be opened
+    raises ``ScenarioError`` (exit code 2). Only the ``open`` is guarded: a
+    closed standard output is an ``OSError`` too, and exits 1."""
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        raise ScenarioError(f"cannot write --out: {exc}") from None
+
+
 def _emit(report: dict, out_path) -> None:
     text = json.dumps(report, sort_keys=True, indent=2)
     if out_path:
-        with open(out_path, "w") as fh:
+        with _open_out(out_path) as fh:
             fh.write(text + "\n")
     print(text)
 
@@ -147,7 +158,7 @@ def cmd_feasible(args) -> int:
         _emit(report, args.out)
         return EXIT_OK
     m = scenario.sigma.shape[0]
-    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+    with _open_out(args.out, newline="") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         w = csv.writer(fh)
         w.writerow(["family", "p", *(f"b{i + 1}" for i in range(m)), *(f"prob{i + 1}" for i in range(m))])
         w.writerows(rows)

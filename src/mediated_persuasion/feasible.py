@@ -5,8 +5,9 @@ has entries sigma_00 x_k + sigma_01 (1 - x_k), x the experiment's first row,
 so as X varies it fills exactly the square [min sigma_0., max sigma_0.]^2.
 An ordered posterior pair (q1, q2) fixes the weights of the two signals and
 with them the composite row it needs; the pair is inducible iff that row lies
-in the square. One kernel answers this square test for every caller: pair
-membership, experiment reconstruction and the closed-form feasible slices.
+in the square. One kernel, ``_square_test``, answers this for every caller:
+pair membership, experiment reconstruction, the feasible slices and every
+candidate of the sender's best response.
 
 The inducible pairs form two convex "wings" meeting at the uninformative
 point (prior, prior): the natural wing (first signal moves the belief down)
@@ -40,6 +41,7 @@ from .info import (
     _as_array,
     _bayes,
     _composite,
+    _induced_taus,
     _pair_weights,
     blackwell_compare,
     garbling_rank,
@@ -323,7 +325,7 @@ def nesting_report(s1, s2, prior: float) -> NestingReport:
             Y = np.linalg.inv(a1) @ g @ a1
             if Y.min() < -TOL or abs(Y.sum(axis=0) - 1.0).max() > TOL:
                 reasons.append("Y not stochastic")
-            elif not induced_tau(a1 @ np.clip(Y, 0.0, 1.0), prior).allclose(tau2, tol=1e-8):
+            elif not _induced_taus((a1 @ np.clip(Y, 0.0, 1.0))[None], prior)[0][0].allclose(tau2, tol=1e-8):
                 reasons.append("Y induces different tau")
             else:
                 break
@@ -432,63 +434,56 @@ def companion_slices(
     fixed belief is an interval within each wing but not globally, so each
     task contributes up to two entries, one per signal orientation (the
     natural one first). A task whose belief lies on the wrong side of the
-    prior contributes none. The ranges come from :func:`_slice_ends`.
+    prior contributes none. A belief within TOL of the prior gets the slice
+    (prior, prior): any other companion would carry weight 0, so the pair
+    would pay what babbling pays. Any other slice runs between the extreme
+    companions that the square test admits among the edge crossings of
+    :func:`_slice_ends` and the far end of the companion's range; an
+    orientation where it admits none contributes no entry.
     """
     a = _require_full_rank(sigma)
     tasks = [(float(f), low) for f, low in fixed_beliefs if ((f <= prior + TOL) if low else (f >= prior - TOL))]
-    if not tasks:
-        return []
-    fixed, is_low = (np.array(col) for col in zip(*tasks))
-    slot, ends, present = _slice_ends(a[None], prior, fixed, is_low.astype(bool))
-    return [
-        (tasks[k][0], tasks[k][1], (float(ends[0, s, 0]), float(ends[0, s, 1])))
-        for s, k in enumerate(slot.tolist())
-        if present[0, s]
-    ]
+    far = [(f, low) for f, low in tasks if abs(f - prior) > TOL]
+    ranges = {task: [(prior, prior)] for task in tasks}
+    if far:
+        fixed, is_low = (np.array(col) for col in zip(*far))
+        end = np.broadcast_to(np.where(is_low, 1.0, 0.0)[:, None, None], (len(far), 2, 1))
+        t, f = np.concatenate([_slice_ends(a[None], prior, fixed, is_low)[0], end], axis=-1), fixed[:, None, None]
+        on_signal_1 = (is_low[:, None] != [False, True])[..., None]  # the natural orientation puts the low belief there
+        member = _square_test(a, prior, np.where(on_signal_1, f, t), np.where(on_signal_1, t, f))
+        lo, hi = np.where(member, t, np.inf).min(axis=-1), np.where(member, t, -np.inf).max(axis=-1)
+        for task, found, l, h in zip(far, member.any(axis=-1).tolist(), lo.tolist(), hi.tolist()):
+            ranges[task] = [(l[o], h[o]) for o in (0, 1) if found[o]]
+    return [(f, low, r) for f, low in tasks for r in ranges[(f, low)]]
 
 
-def _slice_ends(a: np.ndarray, prior: float, fixed: np.ndarray, is_low: np.ndarray):
-    """Feasible-slice ends through fixed beliefs, for a stack of garblings.
+def _slice_ends(a: np.ndarray, prior: float, fixed: np.ndarray, is_low: np.ndarray) -> np.ndarray:
+    """Companions where the rays through fixed beliefs cross the edges of the
+    squares of a stack of garblings.
 
-    ``a`` is (n, 2, 2), full rank; each fixed belief lies on its side of the
-    prior (within TOL). A belief within TOL of the prior has one slot, any
-    other two: the natural orientation, then the swapped one. Returns the task
-    of each slot, the companion range (lo, hi) per garbling and slot, shaped
-    (n, slots, 2), and whether that range exists. A missing range reads
-    (prior, prior), so every entry is a belief.
+    ``a`` is (n, 2, 2), full rank; each fixed belief lies more than TOL from
+    the prior, on its side. Returns the companions shaped (n, beliefs, 2, 4):
+    per garbling and fixed belief, four crossings in the natural orientation
+    (low belief on signal 1), then four in the swapped one.
 
     With belief f fixed on one signal, the companion t sets that signal's
     weight w = (t - pi) / (t - f), monotone in t, and its composite row w alpha
     with alpha = ((1 - f) / (1 - pi), f / pi) runs along a ray from the origin.
-    The slice is the ray inside the square of the signal's garbling row (row 0
-    for signal 1, row 1 for signal 2), whose entries run from m to M:
-    w in [max_k m / alpha_k, min_k M / alpha_k] cut to [0, w_end], w_end the
-    weight at the far end of t's range. Each bound maps back by
-    t = (pi - f w) / (1 - w). The bounds are exact, so the ends lie inside
-    the set :func:`ordered_member_many` accepts. A belief within TOL of the prior
-    gets the slice (prior, prior): any other companion would carry weight 0,
-    so the pair would pay what babbling pays.
+    The ray crosses an edge of the square of the signal's garbling row (row 0
+    for signal 1, row 1 for signal 2), whose entries run from m to M, where
+    w alpha_k is m or M: four roots w, each mapped back by
+    t = (pi - f w) / (1 - w) and clipped into [0, 1] against rounding. A root
+    outside [0, w_end), w_end the weight at the far end of t's range, reads
+    as f, whose pair (f, f) is no member; the far end itself pairs f with 0
+    or 1. Which crossings lie on the square, and so end a slice, only the
+    square test decides.
     """
-    near = np.abs(fixed - prior) <= TOL
-    slot = np.repeat(np.arange(fixed.size), np.where(near, 1, 2))
-    swapped = np.zeros(slot.size, dtype=bool)
-    swapped[1:] = slot[1:] == slot[:-1]
-    f, low, near = fixed[slot], is_low[slot], near[slot]
-    # the natural orientation puts the low belief on signal 1
-    rows = a[:, np.where(low != swapped, 0, 1), :]  # (n, slots, 2)
-    row_min, row_max = rows.min(axis=-1), rows.max(axis=-1)
-    end = np.where(low, 1.0, 0.0)
+    end = np.where(is_low, 1.0, 0.0)
+    edges = np.sort(a[:, np.where(is_low[:, None] != [False, True], 0, 1)], axis=-1)  # (n, beliefs, 2, (m, M))
+    f = fixed[:, None, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        w_end = (end - prior) / (end - f)
-        w_lo, w_hi = np.zeros_like(row_min), np.broadcast_to(w_end, row_max.shape)
-        for alpha_k in _composite(f, 1.0, prior):
-            up = alpha_k > 0.0
-            w_lo = np.where(up, np.maximum(w_lo, row_min / alpha_k),
-                            np.where(row_min > 0.0, np.inf, w_lo))  # the ray stays on an axis the square misses
-            w_hi = np.where(up, np.minimum(w_hi, row_max / alpha_k), w_hi)
-        t_lo, t_hi = (np.where(w == w_end, end, (prior - f * w) / (1.0 - w)) for w in (w_lo, w_hi))
-    present = near | ~(w_lo > w_hi)
-    keep = present & ~near
-    ends = np.stack([np.where(keep, np.minimum(t_lo, t_hi), prior),
-                     np.where(keep, np.maximum(t_lo, t_hi), prior)], axis=-1)
-    return slot, ends, present
+        alpha = np.stack(_composite(fixed, 1.0, prior), axis=-1)[:, None, None, :]
+        w = (edges[..., None] / alpha).reshape(*edges.shape[:-1], 4)
+        w_end = ((end - prior) / (end - fixed))[:, None, None]
+        t = np.clip((prior - f * w) / (1.0 - w), 0.0, 1.0)
+    return np.where((w >= 0.0) & (w < w_end), t, f)

@@ -327,8 +327,14 @@ def induced_tau(b, prior: float) -> BeliefDistribution:
     """Distribution of posteriors induced by a two-state structure of any
     number of signals; a batch of one for :func:`_induced_taus`.
 
-    Zero-probability signals are dropped; coincident posteriors merge.
+    ``b`` is checked as by :func:`validate_stochastic`, except that a single
+    signal is allowed, and used as given. Zero-probability signals are
+    dropped; coincident posteriors merge.
     """
+    try:
+        validate_stochastic(b)
+    except TooFewRealizations:  # the last check: a single signal induces the prior
+        pass
     a = _as_array(b)
     if a.shape[1] != 2:
         raise DimensionMismatch("posteriors need a two-state structure")
@@ -358,9 +364,9 @@ def bayes_plausible_weights(b1, b2, prior: float):
     if outside.any():
         i = np.unravel_index(int(np.argmax(outside)), outside.shape)
         raise PriorOutsideSupport(f"need b1 <= prior <= b2, got ({lo[i]}, {prior}, {hi[i]})")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p1 = (hi - prior) / (hi - lo)
-    p1 = np.where(hi - lo <= TOL, 0.5, np.where(p1 < 0.0, 0.0, np.where(p1 > 1.0, 1.0, p1)))  # as min() and max() clamp
+    with np.errstate(invalid="ignore"):  # an infinite belief makes NaN here
+        _, w_lo = _pair_weights(hi, lo, prior)
+    p1 = np.where(hi - lo <= TOL, 0.5, w_lo)
     p2 = 1.0 - p1
     if p1.ndim == 0:
         return float(p1), float(p2)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -137,14 +138,19 @@ class Scenario:
 def load_scenario(source) -> Scenario:
     """Parse a scenario from a dict, JSON string, or UTF-8 file path.
 
+    A ``Path``, or a string naming an existing file, is read as a file, even
+    when its name starts with "{"; any other string starting with "{" is JSON
+    text.
+
     Anything it rejects, from an unreadable file to utilities that make no
     game, raises ``ScenarioError``.
     """
     if isinstance(source, dict):
         doc = source
     else:
+        is_text = isinstance(source, str) and source.lstrip().startswith("{") and not os.path.isfile(source)
         try:
-            text = str(source) if str(source).lstrip().startswith("{") else Path(source).read_text("utf-8")
+            text = source if is_text else Path(source).read_text("utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ScenarioError(f"cannot read scenario {str(source)!r}: {exc}") from None
         try:

@@ -8,11 +8,13 @@ On the garbling's square of composite rows the sender's expected utility is
 linear on each cell of a line arrangement, so its supremum is a limit at a
 vertex: babbling and the corners, breakpoint pairs, or feasible-slice ends.
 Through a breakpoint belief the feasible slice is a ray of composite rows
-cut by the square in closed form, so a slice as narrow as a single point is
-found. The winner's experiment is built for the ordered pair the square
-test admitted, with no fallback. The mediator reads the linear span through
-the prior and its value from the ``Concavification`` of its interval, the
-same upper-hull object that ``bp_solve`` reads over all of [0, 1].
+cut by the square, so its ends are crossings of the ray with the square's
+edges, in closed form. The one square test that decides every candidate
+admits them, so a slice as narrow as a single point is found. The winner's
+experiment is built for the ordered pair the square test admitted, with no
+fallback. The mediator reads the linear span through the prior and its value
+from the ``Concavification`` of its interval, the same upper-hull object
+that ``bp_solve`` reads over all of [0, 1].
 
 Each best response has one batched core, ``_sender_batch`` or
 ``_mediator_batch``, that solves a stack of strategies in one numpy pass
@@ -183,13 +185,15 @@ def _sender_candidates(u_s: PiecewiseUtility, a: np.ndarray, prior: float):
     """Candidate ordered pairs (q1, q2) of the sender best response for a
     stack ``a`` of n full-rank garblings.
 
-    Returns q1 and q2, shaped (n, k), the kind of each of the k candidates
-    and, shaped (n, k), whether the candidate exists. The blocks come in
-    tie-break order: babbling; the two off-diagonal corners of each
-    garbling's square, induced by X = I and by the column swap; breakpoint
-    pairs, the same for every garbling; and feasible-slice ends, where a
-    slice that does not exist holds a masked slot, so every garbling has the
-    same candidate order.
+    Returns q1 and q2, shaped (n, k), and the kind of each of the k
+    candidates. The blocks come in tie-break order: babbling; the two
+    off-diagonal corners of each garbling's square, induced by X = I and by
+    the column swap; breakpoint pairs, the same for every garbling; and the
+    crossings of each breakpoint's ray with the edges of the square
+    (:func:`feasible._slice_ends`), natural orientation first, each in both
+    orders. A crossing off the ray's range reads as the pair (f, f), so every
+    garbling has the same candidate order; only the square test decides
+    which candidates are feasible.
     """
     n = len(a)
     # (n, corner, posterior): the corners induced by X = I and by the column swap
@@ -199,10 +203,11 @@ def _sender_candidates(u_s: PiecewiseUtility, a: np.ndarray, prior: float):
     highs = np.unique(np.append(bps[bps >= prior - TOL], (prior, 1.0)))
     pair_lo, pair_hi = (m.reshape(1, -1) for m in np.meshgrid(lows, highs, indexing="ij"))
 
-    fixed = np.concatenate([lows, highs])
-    is_low = np.arange(fixed.size) < lows.size
-    slot, ends, present = _slice_ends(a, prior, fixed, is_low)
-    f, low = fixed[slot, None], is_low[slot, None]
+    # a belief within TOL of the prior pairs with any companion as babbling does
+    fixed = np.concatenate([lows[lows < prior - TOL], highs[highs > prior + TOL]])
+    is_low = fixed < prior
+    ends = _slice_ends(a, prior, fixed, is_low)
+    f, low = fixed[:, None, None], is_low[:, None, None]
 
     blocks = [
         (np.full((n, 1), prior), np.full((n, 1), prior)),
@@ -212,10 +217,8 @@ def _sender_candidates(u_s: PiecewiseUtility, a: np.ndarray, prior: float):
     ]
     q1 = np.concatenate([b[0] for b in blocks], axis=1)
     q2 = np.concatenate([b[1] for b in blocks], axis=1)
-    sizes = [b[0].shape[1] for b in blocks]
-    kind = np.repeat(np.arange(len(blocks)), sizes)
-    exists = np.concatenate([np.ones((n, sum(sizes[:-1])), dtype=bool), np.repeat(present, 4, axis=1)], axis=1)
-    return q1, q2, kind, exists
+    kind = np.repeat(np.arange(len(blocks)), [b[0].shape[1] for b in blocks])
+    return q1, q2, kind
 
 
 def _sender_values(u: PiecewiseUtility, a: np.ndarray, prior: float, q1, q2):
@@ -277,8 +280,8 @@ def _sender_batch(u_s: PiecewiseUtility, sigmas: np.ndarray, prior: float) -> li
     if not full.any():
         return out
     a = sigmas[full]
-    q1, q2, kind, exists = _sender_candidates(u_s, a, prior)
-    feasible = _square_test(a[:, None], prior, q1, q2) & exists
+    q1, q2, kind = _sender_candidates(u_s, a, prior)
+    feasible = _square_test(a[:, None], prior, q1, q2)
     feasible[:, :3] = True  # babbling and the corners are always available
     attained, sup = _sender_values(u_s, a, prior, q1, q2)
     sup[~feasible] = -np.inf

@@ -243,6 +243,8 @@ def test_feasible_csv_file_holds_the_bytes_printed(tmp_path, capsysbinary):
         (["feasible", KG, "--points", "1"], "--points 1 must be at least 2"),
         (["feasible", FIG18, "--resolution", "0"], "--resolution 0.0 outside (0, 1]"),
         (["feasible", FIG18, "--resolution", "-0.1"], "--resolution -0.1 outside (0, 1]"),
+        (["feasible", KG, "--out", "{tmp}/missing/x.csv"], "cannot write --out"),
+        (["solve", KG, "--mode", "bp", "--out", "{tmp}"], "cannot write --out"),
     ],
     ids=[
         "sender-br-non-stochastic-sigma",
@@ -255,12 +257,17 @@ def test_feasible_csv_file_holds_the_bytes_printed(tmp_path, capsysbinary):
         "feasible-one-point",
         "feasible-zero-resolution",
         "feasible-negative-resolution",
+        "feasible-out-in-a-missing-directory",
+        "solve-out-is-a-directory",
     ],
 )
-def test_exit_schema_on_bad_command_line_input(argv, message, capsys):
-    assert main(argv) == 2
+def test_exit_schema_on_bad_command_line_input(argv, message, tmp_path, capsys):
+    # "{tmp}" is a fresh directory; an --out path that cannot be opened is a
+    # schema error, not exit 1, which is kept for a closed standard output
+    assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert message in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""
 

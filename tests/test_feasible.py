@@ -23,7 +23,7 @@ from mediated_persuasion import (
     wing_polygons,
 )
 from mediated_persuasion.feasible import UNINFORMATIVE_X
-from mediated_persuasion.info import TOL
+from mediated_persuasion.info import TOL, _composite
 
 from conftest import RANKED_PAIR, UNRANKED_PAIR, random_experiment, random_garbling
 
@@ -416,6 +416,68 @@ class TestGeneralSampler:
         assert_allclose(attained_beliefs(cloud), [0.4], atol=1e-9)
 
 
+def reference_slice_ends(a: np.ndarray, prior: float, fixed: np.ndarray, is_low: np.ndarray):
+    """The interval intersection this library cut the feasible slices with
+    before the square test alone decided them, kept verbatim as the oracle.
+
+    ``a`` is (n, 2, 2), full rank; each fixed belief lies on its side of the
+    prior (within TOL). A belief within TOL of the prior has one slot, any
+    other two: the natural orientation, then the swapped one. Returns the task
+    of each slot, the companion range (lo, hi) per garbling and slot, shaped
+    (n, slots, 2), and whether that range exists. A missing range reads
+    (prior, prior), so every entry is a belief.
+    """
+    near = np.abs(fixed - prior) <= TOL
+    slot = np.repeat(np.arange(fixed.size), np.where(near, 1, 2))
+    swapped = np.zeros(slot.size, dtype=bool)
+    swapped[1:] = slot[1:] == slot[:-1]
+    f, low, near = fixed[slot], is_low[slot], near[slot]
+    # the natural orientation puts the low belief on signal 1
+    rows = a[:, np.where(low != swapped, 0, 1), :]  # (n, slots, 2)
+    row_min, row_max = rows.min(axis=-1), rows.max(axis=-1)
+    end = np.where(low, 1.0, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w_end = (end - prior) / (end - f)
+        w_lo, w_hi = np.zeros_like(row_min), np.broadcast_to(w_end, row_max.shape)
+        for alpha_k in _composite(f, 1.0, prior):
+            up = alpha_k > 0.0
+            w_lo = np.where(up, np.maximum(w_lo, row_min / alpha_k),
+                            np.where(row_min > 0.0, np.inf, w_lo))  # the ray stays on an axis the square misses
+            w_hi = np.where(up, np.minimum(w_hi, row_max / alpha_k), w_hi)
+        t_lo, t_hi = (np.where(w == w_end, end, (prior - f * w) / (1.0 - w)) for w in (w_lo, w_hi))
+    present = near | ~(w_lo > w_hi)
+    keep = present & ~near
+    ends = np.stack([np.where(keep, np.minimum(t_lo, t_hi), prior),
+                     np.where(keep, np.maximum(t_lo, t_hi), prior)], axis=-1)
+    return slot, ends, present
+
+
+def reference_companion_slices(sigma, prior, fixed_beliefs):
+    """``companion_slices`` on the interval oracle, as it was built on it."""
+    a = np.asarray(sigma, dtype=float)
+    tasks = [(float(f), low) for f, low in fixed_beliefs if ((f <= prior + TOL) if low else (f >= prior - TOL))]
+    if not tasks:
+        return []
+    fixed, is_low = (np.array(col) for col in zip(*tasks))
+    slot, ends, present = reference_slice_ends(a[None], prior, fixed, is_low.astype(bool))
+    return [
+        (tasks[k][0], tasks[k][1], (float(ends[0, s, 0]), float(ends[0, s, 1])))
+        for s, k in enumerate(slot.tolist())
+        if present[0, s]
+    ]
+
+
+def garbling_of(first_row):
+    s1, s2 = first_row
+    return np.array([[s1, s2], [1.0 - s1, 1.0 - s2]])
+
+
+def slice_bits(slices):
+    """Slices with every float as its hex string, so that equality is bit
+    equality and a signed zero counts."""
+    return [(f.hex(), low, lo.hex(), hi.hex()) for f, low, (lo, hi) in slices]
+
+
 class TestCompanionIntervals:
     def test_three_step_slice_at_upper_cutoff(self):
         # the exact slice through 2/3 is {1/5} u [3/8, 5/11]: the companion
@@ -473,6 +535,64 @@ class TestCompanionIntervals:
         assert 0.2 < lo < hi < 0.2 + 0.5 / 256
         ts = np.linspace(lo, hi, 9)
         assert member_either_order(SIGMA_STAR, 0.5, np.full(9, fixed), ts).all()
+
+
+    def test_slices_equal_the_interval_oracle(self):
+        # random garblings, some with entries anywhere in [0, 1]; fixed
+        # beliefs at 0, 1, the prior, within TOL of it, on the 1/20 grid and
+        # uniform, each taken as low and as high. Off the square's corners the
+        # ray's crossings admitted by the square test end the same slices the
+        # interval intersection did, bit for bit
+        rng = np.random.default_rng(19)
+        tasks_checked = entries = 0
+        for i in range(800):
+            sigma = random_garbling(rng) if i % 2 else random_garbling(rng, lo=0.0, hi=1.0, min_det=0.01)
+            prior = float(rng.uniform(0.05, 0.95))
+            pool = [0.0, 1.0, prior, prior + rng.uniform(-TOL, TOL), rng.integers(21) / 20, rng.uniform()]
+            tasks = [(float(pool[rng.integers(len(pool))]), bool(rng.integers(2))) for _ in range(rng.integers(1, 7))]
+            got = companion_slices(sigma, prior, tasks)
+            assert slice_bits(got) == slice_bits(reference_companion_slices(sigma, prior, tasks)), (sigma, prior, tasks)
+            tasks_checked += len(tasks)
+            entries += len(got)
+        for fixed in (2 / 3, 2 / 3 - 1e-4):  # the corner cases above
+            tasks = [(fixed, False)]
+            assert slice_bits(companion_slices(SIGMA_STAR, 0.5, tasks)) == slice_bits(reference_companion_slices(SIGMA_STAR, 0.5, tasks))
+        assert tasks_checked >= 1000 and entries >= 1000
+
+    @pytest.mark.parametrize("prior", [0.3, 0.5, 0.7])
+    def test_identity_slices_reach_the_far_end_exactly(self, prior):
+        # through sigma = I every pair of the rectangle [0, pi] x [pi, 1] is
+        # inducible, so each slice ends at the far end of its range, 1 or 0,
+        # which no edge crossing gives exactly
+        tasks = [(f, f < prior) for f in np.arange(21) / 20 if abs(f - prior) > TOL]
+        slices = companion_slices(np.eye(2), prior, tasks)
+        assert len(slices) == 2 * len(tasks)
+        for _, is_low, rng in slices:
+            assert rng == ((prior, 1.0) if is_low else (0.0, prior))
+
+    def test_slices_stay_in_the_belief_space(self):
+        # garblings with an entry 0 or 1, where a crossing can fall on the far
+        # end of the ray's range and round past 0 or 1
+        rng = np.random.default_rng(23)
+        grid = np.arange(21) / 20
+        for _ in range(300):
+            row = [1.0 if rng.integers(2) else 0.0, float(grid[rng.integers(1, 20)])]
+            sigma = garbling_of(row[:: 1 if rng.integers(2) else -1])
+            prior = float(rng.uniform(0.05, 0.95))
+            tasks = [(float(f), f < prior) for f in grid]
+            for _, _, (lo, hi) in companion_slices(sigma, prior, tasks):
+                assert 0.0 <= lo <= hi <= 1.0, (sigma, prior)
+
+    @pytest.mark.parametrize("fixed, is_low, companion", [(4 / 5, False, 1 / 3), (1 / 3, True, 4 / 5)])
+    def test_single_point_slice_at_the_identity_corner(self, fixed, is_low, companion):
+        # X = I induces (1/3, 4/5) through SIGMA_STAR: the rays through 1/3
+        # and 4/5 meet their squares only at the corners X = I reaches. The
+        # interval intersection, in floats, left that slice empty; the square
+        # test admits the corner crossing
+        point = pytest.approx((companion, companion), abs=1e-12)
+        pieces = [rng for _, _, rng in companion_slices(SIGMA_STAR, 0.5, [(fixed, is_low)])]
+        assert any(r == point for r in pieces), pieces
+        assert not any(r == point for _, _, r in reference_companion_slices(SIGMA_STAR, 0.5, [(fixed, is_low)]))
 
 
 def reference_ordered_experiments(a, prior, q1, q2):

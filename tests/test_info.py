@@ -197,6 +197,38 @@ class TestInducedTau:
             assert abs(float(tau.beliefs @ tau.probs) - prior) < 1e-9
 
 
+    @pytest.mark.parametrize(
+        "b, error", [([[np.nan, 0.5], [np.nan, 0.5]], NonFiniteEntry), ([[2, -1], [-1, 2]], NegativeEntry)], ids=["nan", "negative"]
+    )
+    def test_rejects_a_structure_that_is_not_stochastic(self, b, error):
+        # checked as the best responses check their strategies: the NaN
+        # columns read as the point mass at the prior, the negative entries
+        # as beliefs outside [0, 1]
+        with pytest.raises(error):
+            induced_tau(b, 0.5)
+
+    def test_single_signal_induces_the_prior(self):
+        tau = induced_tau([[1.0, 1.0]], 0.3)
+        assert (tau.beliefs.tolist(), tau.probs.tolist()) == ([0.3], [1.0])
+
+
+def reference_bayes_plausible_weights(b1, b2, prior: float):
+    """The weights as ``bayes_plausible_weights`` computed them beside
+    ``_pair_weights``, kept verbatim as the oracle."""
+    lo, hi = np.asarray(b1, dtype=float), np.asarray(b2, dtype=float)
+    outside = ~((lo - TOL <= prior) & (prior <= hi + TOL)) | (lo > hi + TOL)
+    if outside.any():
+        i = np.unravel_index(int(np.argmax(outside)), outside.shape)
+        raise PriorOutsideSupport(f"need b1 <= prior <= b2, got ({lo[i]}, {prior}, {hi[i]})")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p1 = (hi - prior) / (hi - lo)
+    p1 = np.where(hi - lo <= TOL, 0.5, np.where(p1 < 0.0, 0.0, np.where(p1 > 1.0, 1.0, p1)))  # as min() and max() clamp
+    p2 = 1.0 - p1
+    if p1.ndim == 0:
+        return float(p1), float(p2)
+    return p1, p2
+
+
 class TestBayesPlausibleWeights:
     def test_conviction_weights(self):
         assert bayes_plausible_weights(0.0, 0.5, 0.3) == pytest.approx((0.4, 0.6))
@@ -225,6 +257,28 @@ class TestBayesPlausibleWeights:
     def test_arrays_raise_for_the_first_pair_outside(self):
         with pytest.raises(PriorOutsideSupport, match=r"\(0\.5, 0\.3, 0\.8\)"):
             bayes_plausible_weights(np.array([0.1, 0.5, 0.6]), np.array([0.9, 0.8, 0.7]), 0.3)
+
+    def test_weights_equal_the_old_formula_bit_for_bit(self):
+        # 400,000 pairs compared as int64 views, so signed zeros count: a
+        # sixteenth each on the prior, at 0 or 1, narrower than 1e-6, and
+        # within TOL / 2 of the prior (either side), the rest uniform
+        rng = np.random.default_rng(29)
+        n, k = 50_000, 50_000 // 16
+        for _ in range(8):
+            prior = rng.uniform(0.05, 0.95)
+            lo, hi = rng.uniform(0.0, prior, n), rng.uniform(prior, 1.0, n)
+            lo[:k] = prior
+            hi[k : 2 * k] = prior
+            lo[2 * k : 3 * k], hi[3 * k : 4 * k] = 0.0, 1.0
+            hi[4 * k : 5 * k] = np.minimum(lo[4 * k : 5 * k] + rng.uniform(0.0, 1e-6, k), 1.0)
+            lo[4 * k : 5 * k] = np.minimum(lo[4 * k : 5 * k], prior)
+            hi[4 * k : 5 * k] = np.maximum(hi[4 * k : 5 * k], prior)
+            lo[5 * k : 6 * k], hi[5 * k : 6 * k] = prior + rng.uniform(-TOL / 2, TOL / 2, (2, k))
+            got, want = bayes_plausible_weights(lo, hi, prior), reference_bayes_plausible_weights(lo, hi, prior)
+            for g, w in zip(got, want):
+                assert np.array_equal(g.view(np.int64), w.view(np.int64)), prior
+            for i in range(0, 6 * k, k):  # the scalar path, once per kind of pair
+                assert bayes_plausible_weights(lo[i], hi[i], prior) == reference_bayes_plausible_weights(lo[i], hi[i], prior)
 
     @given(
         b1=st.floats(0, 1),

@@ -1,7 +1,7 @@
 import pytest
 
 from mediated_persuasion import ScenarioError
-from mediated_persuasion.scenarios import FIXTURE_NAMES, load_fixture, load_scenario
+from mediated_persuasion.scenarios import FIXTURE_NAMES, fixture_path, load_fixture, load_scenario
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -105,3 +105,15 @@ def test_unreadable_scenario_rejected(tmp_path, kind):
         path.write_bytes(b'\xff{"prior": 0.5}')
     with pytest.raises(ScenarioError, match=f"cannot read scenario '{path}'"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize("how", ["relative", "absolute", "path"])
+def test_file_whose_name_starts_with_a_brace_is_read_as_a_file(tmp_path, monkeypatch, how):
+    # only a string that names no file and starts with "{" is JSON text
+    target = tmp_path / "{kg}.json"
+    target.write_text(fixture_path("kg").read_text("utf-8"), "utf-8")
+    monkeypatch.chdir(tmp_path)
+    source = {"relative": "{kg}.json", "absolute": str(target), "path": target}[how]
+    assert load_scenario(source).sigma.tolist() == load_fixture("kg").sigma.tolist()
+    with pytest.raises(ScenarioError, match="invalid JSON"):
+        load_scenario("{kg}.jsn")

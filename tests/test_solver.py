@@ -262,6 +262,20 @@ class TestSenderBestResponse:
         assert br.value == pytest.approx(0.477, abs=1e-9)
         assert earned(kg_game, sigma, br.strategy) == pytest.approx(br.value, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "name, first_row, value",
+        [("fig22", (0.08, 0.32), 1.2), ("fig22", (0.92, 0.68), 1.2), ("fig22", (0.04, 0.16), 1.1), ("kg", (6 / 7, 2 / 3), 0.2)],
+    )
+    def test_single_point_slice_at_a_square_corner(self, name, first_row, value, request):
+        # the ray through a breakpoint meets the square only at a corner: on
+        # fig22 with (0.08, 0.32), X = I's 0.32 / 0.40 is exactly 4/5, read
+        # as 0.7999999999999999. The interval intersection, in floats, left
+        # the slice empty and the reply at 1.0; the square test admits it
+        game = request.getfixturevalue(f"{name}_game")
+        br = kg_sender_br(game, garbling(first_row))
+        assert br.value == pytest.approx(value, abs=1e-12)
+        assert br.attained
+
 
 class TestSupremum:
     """Both best responses report the supremum and whether their outcome earns it."""
