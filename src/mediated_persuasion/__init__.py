@@ -57,7 +57,6 @@ from .payoffs import (
     induce_belief_utilities,
 )
 from .feasible import (
-    BeliefCloud,
     BoundaryCurve,
     FeasibleSet,
     boundary_curves,
@@ -66,9 +65,10 @@ from .feasible import (
     nesting_report,
     ordered_member_many,
     posterior_pair,
+    profile_member_many,
     reconstruct_experiment,
-    sample_feasible_general,
     symmetry_report,
+    vertex_profiles,
     wing_polygons,
 )
 from .solver import (

@@ -6,7 +6,11 @@ error, an unreadable scenario file or an ``--out`` path that cannot be
 opened for writing, 3 rank-deficient garbling, 4
 equilibrium check refuted, 5 internal tolerance failure. Reports are JSON
 with a ``spec_version`` field; CSV rows are written as they are made, with
-columns fixed as (family, p, b1, b2, prob1, prob2). ``MP_THREADS``,
+columns fixed as (family, p, b1, ..., bm, prob1, ..., probm): for two
+signals the boundary curves X1 to X4 at parameters p and the wing vertices
+``vertex_left`` and ``vertex_right``, for m signals the m^2 ``vertex`` rows
+of ``feasible.vertex_profiles``, whose hull in (prob, prob x belief)
+coordinates is the feasible set. ``MP_THREADS``,
 when set, becomes the default of ``OMP_NUM_THREADS``,
 ``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS``, which size numpy's
 thread pools (applied on package import, see ``mediated_persuasion``); the
@@ -28,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PersuasionError, ScenarioError, SingularGarbling
-from .feasible import sample_feasible_general, wing_polygons
+from .feasible import vertex_profiles, wing_polygons
 from .info import _pair_weights, blackwell_compare, induced_tau, validate_stochastic
 from .scenarios import load_scenario
 from .solver import (
@@ -110,7 +114,7 @@ def _open_out(path: str, **kwargs):
 
 
 def _emit(report: dict, out_path) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2)
+    text = json.dumps({"spec_version": SPEC_VERSION, **report}, sort_keys=True, indent=2)
     if out_path:
         with _open_out(out_path) as fh:
             fh.write(text + "\n")
@@ -144,13 +148,10 @@ def _certificate_report(cert) -> dict:
 def cmd_feasible(args) -> int:
     if args.points < 2:
         raise ScenarioError(f"--points {args.points} must be at least 2")
-    if not 0.0 < args.resolution <= 1.0:
-        raise ScenarioError(f"--resolution {args.resolution} outside (0, 1]")
     scenario = load_scenario(args.scenario)
-    rows = _feasible_rows(scenario, args.points, args.resolution)
+    rows = _feasible_rows(scenario, args.points)
     if args.format == "json":
         report = {
-            "spec_version": SPEC_VERSION,
             "prior": scenario.prior,
             "sigma": _mat_list(scenario.sigma),
             "rows": [list(r) for r in rows],
@@ -165,15 +166,15 @@ def cmd_feasible(args) -> int:
     return EXIT_OK
 
 
-def _feasible_rows(scenario, points: int, resolution: float):
+def _feasible_rows(scenario, points: int):
     """The rows of the ``feasible`` export, made one at a time: the boundary
-    curves and wing vertices of a 2x2 garbling, or the sampled cloud of a
-    larger one. Those are computed here, so a garbling they reject raises
-    before any row is written."""
+    curves and wing vertices of a 2x2 garbling, or the m^2 vertex profiles
+    of an m x m one. Those are computed here, so a garbling they reject
+    raises before any row is written."""
     prior = scenario.prior
     if scenario.sigma.shape != (2, 2):
-        cloud = sample_feasible_general(scenario.sigma, prior, resolution)
-        return (("sample", "", *map(float, post), *map(float, prob)) for post, prob in zip(cloud.posteriors, cloud.probs))
+        posteriors, probs = vertex_profiles(scenario.sigma, prior)
+        return (("vertex", "", *post, *prob) for post, prob in zip(posteriors.tolist(), probs.tolist()))
     fs = wing_polygons(scenario.sigma, prior, points)
     curves = (
         (fam, f"{p:.10g}", b1, b2)
@@ -196,101 +197,60 @@ def _require_game(scenario):
     return scenario.game
 
 
+def _outcome(res) -> dict:
+    """The induced distribution, value and attainment of a benchmark solution
+    or a best response."""
+    return {"tau": _tau_list(res.tau), "value": res.value, "attained": res.attained}
+
+
+def _profile_flags(args):
+    """The (--x, --sigma) matrices of a check or a comparison."""
+    if not args.x or not args.sigma:
+        raise ScenarioError(f"--mode {args.mode} needs --x and --sigma")
+    flags = ((args.x, "--x"), (args.sigma, "--sigma"))
+    return tuple(_checked_matrix(parse_matrix_flag(text), flag, (2, 2)) for text, flag in flags)
+
+
 def cmd_solve(args) -> int:
     scenario = load_scenario(args.scenario)
     game = _require_game(scenario)
-    mode = args.mode
+    mode, code = args.mode, EXIT_OK
     if mode == "bp":
         sol = bp_solve(game.u_sender, game.prior)
-        _emit(
-            {
-                "spec_version": SPEC_VERSION,
-                "mode": "bp",
-                "tau": _tau_list(sol.tau),
-                "value": sol.value,
-                "attained": sol.attained,
-                "x": _mat_list(sol.x),
-            },
-            args.out,
-        )
-        return EXIT_OK
-    if mode == "sender-br":
+        rep = {"x": _mat_list(sol.x), **_outcome(sol)}
+    elif mode == "sender-br":
         sigma = scenario.sigma
         if args.sigma:
             sigma = _checked_matrix(parse_matrix_flag(args.sigma), "--sigma", (2, 2))
         br = sender_best_response(game.u_sender, sigma, game.prior)
-        _emit(
-            {
-                "spec_version": SPEC_VERSION,
-                "mode": "sender-br",
-                "sigma": _mat_list(sigma),
-                "x": _mat_list(br.strategy),
-                "tau": _tau_list(br.tau),
-                "value": br.value,
-                "attained": br.attained,
-            },
-            args.out,
-        )
-        return EXIT_OK
-    if mode == "mediator-br":
+        rep = {"sigma": _mat_list(sigma), "x": _mat_list(br.strategy), **_outcome(br)}
+    elif mode == "mediator-br":
         if not args.x:
             raise ScenarioError("--mode mediator-br needs --x")
         x = _checked_matrix(parse_matrix_flag(args.x), "--x", (2, 2))
         br = mediator_best_response(game.u_mediator, x, game.prior)
-        _emit(
-            {
-                "spec_version": SPEC_VERSION,
-                "mode": "mediator-br",
-                "x": _mat_list(x),
-                "sigma": _mat_list(br.strategy),
-                "tau": _tau_list(br.tau),
-                "value": br.value,
-                "attained": br.attained,
-            },
-            args.out,
-        )
-        return EXIT_OK
-    if mode == "check":
-        if not args.x or not args.sigma:
-            raise ScenarioError("--mode check needs --x and --sigma")
-        x = _checked_matrix(parse_matrix_flag(args.x), "--x", (2, 2))
-        sigma = _checked_matrix(parse_matrix_flag(args.sigma), "--sigma", (2, 2))
-        cert = check_equilibrium(game, x, sigma)
-        rep = _certificate_report(cert)
-        rep["mode"] = "check"
-        _emit(rep, args.out)
-        return EXIT_OK if cert.verified else EXIT_REFUTED
-    if mode == "search":
-        certs = search_equilibria(game)
-        rep = {
-            "spec_version": SPEC_VERSION,
-            "mode": "search",
-            "clusters": [_certificate_report(c) for c in certs],
-        }
-        _emit(rep, args.out)
-        return EXIT_OK
-    if mode == "compare":
-        if not args.x or not args.sigma:
-            raise ScenarioError("--mode compare needs --x and --sigma")
-        x = _checked_matrix(parse_matrix_flag(args.x), "--x", (2, 2))
-        sigma = _checked_matrix(parse_matrix_flag(args.sigma), "--sigma", (2, 2))
+        rep = {"x": _mat_list(x), "sigma": _mat_list(br.strategy), **_outcome(br)}
+    elif mode == "check":
+        cert = check_equilibrium(game, *_profile_flags(args))
+        rep, code = _certificate_report(cert), EXIT_OK if cert.verified else EXIT_REFUTED
+    elif mode == "search":
+        rep = {"clusters": [_certificate_report(c) for c in search_equilibria(game)]}
+    elif mode == "compare":
+        x, sigma = _profile_flags(args)
         tau_mp = induced_tau(validate_stochastic(sigma @ x), game.prior)
-        sol = bp_solve(game.u_sender, game.prior)
-        rep = compare_outcomes(game, tau_mp, sol.tau)
-        _emit(
-            {
-                "spec_version": SPEC_VERSION,
-                "mode": "compare",
-                "tau_mp": _tau_list(tau_mp),
-                "tau_bp": _tau_list(sol.tau),
-                "blackwell": rep.blackwell,
-                "welfare": rep.welfare,
-                "receiver_benefits": rep.receiver_benefits,
-            },
-            args.out,
-        )
-        return EXIT_OK
-    raise ScenarioError(f"unknown mode {mode!r}")
+        tau_bp = bp_solve(game.u_sender, game.prior).tau
+        cmp = compare_outcomes(game, tau_mp, tau_bp)
+        rep = {
+            "tau_mp": _tau_list(tau_mp),
+            "tau_bp": _tau_list(tau_bp),
+            "blackwell": cmp.blackwell,
+            "welfare": cmp.welfare,
+            "receiver_benefits": cmp.receiver_benefits,
+        }
+    else:
+        raise ScenarioError(f"unknown mode {mode!r}")
+    _emit({"mode": mode, **rep}, args.out)
+    return code
 
 
 def cmd_order(args) -> int:
@@ -321,10 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p_f = sub.add_parser("feasible", help="export boundary curves and wing polygons")
+    p_f = sub.add_parser("feasible", help="export 2-signal boundary curves and wings, or m-signal vertex profiles")
     p_f.add_argument("scenario", help="scenario JSON file")
-    p_f.add_argument("--points", type=int, default=256)
-    p_f.add_argument("--resolution", type=float, default=0.05, help="simplex grid step for 3+ signals")
+    p_f.add_argument("--points", type=int, default=256, help="parameters per boundary curve (2 signals)")
     p_f.add_argument("--out", default=None)
     p_f.add_argument("--format", choices=("csv", "json"), default="csv")
     p_f.set_defaults(func=cmd_feasible)

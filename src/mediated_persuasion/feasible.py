@@ -17,11 +17,19 @@ wing. So a wing's boundary is the image of the triangle's two outer edges:
 the arcs of the two experiment families that pin one experiment column to a
 vertex of the simplex and meet at an off-diagonal corner of the square. The
 wing polygons are those arcs, sampled, and closed at the origin.
+
+For an m x m garbling the two columns of the m x 2 experiment range
+independently over the simplex, so the composite columns c0 = sigma x0 and
+c1 = sigma x1 range independently over the hull of sigma's columns
+(Blackwell, 1953). The map (c0, c1) -> (p, p q) = ((1 - pi) c0 + pi c1, pi c1)
+to a profile's masses and mass-weighted posteriors is linear and invertible,
+so in those coordinates the feasible profiles are the convex hull of the m^2
+``vertex_profiles``, x0 = e_i and x1 = e_j; ``profile_member_many`` admits a
+Bayes-plausible profile iff sigma^-1 c >= 0 for both of its columns.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,6 +51,7 @@ from .info import (
     _composite,
     _induced_taus,
     _pair_weights,
+    _row_dots,
     blackwell_compare,
     garbling_rank,
     induced_tau,
@@ -101,15 +110,24 @@ def pairs_along_family(sigma, prior: float, family: str, ps) -> np.ndarray:
     return q.T
 
 
-def _require_full_rank(sigma) -> np.ndarray:
+def _require_full_rank(sigma, square: bool = False) -> np.ndarray:
+    """The garbling's array, 2x2 or, with ``square``, any m x m; a
+    rank-deficient one raises ``SingularGarbling``."""
     a = _as_array(sigma)
-    if a.shape != (2, 2):
-        raise DimensionMismatch("expected a 2x2 garbling")
+    if a.shape[0] != a.shape[1] or not (square or a.shape == (2, 2)):
+        raise DimensionMismatch("expected a square garbling" if square else "expected a 2x2 garbling")
     if not garbling_rank(a).full_rank:
         raise SingularGarbling(
             "rank-deficient garbling: every experiment induces the prior"
         )
     return a
+
+
+def _require_interior_prior(prior: float) -> None:
+    """A prior within ``TOL`` of 0 or 1 raises ``DegeneratePrior``: the
+    composite rows divide by it, and no belief can move away from it."""
+    if not TOL < prior < 1.0 - TOL:
+        raise DegeneratePrior(f"prior {prior} cannot spread beliefs")
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,6 +199,7 @@ def _inducing_experiments(a: np.ndarray, prior: float, q1, q2) -> np.ndarray:
 def ordered_member_many(sigma, prior: float, q1s, q2s) -> np.ndarray:
     """Vectorized membership of ordered pairs (after signal 1, after signal 2)."""
     a = _require_full_rank(sigma)
+    _require_interior_prior(prior)
     return _square_test(a, prior, np.asarray(q1s, dtype=float), np.asarray(q2s, dtype=float))
 
 
@@ -195,10 +214,9 @@ def reconstruct_experiment(sigma, prior: float, tau: BeliefDistribution) -> np.n
     a = _require_full_rank(sigma)
     if tau.beliefs.size > 2:
         raise ValueError("two signals support at most two posteriors")
-    if prior <= TOL or prior >= 1.0 - TOL:
-        if tau.is_degenerate():
-            return UNINFORMATIVE_X.copy()
-        raise DegeneratePrior(f"prior {prior} cannot spread beliefs")
+    if tau.is_degenerate() and not TOL < prior < 1.0 - TOL:
+        return UNINFORMATIVE_X.copy()
+    _require_interior_prior(prior)
     if abs(tau.prior - prior) > TOL:
         raise NotSigmaPlausible(f"tau averages to {tau.prior}, prior is {prior}")
     if tau.is_degenerate():
@@ -356,43 +374,36 @@ def symmetry_report(sigma, prior: float) -> SymmetryReport:
 
 
 # ---------------------------------------------------------------------------
-# General m-signal sampling
+# m signals: the vertex profiles and their membership test
 # ---------------------------------------------------------------------------
 
 
-def _simplex_grid(m: int, resolution: float) -> np.ndarray:
-    """All points of the m-simplex with coordinates on a 1/k grid, in lexicographic order."""
-    k = max(int(round(1.0 / resolution)), 1)
-    heads = (p for p in itertools.product(range(k + 1), repeat=m - 1) if sum(p) <= k)
-    return np.array([(*p, k - sum(p)) for p in heads], dtype=float) / k
-
-
-@dataclass(frozen=True, eq=False)
-class BeliefCloud:
-    """Induced posterior supports over a grid of experiments."""
-
-    posteriors: np.ndarray  # (N, m); prior where the signal has zero mass
-    probs: np.ndarray  # (N, m)
-    prior: float
-
-
-def sample_feasible_general(sigma, prior: float, grid_resolution: float = 0.02) -> BeliefCloud:
-    """Enumerate m x 2 experiments on a simplex grid and push them through an
-    m x m garbling; returns every induced posterior profile."""
+def vertex_profiles(sigma, prior: float) -> tuple[np.ndarray, np.ndarray]:
+    """(posteriors, probs), each (m^2, m): row m i + j is the profile of
+    sigma X for X with state columns (e_i, e_j). In (mass, mass x posterior)
+    coordinates each feasible profile is their average with weights
+    x0_i x1_j, so each signal's posterior range is attained on a row. A signal of mass at most ``TOL`` gets the prior; no
+    inverse is taken, so any square garbling works."""
     a = _as_array(sigma)
-    m = a.shape[0]
     if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch("general sampler expects a square garbling")
-    cols = _simplex_grid(m, grid_resolution)  # (nc, m) experiment columns
-    d = a @ cols.T  # (m, nc): signal distribution per column choice
-    nc = cols.shape[0]
-    p, beta = _bayes(d[:, :, None], d[:, None, :], prior)  # (m, nc, nc)
-    n = nc * nc
-    return BeliefCloud(
-        posteriors=np.moveaxis(beta, 0, -1).reshape(n, m),
-        probs=np.moveaxis(p, 0, -1).reshape(n, m),
-        prior=prior,
-    )
+        raise DimensionMismatch("vertex profiles need a square garbling")
+    p, q = _bayes(a[:, :, None], a[:, None, :], prior)  # (signal, i, j)
+    return q.reshape(len(a), -1).T, p.reshape(len(a), -1).T
+
+
+def profile_member_many(sigma, prior: float, posteriors, probs) -> np.ndarray:
+    """Membership of the posterior profiles in the rows of (n, m) arrays, the
+    m-signal :func:`ordered_member_many`: a row is a member when its probs
+    are at least -``TOL``, sum to 1 and average its posteriors to the prior,
+    each within ``TOL``, and sigma^-1 c >= -``TOL`` for both composite
+    columns c of ``_composite`` (their entries then sum to 1 as c's do)."""
+    a = _require_full_rank(sigma, square=True)
+    _require_interior_prior(prior)
+    q, p = np.asarray(posteriors, dtype=float), np.asarray(probs, dtype=float)
+    plausible = (p >= -TOL).all(axis=1) & (np.abs(p.sum(axis=1) - 1.0) <= TOL)
+    plausible &= np.abs(_row_dots(p, q) - prior) <= TOL
+    x = np.linalg.solve(a, np.concatenate(_composite(q, p, prior)).T)  # (m, 2n): c0 rows, then c1 rows
+    return plausible & (x >= -TOL).all(axis=0).reshape(2, -1).all(axis=0)
 
 
 def brute_force_pairs(sigma, prior: float, step: float = 0.01) -> np.ndarray:
@@ -442,6 +453,7 @@ def companion_slices(
     orientation where it admits none contributes no entry.
     """
     a = _require_full_rank(sigma)
+    _require_interior_prior(prior)
     tasks = [(float(f), low) for f, low in fixed_beliefs if ((f <= prior + TOL) if low else (f >= prior - TOL))]
     far = [(f, low) for f, low in tasks if abs(f - prior) > TOL]
     ranges = {task: [(prior, prior)] for task in tasks}

@@ -16,7 +16,7 @@ Conventions used throughout the library:
   its posterior and weight, the inverse of ``_bayes``).
   ``_bayes`` gives a signal of mass at most ``TOL`` the prior, and each
   caller keeps its policy for such a signal: the prior (``posterior_pair``,
-  ``sample_feasible_general``), drop (``induced_tau``),
+  ``vertex_profiles``), drop (``induced_tau``),
   raise (``posterior_after_signal``) or the limit along the experiment
   family (``pairs_along_family``).
 * Every distribution built from atoms goes through one rules kernel,
@@ -357,15 +357,17 @@ def bayes_plausible_weights(b1, b2, prior: float):
 
     Degenerate support b1 = b2 = prior returns (1/2, 1/2) by convention.
     Broadcasts over arrays of b1 and b2: floats for scalars, arrays else;
-    the first pair whose support misses the prior raises.
+    the first pair whose support misses the prior, or holds a belief that is
+    not finite, raises.
     """
-    lo, hi = np.asarray(b1, dtype=float), np.asarray(b2, dtype=float)
-    outside = ~((lo - TOL <= prior) & (prior <= hi + TOL)) | (lo > hi + TOL)
+    lo, hi = np.broadcast_arrays(np.asarray(b1, dtype=float), np.asarray(b2, dtype=float))
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    outside = ~(finite & (lo - TOL <= prior) & (prior <= hi + TOL)) | (lo > hi + TOL)
     if outside.any():
         i = np.unravel_index(int(np.argmax(outside)), outside.shape)
-        raise PriorOutsideSupport(f"need b1 <= prior <= b2, got ({lo[i]}, {prior}, {hi[i]})")
-    with np.errstate(invalid="ignore"):  # an infinite belief makes NaN here
-        _, w_lo = _pair_weights(hi, lo, prior)
+        what = "finite beliefs" if not finite[i] else "b1 <= prior <= b2"
+        raise PriorOutsideSupport(f"need {what}, got ({lo[i]}, {prior}, {hi[i]})")
+    _, w_lo = _pair_weights(hi, lo, prior)
     p1 = np.where(hi - lo <= TOL, 0.5, w_lo)
     p2 = 1.0 - p1
     if p1.ndim == 0:

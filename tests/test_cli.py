@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import mediated_persuasion
-from mediated_persuasion import check_equilibrium, load_scenario
+from mediated_persuasion import check_equilibrium, load_scenario, vertex_profiles
 from mediated_persuasion.cli import main
 
 from conftest import SRC, run_fresh
@@ -222,9 +222,9 @@ def test_feasible_csv_file_holds_the_bytes_printed(tmp_path, capsysbinary):
     # the rows are streamed to the file or to standard output, with the
     # same line endings
     out = tmp_path / "f18.csv"
-    assert main(["feasible", FIG18, "--resolution", "0.25", "--out", str(out)]) == 0
+    assert main(["feasible", FIG18, "--out", str(out)]) == 0
     assert capsysbinary.readouterr().out == b""
-    assert main(["feasible", FIG18, "--resolution", "0.25"]) == 0
+    assert main(["feasible", FIG18]) == 0
     printed = capsysbinary.readouterr().out
     assert printed.count(b"\r\n") == printed.count(b"\n") > 1
     assert out.read_bytes() == printed
@@ -241,8 +241,6 @@ def test_feasible_csv_file_holds_the_bytes_printed(tmp_path, capsysbinary):
         (["order", "--a", "identity", "--b", "2,0;-1,1"], "bad --b matrix"),
         (["order", "--a", "1,0,0;0,1,0;0,0,1", "--b", "identity"], "Blackwell order needs two-state structures"),
         (["feasible", KG, "--points", "1"], "--points 1 must be at least 2"),
-        (["feasible", FIG18, "--resolution", "0"], "--resolution 0.0 outside (0, 1]"),
-        (["feasible", FIG18, "--resolution", "-0.1"], "--resolution -0.1 outside (0, 1]"),
         (["feasible", KG, "--out", "{tmp}/missing/x.csv"], "cannot write --out"),
         (["solve", KG, "--mode", "bp", "--out", "{tmp}"], "cannot write --out"),
     ],
@@ -255,8 +253,6 @@ def test_feasible_csv_file_holds_the_bytes_printed(tmp_path, capsysbinary):
         "order-non-stochastic-b",
         "order-three-states",
         "feasible-one-point",
-        "feasible-zero-resolution",
-        "feasible-negative-resolution",
         "feasible-out-in-a-missing-directory",
         "solve-out-is-a-directory",
     ],
@@ -270,6 +266,27 @@ def test_exit_schema_on_bad_command_line_input(argv, message, tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_feasible_resolution_flag_is_gone(capsys):
+    # the m-signal export is the exact vertex rows, so the sampling step
+    # that --resolution set has no meaning: argparse rejects it (exit 2)
+    with pytest.raises(SystemExit) as exc:
+        main(["feasible", FIG18, "--resolution", "0.05"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --resolution 0.05" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_feasible_m_signals_prints_the_vertex_rows(fmt, capsys):
+    assert main(["feasible", FIG18, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    rows = json.loads(out)["rows"] if fmt == "json" else _csv_cells(out)[1:]
+    assert len(rows) == 9 and all(r[:2] == ["vertex", ""] and len(r) == 8 for r in rows)
+    posteriors, probs = vertex_profiles(load_scenario(FIG18).sigma, 0.3)
+    assert [r[2:] for r in rows] == np.hstack([posteriors, probs]).tolist()
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -314,13 +331,14 @@ def _csv_cells(text):
 @pytest.mark.parametrize(
     "name, flags",
     [(name, ["--points", "32"]) for name in ("kg", "fig14", "fig19", "fig20", "fig22")]
-    + [("fig18", ["--resolution", "0.25"])],
+    + [("fig18", [])],
     ids=["kg", "fig14", "fig19", "fig20", "fig22", "fig18"],
 )
 def test_feasible_matches_golden_output(name, flags, capsys):
     # feasible CSV recorded before every Bayes update went through info._bayes;
     # the vertex rows of fig14, fig19, fig20 and fig22 were re-recorded when
-    # the wings became their two boundary arcs
+    # the wings became their two boundary arcs; fig18's file was re-recorded
+    # when its sampled cloud gave way to the nine vertex rows
     assert main(["feasible", str(FIXTURES / f"{name}.json"), *flags]) == 0
     got = _csv_cells(capsys.readouterr().out)
     want = _csv_cells((GOLDEN / f"feasible_{name}.csv").read_text())

@@ -1,3 +1,7 @@
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,13 +21,14 @@ from mediated_persuasion import (
     nesting_report,
     ordered_member_many,
     posterior_pair,
+    profile_member_many,
     reconstruct_experiment,
-    sample_feasible_general,
     symmetry_report,
+    vertex_profiles,
     wing_polygons,
 )
 from mediated_persuasion.feasible import UNINFORMATIVE_X
-from mediated_persuasion.info import TOL, _composite
+from mediated_persuasion.info import TOL, _as_array, _bayes, _composite, _pair_weights
 
 from conftest import RANKED_PAIR, UNRANKED_PAIR, random_experiment, random_garbling
 
@@ -61,9 +66,9 @@ def point_to_polygon_distance(point, vertices):
     return float(np.sqrt(((proj - p) ** 2).sum(axis=1)).min())
 
 
-def attained_beliefs(cloud, min_prob=TOL):
-    """The distinct posteriors of a cloud's signals with mass above ``min_prob``."""
-    return np.unique(np.round(cloud.posteriors[cloud.probs > min_prob], 12))
+def attained_beliefs(posteriors, probs, min_prob=TOL):
+    """The distinct posteriors of signals with mass above ``min_prob``."""
+    return np.unique(np.round(posteriors[probs > min_prob], 12))
 
 
 def pair_tau(lo, hi, prior):
@@ -174,6 +179,18 @@ class TestReconstruction:
         tau = BeliefDistribution.from_atoms([(0.0, 0.5), (0.5, 0.5)])
         with pytest.raises(DegeneratePrior):
             reconstruct_experiment(SIGMA_BUTTERFLY, 1e-10, tau)
+
+
+@pytest.mark.parametrize("prior", [0.0, TOL / 2, 1.0 - TOL / 2, 1.0], ids=["0", "tol/2", "1-tol/2", "1"])
+def test_membership_entries_reject_a_degenerate_prior(prior):
+    # the composite rows divide by the prior and by 1 minus it: at 0 or 1
+    # these entries warned of a division by zero or returned nothing
+    with pytest.raises(DegeneratePrior):
+        companion_slices(np.eye(2), prior, [(0.5, False)])
+    with pytest.raises(DegeneratePrior):
+        ordered_member_many(np.eye(2), prior, [0.0], [1.0])
+    with pytest.raises(DegeneratePrior):
+        profile_member_many(SIGMA3, prior, *vertex_profiles(SIGMA3, prior))
 
 
 class TestMembership:
@@ -389,6 +406,56 @@ class TestSymmetry:
         assert rep.witness is not None
 
 
+def _simplex_grid(m: int, resolution: float) -> np.ndarray:
+    """All points of the m-simplex with coordinates on a 1/k grid, in lexicographic order."""
+    k = max(int(round(1.0 / resolution)), 1)
+    heads = (p for p in itertools.product(range(k + 1), repeat=m - 1) if sum(p) <= k)
+    return np.array([(*p, k - sum(p)) for p in heads], dtype=float) / k
+
+
+@dataclass(frozen=True, eq=False)
+class BeliefCloud:
+    """Induced posterior supports over a grid of experiments."""
+
+    posteriors: np.ndarray  # (N, m); prior where the signal has zero mass
+    probs: np.ndarray  # (N, m)
+    prior: float
+
+
+def sample_feasible_general(sigma, prior: float, grid_resolution: float = 0.02) -> BeliefCloud:
+    """Enumerate m x 2 experiments on a simplex grid and push them through an
+    m x m garbling; returns every induced posterior profile.
+
+    The sampler this library exported the m-signal feasible set with before
+    ``vertex_profiles``, kept verbatim as the oracle."""
+    a = _as_array(sigma)
+    m = a.shape[0]
+    if a.shape[0] != a.shape[1]:
+        raise DimensionMismatch("general sampler expects a square garbling")
+    cols = _simplex_grid(m, grid_resolution)  # (nc, m) experiment columns
+    d = a @ cols.T  # (m, nc): signal distribution per column choice
+    nc = cols.shape[0]
+    p, beta = _bayes(d[:, :, None], d[:, None, :], prior)  # (m, nc, nc)
+    n = nc * nc
+    return BeliefCloud(
+        posteriors=np.moveaxis(beta, 0, -1).reshape(n, m),
+        probs=np.moveaxis(p, 0, -1).reshape(n, m),
+        prior=prior,
+    )
+
+
+def signal_ranges(posteriors, probs):
+    """Each signal's (lowest, highest) posterior over the rows where it has mass."""
+    return [
+        (float(posteriors[probs[:, k] > TOL, k].min()), float(posteriors[probs[:, k] > TOL, k].max()))
+        for k in range(posteriors.shape[1])
+    ]
+
+
+def random_square_garbling(rng, m):
+    return rng.dirichlet(np.ones(m), size=m).T
+
+
 class TestGeneralSampler:
     def test_two_signal_grid_agrees_with_membership(self):
         sigma = SIGMA_BUTTERFLY
@@ -400,20 +467,107 @@ class TestGeneralSampler:
         assert member_either_order(sigma, 0.3, lo, hi).all()
 
     def test_three_signals_reach_below_prior(self):
-        cloud = sample_feasible_general(SIGMA3, 0.3, 0.05)
-        assert attained_beliefs(cloud).min() < 0.3 - 1e-6
+        assert attained_beliefs(*vertex_profiles(SIGMA3, 0.3)).min() < 0.3 - 1e-6
 
     def test_restricted_block_is_uninformative(self):
         sub = SIGMA3[np.ix_([1, 2], [0, 1])]
         sub = sub / sub.sum(axis=0, keepdims=True)
         assert not garbling_rank(sub).full_rank
-        cloud = sample_feasible_general(sub, 0.3, 0.05)
-        assert_allclose(attained_beliefs(cloud), [0.3], atol=1e-9)
+        rows = vertex_profiles(sub, 0.3)
+        assert_allclose(attained_beliefs(*rows), [0.3], atol=1e-9)
+        with pytest.raises(SingularGarbling):
+            profile_member_many(sub, 0.3, *rows)
 
     def test_uninformative_square_collapses(self):
         sigma = np.full((3, 3), 1 / 3)
-        cloud = sample_feasible_general(sigma, 0.4, 0.1)
-        assert_allclose(attained_beliefs(cloud), [0.4], atol=1e-9)
+        posteriors, probs = vertex_profiles(sigma, 0.4)
+        assert posteriors.shape == probs.shape == (9, 3)
+        assert (posteriors == 0.4).all()
+        with pytest.raises(SingularGarbling):
+            profile_member_many(sigma, 0.4, posteriors, probs)
+
+    def test_fig18_cloud_and_vertex_rows_are_members(self):
+        cloud = sample_feasible_general(SIGMA3, 0.3, 0.05)
+        assert cloud.posteriors.shape == (53_361, 3)
+        assert profile_member_many(SIGMA3, 0.3, cloud.posteriors, cloud.probs).all()
+        posteriors, probs = vertex_profiles(SIGMA3, 0.3)
+        assert posteriors.shape == probs.shape == (9, 3)
+        assert profile_member_many(SIGMA3, 0.3, posteriors, probs).all()
+
+    def test_vertex_rows_follow_the_experiment_columns(self):
+        # row 3 i + j is sigma X with X's state-1 column e_i and state-2 column e_j
+        posteriors, probs = vertex_profiles(SIGMA3, 0.3)
+        for i, j in itertools.product(range(3), repeat=2):
+            x = np.eye(3)[:, [i, j]]
+            tau = induced_tau(SIGMA3 @ x, 0.3)
+            mass = probs[3 * i + j] > TOL
+            got = BeliefDistribution.from_atoms(zip(posteriors[3 * i + j][mass], probs[3 * i + j][mass]), 0.3)
+            assert got.allclose(tau, tol=1e-12)
+
+    @pytest.mark.parametrize("step, member", [(-2e-6, False), (2e-6, True)], ids=["outward", "inward"])
+    def test_nudged_vertex_row(self, step, member):
+        # row (0, 1): composite columns sigma e_0 and sigma e_1; moving the
+        # second to sigma ((1 + s) e_1 - s e_2) or sigma ((1 - s) e_1 + s e_2)
+        # keeps the row Bayes-plausible with positive masses, and puts
+        # sigma^-1 c1 outside the simplex by s only outward
+        x1 = np.array([0.0, 1.0 - step, step])
+        c0, c1 = SIGMA3[:, 0], SIGMA3 @ x1
+        p, q = _bayes(c0, c1, 0.3)
+        assert (p > 0.0).all() and np.linalg.solve(SIGMA3, c1).min() == pytest.approx(min(step, 0.0), abs=1e-15)
+        assert profile_member_many(SIGMA3, 0.3, q[None], p[None]).tolist() == [member]
+
+    @pytest.mark.parametrize(
+        "q_scale, q_shift, p_scale",
+        [(1 / 1.01, 0.0, 1.01), (1.0, 0.01, 1.0), (1.0, -0.01, 1.0)],
+        ids=["mass-1.01", "barycenter-up", "barycenter-down"],
+    )
+    def test_rows_that_are_not_bayes_plausible_are_rejected(self, q_scale, q_shift, p_scale):
+        # the first keeps each row's barycenter at the prior, but its masses
+        # sum to 1.01; the others keep the masses and move the barycenter
+        posteriors, probs = vertex_profiles(SIGMA3, 0.3)
+        inner = (posteriors > 0.02) & (posteriors < 0.98)
+        moved = np.where(inner, posteriors * q_scale + q_shift, posteriors)
+        assert not profile_member_many(SIGMA3, 0.3, moved, probs * p_scale).any()
+
+    def test_vertex_ranges_equal_the_cloud_ranges(self):
+        cloud = sample_feasible_general(SIGMA3, 0.3, 0.05)
+        got = signal_ranges(*vertex_profiles(SIGMA3, 0.3))
+        assert got == signal_ranges(cloud.posteriors, cloud.probs)
+        as_fractions = [tuple(Fraction(b).limit_denominator(1000) for b in r) for r in got]
+        assert as_fractions == [(Fraction(1, 15), Fraction(18, 25)), (Fraction(9, 37), Fraction(4, 11)), (0, 1)]
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_profiles_average_the_vertex_rows(self, m):
+        # (p, p q) is linear in (c0, c1), so sigma X's profile is the average
+        # of the vertex rows with weights x0_i x1_j
+        rng = np.random.default_rng(17 + m)
+        for _ in range(200):
+            sigma, prior = random_square_garbling(rng, m), rng.uniform(0.05, 0.95)
+            x = rng.dirichlet(np.ones(m), size=2).T
+            p, q = _bayes((sigma @ x)[:, 0], (sigma @ x)[:, 1], prior)
+            vq, vp = vertex_profiles(sigma, prior)
+            weights = np.outer(x[:, 0], x[:, 1]).ravel()
+            assert np.abs(weights @ vp - p).max() <= 1e-15
+            assert np.abs(weights @ (vp * vq) - p * q).max() <= 1e-15
+            assert profile_member_many(sigma, prior, q[None], p[None]).all()
+            assert profile_member_many(sigma, prior, vq, vp).all()
+
+    def test_two_signals_agree_with_ordered_membership(self):
+        # 2,000 ordered pairs: each an induced pair stretched away from the
+        # prior by a factor in [0.5, 1.5], so about half are members
+        rng = np.random.default_rng(23)
+        admitted = 0
+        for _ in range(20):
+            sigma, prior = random_garbling(rng), rng.uniform(0.05, 0.95)
+            induced = np.array([posterior_pair(sigma @ random_experiment(rng), prior) for _ in range(100)]).T
+            q1, q2 = np.clip(prior + rng.uniform(0.5, 1.5, (2, 100)) * (induced - prior), 0.0, 1.0)
+            assert (np.abs(q2 - q1) > 1e-6).all()
+            w1, w2 = _pair_weights(q1, q2, prior)
+            want = ordered_member_many(sigma, prior, q1, q2)
+            got = profile_member_many(sigma, prior, np.column_stack([q1, q2]), np.column_stack([w1, w2]))
+            assert got.tolist() == want.tolist()
+            admitted += int(want.sum())
+        assert 200 < admitted < 1800
 
 
 def reference_slice_ends(a: np.ndarray, prior: float, fixed: np.ndarray, is_low: np.ndarray):

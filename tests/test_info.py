@@ -244,6 +244,17 @@ class TestBayesPlausibleWeights:
         with pytest.raises(PriorOutsideSupport):
             bayes_plausible_weights(0.5, 0.8, 0.3)
 
+    @pytest.mark.parametrize("b1, b2", [(0.2, np.inf), (-np.inf, 0.8), (np.nan, 0.8)], ids=["inf", "minus-inf", "nan"])
+    def test_non_finite_belief_raises(self, b1, b2):
+        # an infinite high belief passes prior <= b2, and weights built from
+        # it read (nan, nan), or (0, 1) for an infinite low one
+        with pytest.raises(PriorOutsideSupport, match=r"need finite beliefs, got \((-inf|nan|0\.2), 0\.5, (inf|0\.8)\)"):
+            bayes_plausible_weights(b1, b2, 0.5)
+        with pytest.raises(PriorOutsideSupport, match="need finite beliefs"):
+            bayes_plausible_weights(np.array([0.1, b1]), np.array([0.9, b2]), 0.5)
+        with pytest.raises(PriorOutsideSupport, match="need finite beliefs"):
+            bayes_plausible_weights(b1, np.array([b2, b2]), 0.5)  # a scalar broadcasts
+
     def test_arrays_give_each_pair_its_scalar_weights(self):
         rng = np.random.default_rng(5)
         prior = 0.4
@@ -257,6 +268,9 @@ class TestBayesPlausibleWeights:
     def test_arrays_raise_for_the_first_pair_outside(self):
         with pytest.raises(PriorOutsideSupport, match=r"\(0\.5, 0\.3, 0\.8\)"):
             bayes_plausible_weights(np.array([0.1, 0.5, 0.6]), np.array([0.9, 0.8, 0.7]), 0.3)
+        # a scalar belief broadcasts against the array, in the message too
+        with pytest.raises(PriorOutsideSupport, match=r"\(0\.5, 0\.3, 0\.8\)"):
+            bayes_plausible_weights(0.5, np.array([0.8, 0.9]), 0.3)
 
     def test_weights_equal_the_old_formula_bit_for_bit(self):
         # 400,000 pairs compared as int64 views, so signed zeros count: a
