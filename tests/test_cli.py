@@ -268,14 +268,18 @@ def test_exit_schema_on_bad_command_line_input(argv, message, tmp_path, capsys):
     assert captured.out == ""
 
 
-def test_feasible_resolution_flag_is_gone(capsys):
+@pytest.mark.parametrize(
+    "value", ["0", "-0.1"], ids=["feasible-zero-resolution", "feasible-negative-resolution"]
+)
+def test_feasible_resolution_flag_is_gone(value, capsys):
     # the m-signal export is the exact vertex rows, so the sampling step
-    # that --resolution set has no meaning: argparse rejects it (exit 2)
+    # that --resolution set has no meaning: argparse rejects the flag
+    # (exit 2) whatever its value, once out of range as before
     with pytest.raises(SystemExit) as exc:
-        main(["feasible", FIG18, "--resolution", "0.05"])
+        main(["feasible", FIG18, "--resolution", value])
     assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert "unrecognized arguments: --resolution 0.05" in captured.err
+    assert f"unrecognized arguments: --resolution {value}" in captured.err
     assert captured.out == ""
 
 
