@@ -60,7 +60,6 @@ from .feasible import (
     BoundaryCurve,
     FeasibleSet,
     boundary_curves,
-    brute_force_pairs,
     companion_slices,
     nesting_report,
     ordered_member_many,

@@ -156,7 +156,7 @@ def boundary_curves(sigma, prior: float, n_points: int = 256) -> dict[str, Bound
 # ---------------------------------------------------------------------------
 
 
-def _square_test(a: np.ndarray, prior: float, q1, q2) -> np.ndarray:
+def _square_test(a: np.ndarray, prior: float, q1, q2, w1=None) -> np.ndarray:
     """Membership of ordered pairs: is the composite row each implies in the square?
 
     Signal 1 carries weight w1 = (q2 - pi) / (q2 - q1), clamped into [0, 1],
@@ -166,12 +166,14 @@ def _square_test(a: np.ndarray, prior: float, q1, q2) -> np.ndarray:
     first and needs no check. Pairs that are not Bayes-plausible are rejected;
     degenerate pairs (width at most TOL) at the prior are members. The leading
     axes of ``a`` broadcast against the pairs' shape, so a stack of garblings
-    shaped (n, 1, 2, 2) tests its own row of (n, k) pairs each.
+    shaped (n, 1, 2, 2) tests its own row of (n, k) pairs each. A caller that
+    has the pairs' weights already passes signal 1's as ``w1``.
     """
     lo, hi = np.minimum(q1, q2), np.maximum(q1, q2)
     ok_bayes = (lo <= prior + TOL) & (hi >= prior - TOL)
     deg = (hi - lo) <= TOL
-    w1, _ = _pair_weights(q1, q2, prior)
+    if w1 is None:
+        w1, _ = _pair_weights(q1, q2, prior)
     c = np.stack(_composite(q1, w1, prior), axis=-1)
     a00, a01 = a[..., 0, 0, None], a[..., 0, 1, None]
     x = (c - a01) / (a00 - a01)
@@ -404,30 +406,6 @@ def profile_member_many(sigma, prior: float, posteriors, probs) -> np.ndarray:
     plausible &= np.abs(_row_dots(p, q) - prior) <= TOL
     x = np.linalg.solve(a, np.concatenate(_composite(q, p, prior)).T)  # (m, 2n): c0 rows, then c1 rows
     return plausible & (x >= -TOL).all(axis=0).reshape(2, -1).all(axis=0)
-
-
-def brute_force_pairs(sigma, prior: float, step: float = 0.01) -> np.ndarray:
-    """(N, 2) ordered posterior pairs from the full 2x2 experiment grid.
-
-    A test reference, so it does not use ``info._bayes``. An uninformative
-    experiment (x = y) gets the prior exactly, not a float update an ulp off it.
-    """
-    a = _as_array(sigma)
-    g = np.linspace(0.0, 1.0, int(round(1.0 / step)) + 1)
-    xx, yy = np.meshgrid(g, g, indexing="ij")
-    x, y = xx.ravel(), yy.ravel()
-    b11 = a[0, 0] * x + a[0, 1] * (1 - x)
-    b12 = a[0, 0] * y + a[0, 1] * (1 - y)
-    b21 = a[1, 0] * x + a[1, 1] * (1 - x)
-    b22 = a[1, 0] * y + a[1, 1] * (1 - y)
-    p1 = (1 - prior) * b11 + prior * b12
-    p2 = (1 - prior) * b21 + prior * b22
-    with np.errstate(invalid="ignore", divide="ignore"):
-        q1 = np.where(p1 > TOL, prior * b12 / np.where(p1 > 0, p1, 1.0), prior)
-        q2 = np.where(p2 > TOL, prior * b22 / np.where(p2 > 0, p2, 1.0), prior)
-    pairs = np.column_stack([q1, q2])
-    pairs[x == y] = prior
-    return pairs
 
 
 # ---------------------------------------------------------------------------

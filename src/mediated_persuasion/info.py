@@ -9,11 +9,10 @@ Conventions used throughout the library:
   belief is the posterior probability of the target state.
 * All algebraic identities are checked to ``TOL = 1e-9``; the worked
   inputs are exact rationals, so double precision leaves a wide margin.
-* Every Bayes update, apart from the test oracle ``brute_force_pairs``,
-  goes through three private kernels: ``_bayes`` (each signal's mass and
-  posterior from its state likelihoods), ``_pair_weights`` (the weights of
-  an ordered posterior pair) and ``_composite`` (a signal's likelihoods from
-  its posterior and weight, the inverse of ``_bayes``).
+* Every Bayes update goes through three private kernels: ``_bayes`` (each
+  signal's mass and posterior from its state likelihoods), ``_pair_weights``
+  (the weights of an ordered posterior pair) and ``_composite`` (a signal's
+  likelihoods from its posterior and weight, the inverse of ``_bayes``).
   ``_bayes`` gives a signal of mass at most ``TOL`` the prior, and each
   caller keeps its policy for such a signal: the prior (``posterior_pair``,
   ``vertex_profiles``), drop (``induced_tau``),
@@ -21,7 +20,10 @@ Conventions used throughout the library:
   family (``pairs_along_family``).
 * Every distribution built from atoms goes through one rules kernel,
   ``_belief_rows`` (drop, sort, merge), and one check, ``_checked_atoms``.
-  With the three kernels above they are where exact twins plug in.
+  Both work on batches of rows, and a batch pays only for the rules that
+  fire: the merge loop runs only when some atom merges, and the checks are
+  told apart only when one fails. With the three kernels above they are
+  where exact twins plug in.
 """
 
 from __future__ import annotations
@@ -97,14 +99,6 @@ class StochasticMatrix:
     @property
     def n(self) -> int:
         return self.a.shape[1]
-
-    @classmethod
-    def identity(cls, n: int = 2) -> "StochasticMatrix":
-        return cls(np.eye(n))
-
-    @classmethod
-    def uninformative(cls, m: int = 2, n: int = 2) -> "StochasticMatrix":
-        return cls(np.full((m, n), 1.0 / m))
 
     def allclose(self, other, tol: float = TOL) -> bool:
         b = _as_array(other)
@@ -183,18 +177,28 @@ def _belief_rows(beliefs, probs):
     rest as (belief, probability) tuples sort, and merge each into the last
     kept atom when their beliefs are within ``TOL``. Returns the rows
     left-aligned, cut to the longest and zero past each row's atoms, and
-    each row's number of atoms."""
+    each row's number of atoms.
+
+    Until an atom merges, the last kept atom is the sorted atom before it, so
+    the per-column merge loop runs only when some kept atom lies within
+    ``TOL`` of the one before it; otherwise the sorted rows are the result."""
     p = np.asarray(probs, dtype=float)
     keep = p > TOL
     b, p = np.where(keep, beliefs, 0.0), np.where(keep, p, 0.0)
     rows = np.arange(len(p))
     order = rows[:, None], np.lexsort((p, b, ~keep), axis=-1)  # dropped atoms last
     b, p, keep = b[order], p[order], keep[order]
+    with np.errstate(all="ignore"):  # a non-finite atom makes NaN here, which the checks reject
+        merges = (keep[:, 1:] & (np.abs(b[:, 1:] - b[:, :-1]) <= TOL)).any()
+    if not merges:
+        size = keep.sum(axis=1)
+        k = int(size.max(initial=0))
+        return b[:, :k], p[:, :k], size
     # the atoms go to columns 1, 2, ...; column 0 has a NaN belief, so no atom merges into it
     out_b, out_p = np.zeros((2, len(p), p.shape[1] + 1))
     out_b[:, 0] = np.nan
     size = np.zeros(len(p), dtype=int)
-    with np.errstate(all="ignore"):  # a non-finite atom makes NaN here, which the checks reject
+    with np.errstate(all="ignore"):
         for bj, pj, kj in zip(b.T, p.T, keep.T):  # one pass per column
             lb, lp = out_b[rows, size], out_p[rows, size]
             merge = kj & (np.abs(bj - lb) <= TOL)
@@ -216,10 +220,34 @@ def _checked_atoms(beliefs, probs, size, prior: float):
     probabilities that do not sum to 1, a belief outside [0, 1], beliefs that
     do not increase by more than ``TOL``, or a barycenter off the prior (or a
     NaN prior). Returns both arrays clipped into [0, 1].
+
+    The checks run once over the whole batch, as one conjunction; only when
+    it fails are they run row by row to find the first failing row and its
+    error.
     """
     size = np.asarray(size)
     atom = np.arange(beliefs.shape[1]) < size[:, None]
     b, p = np.where(atom, beliefs, 0.0), np.where(atom, probs, 0.0)  # a zero pad passes each check
+    passed = bool(np.isfinite(b).all() and np.isfinite(p).all())
+    if passed:
+        bary = _row_dots(b, p)
+        passed = bool(
+            size.min(initial=1) > 0
+            and p.min(initial=0.0) >= -TOL
+            and np.abs(p.sum(axis=1) - 1.0).max(initial=0.0) <= TOL
+            and b.min(initial=0.0) >= -TOL
+            and b.max(initial=0.0) <= 1.0 + TOL
+            and not ((b[:, 1:] - b[:, :-1] <= TOL) & atom[:, 1:]).any()
+            and np.abs(bary - prior).max(initial=0.0) <= TOL
+        )
+    if not passed:
+        raise _first_failure(b, p, size, atom, prior)
+    return np.clip(beliefs, 0.0, 1.0), np.clip(probs, 0.0, 1.0)
+
+
+def _first_failure(b, p, size, atom, prior: float) -> Exception:
+    """The error of the first row of a batch that fails a check of
+    :func:`_checked_atoms`, its zero-padded atoms in ``b`` and ``p``."""
     finite = np.isfinite(b).all(axis=1) & np.isfinite(p).all(axis=1)
     # such a row fails that check first, and is zeroed so the checks below compute no NaN
     b, p = np.where(finite[:, None], b, 0.0), np.where(finite[:, None], p, 0.0)
@@ -233,19 +261,16 @@ def _checked_atoms(beliefs, probs, size, prior: float):
         ((b[:, 1:] - b[:, :-1] <= TOL) & atom[:, 1:]).any(axis=1),
         ~(np.abs(bary - prior) <= TOL),
     )
-    failed = np.any(checks, axis=0)
-    if failed.any():
-        i = int(np.argmax(failed))
-        raise (
-            ValueError("beliefs and probabilities must be finite"),
-            ValueError("no atoms with positive probability"),
-            ValueError(f"negative probability {p[i].min(initial=0.0):.3g}"),
-            ValueError(f"probabilities sum to {total[i]:.12g}"),
-            ValueError("beliefs outside [0, 1]"),
-            ValueError("beliefs must be strictly increasing; merge duplicates"),
-            BarycenterMismatch(f"barycenter {bary[i]:.12g} != prior {prior:.12g}"),
-        )[next(k for k, fails in enumerate(checks) if fails[i])]
-    return np.clip(beliefs, 0.0, 1.0), np.clip(probs, 0.0, 1.0)
+    i = int(np.argmax(np.any(checks, axis=0)))
+    return (
+        ValueError("beliefs and probabilities must be finite"),
+        ValueError("no atoms with positive probability"),
+        ValueError(f"negative probability {p[i].min(initial=0.0):.3g}"),
+        ValueError(f"probabilities sum to {total[i]:.12g}"),
+        ValueError("beliefs outside [0, 1]"),
+        ValueError("beliefs must be strictly increasing; merge duplicates"),
+        BarycenterMismatch(f"barycenter {bary[i]:.12g} != prior {prior:.12g}"),
+    )[next(k for k, fails in enumerate(checks) if fails[i])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,8 +318,7 @@ class BeliefDistribution:
         out = []
         for i, k in enumerate(size.tolist()):
             tau = object.__new__(cls)  # checked above: no second __post_init__
-            for name, value in (("beliefs", beliefs[i, :k]), ("probs", probs[i, :k]), ("prior", prior)):
-                object.__setattr__(tau, name, value)
+            tau.__dict__.update(beliefs=beliefs[i, :k], probs=probs[i, :k], prior=prior)
             out.append(tau)
         return out, beliefs, probs, size
 
@@ -360,7 +384,9 @@ def bayes_plausible_weights(b1, b2, prior: float):
     the first pair whose support misses the prior, or holds a belief that is
     not finite, raises.
     """
-    lo, hi = np.broadcast_arrays(np.asarray(b1, dtype=float), np.asarray(b2, dtype=float))
+    lo, hi = np.asarray(b1, dtype=float), np.asarray(b2, dtype=float)
+    if lo.shape != hi.shape:
+        lo, hi = np.broadcast_arrays(lo, hi)
     finite = np.isfinite(lo) & np.isfinite(hi)
     outside = ~(finite & (lo - TOL <= prior) & (prior <= hi + TOL)) | (lo > hi + TOL)
     if outside.any():

@@ -77,17 +77,29 @@ class PiecewiseUtility:
         object.__setattr__(self, "pieces", pieces)
         # lookup tables indexed by a belief's left insertion index i among the
         # edges: the affine coefficients of the open segment left of edge i
-        # (the first segment for i = 0) and the attained value at edge i
-        edges = sorted({p.lo for p in pieces} | {p.hi for p in pieces})
-        slope_at = np.zeros(len(edges))
-        inter_at = np.zeros(len(edges))
-        for k in range(1, len(edges)):
-            p = self._covering_piece(0.5 * (edges[k - 1] + edges[k]))
-            slope_at[k], inter_at[k] = p.slope, p.intercept
+        # (the first segment for i = 0) and the attained value at edge i. One
+        # sweep over the sorted pieces builds them: a piece that is not a
+        # singleton is the open segment left of its high end, and an edge's
+        # value is that of the one piece closed there. An edge takes the float
+        # of the first piece starting there, else of the piece ending there.
+        edges, owners, slopes, inters = [pieces[0].lo], [pieces[0]], [0.0], [0.0]
+        starts = True  # whether a piece starts at the last edge
+        for p in pieces:
+            if not starts:
+                edges[-1], starts = p.lo, True
+            if p.lo_closed:
+                owners[-1] = p
+            if not p.is_singleton:
+                edges.append(p.hi)
+                owners.append(p)
+                slopes.append(p.slope)
+                inters.append(p.intercept)
+                starts = False
+        ev = np.array(edges)
+        slope_at, inter_at = np.array(slopes), np.array(inters)
         if len(edges) > 1:
             slope_at[0], inter_at[0] = slope_at[1], inter_at[1]
-        value_at = np.array([self._covering_piece(e).value_at(e) for e in edges])
-        ev = np.array(edges)
+        value_at = np.array([p.value_at(e) for p, e in zip(owners, edges)])
         # one-sided limits at each edge (an end edge repeats its one side); a
         # limit within TOL of the attained value is that value, not a jump
         below_at = above_at = value_at
@@ -101,18 +113,6 @@ class PiecewiseUtility:
         for name, a in tables.items():
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-
-    def _covering_piece(self, beta: float) -> Piece:
-        for p in self.pieces:
-            if p.is_singleton:
-                if p.lo == beta:
-                    return p
-            else:
-                lo_ok = beta > p.lo or (p.lo_closed and beta == p.lo)
-                hi_ok = beta < p.hi or (p.hi_closed and beta == p.hi)
-                if lo_ok and hi_ok:
-                    return p
-        raise ValueError(f"{beta} outside domain [{self.domain[0]}, {self.domain[1]}]")
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -260,7 +260,7 @@ def _expected_utilities(u: PiecewiseUtility, beliefs, probs, sizes) -> np.ndarra
     vals = np.zeros(beliefs.shape)
     vals[atom] = u.eval_many(beliefs[atom])
     out = np.empty(len(sizes))
-    for k in np.unique(sizes).tolist():
+    for k in set(sizes.tolist()):
         rows = np.flatnonzero(sizes == k)
         out[rows] = _row_dots(vals[rows, :k], probs[rows, :k])
     return out

@@ -17,14 +17,20 @@ from the ``Concavification`` of its interval, the same upper-hull object
 that ``bp_solve`` reads over all of [0, 1].
 
 Each best response has one batched core, ``_sender_batch`` or
-``_mediator_batch``, that solves a stack of strategies in one numpy pass
-over all their candidates, then builds all the replies' outcomes with the
-rules kernel ``info._belief_rows``, which every distribution goes through,
-and their strategies with one stacked inverse; the public single-strategy
-functions are a batch of one.
+``_mediator_batch``, that solves a stack of strategies in numpy passes over
+all their candidates, then builds all the replies' outcomes in one call of
+``_pair_taus``, through the rules kernel ``info._belief_rows`` that every
+distribution goes through, and their strategies with one stacked inverse;
+the public single-strategy functions are a batch of one. Babbling, a
+rank-deficient garbling and an uninformative experiment are rows of their
+batch like any other: their outcome is the pair (prior, prior) in that
+call, and no distribution is built on its own. The sender core works
+through its garblings in chunks of at most ``_CANDIDATE_BUDGET``
+candidates, which bounds its memory on utilities with many breakpoints;
+every row's arithmetic is its own, so the chunks change no bit.
 Each core locates a stack of beliefs on the utility once
 (``PiecewiseUtility._locate``) and reads every value it needs there. The
-certificate core ``_certificates`` checks a list of profiles the same way,
+certificate core ``_certificates`` checks a stack of profiles the same way,
 and ``check_equilibrium`` is a batch of one. Search enumerates a finite set
 of experiments, one per pair of candidate posteriors (0, 1 and the
 breakpoints of both utilities) on either side of the prior, solves the best
@@ -110,10 +116,6 @@ class BestResponse:
     attained: bool
 
 
-def _point_mass(prior: float) -> BeliefDistribution:
-    return BeliefDistribution(np.array([prior], dtype=float), np.array([1.0]), float(prior))  # one atom: no rule applies
-
-
 def _pair_taus(q1, q2, prior: float):
     """The outcome of each posterior pair (q1[i], q2[i]), built in one pass: a
     point mass at the prior when the pair is at most ``TOL`` wide, else both
@@ -123,16 +125,11 @@ def _pair_taus(q1, q2, prior: float):
     q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
     lo, hi = np.where(q2 < q1, q2, q1), np.where(q2 > q1, q2, q1)  # as min() and max() pick
     wide = ~(hi - lo <= TOL)
-    # a narrow pair is weighed as (prior, prior), whose weights it does not use
-    p_lo, p_hi = bayes_plausible_weights(np.where(wide, lo, prior), np.where(wide, hi, prior), prior)
     # a narrow pair becomes the atom (prior, 1) next to one of no mass
-    beliefs = np.where(wide[:, None], np.column_stack([lo, hi]), prior)
-    probs = np.where(wide[:, None], np.column_stack([p_lo, p_hi]), [1.0, 0.0])
+    lo, hi = np.where(wide, lo, prior), np.where(wide, hi, prior)
+    p_lo, p_hi = bayes_plausible_weights(lo, hi, prior)
+    beliefs, probs = np.array([lo, hi]).T, np.array([np.where(wide, p_lo, 1.0), np.where(wide, p_hi, 0.0)]).T
     return BeliefDistribution._from_rows(beliefs, probs, prior)
-
-
-def _babbling_response(u: PiecewiseUtility, prior: float) -> BestResponse:
-    return BestResponse(UNINFORMATIVE_X.copy(), _point_mass(prior), float(u(prior)), True)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +155,8 @@ def bp_solve(u_s: PiecewiseUtility, prior: float) -> BenchmarkSolution:
     conc = concavify(u_s, (0.0, 1.0))
     base = float(u_s(prior))
     if conc.value(prior) <= base + TOL:
-        return BenchmarkSolution(_point_mass(prior), UNINFORMATIVE_X.copy(), base, conc, True)
+        (tau,), *_ = _pair_taus([prior], [prior], prior)
+        return BenchmarkSolution(tau, UNINFORMATIVE_X.copy(), base, conc, True)
     lo, hi = conc.linear_span(prior)
     (tau,), *_ = _pair_taus([lo], [hi], prior)
     x = reconstruct_experiment(np.eye(2), prior, tau)
@@ -171,7 +169,7 @@ def bp_solve(u_s: PiecewiseUtility, prior: float) -> BenchmarkSolution:
 # ---------------------------------------------------------------------------
 
 
-_BABBLING, _CORNER = 0, 1  # candidate kinds; the first two blocks of _sender_candidates
+_BABBLING, _CORNER, _PAIR, _SLICE_END = range(4)  # candidate kinds, the blocks of _sender_candidates
 
 
 def _both_orders(lo, hi):
@@ -181,50 +179,57 @@ def _both_orders(lo, hi):
     return q1.reshape(len(q1), -1), q2.reshape(len(q2), -1)
 
 
-def _sender_candidates(u_s: PiecewiseUtility, a: np.ndarray, prior: float):
-    """Candidate ordered pairs (q1, q2) of the sender best response for a
-    stack ``a`` of n full-rank garblings.
+def _shared_candidates(u_s: PiecewiseUtility, prior: float):
+    """The part of the sender's candidates that no garbling changes: the
+    breakpoint pairs in both orders, each shaped (1, 2 l h) for l low and h
+    high beliefs; the fixed beliefs whose rays :func:`feasible._slice_ends`
+    crosses with the square, and which of them are low; and the kind of each
+    candidate a garbling gets."""
+    bps = u_s.breakpoints[(u_s.breakpoints >= 0.0) & (u_s.breakpoints <= 1.0)]
+    lows = np.unique(np.append(bps[bps <= prior + TOL], (0.0, prior)))
+    highs = np.unique(np.append(bps[bps >= prior - TOL], (prior, 1.0)))
+    pair = np.empty((lows.size, highs.size, 2))  # (low, high) for every low and high belief
+    pair[..., 0], pair[..., 1] = lows[:, None], highs
+    pairs = pair.reshape(1, -1), pair[..., ::-1].reshape(1, -1)  # each pair followed by its swap
+    # a belief within TOL of the prior pairs with any companion as babbling does
+    fixed = np.concatenate([lows[lows < prior - TOL], highs[highs > prior + TOL]])
+    # a fixed belief's ray crosses 4 edges in each of 2 orientations, each crossing in both orders
+    kind = np.repeat([_BABBLING, _CORNER, _PAIR, _SLICE_END], [1, 2, pairs[0].shape[1], 16 * fixed.size])
+    return pairs, fixed, fixed < prior, kind
 
-    Returns q1 and q2, shaped (n, k), and the kind of each of the k
-    candidates. The blocks come in tie-break order: babbling; the two
-    off-diagonal corners of each garbling's square, induced by X = I and by
-    the column swap; breakpoint pairs, the same for every garbling; and the
-    crossings of each breakpoint's ray with the edges of the square
+
+def _sender_candidates(a: np.ndarray, prior: float, shared):
+    """Candidate ordered pairs (q1, q2) of the sender best response for a
+    stack ``a`` of n full-rank garblings, with the ``shared`` part from
+    :func:`_shared_candidates`.
+
+    Returns q1 and q2, shaped (n, k), in blocks of the candidates' kinds and
+    in tie-break order: babbling; the two off-diagonal corners of each
+    garbling's square, induced by X = I and by the column swap; breakpoint
+    pairs, the same for every garbling; and the crossings of each
+    breakpoint's ray with the edges of the square
     (:func:`feasible._slice_ends`), natural orientation first, each in both
     orders. A crossing off the ray's range reads as the pair (f, f), so every
     garbling has the same candidate order; only the square test decides
     which candidates are feasible.
     """
-    n = len(a)
+    pairs, fixed, is_low, kind = shared
     # (n, corner, posterior): the corners induced by X = I and by the column swap
     corners = np.stack([_bayes(b[..., 0], b[..., 1], prior)[1] for b in (a, a[..., ::-1])], axis=1)
-    bps = u_s.breakpoints[(u_s.breakpoints >= 0.0) & (u_s.breakpoints <= 1.0)]
-    lows = np.unique(np.append(bps[bps <= prior + TOL], (0.0, prior)))
-    highs = np.unique(np.append(bps[bps >= prior - TOL], (prior, 1.0)))
-    pair_lo, pair_hi = (m.reshape(1, -1) for m in np.meshgrid(lows, highs, indexing="ij"))
-
-    # a belief within TOL of the prior pairs with any companion as babbling does
-    fixed = np.concatenate([lows[lows < prior - TOL], highs[highs > prior + TOL]])
-    is_low = fixed < prior
     ends = _slice_ends(a, prior, fixed, is_low)
     f, low = fixed[:, None, None], is_low[:, None, None]
-
-    blocks = [
-        (np.full((n, 1), prior), np.full((n, 1), prior)),
-        (corners[..., 0], corners[..., 1]),
-        tuple(np.broadcast_to(q, (n, q.shape[1])) for q in _both_orders(pair_lo, pair_hi)),
-        _both_orders(np.where(low, f, ends), np.where(low, ends, f)),
-    ]
-    q1 = np.concatenate([b[0] for b in blocks], axis=1)
-    q2 = np.concatenate([b[1] for b in blocks], axis=1)
-    kind = np.repeat(np.arange(len(blocks)), [b[0].shape[1] for b in blocks])
-    return q1, q2, kind
+    crossings = _both_orders(np.where(low, f, ends), np.where(low, ends, f))
+    q1, q2 = np.empty((2, len(a), kind.size))
+    end = 3 + pairs[0].shape[1]  # where the pairs end and the crossings start
+    for q, corner, pair, crossing in zip((q1, q2), (corners[..., 0], corners[..., 1]), pairs, crossings):
+        q[:, 0], q[:, 1:3], q[:, 3:end], q[:, end:] = prior, corner, pair, crossing
+    return q1, q2
 
 
-def _sender_values(u: PiecewiseUtility, a: np.ndarray, prior: float, q1, q2):
+def _sender_values(u: PiecewiseUtility, a: np.ndarray, prior: float, q1, q2, weights):
     """Attained values and suprema at the candidate pairs, shaped (n, k) for
-    the stack ``a`` of n garblings; babbling is column 0 and the corners
-    follow it.
+    the stack ``a`` of n garblings, with the pairs' ``_pair_weights``;
+    babbling is column 0 and the corners follow it.
 
     On each cell of the square, cut by the lines where a posterior sits on a
     breakpoint, the expected utility is linear, so near a vertex it tends to
@@ -237,7 +242,7 @@ def _sender_values(u: PiecewiseUtility, a: np.ndarray, prior: float, q1, q2):
     a read of that location.
     """
     deg = np.abs(q2 - q1) <= TOL
-    w1, w2 = _pair_weights(q1, q2, prior)
+    w1, w2 = weights
     q1, q2 = np.clip(q1, 0.0, 1.0), np.clip(q2, 0.0, 1.0)
     # babbling: a jump within TOL of the prior counts as at the prior, as in
     # the feasible slices, so the limits are taken outside the TOL window
@@ -268,42 +273,59 @@ def _sender_values(u: PiecewiseUtility, a: np.ndarray, prior: float, q1, q2):
     return attained, sup
 
 
+# garbling x candidate entries one pass of the sender batch holds: it bounds
+# the batch's memory, while a fixture's batch fits in one pass
+_CANDIDATE_BUDGET = 1 << 16
+
+
 def _sender_batch(u_s: PiecewiseUtility, sigmas: np.ndarray, prior: float) -> list[BestResponse]:
-    """Sender best responses to a stack of 2x2 garblings, in one numpy pass
-    over all their candidates; see :func:`sender_best_response`."""
+    """Sender best responses to a stack of 2x2 garblings, in numpy passes over
+    chunks of garblings, each with at most ``_CANDIDATE_BUDGET`` candidates in
+    all, and one build of every reply's outcome; see
+    :func:`sender_best_response`."""
     if sigmas.shape[1:] != (2, 2):
         raise DimensionMismatch("expected a 2x2 garbling")
+    n = len(sigmas)
     # a rank-deficient garbling (as garbling_rank decides), or a prior within
-    # TOL of 0 or 1, leaves only babbling
+    # TOL of 0 or 1, leaves only babbling: the pair (prior, prior)
     full = ~(np.abs(sigmas[..., 0] - sigmas[..., 1]).max(axis=1) <= TOL) & (TOL < prior < 1.0 - TOL)
-    out = [None if f else _babbling_response(u_s, prior) for f in full.tolist()]
-    if not full.any():
-        return out
-    a = sigmas[full]
-    q1, q2, kind = _sender_candidates(u_s, a, prior)
-    feasible = _square_test(a[:, None], prior, q1, q2)
-    feasible[:, :3] = True  # babbling and the corners are always available
-    attained, sup = _sender_values(u_s, a, prior, q1, q2)
-    sup[~feasible] = -np.inf
+    b1, b2 = np.full(n, prior, dtype=float), np.full(n, prior, dtype=float)
+    vmax, got = np.empty(n), np.ones(n, dtype=bool)
+    best, kind = np.zeros(n, dtype=int), np.full(n, _BABBLING)
+    rows, chunks = np.flatnonzero(full), []
+    if rows.size:
+        shared = _shared_candidates(u_s, prior)
+        kind_of = shared[-1]
+        step = max(1, _CANDIDATE_BUDGET // kind_of.size)
+        chunks = [rows[i : i + step] for i in range(0, rows.size, step)]
+    for chunk in chunks:
+        a = sigmas[chunk]
+        q1, q2 = _sender_candidates(a, prior, shared)
+        weights = _pair_weights(q1, q2, prior)
+        feasible = _square_test(a[:, None], prior, q1, q2, w1=weights[0])
+        feasible[:, :3] = True  # babbling and the corners are always available
+        attained, sup = _sender_values(u_s, a, prior, q1, q2, weights)
+        sup[~feasible] = -np.inf
 
-    vmax = sup.max(axis=1)
-    tie = sup >= vmax[:, None] - 1e-12
-    short = attained < vmax[:, None] - 1e-12
-    # ties first, then attained, then the smallest sorted pair, then candidate order
-    best = np.lexsort((np.maximum(q1, q2), np.minimum(q1, q2), short, ~tie), axis=-1)[:, 0]
-    rows = np.arange(len(a))
-    b1, b2, got = q1[rows, best], q2[rows, best], attained[rows, best]
+        top = sup.max(axis=1)
+        tie = sup >= top[:, None] - 1e-12
+        short = attained < top[:, None] - 1e-12
+        # ties first, then attained, then the smallest sorted pair, then candidate order
+        won = np.lexsort((np.maximum(q1, q2), np.minimum(q1, q2), short, ~tie), axis=-1)[:, 0]
+        i = np.arange(len(a))
+        b1[chunk], b2[chunk], vmax[chunk] = q1[i, won], q2[i, won], top
+        got[chunk], best[chunk], kind[chunk] = attained[i, won] >= top - 1e-12, won, kind_of[won]
     taus, _, _, sizes = _pair_taus(b1, b2, prior)
+    if rows.size < n:
+        vmax[~full] = u_s(prior)
     # a one-atom outcome is babbling, whichever candidate won
-    kinds = np.where(sizes == 1, _BABBLING, kind[best])
+    kind[sizes == 1] = _BABBLING
     # corner 1 is induced by X = I, corner 2 by the column swap
     corner_x = np.where((best == 1)[:, None, None], np.eye(2), np.eye(2)[::-1])
-    xs = np.where((kinds == _BABBLING)[:, None, None], UNINFORMATIVE_X, corner_x)
-    inducing = kinds > _CORNER
-    xs[inducing] = _inducing_experiments(a[inducing], prior, b1[inducing], b2[inducing])
-    for i, x, tau, v, g in zip(np.flatnonzero(full), xs, taus, vmax.tolist(), (got >= vmax - 1e-12).tolist()):
-        out[i] = BestResponse(x, tau, v, g)
-    return out
+    xs = np.where((kind == _BABBLING)[:, None, None], UNINFORMATIVE_X, corner_x)
+    inducing = kind > _CORNER
+    xs[inducing] = _inducing_experiments(sigmas[inducing], prior, b1[inducing], b2[inducing])
+    return [BestResponse(x, tau, v, g) for x, tau, v, g in zip(xs, taus, vmax.tolist(), got.tolist())]
 
 
 def sender_best_response(u_s: PiecewiseUtility, sigma, prior: float) -> BestResponse:
@@ -339,27 +361,29 @@ def _mediator_batch(u_m: PiecewiseUtility, xs: np.ndarray, prior: float) -> list
     lo, hi = np.minimum(q[:, 0], q[:, 1]), np.maximum(q[:, 0], q[:, 1])
     informative = hi - lo > TOL
     u_prior = float(u_m(prior))
-    # an uninformative experiment leaves every garbling optimal
-    out = [None if f else BestResponse(np.eye(2), _point_mass(prior), u_prior, True) for f in informative]
     rows = np.flatnonzero(informative)
     concs = _concavifications(u_m, lo[rows], hi[rows])
-    spans = np.array([conc.linear_span(prior) for conc in concs]).reshape(-1, 2)
-    taus, beliefs, probs, sizes = _pair_taus(spans[:, 0], spans[:, 1], prior)
+    # an uninformative experiment leaves every garbling optimal: its outcome is
+    # the pair (prior, prior), which a last row adds for any reply of one atom
+    q1, q2 = np.full((2, len(xs) + 1), float(prior))
+    q1[rows], q2[rows] = np.array([conc.linear_span(prior) for conc in concs]).reshape(-1, 2).T
+    taus, beliefs, probs, sizes = _pair_taus(q1, q2, prior)
+    taus, babbling, sizes = taus[:-1], taus[-1], sizes[rows]
+    sigmas = np.where(informative[:, None, None], UNINFORMATIVE_X, np.eye(2))
+    values, attained = np.full(len(xs), u_prior), np.ones(len(xs), dtype=bool)
     # one atom when the span is a point, and also when the prior is a kink of
     # the envelope: the span then starts at the prior and its far end has no mass
     for j in np.flatnonzero(sizes == 1).tolist():
         value = concs[j].value(prior)
-        out[rows[j]] = BestResponse(UNINFORMATIVE_X.copy(), _point_mass(prior), value, value <= u_prior)
+        values[rows[j]], attained[rows[j]], taus[rows[j]] = value, value <= u_prior, babbling
     split = np.flatnonzero(sizes == 2)
     if split.size:
-        beliefs, probs = beliefs[split], probs[split]
-        comp = np.stack(_composite(beliefs, probs, prior), axis=-1)
-        sigmas = np.clip(comp @ np.linalg.inv(xs[rows[split]]), 0.0, 1.0)
-        sigmas /= sigmas.sum(axis=1, keepdims=True)
-        values, attained = _payoffs([concs[j] for j in split], beliefs, probs)
-        for j, sigma, v, a in zip(split.tolist(), sigmas, values.tolist(), attained.tolist()):
-            out[rows[j]] = BestResponse(sigma, taus[j], v, a)
-    return out
+        i = rows[split]
+        comp = np.stack(_composite(beliefs[i], probs[i], prior), axis=-1)
+        s = np.clip(comp @ np.linalg.inv(xs[i]), 0.0, 1.0)
+        sigmas[i] = s / s.sum(axis=1, keepdims=True)
+        values[i], attained[i] = _payoffs([concs[j] for j in split], beliefs[i], probs[i])
+    return [BestResponse(s, t, v, a) for s, t, v, a in zip(sigmas, taus, values.tolist(), attained.tolist())]
 
 
 def mediator_best_response(u_m: PiecewiseUtility, x, prior: float) -> BestResponse:
@@ -410,16 +434,20 @@ class EquilibriumCertificate:
         return max(self.sender_gap, self.mediator_gap)
 
 
-def _certificates(game: GameSpec, xs, sigmas, tol: float, memo: "_ResponseMemo") -> list[EquilibriumCertificate]:
-    """Certificates of the profiles (xs[i], sigmas[i]), checked in one pass.
+def _certificates(
+    game: GameSpec, xs, sigmas, tol: float, memo: "_ResponseMemo", *, refuted: bool = True
+) -> list[EquilibriumCertificate]:
+    """Certificates of the profiles (xs[i], sigmas[i]), checked in one pass;
+    ``xs`` and ``sigmas`` are stacks of matrices, each shaped (n, 2, 2). With
+    ``refuted`` false only the verified profiles get one, in order.
 
     Both players' best responses come from ``memo`` in one lookup each. The
     composites sigma X are one stacked ``matmul``, their outcomes are built by
     ``_induced_taus`` and each player's payoffs by ``_expected_utilities`` on
     their rows, each bit for bit what the same steps give profile by profile.
     """
-    xs, sigmas = [_as_array(x) for x in xs], [_as_array(s) for s in sigmas]
-    if any(a.shape != (2, 2) for a in (*xs, *sigmas)):
+    xs, sigmas = np.asarray(xs, dtype=float), np.asarray(sigmas, dtype=float)
+    if xs.shape[1:] != (2, 2) or sigmas.shape[1:] != (2, 2):
         raise DimensionMismatch("profiles are pairs of 2x2 experiments and garblings")
     br_s, br_m = memo.senders(sigmas), memo.mediators(xs)
     taus, beliefs, probs, sizes = _induced_taus(np.matmul(sigmas, xs), game.prior)
@@ -432,6 +460,8 @@ def _certificates(game: GameSpec, xs, sigmas, tol: float, memo: "_ResponseMemo")
         xs, sigmas, taus, br_s, br_m, cur_s.tolist(), cur_m.tolist(), gap_s.tolist(), gap_m.tolist()
     ):
         verified = gs <= tol and gm <= tol
+        if not (verified or refuted):
+            continue
         witness = None
         if not verified:
             if gs >= gm:
@@ -458,9 +488,10 @@ class _ResponseMemo:
 
     The sender's best response depends only on the garbling and the
     mediator's only on the experiment, so each is keyed by the float64 bytes
-    of that strategy. A lookup takes a list of strategies and hands the
-    distinct ones it has not seen to the batched core (``_sender_batch`` or
-    ``_mediator_batch``) in one call; a single check looks up a list of one.
+    of that strategy. A lookup takes a stack of strategies, shaped (n, 2, 2),
+    and hands the distinct ones it has not seen to the batched core
+    (``_sender_batch`` or ``_mediator_batch``) in one call; a single check
+    looks up a stack of one.
     A search makes one memo and drops it when it returns. Callers share the
     returned responses and must not modify their arrays.
     """
@@ -476,12 +507,14 @@ class _ResponseMemo:
     def mediators(self, xs) -> list[BestResponse]:
         return self._solve(self._mediator, _mediator_batch, self.game.u_mediator, xs)
 
-    def _solve(self, cache: dict, solve, u: PiecewiseUtility, strategies) -> list[BestResponse]:
-        arrays = [_as_array(s) for s in strategies]
-        keys = [a.tobytes() for a in arrays]
-        missing = {k: a for k, a in zip(keys, arrays) if k not in cache}  # first of each key
+    def _solve(self, cache: dict, solve, u: PiecewiseUtility, stack: np.ndarray) -> list[BestResponse]:
+        keys = [s.tobytes() for s in stack]
+        missing: dict[bytes, int] = {}
+        for i, k in enumerate(keys):
+            if k not in cache:
+                missing.setdefault(k, i)  # the first of each key
         if missing:
-            cache.update(zip(missing, solve(u, np.array(list(missing.values())), self.game.prior)))
+            cache.update(zip(missing, solve(u, stack[list(missing.values())], self.game.prior)))
         return [cache[k] for k in keys]
 
 
@@ -499,7 +532,7 @@ def check_equilibrium(
     validate_stochastic(sigma)
     tol = game.tol_dev if tol is None else tol
     memo = _ResponseMemo(game) if memo is None else memo
-    return _certificates(game, [x], [sigma], tol, memo)[0]
+    return _certificates(game, _as_array(x)[None], _as_array(sigma)[None], tol, memo)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +559,12 @@ def search_equilibria(game: GameSpec) -> list[EquilibriumCertificate]:
     babbling and every B. The second, the one sender batch, solves the
     sender's replies to babbling, every B as a garbling and the mediator's
     replies. The third solves the mediator's replies to the sender's
-    experiments. One call to the certificate core then checks every
-    profile, reading both best responses from the memo, so each distinct
-    strategy is solved once.
+    experiments. Babbling, a rank-deficient garbling and an uninformative
+    experiment are rows of their batch like any other, and every reply's
+    outcome is built with the batch. One call to the certificate core then
+    checks every profile, reading both best responses from the memo, so each
+    distinct strategy is solved once, and builds certificates for the
+    verified profiles alone.
 
     Returns the verified certificates, sorted by support size, support and
     largest gap, keeping the first of those with ``allclose`` outcomes.
@@ -539,21 +575,20 @@ def search_equilibria(game: GameSpec) -> list[EquilibriumCertificate]:
     lo, hi = (m.ravel() for m in np.meshgrid(beliefs[beliefs < pi - TOL], beliefs[beliefs > pi + TOL], indexing="ij"))
     q, w = np.column_stack([lo, hi]), np.column_stack(_pair_weights(lo, hi, pi))
     bs = np.stack(_composite(q, w, pi), axis=-1)  # B[i] has posteriors lo[i], hi[i]
-    mediator_replies = memo.mediators([_BABBLING_PROFILE, *bs])[1:]
-    sender_replies = memo.senders([_BABBLING_PROFILE, *bs, *(r.strategy for r in mediator_replies)])[1 : len(bs) + 1]
-    memo.mediators([r.strategy for r in sender_replies])
+    babbling = _BABBLING_PROFILE[None]
+    to_b = np.array([r.strategy for r in memo.mediators(np.concatenate([babbling, bs]))[1:]])
+    from_b = np.array([r.strategy for r in memo.senders(np.concatenate([babbling, bs, to_b]))[1 : len(bs) + 1]])
+    memo.mediators(from_b)
 
-    xs, sigmas = [_BABBLING_PROFILE], [_BABBLING_PROFILE]
-    for b, to_b, from_b in zip(bs, mediator_replies, sender_replies):
-        xs += [b, from_b.strategy]
-        sigmas += [to_b.strategy, b]
-    certs = _certificates(game, xs, sigmas, game.tol_dev, memo)
+    # babbling, then per B the profiles (B, the reply to B) and (the reply to B as a garbling, B)
+    xs, sigmas = np.empty((2, 2 * len(bs) + 1, 2, 2))
+    xs[0] = sigmas[0] = _BABBLING_PROFILE
+    xs[1::2], sigmas[1::2] = bs, to_b
+    xs[2::2], sigmas[2::2] = from_b, bs
+    certs = _certificates(game, xs, sigmas, game.tol_dev, memo, refuted=False)
 
     final: list[EquilibriumCertificate] = []
-    for cert in sorted(
-        (c for c in certs if c.verified),
-        key=lambda c: (c.tau.beliefs.size, tuple(c.tau.beliefs), c.max_gap),
-    ):
+    for cert in sorted(certs, key=lambda c: (c.tau.beliefs.size, tuple(c.tau.beliefs), c.max_gap)):
         if not any(cert.tau.allclose(f.tau) for f in final):
             final.append(cert)
     return final

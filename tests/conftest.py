@@ -8,6 +8,7 @@ import pytest
 
 import mediated_persuasion
 from mediated_persuasion import GameSpec, PiecewiseUtility, load_fixture
+from mediated_persuasion.info import TOL, _as_array
 
 RANKED_PAIR = (
     np.array([[9 / 10, 1 / 100], [1 / 10, 99 / 100]]),
@@ -113,3 +114,27 @@ def random_pwl(rng, n_nodes=5, lo=0.0, hi=1.0) -> PiecewiseUtility:
     xs = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 0.9, n_nodes - 2)), [1.0]])
     ys = rng.uniform(lo, hi, size=xs.size)
     return PiecewiseUtility.from_points(list(zip(xs, ys)))
+
+
+def brute_force_pairs(sigma, prior: float, step: float = 0.01) -> np.ndarray:
+    """(N, 2) ordered posterior pairs from the full 2x2 experiment grid.
+
+    A test reference, so it does not use ``info._bayes``. An uninformative
+    experiment (x = y) gets the prior exactly, not a float update an ulp off it.
+    """
+    a = _as_array(sigma)
+    g = np.linspace(0.0, 1.0, int(round(1.0 / step)) + 1)
+    xx, yy = np.meshgrid(g, g, indexing="ij")
+    x, y = xx.ravel(), yy.ravel()
+    b11 = a[0, 0] * x + a[0, 1] * (1 - x)
+    b12 = a[0, 0] * y + a[0, 1] * (1 - y)
+    b21 = a[1, 0] * x + a[1, 1] * (1 - x)
+    b22 = a[1, 0] * y + a[1, 1] * (1 - y)
+    p1 = (1 - prior) * b11 + prior * b12
+    p2 = (1 - prior) * b21 + prior * b22
+    with np.errstate(invalid="ignore", divide="ignore"):
+        q1 = np.where(p1 > TOL, prior * b12 / np.where(p1 > 0, p1, 1.0), prior)
+        q2 = np.where(p2 > TOL, prior * b22 / np.where(p2 > 0, p2, 1.0), prior)
+    pairs = np.column_stack([q1, q2])
+    pairs[x == y] = prior
+    return pairs

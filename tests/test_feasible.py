@@ -13,7 +13,6 @@ from mediated_persuasion import (
     NotSigmaPlausible,
     SingularGarbling,
     boundary_curves,
-    brute_force_pairs,
     companion_slices,
     compose,
     garbling_rank,
@@ -30,7 +29,7 @@ from mediated_persuasion import (
 from mediated_persuasion.feasible import UNINFORMATIVE_X
 from mediated_persuasion.info import TOL, _as_array, _bayes, _composite, _pair_weights
 
-from conftest import RANKED_PAIR, UNRANKED_PAIR, random_experiment, random_garbling
+from conftest import RANKED_PAIR, UNRANKED_PAIR, brute_force_pairs, random_experiment, random_garbling
 
 SIGMA_STAR = np.array([[6 / 7, 3 / 7], [1 / 7, 4 / 7]])
 SIGMA_BUTTERFLY = np.array([[2 / 3, 1 / 4], [1 / 3, 3 / 4]])

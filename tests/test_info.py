@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -700,6 +700,30 @@ class TestBeliefDistribution:
         beliefs, probs, size = _belief_rows(np.empty((2, 0)), np.empty((2, 0)))
         assert beliefs.shape == probs.shape == (2, 0) and size.tolist() == [0, 0]
 
+    @pytest.mark.parametrize("merging", [False, True], ids=["no-atom-merges", "an-atom-merges"])
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_batch_rules_equal_the_scalar_rules_row_by_row(self, merging, data):
+        # _belief_rows and _checked_atoms on a batch build each row as the
+        # scalar rules build it alone, bit for bit, or raise what the first
+        # row the scalar rules reject raises; on batches where no kept atom
+        # merges (the sorted rows are the result) and where one does (the
+        # per-column merge loop runs)
+        prior, rows = data.draw(atom_batches(merging))
+        assert any(map(merges_an_atom, rows)) == merging
+        width = max(map(len, rows))
+        rows = [row + [(0.5, 0.0)] * (width - len(row)) for row in rows]  # padded with atoms of no mass
+        beliefs, probs = (np.array([[atom[i] for atom in row] for row in rows]) for i in (0, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = [built_or_raised(scalar_from_atoms, row, prior) for row in rows]
+        rejected = [w for w in want if isinstance(w[0], type)]
+        try:
+            got = [as_bytes(tau) for tau in distributions(beliefs, probs, prior)]
+        except Exception as exc:
+            got = (type(exc), str(exc))
+        assert got == (rejected[0] if rejected else want), (rows, prior)
+
 
 def scalar_from_atoms(atoms, prior=None):
     """``BeliefDistribution.from_atoms`` as one loop over Python floats: the
@@ -762,6 +786,54 @@ def random_atoms(rng):
     if rng.uniform() < 0.8 and 0.0 < total < np.inf:
         atoms = [(b, p / total if p > TOL else p) for b, p in atoms]
     return atoms
+
+
+# belief offsets within TOL of an atom and probabilities an atom is dropped for
+NEAR = [0.0, 1e-12, -1e-12, 5e-10, -5e-10, 0.9 * TOL]
+NO_MASS = [0.0, -0.0, 1e-10, TOL / 2, TOL, -0.1]
+
+
+@st.composite
+def atom_batches(draw, merging):
+    """A prior and one to four rows of (belief, prob) atoms: a split of the
+    prior between a low and a high belief, which can lie a little off
+    [0, 1], atoms of no mass, and now and then an extra atom at 0 (which
+    keeps the barycenter but not the total), a moved atom (which keeps the
+    total but not the barycenter) or a NaN, infinite or far-off entry. With
+    ``merging``, the first row splits the prior's mass evenly between two
+    beliefs within ``TOL``, so a kept atom merges; without, no kept atoms of
+    a row lie within ``TOL``."""
+    prior = draw(st.sampled_from([0.3, 0.5, 0.71]))
+    rows = []
+    for r in range(draw(st.integers(1, 4))):
+        no_mass = [(draw(st.floats(0.0, 1.0)), draw(st.sampled_from(NO_MASS))) for _ in range(draw(st.integers(0, 2)))]
+        if merging and r == 0:
+            rows.append([(prior, 0.5), (prior + draw(st.sampled_from(NEAR)), 0.5), *no_mass])
+            continue
+        lo, hi = draw(st.floats(-0.1, prior - 0.01)), draw(st.floats(prior + 0.01, 1.1))
+        w = (hi - prior) / (hi - lo)
+        row = [(lo, w), (hi, 1.0 - w), *no_mass]
+        change = draw(st.integers(0, 9))
+        if change == 0:  # keeps the barycenter, not the total
+            row.append((0.0, 0.5))
+        elif change == 1:  # keeps the total, not the barycenter
+            row[1] = (hi + 0.05, 1.0 - w)
+        elif change == 2:
+            i = draw(st.integers(0, len(row) - 1))
+            bad = draw(st.sampled_from([(np.nan, None), (np.inf, None), (-np.inf, None), (None, np.inf), (None, np.nan), (1.2, None)]))
+            row[i] = tuple(atom if b is None else b for atom, b in zip(row[i], bad))
+        rows.append(row)
+    rows = [draw(st.permutations(row)) for row in rows]
+    if not merging:
+        assume(not any(map(merges_an_atom, rows)))
+    return prior, rows
+
+
+def merges_an_atom(row) -> bool:
+    """Whether two kept atoms of the row, in the kernel's order (NaN beliefs
+    last), lie within ``TOL``."""
+    kept = sorted(((b, p) for b, p in row if p > TOL), key=lambda a: (np.isnan(a[0]), a))
+    return any(abs(b1 - b0) <= TOL for (b0, _), (b1, _) in zip(kept, kept[1:]))
 
 
 def built_or_raised(build, *args):

@@ -10,7 +10,7 @@ from mediated_persuasion import (
     expected_utility,
     induce_belief_utilities,
 )
-from mediated_persuasion.payoffs import _ABOVE, _BELOW, _SUP, _VALUE
+from mediated_persuasion.payoffs import _ABOVE, _BELOW, _SUP, _VALUE, Piece
 from mediated_persuasion.scenarios import FIXTURE_NAMES, load_fixture
 
 from conftest import random_game, random_pwl
@@ -76,6 +76,22 @@ def edge_probes(u: PiecewiseUtility) -> np.ndarray:
     return np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf)])
 
 
+def covering_piece(u: PiecewiseUtility, beta: float):
+    """The piece of ``u`` that holds ``beta``, by a scan of its pieces: the
+    lookup ``PiecewiseUtility`` built its tables with before it swept its
+    sorted pieces once, kept verbatim."""
+    for p in u.pieces:
+        if p.is_singleton:
+            if p.lo == beta:
+                return p
+        else:
+            lo_ok = beta > p.lo or (p.lo_closed and beta == p.lo)
+            hi_ok = beta < p.hi or (p.hi_closed and beta == p.hi)
+            if lo_ok and hi_ok:
+                return p
+    raise ValueError(f"{beta} outside domain [{u.domain[0]}, {u.domain[1]}]")
+
+
 def eval_many_reference(u: PiecewiseUtility, betas) -> np.ndarray:
     """``PiecewiseUtility.eval_many`` before the shared lookup tables: its
     table construction and its body, kept verbatim."""
@@ -84,9 +100,9 @@ def eval_many_reference(u: PiecewiseUtility, betas) -> np.ndarray:
     seg_inter = np.zeros(len(edges) - 1)
     for k in range(len(edges) - 1):
         mid = 0.5 * (edges[k] + edges[k + 1])
-        p = u._covering_piece(mid)
+        p = covering_piece(u, mid)
         seg_slope[k], seg_inter[k] = p.slope, p.intercept
-    edge_vals = np.array([u._covering_piece(e).value_at(e) for e in edges])
+    edge_vals = np.array([covering_piece(u, e).value_at(e) for e in edges])
     u_edges = np.array(edges)
 
     b = np.asarray(betas, dtype=float)
@@ -165,6 +181,47 @@ class TestEvalManyPinned:
         for evaluate in (u.eval_many, u.sup_many, lambda b: u.limits_many(b, [True, False]), lambda b: u(b[1])):
             with pytest.raises(ValueError, match="outside utility domain"):
                 evaluate([0.5, np.nan])
+
+
+def tables_reference(u: PiecewiseUtility):
+    """The edges, the segment coefficients and the attained values at the
+    edges as ``PiecewiseUtility`` built them before its one sweep over the
+    sorted pieces: a scan of the pieces per edge and per segment, kept
+    verbatim."""
+    edges = sorted({p.lo for p in u.pieces} | {p.hi for p in u.pieces})
+    slope_at = np.zeros(len(edges))
+    inter_at = np.zeros(len(edges))
+    for k in range(1, len(edges)):
+        p = covering_piece(u, 0.5 * (edges[k - 1] + edges[k]))
+        slope_at[k], inter_at[k] = p.slope, p.intercept
+    if len(edges) > 1:
+        slope_at[0], inter_at[0] = slope_at[1], inter_at[1]
+    value_at = np.array([covering_piece(u, e).value_at(e) for e in edges])
+    return np.array(edges), slope_at, inter_at, value_at
+
+
+SWEEP_CASES = {
+    **UTILITIES,
+    "singletons-at-both-ends": PiecewiseUtility.from_points([(0, 1), (0.5, 0), (1, 1)], singletons=[(0, 3), (1, -2)]),
+    "singleton-on-a-jump": PiecewiseUtility.from_points([(0, 0), (0.4, 1), (0.4, 2), (1, 0)], singletons=[(0.4, 5)]),
+    "closed-left-steps": PiecewiseUtility(
+        (Piece(0.0, 0.3, True, True, 1.0, 0.0), Piece(0.3, 0.6, False, False, -1.0, 2.0), Piece(0.6, 1.0, True, True, 0.0, 1.0))
+    ),
+    "negative-zero-start": PiecewiseUtility.from_points([(-0.0, -0.0), (0.5, 1.0), (1.0, 0.0)]),
+    "jump-from-negative-zero": PiecewiseUtility.from_points([(-1.0, 0.0), (-0.0, 1.0), (0.0, 2.0), (1.0, 0.0)]),
+    "inner-domain": PiecewiseUtility.affine(2.0, -1.0, (0.2, 0.8)),
+    "one-point": PiecewiseUtility((Piece(0.5, 0.5, True, True, 0.0, 3.0),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+def test_table_sweep_equals_the_scan_of_pieces(name):
+    u = SWEEP_CASES[name]
+    edges, slope_at, inter_at, value_at = tables_reference(u)
+    assert same_bits(u._edges, edges)
+    assert same_bits(u._slope_at, slope_at)
+    assert same_bits(u._inter_at, inter_at)
+    assert same_bits(u._at[_VALUE], value_at)
 
 
 def lookup_reference(u: PiecewiseUtility, betas, table) -> np.ndarray:

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mediated_persuasion import BeliefDistribution, GameSpec, PiecewiseUtility, solver
-from mediated_persuasion.feasible import brute_force_pairs, posterior_pair
+from mediated_persuasion.feasible import posterior_pair
 from mediated_persuasion.errors import ColumnSumMismatch, DimensionMismatch, NegativeEntry, NonFiniteEntry
 from mediated_persuasion.info import TOL, induced_tau, is_mps
 from mediated_persuasion.payoffs import expected_utility
@@ -21,7 +21,7 @@ from mediated_persuasion.solver import (
     sender_best_response,
 )
 
-from conftest import random_experiment, random_game, random_garbling
+from conftest import brute_force_pairs, random_experiment, random_game, random_garbling, random_pwl
 
 FIXTURE_GAMES = ["kg_game", "fig19_game", "fig20_game", "fig22_game"]
 
@@ -431,6 +431,43 @@ def test_kg_search_peak_memory_below_100mb(kg_search):
     assert peak < 100e6
 
 
+def test_fine_game_search_peak_memory_below_20mb():
+    # 32 nodes per utility give 62 candidate beliefs and a sender batch of
+    # 1,410 garblings with about 2,900 candidates each, which one pass over
+    # all of them holds in about 200 MB; chunks of at most
+    # _CANDIDATE_BUDGET candidates bound that
+    rng = np.random.default_rng(0)
+    u_s, u_m = random_pwl(rng, 32), random_pwl(rng, 32)
+    _, peak = search_peak(GameSpec(0.37, u_s, u_m))
+    assert peak < 20e6
+
+
+@pytest.mark.parametrize("name", ["kg", "fig19", "fig20", "fig22"])
+def test_sender_chunks_equal_one_pass_bit_for_bit(name, request, monkeypatch):
+    # each row's arithmetic is its own, so replies solved one garbling per
+    # chunk equal those of one pass over the 26 x 26 garbling grid; a
+    # fixture's search fits in one chunk
+    game = request.getfixturevalue(f"{name}_game")
+    g = np.linspace(0.0, 1.0, 26)
+    grid = np.array([garbling((a, b)) for a in g for b in g])
+    one_pass = solver._sender_batch(game.u_sender, grid, game.prior)
+    chunks = []
+    candidates = solver._sender_candidates
+
+    def counted(a, *args):
+        chunks.append(len(a))
+        return candidates(a, *args)
+
+    monkeypatch.setattr(solver, "_sender_candidates", counted)
+    search_equilibria(game)
+    assert len(chunks) == 1
+    monkeypatch.setattr(solver, "_CANDIDATE_BUDGET", 1)
+    chunked = solver._sender_batch(game.u_sender, grid, game.prior)
+    assert chunks[1:] == [1] * int(np.sum(np.abs(grid[:, 0, 0] - grid[:, 0, 1]) > TOL))
+    for got, want in zip(chunked, one_pass):
+        assert (as_pinned(got), got.attained) == (as_pinned(want), want.attained)
+
+
 # Best responses pinned bit for bit, as recorded before the sender's candidates
 # were assembled as numpy blocks: (fixture, first row of the fixed strategy,
 # (value, strategy, tau beliefs, tau probs)). The strategies are draws of a
@@ -648,9 +685,9 @@ class TestResponseMemo:
         # once), by one search
         certified = []
 
-        def counted_certificates(game, xs, sigmas, tol, memo):
+        def counted_certificates(game, xs, sigmas, tol, memo, **kwargs):
             certified.append(len(xs))
-            return certificates(game, xs, sigmas, tol, memo)
+            return certificates(game, xs, sigmas, tol, memo, **kwargs)
 
         certificates = solver._certificates
         monkeypatch.setattr(solver, "_certificates", counted_certificates)
@@ -663,8 +700,8 @@ class TestResponseMemo:
 
     @pytest.mark.parametrize("name", ["kg", "fig19", "fig20", "fig22"])
     def test_search_checks_its_distributions_in_batches(self, name, request, monkeypatch):
-        # the distributions of a search are built and checked in batches; only
-        # the two babbling point masses run __post_init__ on their own. Every
+        # the distributions of a search, babbling ones included, are built and
+        # checked in batches: none runs __post_init__ on its own. Every
         # returned one passes those checks when built again on its own
         game = request.getfixturevalue(f"{name}_game")
         scalar = []
@@ -677,7 +714,7 @@ class TestResponseMemo:
         with monkeypatch.context() as m:
             m.setattr(BeliefDistribution, "__post_init__", counted)
             certs = search_equilibria(game)
-        assert len(scalar) == 2 and all(tau.is_degenerate() for tau in scalar)
+        assert scalar == []
         for cert in certs:
             BeliefDistribution(cert.tau.beliefs, cert.tau.probs, cert.tau.prior)
 
