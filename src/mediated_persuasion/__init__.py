@@ -29,7 +29,6 @@ from .errors import (
     ScenarioError,
     SingularGarbling,
     TooFewRealizations,
-    ZeroProbabilitySignal,
 )
 from .info import (
     TOL,
@@ -45,7 +44,6 @@ from .info import (
     garbling_rank,
     induced_tau,
     is_mps,
-    posterior_after_signal,
     validate_stochastic,
 )
 from .payoffs import (

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import PersuasionError, ScenarioError, SingularGarbling
 from .feasible import vertex_profiles, wing_polygons
-from .info import _pair_weights, blackwell_compare, induced_tau, validate_stochastic
+from .info import _pair_weights, blackwell_compare, compose, induced_tau, validate_stochastic
 from .scenarios import load_scenario
 from .solver import (
     bp_solve,
@@ -237,7 +237,7 @@ def cmd_solve(args) -> int:
         rep = {"clusters": [_certificate_report(c) for c in search_equilibria(game)]}
     elif mode == "compare":
         x, sigma = _profile_flags(args)
-        tau_mp = induced_tau(validate_stochastic(sigma @ x), game.prior)
+        tau_mp = induced_tau(compose(sigma, x), game.prior)
         tau_bp = bp_solve(game.u_sender, game.prior).tau
         cmp = compare_outcomes(game, tau_mp, tau_bp)
         rep = {

@@ -42,10 +42,6 @@ class DimensionMismatch(PersuasionError):
     """Matrix shapes are incompatible for the requested operation."""
 
 
-class ZeroProbabilitySignal(PersuasionError):
-    """Conditioning on a signal that occurs with probability zero."""
-
-
 class PriorOutsideSupport(PersuasionError):
     """The prior does not lie between the two candidate posteriors."""
 

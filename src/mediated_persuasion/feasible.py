@@ -45,7 +45,6 @@ from .info import (
     TOL,
     BeliefDistribution,
     BlackwellOrder,
-    StochasticMatrix,
     _as_array,
     _bayes,
     _composite,
@@ -111,11 +110,13 @@ def pairs_along_family(sigma, prior: float, family: str, ps) -> np.ndarray:
 
 
 def _require_full_rank(sigma, square: bool = False) -> np.ndarray:
-    """The garbling's array, 2x2 or, with ``square``, any m x m; a
-    rank-deficient one raises ``SingularGarbling``."""
+    """The garbling's array, 2x2 or, with ``square``, any m x m, checked as by
+    :func:`validate_stochastic` and used as given; a rank-deficient one
+    raises ``SingularGarbling``."""
     a = _as_array(sigma)
     if a.shape[0] != a.shape[1] or not (square or a.shape == (2, 2)):
         raise DimensionMismatch("expected a square garbling" if square else "expected a 2x2 garbling")
+    validate_stochastic(sigma)
     if not garbling_rank(a).full_rank:
         raise SingularGarbling(
             "rank-deficient garbling: every experiment induces the prior"
@@ -134,7 +135,6 @@ def _require_interior_prior(prior: float) -> None:
 class BoundaryCurve:
     """One traced outer limit of the feasible set."""
 
-    family: str
     params: np.ndarray  # strictly increasing in [0, 1]
     points: np.ndarray  # (n, 2) ordered posterior pairs
 
@@ -146,7 +146,7 @@ def boundary_curves(sigma, prior: float, n_points: int = 256) -> dict[str, Bound
         raise ValueError("n_points must be at least 2")
     ps = np.linspace(0.0, 1.0, n_points)
     return {
-        fam: BoundaryCurve(fam, ps, pairs_along_family(a, prior, fam, ps))
+        fam: BoundaryCurve(ps, pairs_along_family(a, prior, fam, ps))
         for fam in X_FAMILIES
     }
 
@@ -238,13 +238,10 @@ def reconstruct_experiment(sigma, prior: float, tau: BeliefDistribution) -> np.n
 
 @dataclass(frozen=True, eq=False)
 class FeasibleSet:
-    """Two convex wings of ordered posterior pairs, meeting at the origin."""
+    """Two convex wings of ordered posterior pairs, meeting at (prior, prior)."""
 
-    garbling: StochasticMatrix
-    prior: float
     left: np.ndarray  # natural wing vertices, CCW
     right: np.ndarray  # perverse wing vertices, CCW
-    origin: tuple[float, float]
     curves: dict[str, BoundaryCurve]  # the traced arcs the wings are cut from
 
 
@@ -294,14 +291,7 @@ def wing_polygons(sigma, prior: float, n_points: int = 256) -> FeasibleSet:
     swap = _wing(origin, curves["X2"].points, curves["X3"].points)
     q1, q2 = posterior_pair(a, prior)
     left, right = (identity, swap) if q1 <= q2 else (swap, identity)
-    return FeasibleSet(
-        garbling=validate_stochastic(a),
-        prior=prior,
-        left=left,
-        right=right,
-        origin=origin,
-        curves=curves,
-    )
+    return FeasibleSet(left=left, right=right, curves=curves)
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +374,14 @@ def vertex_profiles(sigma, prior: float) -> tuple[np.ndarray, np.ndarray]:
     """(posteriors, probs), each (m^2, m): row m i + j is the profile of
     sigma X for X with state columns (e_i, e_j). In (mass, mass x posterior)
     coordinates each feasible profile is their average with weights
-    x0_i x1_j, so each signal's posterior range is attained on a row. A signal of mass at most ``TOL`` gets the prior; no
-    inverse is taken, so any square garbling works."""
+    x0_i x1_j, so each signal's posterior range is attained on a row. A
+    signal of mass at most ``TOL`` gets the prior. ``sigma`` is checked as by
+    :func:`validate_stochastic` and used as given; no inverse is taken, so
+    any square garbling works."""
     a = _as_array(sigma)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch("vertex profiles need a square garbling")
+    validate_stochastic(sigma)
     p, q = _bayes(a[:, :, None], a[:, None, :], prior)  # (signal, i, j)
     return q.reshape(len(a), -1).T, p.reshape(len(a), -1).T
 
@@ -409,7 +402,7 @@ def profile_member_many(sigma, prior: float, posteriors, probs) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Feasible slices (used by the best-response solver)
+# Feasible slices; the solver reads only their ends (``_slice_ends``)
 # ---------------------------------------------------------------------------
 
 

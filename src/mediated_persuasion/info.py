@@ -14,10 +14,9 @@ Conventions used throughout the library:
   (the weights of an ordered posterior pair) and ``_composite`` (a signal's
   likelihoods from its posterior and weight, the inverse of ``_bayes``).
   ``_bayes`` gives a signal of mass at most ``TOL`` the prior, and each
-  caller keeps its policy for such a signal: the prior (``posterior_pair``,
-  ``vertex_profiles``), drop (``induced_tau``),
-  raise (``posterior_after_signal``) or the limit along the experiment
-  family (``pairs_along_family``).
+  caller keeps one of three policies for such a signal: the prior
+  (``posterior_pair``, ``vertex_profiles``), drop (``induced_tau``) or the
+  limit along the experiment family (``pairs_along_family``).
 * Every distribution built from atoms goes through one rules kernel,
   ``_belief_rows`` (drop, sort, merge), and one check, ``_checked_atoms``.
   Both work on batches of rows, and a batch pays only for the rules that
@@ -42,7 +41,6 @@ from .errors import (
     NonFiniteEntry,
     PriorOutsideSupport,
     TooFewRealizations,
-    ZeroProbabilitySignal,
 )
 
 TOL = 1e-9
@@ -91,18 +89,6 @@ class StochasticMatrix:
         a = np.clip(a, 0.0, 1.0)
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
-
-    @property
-    def m(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[1]
-
-    def allclose(self, other, tol: float = TOL) -> bool:
-        b = _as_array(other)
-        return self.a.shape == b.shape and bool(np.abs(self.a - b).max() <= tol)
 
     def __repr__(self):
         rows = "; ".join(",".join(f"{v:.6g}" for v in row) for row in self.a)
@@ -154,21 +140,6 @@ def _row_dots(v, p) -> np.ndarray:
     stacked ``matmul`` reduces each row as ``@`` does, where ``einsum`` or
     ``(v * p).sum(axis=1)`` can round differently."""
     return np.matmul(v[:, None, :], p[:, :, None])[:, 0, 0]
-
-
-def posterior_after_signal(b, prior: float, signal: int) -> float:
-    """Bayes posterior of the target state after observing ``signal`` (0-based)."""
-    a = _as_array(b)
-    if a.shape[1] != 2:
-        raise DimensionMismatch("posteriors need a two-state structure")
-    if not 0.0 <= prior <= 1.0:
-        raise ValueError(f"prior {prior} outside [0, 1]")
-    if not 0 <= signal < a.shape[0]:
-        raise IndexError(f"signal {signal} out of range for {a.shape[0]} rows")
-    p, q = _bayes(a[:, 0], a[:, 1], prior)
-    if p[signal] <= TOL:
-        raise ZeroProbabilitySignal(f"signal {signal} has probability {p[signal]:.3g}")
-    return float(q[signal])
 
 
 def _belief_rows(beliefs, probs):
@@ -321,14 +292,6 @@ class BeliefDistribution:
             tau.__dict__.update(beliefs=beliefs[i, :k], probs=probs[i, :k], prior=prior)
             out.append(tau)
         return out, beliefs, probs, size
-
-    @property
-    def atoms(self):
-        return list(zip(self.beliefs.tolist(), self.probs.tolist()))
-
-    @property
-    def support(self) -> np.ndarray:
-        return self.beliefs
 
     def is_degenerate(self) -> bool:
         return self.beliefs.size == 1

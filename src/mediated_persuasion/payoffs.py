@@ -129,15 +129,6 @@ class PiecewiseUtility:
     def eval_many(self, betas) -> np.ndarray:
         return self._read(self._locate(betas), _VALUE)
 
-    def sup_many(self, betas) -> np.ndarray:
-        """Like ``eval_many``, but a belief on a jump gets the larger of its
-        attained value and its one-sided limits."""
-        return self._read(self._locate(betas), _SUP)
-
-    def limits_many(self, betas, above) -> np.ndarray:
-        """One-sided limits at the beliefs: from above where ``above`` holds, else from below."""
-        return self._read(self._locate(betas), np.where(above, _ABOVE, _BELOW))
-
     def _locate(self, betas):
         """Find each belief's segment once, for any number of table reads.
 
@@ -172,10 +163,6 @@ class PiecewiseUtility:
         return cls((Piece(lo, hi, True, True, slope, intercept),))
 
     @classmethod
-    def constant(cls, value: float, domain=(0.0, 1.0)) -> "PiecewiseUtility":
-        return cls.affine(0.0, value, domain)
-
-    @classmethod
     def from_points(cls, points: Sequence, singletons: Iterable = ()) -> "PiecewiseUtility":
         """Build from graph points, e.g. ``[(0, 0), (.5, 1), (1, 0)]``.
 
@@ -202,10 +189,9 @@ class PiecewiseUtility:
             raise ValueError("points describe an empty graph")
         last = pieces[-1]
         pieces[-1] = Piece(last.lo, last.hi, last.lo_closed, True, last.slope, last.intercept)
-        u = cls(tuple(pieces))
         for x, v in singletons:
-            u = u.with_singleton(float(x), float(v))
-        return u
+            pieces = _with_singleton(pieces, float(x), float(v))
+        return cls(tuple(pieces))
 
     @classmethod
     def step(cls, cutoffs: Sequence[float], values: Sequence[float]) -> "PiecewiseUtility":
@@ -220,31 +206,32 @@ class PiecewiseUtility:
             pts.append((xs[k + 1], float(v)))
         return cls.from_points(pts)
 
-    def with_singleton(self, x: float, value: float) -> "PiecewiseUtility":
-        """Override the value at the single belief ``x``."""
-        lo, hi = self.domain
-        if not lo <= x <= hi:
-            raise ValueError(f"singleton {x} outside domain")
-        out: list[Piece] = []
-        for p in self.pieces:
-            covers = (p.lo < x < p.hi) or (p.lo_closed and x == p.lo) or (p.hi_closed and x == p.hi)
-            if not covers:
-                out.append(p)
-                continue
-            if p.is_singleton:
-                out.append(Piece(x, x, True, True, 0.0, value))
-                continue
-            if p.lo < x < p.hi:
-                out.append(Piece(p.lo, x, p.lo_closed, False, p.slope, p.intercept))
-                out.append(Piece(x, x, True, True, 0.0, value))
-                out.append(Piece(x, p.hi, False, p.hi_closed, p.slope, p.intercept))
-            elif x == p.lo:
-                out.append(Piece(x, x, True, True, 0.0, value))
-                out.append(Piece(p.lo, p.hi, False, p.hi_closed, p.slope, p.intercept))
-            else:
-                out.append(Piece(p.lo, p.hi, p.lo_closed, False, p.slope, p.intercept))
-                out.append(Piece(x, x, True, True, 0.0, value))
-        return PiecewiseUtility(tuple(out))
+
+def _with_singleton(pieces: Sequence[Piece], x: float, value: float) -> list[Piece]:
+    """The sorted ``pieces`` of a partition, with the single belief ``x``
+    split out of the piece that covers it and given ``value``."""
+    if not pieces[0].lo <= x <= pieces[-1].hi:
+        raise ValueError(f"singleton {x} outside domain")
+    out: list[Piece] = []
+    for p in pieces:
+        covers = (p.lo < x < p.hi) or (p.lo_closed and x == p.lo) or (p.hi_closed and x == p.hi)
+        if not covers:
+            out.append(p)
+            continue
+        if p.is_singleton:
+            out.append(Piece(x, x, True, True, 0.0, value))
+            continue
+        if p.lo < x < p.hi:
+            out.append(Piece(p.lo, x, p.lo_closed, False, p.slope, p.intercept))
+            out.append(Piece(x, x, True, True, 0.0, value))
+            out.append(Piece(x, p.hi, False, p.hi_closed, p.slope, p.intercept))
+        elif x == p.lo:
+            out.append(Piece(x, x, True, True, 0.0, value))
+            out.append(Piece(p.lo, p.hi, False, p.hi_closed, p.slope, p.intercept))
+        else:
+            out.append(Piece(p.lo, p.hi, p.lo_closed, False, p.slope, p.intercept))
+            out.append(Piece(x, x, True, True, 0.0, value))
+    return out
 
 
 def expected_utility(u: PiecewiseUtility, tau: BeliefDistribution) -> float:
@@ -391,9 +378,8 @@ class Concavification:
     ``xs`` and ``ys`` are the hull vertices, and ``raised`` marks those whose
     value is a one-sided limit above the attained value: an optimum
     supported there is only approached (``unattained``). ``value`` reads
-    the vertices and the chain between them, ``linear_span`` the chain; the
-    ``envelope`` as a ``PiecewiseUtility`` and the ``coincident`` set are
-    built when first read.
+    the vertices and the chain between them, ``linear_span`` the chain's
+    slopes; the ``coincident`` set is built when first read.
     """
 
     utility: PiecewiseUtility
@@ -404,52 +390,35 @@ class Concavification:
 
     @cached_property
     def _chain(self):
-        """Slopes, intercepts and vertex values of the chain through the hull
-        vertices, computed as :meth:`PiecewiseUtility.from_points` builds its
-        pieces and evaluates them: each vertex but the last takes the value of
-        the piece it starts, the last that of the piece it ends."""
+        """Slopes and intercepts of the chain's segments between the hull vertices."""
         xs, ys = self.xs, self.ys
         slopes = [(y1 - y0) / (x1 - x0) for x0, y0, x1, y1 in zip(xs, ys, xs[1:], ys[1:])]
-        inters = [y0 - s * x0 for s, x0, y0 in zip(slopes, xs, ys)]
-        vals = [s * x0 + c for s, c, x0 in zip(slopes, inters, xs)]
-        vals.append(slopes[-1] * xs[-1] + inters[-1])
-        return slopes, inters, vals
+        return slopes, [y0 - s * x0 for s, x0, y0 in zip(slopes, xs, ys)]
 
     @property
     def unattained(self) -> tuple[tuple[float, float], ...]:
         return tuple((x, y) for x, y, r in zip(self.xs, self.ys, self.raised) if r)
 
-    @cached_property
-    def envelope(self) -> PiecewiseUtility:
-        return PiecewiseUtility.from_points(list(zip(self.xs, self.ys)))
-
     def value(self, beta: float) -> float:
         """The envelope at ``beta``: a hull vertex's own value ``ys[k]`` at the
-        vertex, else the chain segment's affine value. At a vertex this can
-        differ by rounding from ``self.envelope(beta)`` and from the values
-        ``linear_span`` reads, which recompute the vertex from its segment."""
+        vertex, else the chain segment's affine value."""
         beta, (lo, hi) = float(beta), self.domain
         if beta < lo - 1e-12 or beta > hi + 1e-12:
             raise ValueError("belief outside utility domain")
         beta = min(max(beta, lo), hi)
-        slopes, inters, _ = self._chain
+        slopes, inters = self._chain
         k = bisect_left(self.xs, beta)
         return self.ys[k] if self.xs[k] == beta else slopes[k - 1] * beta + inters[k - 1]
 
     def linear_span(self, beta: float) -> tuple[float, float]:
         """Endpoints of the maximal run of equal slopes (within 1e-11,
         relative) through the envelope segment containing ``beta``."""
-        xs, vals = self.xs, self._chain[2]
+        xs, slopes = self.xs, self._chain[0]
         k = min(max(bisect_right(xs, beta) - 1, 0), len(xs) - 2)
-        lo_i, hi_i = k, k + 1
-
-        def slope(i):
-            return (vals[i + 1] - vals[i]) / (xs[i + 1] - xs[i])
-
-        s = slope(k)
-        while lo_i > 0 and abs(slope(lo_i - 1) - s) <= 1e-11 * max(1.0, abs(s)):
+        lo_i, hi_i, s = k, k + 1, slopes[k]
+        while lo_i > 0 and abs(slopes[lo_i - 1] - s) <= 1e-11 * max(1.0, abs(s)):
             lo_i -= 1
-        while hi_i < len(xs) - 1 and abs(slope(hi_i) - s) <= 1e-11 * max(1.0, abs(s)):
+        while hi_i < len(xs) - 1 and abs(slopes[hi_i] - s) <= 1e-11 * max(1.0, abs(s)):
             hi_i += 1
         return float(xs[lo_i]), float(xs[hi_i])
 

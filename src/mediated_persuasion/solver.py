@@ -73,7 +73,6 @@ from .payoffs import (
     MEDIATOR,
     RECEIVER,
     SENDER,
-    Concavification,
     PiecewiseUtility,
     _concavifications,
     _expected_utilities,
@@ -142,7 +141,6 @@ class BenchmarkSolution:
     tau: BeliefDistribution
     x: np.ndarray
     value: float  # the envelope at the prior
-    concavification: Concavification
     attained: bool  # whether ``tau`` earns ``value``
 
 
@@ -156,12 +154,12 @@ def bp_solve(u_s: PiecewiseUtility, prior: float) -> BenchmarkSolution:
     base = float(u_s(prior))
     if conc.value(prior) <= base + TOL:
         (tau,), *_ = _pair_taus([prior], [prior], prior)
-        return BenchmarkSolution(tau, UNINFORMATIVE_X.copy(), base, conc, True)
+        return BenchmarkSolution(tau, UNINFORMATIVE_X.copy(), base, True)
     lo, hi = conc.linear_span(prior)
     (tau,), *_ = _pair_taus([lo], [hi], prior)
     x = reconstruct_experiment(np.eye(2), prior, tau)
     value, attained = conc.payoff(tau)
-    return BenchmarkSolution(tau, x, value, conc, attained)
+    return BenchmarkSolution(tau, x, value, attained)
 
 
 # ---------------------------------------------------------------------------
@@ -518,21 +516,16 @@ class _ResponseMemo:
         return [cache[k] for k in keys]
 
 
-def check_equilibrium(
-    game: GameSpec, x, sigma, tol: Optional[float] = None, *, memo: Optional[_ResponseMemo] = None
-) -> EquilibriumCertificate:
+def check_equilibrium(game: GameSpec, x, sigma, tol: Optional[float] = None) -> EquilibriumCertificate:
     """Verify a pure strategy profile by solving both best responses.
 
-    With ``memo`` the best responses come from it (computed there on first
-    use), so repeated checks of one strategy solve its best response once.
     Both strategies are checked as by :func:`validate_stochastic` and used as
     given. This is a batch of one for the certificate core ``_certificates``.
     """
     validate_stochastic(x)
     validate_stochastic(sigma)
     tol = game.tol_dev if tol is None else tol
-    memo = _ResponseMemo(game) if memo is None else memo
-    return _certificates(game, _as_array(x)[None], _as_array(sigma)[None], tol, memo)[0]
+    return _certificates(game, _as_array(x)[None], _as_array(sigma)[None], tol, _ResponseMemo(game))[0]
 
 
 # ---------------------------------------------------------------------------

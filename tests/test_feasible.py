@@ -8,8 +8,11 @@ from numpy.testing import assert_allclose
 
 from mediated_persuasion import (
     BeliefDistribution,
+    ColumnSumMismatch,
     DegeneratePrior,
     DimensionMismatch,
+    NegativeEntry,
+    NonFiniteEntry,
     NotSigmaPlausible,
     SingularGarbling,
     boundary_curves,
@@ -190,6 +193,34 @@ def test_membership_entries_reject_a_degenerate_prior(prior):
         ordered_member_many(np.eye(2), prior, [0.0], [1.0])
     with pytest.raises(DegeneratePrior):
         profile_member_many(SIGMA3, prior, *vertex_profiles(SIGMA3, prior))
+
+
+FEASIBLE_ENTRIES = {
+    "ordered_member_many": lambda s: ordered_member_many(s, 0.5, [0.2], [0.8]),
+    "boundary_curves": lambda s: boundary_curves(s, 0.5, 8),
+    "companion_slices": lambda s: companion_slices(s, 0.5, [(0.2, True), (0.8, False)]),
+    "symmetry_report": lambda s: symmetry_report(s, 0.5),
+    "profile_member_many": lambda s: profile_member_many(s, 0.5, [[0.2, 0.8]], [[0.5, 0.5]]),
+    "vertex_profiles": lambda s: vertex_profiles(s, 0.5),
+    "reconstruct_experiment": lambda s: reconstruct_experiment(s, 0.5, pair_tau(0.4, 0.6, 0.5)),
+    "nesting_report-first": lambda s: nesting_report(s, SIGMA_STAR, 0.5),
+    "nesting_report-second": lambda s: nesting_report(SIGMA_STAR, s, 0.5),
+    "wing_polygons": lambda s: wing_polygons(s, 0.5, 8),
+}
+BAD_GARBLINGS = {
+    "column-sums-to-1.4": ([[0.9, 0.2], [0.5, 0.8]], ColumnSumMismatch),
+    "negative-entry": ([[1.2, 0.0], [-0.2, 1.0]], NegativeEntry),
+    "nan-entry": ([[np.nan, 0.2], [0.5, 0.8]], NonFiniteEntry),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_GARBLINGS))
+@pytest.mark.parametrize("entry", sorted(FEASIBLE_ENTRIES))
+def test_feasible_entries_reject_a_garbling_that_is_not_stochastic(entry, bad):
+    # every public entry that takes a garbling checks it as validate_stochastic does
+    sigma, error = BAD_GARBLINGS[bad]
+    with pytest.raises(error):
+        FEASIBLE_ENTRIES[entry](sigma)
 
 
 class TestMembership:

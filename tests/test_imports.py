@@ -54,3 +54,80 @@ def test_module_uses_every_import(path):
     imports = imported_names(tree)
     unused = sorted(set(imports) - used_names(tree))
     assert not unused, [f"{path.name}:{imports[name]} {name}" for name in unused]
+
+
+# every name the package exports; an addition or a removal edits this list
+PUBLIC_NAMES = [
+    "ActionGame",
+    "BarycenterMismatch",
+    "BeliefDistribution",
+    "BenchmarkSolution",
+    "BestResponse",
+    "BlackwellOrder",
+    "BlackwellResult",
+    "BoundaryCurve",
+    "ColumnSumMismatch",
+    "ComparisonReport",
+    "Concavification",
+    "DegeneratePrior",
+    "Deviation",
+    "DimensionMismatch",
+    "EmptyDomain",
+    "EquilibriumCertificate",
+    "FeasibleSet",
+    "GameSpec",
+    "GarblingRank",
+    "MpsResult",
+    "NegativeEntry",
+    "NonFiniteEntry",
+    "NotSigmaPlausible",
+    "PersuasionError",
+    "PiecewiseUtility",
+    "PriorOutsideSupport",
+    "Scenario",
+    "ScenarioError",
+    "SingularGarbling",
+    "StochasticMatrix",
+    "TOL",
+    "TooFewRealizations",
+    "bayes_plausible_weights",
+    "blackwell_compare",
+    "boundary_curves",
+    "bp_solve",
+    "check_equilibrium",
+    "companion_slices",
+    "compare_outcomes",
+    "compose",
+    "concavify",
+    "errors",
+    "expected_utility",
+    "feasible",
+    "fixture_path",
+    "garbling_rank",
+    "induce_belief_utilities",
+    "induced_tau",
+    "info",
+    "is_mps",
+    "load_fixture",
+    "load_scenario",
+    "mediator_best_response",
+    "nesting_report",
+    "ordered_member_many",
+    "payoffs",
+    "posterior_pair",
+    "profile_member_many",
+    "reconstruct_experiment",
+    "scenarios",
+    "search_equilibria",
+    "sender_best_response",
+    "solver",
+    "symmetry_report",
+    "validate_stochastic",
+    "vertex_profiles",
+    "wing_polygons",
+]
+
+
+def test_public_names_are_pinned():
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert mediated_persuasion.__all__ == PUBLIC_NAMES

@@ -16,14 +16,13 @@ from mediated_persuasion import (
     NonFiniteEntry,
     PriorOutsideSupport,
     TooFewRealizations,
-    ZeroProbabilitySignal,
     bayes_plausible_weights,
     blackwell_compare,
     compose,
     garbling_rank,
     induced_tau,
     is_mps,
-    posterior_after_signal,
+    posterior_pair,
     validate_stochastic,
 )
 from mediated_persuasion.info import (
@@ -43,7 +42,7 @@ from lp_oracle import garbling_lp, mps_linear_program
 class TestValidateStochastic:
     def test_identity_ok(self):
         m = validate_stochastic([[1, 0], [0, 1]])
-        assert m.m == m.n == 2
+        assert m.a.shape == (2, 2)
 
     def test_worked_garbling_ok(self):
         m = validate_stochastic([[6 / 7, 3 / 7], [1 / 7, 4 / 7]])
@@ -110,17 +109,17 @@ class TestCompose:
 class TestPosteriors:
     def test_conviction_structure(self):
         b = [[4 / 7, 0], [3 / 7, 1]]
-        assert posterior_after_signal(b, 0.3, 1) == pytest.approx(0.5, abs=1e-12)
-        assert posterior_after_signal(b, 0.3, 0) == pytest.approx(0.0, abs=1e-12)
+        assert posterior_pair(b, 0.3) == pytest.approx((0.0, 0.5), abs=1e-12)
 
     def test_worked_garbling_posteriors(self):
         b = [[6 / 7, 3 / 7], [1 / 7, 4 / 7]]
-        assert posterior_after_signal(b, 0.5, 0) == pytest.approx(1 / 3, abs=1e-12)
-        assert posterior_after_signal(b, 0.5, 1) == pytest.approx(4 / 5, abs=1e-12)
+        assert posterior_pair(b, 0.5) == pytest.approx((1 / 3, 4 / 5), abs=1e-12)
 
     def test_zero_probability_signal(self):
-        with pytest.raises(ZeroProbabilitySignal):
-            posterior_after_signal([[0, 0], [1, 1]], 0.3, 0)
+        # the pair reports a signal without mass at the prior; the outcome drops it
+        assert posterior_pair([[0, 0], [1, 1]], 0.3) == (0.3, 0.3)
+        tau = induced_tau([[0, 0], [1, 1]], 0.3)
+        assert (tau.beliefs.tolist(), tau.probs.tolist()) == ([0.3], [1.0])
 
 
 class TestBayesKernel:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,8 @@ from mediated_persuasion import (
     expected_utility,
     induce_belief_utilities,
 )
-from mediated_persuasion.payoffs import _ABOVE, _BELOW, _SUP, _VALUE, Piece
-from mediated_persuasion.scenarios import FIXTURE_NAMES, load_fixture
+from mediated_persuasion.payoffs import _ABOVE, _BELOW, _SUP, _VALUE, Piece, _with_singleton
+from mediated_persuasion.scenarios import FIXTURE_NAMES, fixture_path, load_fixture, parse_number
 
 from conftest import random_game, random_pwl
 
@@ -119,6 +121,11 @@ def eval_many_reference(u: PiecewiseUtility, betas) -> np.ndarray:
     return out
 
 
+def envelope(conc) -> PiecewiseUtility:
+    """The concave envelope as a utility, through the hull vertices."""
+    return PiecewiseUtility.from_points(list(zip(conc.xs, conc.ys)))
+
+
 def fixture_utilities() -> dict:
     """Every utility of the packaged games, the concavify envelope of each,
     and a 300-point utility with a jump and a singleton."""
@@ -131,13 +138,19 @@ def fixture_utilities() -> dict:
             u = getattr(game, f"u_{player}")
             if u is not None:
                 out[f"{name}-{player}"] = u
-                out[f"{name}-{player}-envelope"] = concavify(u).envelope
+                out[f"{name}-{player}-envelope"] = envelope(concavify(u))
+    points, singletons = pwl300_graph()
+    out["pwl300"] = PiecewiseUtility.from_points(points, singletons=singletons)
+    return out
+
+
+def pwl300_graph():
+    """Points and singletons of a 300-point utility with a jump and a singleton."""
     rng = np.random.default_rng(11)
     xs = np.sort(rng.uniform(0.0, 1.0, 298))
     xs = np.concatenate([[0.0], xs[:150], [xs[149]], xs[150:], [1.0]])  # repeated abscissa: a jump
     ys = rng.uniform(-1.0, 1.0, xs.size)
-    out["pwl300"] = PiecewiseUtility.from_points(list(zip(xs, ys)), singletons=[(xs[60], 5.0)])
-    return out
+    return list(zip(xs, ys)), [(xs[60], 5.0)]
 
 
 UTILITIES = fixture_utilities()
@@ -171,16 +184,53 @@ class TestEvalManyPinned:
         u = UTILITIES["pwl300"]
         with pytest.raises(ValueError, match="outside utility domain"):
             eval_many_reference(u, [0.5, beta])
-        for evaluate in (u.eval_many, u.sup_many, lambda b: u.limits_many(b, [True, False]), lambda b: u(b[1])):
+        for evaluate in (u.eval_many, u._locate, lambda b: u(b[1])):
             with pytest.raises(ValueError, match="outside utility domain"):
                 evaluate([0.5, beta])
 
     def test_nan_belief_raises(self):
         # the domain check is written so that NaN fails it, not passes as NaN
         u = UTILITIES["pwl300"]
-        for evaluate in (u.eval_many, u.sup_many, lambda b: u.limits_many(b, [True, False]), lambda b: u(b[1])):
+        for evaluate in (u.eval_many, u._locate, lambda b: u(b[1])):
             with pytest.raises(ValueError, match="outside utility domain"):
                 evaluate([0.5, np.nan])
+
+
+def pwl_graphs() -> dict:
+    """Points and singletons of every pwl utility of the packaged games, and of pwl300."""
+    out = {"pwl300": pwl300_graph()}
+    for name in FIXTURE_NAMES:
+        utilities = json.loads(fixture_path(name).read_text()).get("utilities", {})
+        for player, obj in utilities.items():
+            if obj["type"] == "pwl":
+                graph = ([[parse_number(v) for v in xy] for xy in obj.get(key, [])] for key in ("points", "singletons"))
+                out[f"{name}-{player}"] = tuple(graph)
+    return out
+
+
+PWL_GRAPHS = pwl_graphs()
+
+
+class TestSingletons:
+    @pytest.mark.parametrize("name", sorted(PWL_GRAPHS))
+    def test_equal_to_one_utility_per_singleton_bit_for_bit(self, name):
+        # the singletons join the piece list and the utility is built once;
+        # the reference builds a whole utility, then one more per singleton
+        points, singletons = PWL_GRAPHS[name]
+        u, ref = PiecewiseUtility.from_points(points, singletons), PiecewiseUtility.from_points(points)
+        for x, v in singletons:
+            ref = PiecewiseUtility(tuple(_with_singleton(ref.pieces, float(x), float(v))))
+        assert u.pieces == ref.pieces
+        for table in ("_edges", "_slope_at", "_inter_at", "_at"):
+            assert same_bits(getattr(u, table), getattr(ref, table))
+
+    def test_fig20_load_builds_each_utility_once(self, monkeypatch):
+        # its sender's two singletons cost no build of their own
+        built = []
+        post_init = PiecewiseUtility.__post_init__
+        monkeypatch.setattr(PiecewiseUtility, "__post_init__", lambda u: built.append(u) or post_init(u))
+        load_fixture("fig20")
+        assert len(built) == 3
 
 
 def tables_reference(u: PiecewiseUtility):
@@ -257,11 +307,9 @@ class TestOneLocate:
             assert same_bits(u._read(loc, row), want)
         assert same_bits(u._read(loc, np.where(above, _ABOVE, _BELOW)), np.where(above, ref[_ABOVE], ref[_BELOW]))
         assert same_bits(u.eval_many(betas), ref[_VALUE])
-        assert same_bits(u.sup_many(betas), ref[_SUP])
-        assert same_bits(u.limits_many(betas, above), np.where(above, ref[_ABOVE], ref[_BELOW]))
         # the concavifications read the tables at their own edges
         assert same_bits(u._at[_VALUE], u.eval_many(u.breakpoints))
-        assert same_bits(u._at[_SUP], u.sup_many(u.breakpoints))
+        assert same_bits(u._at[_SUP], u._read(u._locate(u.breakpoints), _SUP))
 
 
 class TestInducedUtilities:
@@ -358,12 +406,12 @@ class TestConcavify:
         for _ in range(10):
             u = random_pwl(rng)
             conc = concavify(u)
-            assert np.all(conc.envelope.eval_many(grid) >= u.eval_many(grid) - 1e-9)
+            assert np.all(envelope(conc).eval_many(grid) >= u.eval_many(grid) - 1e-9)
 
     def test_envelope_concavity_midpoints(self):
         rng = np.random.default_rng(8)
         u = random_pwl(rng, n_nodes=7)
-        env = concavify(u).envelope
+        env = envelope(concavify(u))
         for _ in range(1000):
             a, b = np.sort(rng.uniform(0, 1, 2))
             mid = 0.5 * (a + b)
@@ -399,7 +447,7 @@ class TestConcavify:
         # of equal value, and the run on the envelope goes through it
         (random_game(3)[1], ((0.0, 0.0), (0.6, 0.95), (1.0, 1.0))),
         # a singleton below the envelope splits the run
-        (PiecewiseUtility.affine(1.0, 0.0).with_singleton(0.5, 0.0), ((0.0, 0.5), (0.5, 1.0))),
+        (PiecewiseUtility.from_points([(0, 0), (1, 1)], singletons=[(0.5, 0.0)]), ((0.0, 0.5), (0.5, 1.0))),
     ])
     def test_coincident_is_exact(self, u, want):
         assert concavify(u).coincident == want

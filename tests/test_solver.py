@@ -10,7 +10,7 @@ from mediated_persuasion import BeliefDistribution, GameSpec, PiecewiseUtility, 
 from mediated_persuasion.feasible import posterior_pair
 from mediated_persuasion.errors import ColumnSumMismatch, DimensionMismatch, NegativeEntry, NonFiniteEntry
 from mediated_persuasion.info import TOL, induced_tau, is_mps
-from mediated_persuasion.payoffs import expected_utility
+from mediated_persuasion.payoffs import _SUP, expected_utility
 from mediated_persuasion.solver import (
     _ResponseMemo,
     bp_solve,
@@ -379,7 +379,7 @@ def utilities(draw):
 def sup_within_tol(u, belief):
     edges = u.breakpoints[np.abs(u.breakpoints - belief) <= TOL]
     window = np.clip([belief - TOL, belief, belief + TOL], 0.0, 1.0)
-    return float(u.sup_many(np.concatenate([window, edges])).max())
+    return float(u._read(u._locate(np.concatenate([window, edges])), _SUP).max())
 
 
 def brute_force_value(u, pairs, prior):
@@ -419,7 +419,7 @@ def test_sender_supremum_against_brute_force(u, prior, first_row):
     pairs[np.abs(pairs - prior) <= 1e-12] = prior
     assert br.value >= brute_force_value(u, pairs, prior) - 1e-9
     # no limit at the outcome's beliefs, within the TOL that merges a belief
-    # with the prior, exceeds sup_many there, so that bounds the value
+    # with the prior, exceeds the supremum table there, so that bounds the value
     near = [sup_within_tol(u, b) for b in br.tau.beliefs]
     assert br.value <= float(np.dot(near, br.tau.probs)) + 1e-9
     if br.attained:
@@ -740,11 +740,12 @@ class TestResponseMemo:
         ],
     )
     def test_check_with_memo_matches_check_without(self, name, x, sigma, request):
+        # search certifies through the certificate core with its own memo
         game = request.getfixturevalue(name)
         memo = _ResponseMemo(game)
         plain = check_equilibrium(game, x, sigma)
         for _ in range(2):  # the second check reads both best responses from the memo
-            cert = check_equilibrium(game, x, sigma, memo=memo)
+            (cert,) = solver._certificates(game, x[None], sigma[None], game.tol_dev, memo)
             assert as_certificate(cert) == as_certificate(plain)
 
 
