@@ -10,6 +10,7 @@ any submodule imports numpy, because the pools are sized when numpy loads.
 """
 
 import os as _os
+from types import ModuleType as _ModuleType
 
 if _os.environ.get("MP_THREADS"):
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -35,9 +36,7 @@ from .info import (
     BeliefDistribution,
     BlackwellOrder,
     BlackwellResult,
-    GarblingRank,
     MpsResult,
-    StochasticMatrix,
     bayes_plausible_weights,
     blackwell_compare,
     compose,
@@ -86,4 +85,5 @@ from .scenarios import Scenario, fixture_path, load_fixture, load_scenario
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the library's names, without the submodules that importing them binds
+__all__ = [name for name in dir() if not (name.startswith("_") or isinstance(globals()[name], _ModuleType))]

@@ -86,8 +86,7 @@ def _checked_matrix(rows, flag: str, shape=None) -> np.ndarray:
     ``shape`` than asked for, raises ``ScenarioError`` (exit code 2).
     """
     try:
-        a = np.array([[float(c) for c in row] for row in rows])
-        validate_stochastic(a)
+        a = validate_stochastic([[float(c) for c in row] for row in rows])
     except (PersuasionError, OverflowError) as exc:
         raise ScenarioError(f"bad {flag} matrix: {exc}") from None
     if shape is not None and a.shape != shape:

@@ -47,13 +47,12 @@ from .info import (
     BlackwellOrder,
     _as_array,
     _bayes,
+    _blackwell,
     _composite,
     _induced_taus,
     _pair_weights,
     _row_dots,
-    blackwell_compare,
     garbling_rank,
-    induced_tau,
     validate_stochastic,
 )
 
@@ -110,14 +109,14 @@ def pairs_along_family(sigma, prior: float, family: str, ps) -> np.ndarray:
 
 
 def _require_full_rank(sigma, square: bool = False) -> np.ndarray:
-    """The garbling's array, 2x2 or, with ``square``, any m x m, checked as by
-    :func:`validate_stochastic` and used as given; a rank-deficient one
-    raises ``SingularGarbling``."""
+    """The garbling's array, 2x2 or, with ``square``, any m x m, checked by
+    :func:`validate_stochastic`; a rank-deficient one raises
+    ``SingularGarbling``."""
     a = _as_array(sigma)
     if a.shape[0] != a.shape[1] or not (square or a.shape == (2, 2)):
         raise DimensionMismatch("expected a square garbling" if square else "expected a 2x2 garbling")
-    validate_stochastic(sigma)
-    if not garbling_rank(a).full_rank:
+    validate_stochastic(a)
+    if garbling_rank(a) < len(a):
         raise SingularGarbling(
             "rank-deficient garbling: every experiment induces the prior"
         )
@@ -142,6 +141,12 @@ class BoundaryCurve:
 def boundary_curves(sigma, prior: float, n_points: int = 256) -> dict[str, BoundaryCurve]:
     """Trace the four boundary families at ``n_points`` equispaced parameters."""
     a = _require_full_rank(sigma)
+    _require_interior_prior(prior)
+    return _curves(a, prior, n_points)
+
+
+def _curves(a: np.ndarray, prior: float, n_points: int) -> dict[str, BoundaryCurve]:
+    """:func:`boundary_curves` of a checked garbling and prior."""
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     ps = np.linspace(0.0, 1.0, n_points)
@@ -285,7 +290,8 @@ def wing_polygons(sigma, prior: float, n_points: int = 256) -> FeasibleSet:
     posterior is the lower one.
     """
     a = _require_full_rank(sigma)
-    curves = boundary_curves(a, prior, n_points)
+    _require_interior_prior(prior)
+    curves = _curves(a, prior, n_points)
     origin = (prior, prior)
     identity = _wing(origin, curves["X4"].points, curves["X1"].points)
     swap = _wing(origin, curves["X2"].points, curves["X3"].points)
@@ -324,13 +330,14 @@ def nesting_report(s1, s2, prior: float) -> NestingReport:
     recorded only when neither labelling works.
     """
     a1, a2 = _require_full_rank(s1), _require_full_rank(s2)
+    _require_interior_prior(prior)
     q1, q2 = posterior_pair(a2, prior)
-    if not ordered_member_many(a1, prior, [q1, q2], [q2, q1]).any():
+    if not _square_test(a1, prior, np.array([q1, q2]), np.array([q2, q1])).any():
         return NestingReport(False, [(q1, q2)], [])
-    cmp = blackwell_compare(a1, a2)
+    cmp = _blackwell(a1, a2)
     witness_failures = []
     if cmp.order in (BlackwellOrder.DOMINATES, BlackwellOrder.EQUIVALENT):
-        tau2, reasons = induced_tau(a2, prior), []
+        tau2, reasons = _induced_taus(a2[None], prior)[0][0], []
         for g in (cmp.to_second, cmp.to_second[::-1]):
             Y = np.linalg.inv(a1) @ g @ a1
             if Y.min() < -TOL or abs(Y.sum(axis=0) - 1.0).max() > TOL:
@@ -359,8 +366,9 @@ def symmetry_report(sigma, prior: float) -> SymmetryReport:
     that pair otherwise.
     """
     a = _require_full_rank(sigma)
+    _require_interior_prior(prior)
     q1, q2 = posterior_pair(a, prior)
-    if ordered_member_many(a, prior, q2, q1):
+    if _square_test(a, prior, np.array([q2]), np.array([q1]))[0]:
         return SymmetryReport(True, None)
     return SymmetryReport(False, (q1, q2))
 
@@ -375,13 +383,13 @@ def vertex_profiles(sigma, prior: float) -> tuple[np.ndarray, np.ndarray]:
     sigma X for X with state columns (e_i, e_j). In (mass, mass x posterior)
     coordinates each feasible profile is their average with weights
     x0_i x1_j, so each signal's posterior range is attained on a row. A
-    signal of mass at most ``TOL`` gets the prior. ``sigma`` is checked as by
-    :func:`validate_stochastic` and used as given; no inverse is taken, so
+    signal of mass at most ``TOL`` gets the prior. No inverse is taken, so
     any square garbling works."""
     a = _as_array(sigma)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch("vertex profiles need a square garbling")
-    validate_stochastic(sigma)
+    validate_stochastic(a)
+    _require_interior_prior(prior)
     p, q = _bayes(a[:, :, None], a[:, None, :], prior)  # (signal, i, j)
     return q.reshape(len(a), -1).T, p.reshape(len(a), -1).T
 

@@ -4,7 +4,9 @@ Conventions used throughout the library:
 
 * Information structures are column-stochastic matrices: entry ``(i, j)``
   is the probability of realization ``i`` conditional on state (or
-  upstream realization) ``j``.
+  upstream realization) ``j``. A structure is a float array, checked once
+  by ``validate_stochastic`` where it enters the library and used as given
+  from then on: nothing clips it, so an entry within ``TOL`` below 0 stays.
 * Two-state objects order their columns (state 1, state 2 = target) and a
   belief is the posterior probability of the target state.
 * All algebraic identities are checked to ``TOL = 1e-9``; the worked
@@ -47,67 +49,43 @@ TOL = 1e-9
 
 
 def _as_array(matrix) -> np.ndarray:
-    if isinstance(matrix, StochasticMatrix):
-        return matrix.a
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d matrix, got shape {a.shape}")
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class StochasticMatrix:
-    """A validated column-stochastic matrix with m >= n.
+def validate_stochastic(raw) -> np.ndarray:
+    """The float array of a column-stochastic structure with m >= n, as given.
 
-    Entries within ``TOL`` of [0, 1] are clipped on construction; anything
-    beyond, and any entry that is not finite, raises.
+    Raises on the first failed check: not 2-d, an entry that is not finite,
+    an entry below -``TOL``, a column sum off 1 by more than ``TOL``, fewer
+    realizations than states.
     """
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if a.ndim != 2:
-            raise DimensionMismatch(f"expected a 2-d matrix, got shape {a.shape}")
-        finite = np.isfinite(a)
-        if not finite.all():
-            i, j = np.argwhere(~finite)[0]
-            raise NonFiniteEntry(int(i), int(j), float(a[i, j]))
-        worst = a.min()
-        if worst < -TOL:
-            i, j = np.unravel_index(int(a.argmin()), a.shape)
-            raise NegativeEntry(int(i), int(j), float(worst))
-        sums = a.sum(axis=0)
-        dev = sums - 1.0
-        j = int(np.abs(dev).argmax())
-        if abs(dev[j]) > TOL:
-            raise ColumnSumMismatch(j, float(dev[j]))
-        if a.shape[0] < a.shape[1]:
-            raise TooFewRealizations(
-                f"{a.shape[0]} realizations for {a.shape[1]} states"
-            )
-        a = np.clip(a, 0.0, 1.0)
-        a.setflags(write=False)
-        object.__setattr__(self, "a", a)
-
-    def __repr__(self):
-        rows = "; ".join(",".join(f"{v:.6g}" for v in row) for row in self.a)
-        return f"StochasticMatrix([{rows}])"
+    a = _as_array(raw)
+    finite = np.isfinite(a)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise NonFiniteEntry(int(i), int(j), float(a[i, j]))
+    worst = a.min()
+    if worst < -TOL:
+        i, j = np.unravel_index(int(a.argmin()), a.shape)
+        raise NegativeEntry(int(i), int(j), float(worst))
+    dev = a.sum(axis=0) - 1.0
+    j = int(np.abs(dev).argmax())
+    if abs(dev[j]) > TOL:
+        raise ColumnSumMismatch(j, float(dev[j]))
+    if a.shape[0] < a.shape[1]:
+        raise TooFewRealizations(f"{a.shape[0]} realizations for {a.shape[1]} states")
+    return a
 
 
-def validate_stochastic(raw) -> StochasticMatrix:
-    """Validate a raw matrix as a column-stochastic information structure."""
-    if isinstance(raw, StochasticMatrix):
-        return raw
-    return StochasticMatrix(np.array(raw, dtype=float))
-
-
-def compose(sigma, x) -> StochasticMatrix:
-    """Composite structure ``sigma @ x`` (signal after experiment)."""
+def compose(sigma, x) -> np.ndarray:
+    """Composite structure ``sigma @ x`` (signal after experiment), checked."""
     s, e = _as_array(sigma), _as_array(x)
     if s.shape[1] != e.shape[0]:
         raise DimensionMismatch(f"cannot compose {s.shape} with {e.shape}")
-    return StochasticMatrix(s @ e)
+    return validate_stochastic(s @ e)
 
 
 def _bayes(in_state0, in_state1, prior: float):
@@ -315,14 +293,13 @@ def induced_tau(b, prior: float) -> BeliefDistribution:
     number of signals; a batch of one for :func:`_induced_taus`.
 
     ``b`` is checked as by :func:`validate_stochastic`, except that a single
-    signal is allowed, and used as given. Zero-probability signals are
-    dropped; coincident posteriors merge.
+    signal is allowed. Zero-probability signals are dropped; coincident
+    posteriors merge.
     """
     try:
-        validate_stochastic(b)
+        a = validate_stochastic(b)
     except TooFewRealizations:  # the last check: a single signal induces the prior
-        pass
-    a = _as_array(b)
+        a = _as_array(b)
     if a.shape[1] != 2:
         raise DimensionMismatch("posteriors need a two-state structure")
     return _induced_taus(a[None], prior)[0][0]
@@ -502,15 +479,19 @@ def blackwell_compare(s1, s2) -> BlackwellResult:
     it is attached. With two states that holds exactly when the posteriors
     ``s1`` induces at the prior 1/2 are a mean-preserving spread of those of
     ``s2`` (Blackwell); G follows from the curtain witness of :func:`is_mps`
-    by Bayes' rule. Both inputs are validated as by
-    :func:`validate_stochastic`, and each must have exactly two columns
-    (``DimensionMismatch`` otherwise).
+    by Bayes' rule. Both inputs go through :func:`validate_stochastic`, and
+    each must have exactly two columns (``DimensionMismatch`` otherwise).
     """
-    a, b = validate_stochastic(s1).a, validate_stochastic(s2).a
+    a, b = validate_stochastic(s1), validate_stochastic(s2)
     if a.shape[1] != 2 or b.shape[1] != 2:
         raise DimensionMismatch(
             f"Blackwell order needs two-state structures, got {a.shape[1]} and {b.shape[1]} columns"
         )
+    return _blackwell(a, b)
+
+
+def _blackwell(a: np.ndarray, b: np.ndarray) -> BlackwellResult:
+    """:func:`blackwell_compare` of two checked two-state structures."""
     fwd, rev = _garbling(a, b), _garbling(b, a)
     if fwd is not None and rev is not None:
         order = BlackwellOrder.EQUIVALENT
@@ -523,18 +504,9 @@ def blackwell_compare(s1, s2) -> BlackwellResult:
     return BlackwellResult(order, to_second=fwd, to_first=rev)
 
 
-@dataclass(frozen=True)
-class GarblingRank:
-    full_rank: bool
-    rank: int
-
-
-def garbling_rank(s) -> GarblingRank:
-    """Numerical rank report; 2x2 matrices are deficient iff columns coincide."""
+def garbling_rank(s) -> int:
+    """Numerical rank; a 2x2 matrix is deficient iff its columns coincide."""
     a = _as_array(s)
     if a.shape == (2, 2):
-        if abs(a[:, 0] - a[:, 1]).max() <= TOL:
-            return GarblingRank(False, 1)
-        return GarblingRank(True, 2)
-    r = int(np.linalg.matrix_rank(a, tol=TOL))
-    return GarblingRank(r == min(a.shape), r)
+        return 1 if abs(a[:, 0] - a[:, 1]).max() <= TOL else 2
+    return int(np.linalg.matrix_rank(a, tol=TOL))

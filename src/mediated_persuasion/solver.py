@@ -56,7 +56,6 @@ from .feasible import (
 from .info import (
     TOL,
     BeliefDistribution,
-    _as_array,
     _bayes,
     _composite,
     _induced_taus,
@@ -329,16 +328,14 @@ def _sender_batch(u_s: PiecewiseUtility, sigmas: np.ndarray, prior: float) -> li
 def sender_best_response(u_s: PiecewiseUtility, sigma, prior: float) -> BestResponse:
     """Supremum of expected sender utility over the feasible set of ``sigma``.
 
-    ``sigma`` is checked as by :func:`validate_stochastic` and used as given. A
-    rank-deficient garbling, or a prior within ``TOL`` of 0 or 1, leaves only
-    the babbling outcome. Ties within
-    1e-12 break first to candidates that attain the supremum, then to the
-    lexicographically smallest sorted posterior pair, and among equal pairs
-    to the first candidate in ``_sender_candidates`` order. This is a batch
-    of one for :func:`_sender_batch`.
+    A rank-deficient garbling, or a prior within ``TOL`` of 0 or 1, leaves
+    only the babbling outcome. Ties within 1e-12 break first to candidates
+    that attain the supremum, then to the lexicographically smallest sorted
+    posterior pair, and among equal pairs to the first candidate in
+    ``_sender_candidates`` order. This is a batch of one for
+    :func:`_sender_batch`.
     """
-    validate_stochastic(sigma)
-    return _sender_batch(u_s, _as_array(sigma)[None], prior)[0]
+    return _sender_batch(u_s, validate_stochastic(sigma)[None], prior)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +387,9 @@ def mediator_best_response(u_m: PiecewiseUtility, x, prior: float) -> BestRespon
     Among payoff-equal optimal garblings the Blackwell-most-informative one
     is selected (the maximal coincident linear run through the prior), so an
     indifferent mediator reproduces the experiment faithfully (identity).
-    ``x`` is checked as by :func:`validate_stochastic`, used as given, and
-    must be 2x2. This is a batch of one for :func:`_mediator_batch`.
+    ``x`` must be 2x2. This is a batch of one for :func:`_mediator_batch`.
     """
-    validate_stochastic(x)
-    x = _as_array(x)
+    x = validate_stochastic(x)
     if x.shape != (2, 2):
         raise DimensionMismatch("expected a 2x2 experiment")
     return _mediator_batch(u_m, x[None], prior)[0]
@@ -517,15 +512,11 @@ class _ResponseMemo:
 
 
 def check_equilibrium(game: GameSpec, x, sigma, tol: Optional[float] = None) -> EquilibriumCertificate:
-    """Verify a pure strategy profile by solving both best responses.
-
-    Both strategies are checked as by :func:`validate_stochastic` and used as
-    given. This is a batch of one for the certificate core ``_certificates``.
-    """
-    validate_stochastic(x)
-    validate_stochastic(sigma)
+    """Verify a pure strategy profile by solving both best responses; a batch
+    of one for the certificate core ``_certificates``."""
+    x, sigma = validate_stochastic(x), validate_stochastic(sigma)
     tol = game.tol_dev if tol is None else tol
-    return _certificates(game, _as_array(x)[None], _as_array(sigma)[None], tol, _ResponseMemo(game))[0]
+    return _certificates(game, x[None], sigma[None], tol, _ResponseMemo(game))[0]
 
 
 # ---------------------------------------------------------------------------

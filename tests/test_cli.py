@@ -90,6 +90,16 @@ def test_exit_schema_on_unknown_top_level_key(tmp_path, capsys):
     assert "unknown key(s) ['colour']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sigma", [[[0.9, 0.2], [0.1, 0.8]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]], ids=["2x2", "3x3"])
+def test_exit_schema_on_feasible_at_a_degenerate_prior(sigma, tmp_path, capsys):
+    # at a prior of 0 no belief can move, so the export writes no row at all
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"prior": 0, "sigma": sigma}))
+    assert main(["feasible", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cannot spread beliefs" in captured.err
+
+
 def test_exit_singular_on_rank_deficient_garbling(tmp_path, capsys):
     path = write_scenario(tmp_path, sigma=[["1/2", "1/2"], ["1/2", "1/2"]])
     assert main(["feasible", path]) == 3

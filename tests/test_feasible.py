@@ -192,7 +192,18 @@ def test_membership_entries_reject_a_degenerate_prior(prior):
     with pytest.raises(DegeneratePrior):
         ordered_member_many(np.eye(2), prior, [0.0], [1.0])
     with pytest.raises(DegeneratePrior):
-        profile_member_many(SIGMA3, prior, *vertex_profiles(SIGMA3, prior))
+        profile_member_many(SIGMA3, prior, *vertex_profiles(SIGMA3, 0.5))
+    # every arc of the two-signal set collapses to the prior, and no profile spreads
+    with pytest.raises(DegeneratePrior):
+        boundary_curves(np.eye(2), prior, 8)
+    with pytest.raises(DegeneratePrior):
+        wing_polygons(np.eye(2), prior, 8)
+    with pytest.raises(DegeneratePrior):
+        vertex_profiles(SIGMA3, prior)
+    with pytest.raises(DegeneratePrior):
+        symmetry_report(np.eye(2), prior)
+    with pytest.raises(DegeneratePrior):
+        nesting_report(np.eye(2), SIGMA_STAR, prior)
 
 
 FEASIBLE_ENTRIES = {
@@ -502,7 +513,7 @@ class TestGeneralSampler:
     def test_restricted_block_is_uninformative(self):
         sub = SIGMA3[np.ix_([1, 2], [0, 1])]
         sub = sub / sub.sum(axis=0, keepdims=True)
-        assert not garbling_rank(sub).full_rank
+        assert garbling_rank(sub) == 1
         rows = vertex_profiles(sub, 0.3)
         assert_allclose(attained_beliefs(*rows), [0.3], atol=1e-9)
         with pytest.raises(SingularGarbling):

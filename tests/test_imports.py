@@ -76,7 +76,6 @@ PUBLIC_NAMES = [
     "EquilibriumCertificate",
     "FeasibleSet",
     "GameSpec",
-    "GarblingRank",
     "MpsResult",
     "NegativeEntry",
     "NonFiniteEntry",
@@ -87,7 +86,6 @@ PUBLIC_NAMES = [
     "Scenario",
     "ScenarioError",
     "SingularGarbling",
-    "StochasticMatrix",
     "TOL",
     "TooFewRealizations",
     "bayes_plausible_weights",
@@ -99,28 +97,22 @@ PUBLIC_NAMES = [
     "compare_outcomes",
     "compose",
     "concavify",
-    "errors",
     "expected_utility",
-    "feasible",
     "fixture_path",
     "garbling_rank",
     "induce_belief_utilities",
     "induced_tau",
-    "info",
     "is_mps",
     "load_fixture",
     "load_scenario",
     "mediator_best_response",
     "nesting_report",
     "ordered_member_many",
-    "payoffs",
     "posterior_pair",
     "profile_member_many",
     "reconstruct_experiment",
-    "scenarios",
     "search_equilibria",
     "sender_best_response",
-    "solver",
     "symmetry_report",
     "validate_stochastic",
     "vertex_profiles",

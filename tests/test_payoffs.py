@@ -349,6 +349,39 @@ class TestInducedUtilities:
         for b in np.linspace(0, 1, 9):
             assert u_r(b) == pytest.approx(max(1 - b, 0.75, b), abs=1e-12)
 
+    def test_three_lines_tied_at_one_belief_give_a_singleton(self):
+        # all receiver lines meet at 1/2, where the sender's favourite (5)
+        # wins; neither neighbouring interval plays it, so it is a singleton
+        game = ActionGame(
+            actions=("l", "m", "r"),
+            sender=np.array([[0, 0], [5, 5], [1, 1]]),
+            mediator=np.zeros((3, 2)),
+            receiver=np.array([[1, 0], [0.5, 0.5], [0, 1]]),
+        )
+        u_s = induce_belief_utilities(game)[0]
+        assert u_s.pieces == (
+            Piece(0.0, 0.5, True, False, 0.0, 0.0),
+            Piece(0.5, 0.5, True, True, 0.0, 5.0),
+            Piece(0.5, 1.0, False, True, 0.0, 1.0),
+        )
+        assert [u_s(b) for b in (0.0, 0.49, 0.5, 0.51, 1.0)] == [0, 0, 5, 1, 1]
+
+    def test_tie_only_at_belief_one_gives_a_last_singleton(self):
+        # the receiver's lines b and 2b - 1 tie only at 1, where the
+        # sender-preferred action (3) takes the last point from the interval
+        game = ActionGame(
+            actions=("a", "b"),
+            sender=np.array([[0, 0], [0, 3]]),
+            mediator=np.zeros((2, 2)),
+            receiver=np.array([[0, 1], [-1, 1]]),
+        )
+        u_s = induce_belief_utilities(game)[0]
+        assert u_s.pieces == (
+            Piece(0.0, 1.0, True, False, 0.0, 0.0),
+            Piece(1.0, 1.0, True, True, 0.0, 3.0),
+        )
+        assert [u_s(b) for b in (0.0, 0.5, 1.0 - 1e-9, 1.0)] == [0, 0, 0, 3]
+
     def test_argmax_and_tiebreak_by_enumeration(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
