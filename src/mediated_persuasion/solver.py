@@ -31,11 +31,12 @@ every row's arithmetic is its own, so the chunks change no bit.
 Each core locates a stack of beliefs on the utility once
 (``PiecewiseUtility._locate``) and reads every value it needs there. The
 certificate core ``_certificates`` checks a stack of profiles the same way,
-and ``check_equilibrium`` is a batch of one. Search enumerates a finite set
-of experiments, one per pair of candidate posteriors (0, 1 and the
-breakpoints of both utilities) on either side of the prior, solves the best
-responses they need in three batches, and certifies the profiles each one
-anchors against both exact best responses in one call.
+given each profile's two best responses, and ``check_equilibrium`` is a
+batch of one. Search enumerates a finite set of experiments, one per pair of
+candidate posteriors (0, 1 and the breakpoints of both utilities) on either
+side of the prior, solves the best responses they need in three batches, and
+certifies every profile it anchors in one call, handing the certificate core
+each profile's two replies by index into those batches.
 """
 
 from __future__ import annotations
@@ -428,21 +429,19 @@ class EquilibriumCertificate:
 
 
 def _certificates(
-    game: GameSpec, xs, sigmas, tol: float, memo: "_ResponseMemo", *, refuted: bool = True
+    game: GameSpec, xs, sigmas, br_s, br_m, tol: float, *, refuted: bool = True
 ) -> list[EquilibriumCertificate]:
     """Certificates of the profiles (xs[i], sigmas[i]), checked in one pass;
-    ``xs`` and ``sigmas`` are stacks of matrices, each shaped (n, 2, 2). With
-    ``refuted`` false only the verified profiles get one, in order.
+    ``xs`` and ``sigmas`` are stacks of 2x2 matrices, each shaped (n, 2, 2),
+    and ``br_s[i]`` and ``br_m[i]`` are the sender's best response to
+    sigmas[i] and the mediator's to xs[i]. With ``refuted`` false only the
+    verified profiles get one, in order.
 
-    Both players' best responses come from ``memo`` in one lookup each. The
-    composites sigma X are one stacked ``matmul``, their outcomes are built by
-    ``_induced_taus`` and each player's payoffs by ``_expected_utilities`` on
-    their rows, each bit for bit what the same steps give profile by profile.
+    The composites sigma X are one stacked ``matmul``, their outcomes are
+    built by ``_induced_taus`` and each player's payoffs by
+    ``_expected_utilities`` on their rows, each bit for bit what the same
+    steps give profile by profile.
     """
-    xs, sigmas = np.asarray(xs, dtype=float), np.asarray(sigmas, dtype=float)
-    if xs.shape[1:] != (2, 2) or sigmas.shape[1:] != (2, 2):
-        raise DimensionMismatch("profiles are pairs of 2x2 experiments and garblings")
-    br_s, br_m = memo.senders(sigmas), memo.mediators(xs)
     taus, beliefs, probs, sizes = _induced_taus(np.matmul(sigmas, xs), game.prior)
     cur_s, cur_m = (_expected_utilities(u, beliefs, probs, sizes) for u in (game.u_sender, game.u_mediator))
     gap_s = np.array([r.value for r in br_s]) - cur_s
@@ -476,47 +475,16 @@ def _certificates(
     return certs
 
 
-class _ResponseMemo:
-    """Best responses of one game, each computed once per fixed strategy.
-
-    The sender's best response depends only on the garbling and the
-    mediator's only on the experiment, so each is keyed by the float64 bytes
-    of that strategy. A lookup takes a stack of strategies, shaped (n, 2, 2),
-    and hands the distinct ones it has not seen to the batched core
-    (``_sender_batch`` or ``_mediator_batch``) in one call; a single check
-    looks up a stack of one.
-    A search makes one memo and drops it when it returns. Callers share the
-    returned responses and must not modify their arrays.
-    """
-
-    def __init__(self, game: GameSpec):
-        self.game = game
-        self._sender: dict[bytes, BestResponse] = {}
-        self._mediator: dict[bytes, BestResponse] = {}
-
-    def senders(self, sigmas) -> list[BestResponse]:
-        return self._solve(self._sender, _sender_batch, self.game.u_sender, sigmas)
-
-    def mediators(self, xs) -> list[BestResponse]:
-        return self._solve(self._mediator, _mediator_batch, self.game.u_mediator, xs)
-
-    def _solve(self, cache: dict, solve, u: PiecewiseUtility, stack: np.ndarray) -> list[BestResponse]:
-        keys = [s.tobytes() for s in stack]
-        missing: dict[bytes, int] = {}
-        for i, k in enumerate(keys):
-            if k not in cache:
-                missing.setdefault(k, i)  # the first of each key
-        if missing:
-            cache.update(zip(missing, solve(u, stack[list(missing.values())], self.game.prior)))
-        return [cache[k] for k in keys]
-
-
 def check_equilibrium(game: GameSpec, x, sigma, tol: Optional[float] = None) -> EquilibriumCertificate:
     """Verify a pure strategy profile by solving both best responses; a batch
     of one for the certificate core ``_certificates``."""
     x, sigma = validate_stochastic(x), validate_stochastic(sigma)
+    if x.shape != (2, 2) or sigma.shape != (2, 2):
+        raise DimensionMismatch("profiles are pairs of 2x2 experiments and garblings")
     tol = game.tol_dev if tol is None else tol
-    return _certificates(game, x[None], sigma[None], tol, _ResponseMemo(game))[0]
+    x, sigma = x[None], sigma[None]
+    br_s, br_m = _sender_batch(game.u_sender, sigma, game.prior), _mediator_batch(game.u_mediator, x, game.prior)
+    return _certificates(game, x, sigma, br_s, br_m, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -538,38 +506,40 @@ def search_equilibria(game: GameSpec) -> list[EquilibriumCertificate]:
     reply to that garbling. Babbling, with one signal from both players, is
     checked as well. Each profile is certified at ``tol_dev``.
 
-    One ``_ResponseMemo``, which lives only for this call, solves the best
-    responses in three batches. The first solves the mediator's replies to
-    babbling and every B. The second, the one sender batch, solves the
-    sender's replies to babbling, every B as a garbling and the mediator's
-    replies. The third solves the mediator's replies to the sender's
-    experiments. Babbling, a rank-deficient garbling and an uninformative
-    experiment are rows of their batch like any other, and every reply's
-    outcome is built with the batch. One call to the certificate core then
-    checks every profile, reading both best responses from the memo, so each
-    distinct strategy is solved once, and builds certificates for the
-    verified profiles alone.
+    The best responses are solved in three batches. The first solves the
+    mediator's replies to babbling and every B. The second, the one sender
+    batch, solves the sender's replies to babbling, every B as a garbling and
+    the mediator's replies. The third solves the mediator's replies to the
+    sender's experiments. Babbling, a rank-deficient garbling and an
+    uninformative experiment are rows of their batch like any other, and
+    every reply's outcome is built with the batch. One call to the
+    certificate core then checks every profile against the replies its two
+    strategies got, and builds certificates for the verified profiles alone.
 
     Returns the verified certificates, sorted by support size, support and
     largest gap, keeping the first of those with ``allclose`` outcomes.
     """
-    memo = _ResponseMemo(game)
     pi = game.prior
     beliefs = np.unique(np.concatenate([(0.0, 1.0), game.u_sender.breakpoints, game.u_mediator.breakpoints]))
     lo, hi = (m.ravel() for m in np.meshgrid(beliefs[beliefs < pi - TOL], beliefs[beliefs > pi + TOL], indexing="ij"))
     q, w = np.column_stack([lo, hi]), np.column_stack(_pair_weights(lo, hi, pi))
     bs = np.stack(_composite(q, w, pi), axis=-1)  # B[i] has posteriors lo[i], hi[i]
-    babbling = _BABBLING_PROFILE[None]
-    to_b = np.array([r.strategy for r in memo.mediators(np.concatenate([babbling, bs]))[1:]])
-    from_b = np.array([r.strategy for r in memo.senders(np.concatenate([babbling, bs, to_b]))[1 : len(bs) + 1]])
-    memo.mediators(from_b)
+    n, babbling = len(bs), _BABBLING_PROFILE[None]
+    med = _mediator_batch(game.u_mediator, np.concatenate([babbling, bs]), pi)  # babbling, then each B
+    to_b = np.array([r.strategy for r in med[1:]])
+    snd = _sender_batch(game.u_sender, np.concatenate([babbling, bs, to_b]), pi)  # babbling, each B, each reply to B
+    from_b = np.array([r.strategy for r in snd[1 : n + 1]])
+    to_from_b = _mediator_batch(game.u_mediator, from_b, pi)
 
-    # babbling, then per B the profiles (B, the reply to B) and (the reply to B as a garbling, B)
-    xs, sigmas = np.empty((2, 2 * len(bs) + 1, 2, 2))
-    xs[0] = sigmas[0] = _BABBLING_PROFILE
-    xs[1::2], sigmas[1::2] = bs, to_b
-    xs[2::2], sigmas[2::2] = from_b, bs
-    certs = _certificates(game, xs, sigmas, game.tol_dev, memo, refuted=False)
+    # babbling, then per B the profiles (B, the reply to B) and (the reply to
+    # B as a garbling, B), each with the sender's reply to its garbling and
+    # the mediator's to its experiment
+    xs, sigmas = np.empty((2, 2 * n + 1, 2, 2))
+    br_s, br_m = [None] * (2 * n + 1), [None] * (2 * n + 1)
+    xs[0], sigmas[0], br_s[0], br_m[0] = _BABBLING_PROFILE, _BABBLING_PROFILE, snd[0], med[0]
+    xs[1::2], sigmas[1::2], br_s[1::2], br_m[1::2] = bs, to_b, snd[n + 1 :], med[1:]
+    xs[2::2], sigmas[2::2], br_s[2::2], br_m[2::2] = from_b, bs, snd[1 : n + 1], to_from_b
+    certs = _certificates(game, xs, sigmas, br_s, br_m, game.tol_dev, refuted=False)
 
     final: list[EquilibriumCertificate] = []
     for cert in sorted(certs, key=lambda c: (c.tau.beliefs.size, tuple(c.tau.beliefs), c.max_gap)):

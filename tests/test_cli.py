@@ -116,6 +116,31 @@ def test_exit_refuted_on_failed_check(capsys):
     assert report["witness"]["player"] == "sender"
 
 
+# entries within TOL of the identity's, one of them below 0
+EDGE_X = "1,-1e-10;0,1.0000000001"
+
+
+@pytest.mark.parametrize("name", ["kg", "fig19", "fig20", "fig22"])
+def test_experiment_with_an_entry_just_below_zero_is_solved(name, capsys):
+    # the stochastic check admits the entry and the experiment is used as
+    # given, so signal 1's posterior is clamped to 0 rather than falling just
+    # below it, where no utility is defined: the mediator's reply is the
+    # identity's, and the check refutes the profile with the identity's gaps
+    # up to the entries' 1e-10 offset
+    path = str(FIXTURES / f"{name}.json")
+    reports = []
+    for x in (EDGE_X, "identity"):
+        assert main(["solve", path, "--mode", "mediator-br", "--x", x]) == 0
+        reply = json.loads(capsys.readouterr().out)
+        assert main(["solve", path, "--mode", "check", "--x", x, "--sigma", "identity"]) == 4
+        reports.append((reply, json.loads(capsys.readouterr().out)))
+    (reply, check), (want_reply, want_check) = reports
+    keys = ("tau", "value", "attained")
+    assert [reply[k] for k in keys] == [want_reply[k] for k in keys]
+    for gap in ("sender_gap", "mediator_gap"):
+        assert abs(check[gap] - want_check[gap]) <= 2e-10
+
+
 # Prior 2/5 sits on a kink of each mediator's concave envelope: the envelope's
 # linear span through the prior starts at the prior, so its far end has no mass.
 KINK_PRIOR = "2/5"
@@ -226,6 +251,7 @@ def test_exit_schema_on_scenarios_the_loader_rejects(tmp_path, capsys, changes):
 
 KG = str(FIXTURES / "kg.json")
 FIG18 = str(FIXTURES / "fig18.json")
+FIG14 = str(FIXTURES / "fig14.json")
 
 
 def test_feasible_csv_file_holds_the_bytes_printed(tmp_path, capsysbinary):
@@ -253,6 +279,13 @@ def test_feasible_csv_file_holds_the_bytes_printed(tmp_path, capsysbinary):
         (["feasible", KG, "--points", "1"], "--points 1 must be at least 2"),
         (["feasible", KG, "--out", "{tmp}/missing/x.csv"], "cannot write --out"),
         (["solve", KG, "--mode", "bp", "--out", "{tmp}"], "cannot write --out"),
+        (["solve", KG, "--mode", "mediator-br", "--x", "1,0;0"], "ragged matrix"),
+        (["solve", KG, "--mode", "mediator-br", "--x", "a,0;1,1"], "bad matrix entry"),
+        (["solve", KG, "--mode", "mediator-br", "--x", "1/0,0;0,1"], "bad matrix entry"),
+        (["solve", KG, "--mode", "check", "--x", "identity"], "needs --x and --sigma"),
+        (["solve", KG, "--mode", "compare", "--sigma", "identity"], "needs --x and --sigma"),
+        (["solve", FIG14, "--mode", "bp"], "needs a scenario with utilities"),
+        (["order", "--a", "1,0;0", "--b", "identity"], "ragged matrix"),
     ],
     ids=[
         "sender-br-non-stochastic-sigma",
@@ -265,6 +298,13 @@ def test_feasible_csv_file_holds_the_bytes_printed(tmp_path, capsysbinary):
         "feasible-one-point",
         "feasible-out-in-a-missing-directory",
         "solve-out-is-a-directory",
+        "mediator-br-ragged-x",
+        "mediator-br-x-entry-not-a-number",
+        "mediator-br-x-entry-divides-by-zero",
+        "check-without-sigma",
+        "compare-without-x",
+        "bp-without-utilities",
+        "order-ragged-a",
     ],
 )
 def test_exit_schema_on_bad_command_line_input(argv, message, tmp_path, capsys):

@@ -140,6 +140,23 @@ class TestBayesKernel:
         assert q[:2].tolist() == [0.3, 0.3]
         assert q[2] == 0.3 * 0.25 / p[2]
 
+    def test_posteriors_are_clamped_into_the_unit_interval(self):
+        # with non-negative likelihoods the float posterior already lies in
+        # [0, 1], so the clamp moves no bit of it
+        rng = np.random.default_rng(6)
+        for prior in rng.uniform(0.01, 0.99, 20):
+            c = rng.uniform(0.0, 1.0, (2, 1000)) * rng.choice([0.0, 1e-12, 1.0], (2, 1000))
+            p, q = _bayes(c[0], c[1], prior)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                want = prior * c[1] / p
+            want[p <= TOL] = prior
+            assert q.tobytes() == want.tobytes()
+        # an entry down to -TOL passes the stochastic check and is used as
+        # given: the signal's posterior is 0, not just below it
+        p, q = _bayes(np.array([1.0, 0.0]), np.array([-1e-10, 1.0000000001]), 0.3)
+        assert 0.3 * -1e-10 / p[0] < 0.0  # the unclamped posterior
+        assert q[0] == 0.0 and 0.0 <= q[1] <= 1.0
+
     def test_broadcasts_grid_shapes(self):
         # broadcast likelihoods give each pair's update, as one pair at a time
         rng = np.random.default_rng(4)

@@ -27,6 +27,11 @@ def kg_tables() -> ActionGame:
     )
 
 
+def two_pieces(left, right) -> PiecewiseUtility:
+    """A utility of two constant pieces, each given as (lo, hi, lo_closed, hi_closed)."""
+    return PiecewiseUtility((Piece(*left, 0.0, 0.0), Piece(*right, 0.0, 1.0)))
+
+
 def fig20_sender() -> PiecewiseUtility:
     return PiecewiseUtility.from_points(
         [(0, 0), (0.2, 0), (0.2, -100), (0.955, -100), (0.955, 0), (1, 0)],
@@ -58,17 +63,52 @@ class TestEvalUtility:
             PiecewiseUtility.from_points([(0, 0), (0.5, 1), (0.4, 0), (1, 0)])
 
     @pytest.mark.parametrize(
-        "build",
+        "build, match",
         [
-            lambda: PiecewiseUtility.from_points([(0, np.nan), (1, 0)]),
-            lambda: PiecewiseUtility.from_points([(0, 0), (0.5, np.inf), (1, 0)]),
-            lambda: PiecewiseUtility.step([0.5], [0, np.nan]),
+            (lambda: PiecewiseUtility.from_points([(0, np.nan), (1, 0)]), "is not finite"),
+            (lambda: PiecewiseUtility.from_points([(0, 0), (0.5, np.inf), (1, 0)]), "is not finite"),
+            (lambda: PiecewiseUtility.step([0.5], [0, np.nan]), "is not finite"),
+            (lambda: PiecewiseUtility(()), "need at least one piece"),
+            (lambda: PiecewiseUtility((Piece(0.6, 0.4, True, True, 0.0, 0.0),)), "inverted piece"),
+            (
+                lambda: PiecewiseUtility((
+                    Piece(0.0, 0.5, True, False, 0.0, 0.0),
+                    Piece(0.5, 0.5, True, False, 0.0, 1.0),
+                    Piece(0.5, 1.0, False, True, 0.0, 0.0),
+                )),
+                "singleton pieces must be closed",
+            ),
+            (lambda: PiecewiseUtility((Piece(0.0, 1.0, False, True, 0.0, 0.0),)), "domain endpoints must be attained"),
+            (lambda: two_pieces((0.0, 0.4, True, False), (0.5, 1.0, True, True)), "gap or overlap at 0.4 vs 0.5"),
+            (lambda: two_pieces((0.0, 0.6, True, False), (0.5, 1.0, True, True)), "gap or overlap at 0.6 vs 0.5"),
+            (lambda: two_pieces((0.0, 0.5, True, True), (0.5, 1.0, True, True)), "breakpoint 0.5 owned by both side"),
+            (lambda: two_pieces((0.0, 0.5, True, False), (0.5, 1.0, False, True)), "breakpoint 0.5 owned by neither side"),
+            (lambda: PiecewiseUtility.from_points([(0, 0)]), "need at least two points"),
+            (lambda: PiecewiseUtility.from_points([(0.5, 0), (0.5, 1)]), "points describe an empty graph"),
+            (lambda: PiecewiseUtility.step([0.5], [1]), "need one more value than cutoffs"),
         ],
-        ids=["nan-value", "infinite-value", "nan-step"],
+        ids=[
+            "nan-value",
+            "infinite-value",
+            "nan-step",
+            "no-piece",
+            "inverted-piece",
+            "half-open-singleton",
+            "open-domain-end",
+            "gap",
+            "overlap",
+            "breakpoint-owned-by-both",
+            "breakpoint-owned-by-neither",
+            "one-point",
+            "only-a-jump",
+            "step-values-miscounted",
+        ],
     )
-    def test_rejects_non_finite_pieces(self, build):
-        # each other piece check is a comparison, which NaN never fails
-        with pytest.raises(ValueError, match="is not finite"):
+    def test_rejects_malformed_pieces(self, build, match):
+        # every piece must be finite (NaN fails no comparison below), and the
+        # sorted pieces must partition [lo, hi], each breakpoint owned by one
+        # side
+        with pytest.raises(ValueError, match=match):
             build()
 
 

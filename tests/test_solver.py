@@ -12,7 +12,6 @@ from mediated_persuasion.errors import ColumnSumMismatch, DimensionMismatch, Neg
 from mediated_persuasion.info import TOL, induced_tau, is_mps
 from mediated_persuasion.payoffs import _SUP, expected_utility
 from mediated_persuasion.solver import (
-    _ResponseMemo,
     bp_solve,
     check_equilibrium,
     compare_outcomes,
@@ -591,7 +590,9 @@ def test_certificate_batch_equals_single_checks_bit_for_bit():
         for cert in search_equilibria(game):  # verified profiles
             xs.append(cert.x)
             sigmas.append(cert.sigma)
-        certs = solver._certificates(game, xs, sigmas, game.tol_dev, _ResponseMemo(game))
+        xs, sigmas = np.array(xs), np.array(sigmas)
+        br_s, br_m = solver._sender_batch(u_s, sigmas, prior), solver._mediator_batch(u_m, xs, prior)
+        certs = solver._certificates(game, xs, sigmas, br_s, br_m, game.tol_dev)
         assert len(certs) == len(xs)
         for x, sigma, got in zip(xs, sigmas, certs):
             want = check_equilibrium(game, x.copy(), sigma.copy())
@@ -663,38 +664,31 @@ def counted_search(game, monkeypatch):
 # strategies per batch of each player's core, (sender, mediator): the
 # mediator's replies to babbling and the breakpoint-pair experiments; then one
 # sender batch of babbling, the experiments as garblings and the mediator's
-# replies not yet solved; then the mediator's replies to the sender's
-# experiments not yet solved. On kg every one of those was solved already, so
-# no last batch runs
+# replies; then the mediator's replies to the sender's experiments
 SEARCH_BATCHES = {
-    "kg": ([3], [3]),
-    "fig19": ([18], [10, 5]),
-    "fig20": ([22], [13, 9]),
-    "fig22": ([13], [7, 3]),
+    "kg": ([5], [3, 2]),
+    "fig19": ([19], [10, 9]),
+    "fig20": ([25], [13, 12]),
+    "fig22": ([13], [7, 6]),
 }
 
 
-class TestResponseMemo:
-    @pytest.mark.parametrize(
-        "name, profiles, mediator, sender",
-        [("kg", 5, 3, 3), ("fig19", 19, 15, 18), ("fig20", 25, 22, 22), ("fig22", 13, 10, 13)],
-    )
-    def test_search_work_per_fixture(self, name, profiles, mediator, sender, request, monkeypatch):
-        # profiles handed to the certificate core (in one call), and strategies
-        # handed to the batched best-response cores (each distinct strategy
-        # once), by one search
+class TestSearchBatches:
+    @pytest.mark.parametrize("name, profiles", [("kg", 5), ("fig19", 19), ("fig20", 25), ("fig22", 13)])
+    def test_search_work_per_fixture(self, name, profiles, request, monkeypatch):
+        # profiles handed to the certificate core (in one call), and the
+        # sizes of the three batches handed to the best-response cores, by
+        # one search
         certified = []
 
-        def counted_certificates(game, xs, sigmas, tol, memo, **kwargs):
+        def counted_certificates(game, xs, sigmas, br_s, br_m, tol, **kwargs):
             certified.append(len(xs))
-            return certificates(game, xs, sigmas, tol, memo, **kwargs)
+            return certificates(game, xs, sigmas, br_s, br_m, tol, **kwargs)
 
         certificates = solver._certificates
         monkeypatch.setattr(solver, "_certificates", counted_certificates)
         batches = counted_search(request.getfixturevalue(f"{name}_game"), monkeypatch)
-        solved = {player: sum(map(len, b)) for player, b in batches.items()}
-        assert (certified, solved["mediator"], solved["sender"]) == ([profiles], mediator, sender)
-        # three batches, the last only when it has work
+        assert certified == [profiles]
         sizes = tuple([len(b) for b in batches[player]] for player in ("sender", "mediator"))
         assert sizes == SEARCH_BATCHES[name]
 
@@ -718,35 +712,12 @@ class TestResponseMemo:
         for cert in certs:
             BeliefDistribution(cert.tau.beliefs, cert.tau.probs, cert.tau.prior)
 
-    def test_search_solves_each_strategy_once(self, fig22_game, monkeypatch):
-        # without the memo, fig22 solves 19 best responses of each player
-        # for 13 sender and 10 mediator strategies
+    def test_two_searches_hand_the_cores_the_same_batches(self, fig22_game, monkeypatch):
+        # a search keeps no state between calls: a second search in the same
+        # process solves the same strategies, batch for batch
         first = counted_search(fig22_game, monkeypatch)
         assert [len(first[player]) for player in ("sender", "mediator")] == [1, 2]
-        for batches in first.values():
-            keys = [k for b in batches for k in b]
-            assert len(keys) > 1
-            assert len(keys) == len(set(keys))
-        # a second search in the same process starts from an empty memo
-        second = counted_search(fig22_game, monkeypatch)
-        assert second == first
-
-    @pytest.mark.parametrize(
-        "name, x, sigma",
-        [
-            ("fig22_game", np.eye(2), garbling((6 / 7, 3 / 7))),  # verified
-            ("kg_game", np.eye(2), np.eye(2)),  # refuted by a sender deviation
-            ("fig19_game", garbling((0.2, 0.9)), garbling((0.6, 0.1))),
-        ],
-    )
-    def test_check_with_memo_matches_check_without(self, name, x, sigma, request):
-        # search certifies through the certificate core with its own memo
-        game = request.getfixturevalue(name)
-        memo = _ResponseMemo(game)
-        plain = check_equilibrium(game, x, sigma)
-        for _ in range(2):  # the second check reads both best responses from the memo
-            (cert,) = solver._certificates(game, x[None], sigma[None], game.tol_dev, memo)
-            assert as_certificate(cert) == as_certificate(plain)
+        assert counted_search(fig22_game, monkeypatch) == first
 
 
 class TestPublicInputs:
