@@ -54,9 +54,6 @@ from .payoffs import (
     induce_belief_utilities,
 )
 from .feasible import (
-    BoundaryCurve,
-    FeasibleSet,
-    boundary_curves,
     companion_slices,
     nesting_report,
     ordered_member_many,
@@ -65,7 +62,6 @@ from .feasible import (
     reconstruct_experiment,
     symmetry_report,
     vertex_profiles,
-    wing_polygons,
 )
 from .solver import (
     BenchmarkSolution,

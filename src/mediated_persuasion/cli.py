@@ -6,12 +6,11 @@ error, an unreadable scenario file or an ``--out`` path that cannot be
 opened for writing, 3 rank-deficient garbling, 4
 equilibrium check refuted, 5 internal tolerance failure. Reports are JSON
 with a ``spec_version`` field; CSV rows are written as they are made, with
-columns fixed as (family, p, b1, ..., bm, prob1, ..., probm): for two
-signals the boundary curves X1 to X4 at parameters p and the wing vertices
-``vertex_left`` and ``vertex_right``, for m signals the m^2 ``vertex`` rows
-of ``feasible.vertex_profiles``, whose hull in (prob, prob x belief)
-coordinates is the feasible set. ``MP_THREADS``,
-when set, becomes the default of ``OMP_NUM_THREADS``,
+columns fixed as (family, p, b1, ..., bm, prob1, ..., probm). The
+``feasible`` rows are the m^2 ``vertex`` rows of
+``feasible.vertex_profiles``, with ``p`` empty, for two signals too: their
+hull in (prob, prob x belief) coordinates is the feasible set, exactly.
+``MP_THREADS``, when set, becomes the default of ``OMP_NUM_THREADS``,
 ``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS``, which size numpy's
 thread pools (applied on package import, see ``mediated_persuasion``); the
 library starts no threads of its own.
@@ -23,7 +22,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import itertools
 import json
 import os
 import sys
@@ -32,8 +30,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PersuasionError, ScenarioError, SingularGarbling
-from .feasible import vertex_profiles, wing_polygons
-from .info import _pair_weights, blackwell_compare, compose, induced_tau, validate_stochastic
+from .feasible import _require_full_rank, vertex_profiles
+from .info import blackwell_compare, compose, induced_tau, validate_stochastic
 from .scenarios import load_scenario
 from .solver import (
     bp_solve,
@@ -145,10 +143,8 @@ def _certificate_report(cert) -> dict:
 
 
 def cmd_feasible(args) -> int:
-    if args.points < 2:
-        raise ScenarioError(f"--points {args.points} must be at least 2")
     scenario = load_scenario(args.scenario)
-    rows = _feasible_rows(scenario, args.points)
+    rows = _feasible_rows(scenario)
     if args.format == "json":
         report = {
             "prior": scenario.prior,
@@ -165,29 +161,13 @@ def cmd_feasible(args) -> int:
     return EXIT_OK
 
 
-def _feasible_rows(scenario, points: int):
-    """The rows of the ``feasible`` export, made one at a time: the boundary
-    curves and wing vertices of a 2x2 garbling, or the m^2 vertex profiles
-    of an m x m one. Those are computed here, so a garbling they reject
-    raises before any row is written."""
-    prior = scenario.prior
-    if scenario.sigma.shape != (2, 2):
-        posteriors, probs = vertex_profiles(scenario.sigma, prior)
-        return (("vertex", "", *post, *prob) for post, prob in zip(posteriors.tolist(), probs.tolist()))
-    fs = wing_polygons(scenario.sigma, prior, points)
-    curves = (
-        (fam, f"{p:.10g}", b1, b2)
-        for fam in sorted(fs.curves)
-        for p, (b1, b2) in zip(fs.curves[fam].params, fs.curves[fam].points)
-    )
-    wings = ((name, "", b1, b2) for name, wing in (("vertex_left", fs.left), ("vertex_right", fs.right)) for b1, b2 in wing)
-    return ((*row, *_pair_probs(row[2], row[3], prior)) for row in itertools.chain(curves, wings))
-
-
-def _pair_probs(b1: float, b2: float, prior: float):
-    if abs(b2 - b1) <= 1e-12:  # the origin, split as bayes_plausible_weights does
-        return 0.5, 0.5
-    return _pair_weights(b1, b2, prior)
+def _feasible_rows(scenario):
+    """The ``vertex`` rows of the ``feasible`` export, made one at a time.
+    The rank check and the vertex profiles run here, so a garbling or prior
+    they reject raises before any row is written."""
+    _require_full_rank(scenario.sigma, square=True)
+    posteriors, probs = vertex_profiles(scenario.sigma, scenario.prior)
+    return (("vertex", "", *post, *prob) for post, prob in zip(posteriors.tolist(), probs.tolist()))
 
 
 def _require_game(scenario):
@@ -280,9 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p_f = sub.add_parser("feasible", help="export 2-signal boundary curves and wings, or m-signal vertex profiles")
+    p_f = sub.add_parser("feasible", help="export the vertex profiles whose hull is the feasible set")
     p_f.add_argument("scenario", help="scenario JSON file")
-    p_f.add_argument("--points", type=int, default=256, help="parameters per boundary curve (2 signals)")
     p_f.add_argument("--out", default=None)
     p_f.add_argument("--format", choices=("csv", "json"), default="csv")
     p_f.set_defaults(func=cmd_feasible)

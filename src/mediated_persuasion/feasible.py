@@ -1,31 +1,40 @@
 """The set of receiver-posterior pairs inducible through a fixed garbling.
 
-For a full-rank 2x2 garbling sigma, the first row of the composite sigma X
-has entries sigma_00 x_k + sigma_01 (1 - x_k), x the experiment's first row,
-so as X varies it fills exactly the square [min sigma_0., max sigma_0.]^2.
-An ordered posterior pair (q1, q2) fixes the weights of the two signals and
-with them the composite row it needs; the pair is inducible iff that row lies
-in the square. One kernel, ``_square_test``, answers this for every caller:
-pair membership, experiment reconstruction, the feasible slices and every
-candidate of the sender's best response.
-
-The inducible pairs form two convex "wings" meeting at the uninformative
-point (prior, prior): the natural wing (first signal moves the belief down)
-and the perverse wing (labels flipped). The square's diagonal, where both
-signals say the same, maps to that point; each triangle beside it maps to a
-wing. So a wing's boundary is the image of the triangle's two outer edges:
-the arcs of the two experiment families that pin one experiment column to a
-vertex of the simplex and meet at an off-diagonal corner of the square. The
-wing polygons are those arcs, sampled, and closed at the origin.
-
-For an m x m garbling the two columns of the m x 2 experiment range
+For an m x m garbling sigma the two columns of the m x 2 experiment range
 independently over the simplex, so the composite columns c0 = sigma x0 and
 c1 = sigma x1 range independently over the hull of sigma's columns
 (Blackwell, 1953). The map (c0, c1) -> (p, p q) = ((1 - pi) c0 + pi c1, pi c1)
 to a profile's masses and mass-weighted posteriors is linear and invertible,
 so in those coordinates the feasible profiles are the convex hull of the m^2
-``vertex_profiles``, x0 = e_i and x1 = e_j; ``profile_member_many`` admits a
-Bayes-plausible profile iff sigma^-1 c >= 0 for both of its columns.
+``vertex_profiles`` V, row m i + j for x0 = e_i and x1 = e_j. V[mi+j] is a
+term in i plus a term in j, so V[mi+j] + V[mk+l] = V[mi+l] + V[mk+j]; and
+``profile_member_many`` admits a Bayes-plausible profile iff sigma^-1 c >= 0
+for both of its columns.
+
+With two signals the hull is a parallelogram with four vertices: the
+babbling rows 0 and 3, and the pairs that X = I (row 1) and the column swap
+(row 2) induce. Its babbling diagonal maps to the uninformative point
+(pi, pi), and each triangle beside it to a convex "wing" of ordered pairs:
+the natural wing, where the first signal moves the belief down, and the
+perverse wing. Each edge pins one experiment column to a vertex of the
+simplex, and its pairs run along a hyperbola through (pi, pi):
+
+- x0 = e_i (rows 2i to 2i + 1), with k = sigma_0i:
+  q1 q2 - (pi + (1 - pi) k) q1 - (pi + (1 - pi)(1 - k)) q2 + pi = 0;
+- x1 = e_j (rows j to 2 + j), with k = sigma_0j:
+  q1 q2 - pi (1 - k) q1 - pi k q2 = 0.
+
+So the four vertex rows give the two-signal set exactly.
+
+Membership of an ordered pair has a closed form too. The first row of the
+composite sigma X has entries sigma_00 x_k + sigma_01 (1 - x_k), x the
+experiment's first row, so as X varies it fills exactly the square
+[min sigma_0., max sigma_0.]^2. An ordered posterior pair (q1, q2) fixes the
+weights of the two signals and with them the composite row it needs; the
+pair is inducible iff that row lies in the square. One kernel,
+``_square_test``, answers this for every caller: pair membership, experiment
+reconstruction, the feasible slices and every candidate of the sender's best
+response.
 """
 
 from __future__ import annotations
@@ -58,54 +67,14 @@ from .info import (
 
 UNINFORMATIVE_X = np.full((2, 2), 0.5)
 
-# extreme-point experiment families: one column pinned to a simplex vertex
-X_FAMILIES = ("X1", "X2", "X3", "X4")
-
 
 def posterior_pair(b, prior: float) -> tuple[float, float]:
     """Ordered posteriors (after signal 1, after signal 2) of a 2x2 structure.
-
-    A zero-probability signal is reported at the prior. A single structure
-    has no direction to take a limit along; :func:`pairs_along_family`,
-    which traces a one-parameter family, reports the limit along the family
-    instead.
-    """
+    A zero-probability signal is reported at the prior, as in
+    :func:`vertex_profiles`."""
     a = _as_array(b)
     _, q = _bayes(a[:, 0], a[:, 1], prior)
     return float(q[0]), float(q[1])
-
-
-def pairs_along_family(sigma, prior: float, family: str, ps) -> np.ndarray:
-    """Ordered posterior pairs of ``sigma @ X_family(p)`` for an array of p.
-
-    A signal of zero mass takes its limit along the family. Both entries of
-    its row are affine in p and vanish at the same p, so its posterior is
-    constant along the family and equals pi d2 / ((1 - pi) d1 + pi d2), with
-    d1 and d2 the slopes of the entries. The entry from the pinned column is
-    constant, so it is zero and d1 or d2 vanishes: the limit is 1 when the
-    moving column is the second (X1, X2) and 0 when it is the first (X3, X4).
-    This keeps the family endpoints on the closure of the feasible set: with
-    sigma = I, X1 at p = 1 gives (pi, 1), not (pi, pi).
-    """
-    a = _as_array(sigma)
-    p = np.asarray(ps, dtype=float)
-    mix0 = np.outer(a[:, 0], p) + np.outer(a[:, 1], 1.0 - p)  # sigma @ (p, 1-p)
-    fixed0, fixed1 = a[:, [0]], a[:, [1]]
-    if family == "X1":
-        col1, col2 = fixed0, mix0
-    elif family == "X2":
-        col1, col2 = fixed1, mix0
-    elif family == "X3":
-        col1, col2 = mix0, fixed0
-    elif family == "X4":
-        col1, col2 = mix0, fixed1
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    mass, q = _bayes(col1, col2, prior)
-    # _bayes put the prior there; only a zero row of sigma (ruled out by full
-    # rank) keeps it
-    q[(mass <= TOL) & (fixed0 != fixed1)] = float(family in ("X1", "X2"))
-    return q.T
 
 
 def _require_full_rank(sigma, square: bool = False) -> np.ndarray:
@@ -116,10 +85,9 @@ def _require_full_rank(sigma, square: bool = False) -> np.ndarray:
     if a.shape[0] != a.shape[1] or not (square or a.shape == (2, 2)):
         raise DimensionMismatch("expected a square garbling" if square else "expected a 2x2 garbling")
     validate_stochastic(a)
-    if garbling_rank(a) < len(a):
-        raise SingularGarbling(
-            "rank-deficient garbling: every experiment induces the prior"
-        )
+    rank = garbling_rank(a)
+    if rank < len(a):
+        raise SingularGarbling(f"rank-deficient garbling: rank {rank} < {len(a)}")
     return a
 
 
@@ -128,32 +96,6 @@ def _require_interior_prior(prior: float) -> None:
     composite rows divide by it, and no belief can move away from it."""
     if not TOL < prior < 1.0 - TOL:
         raise DegeneratePrior(f"prior {prior} cannot spread beliefs")
-
-
-@dataclass(frozen=True, eq=False)
-class BoundaryCurve:
-    """One traced outer limit of the feasible set."""
-
-    params: np.ndarray  # strictly increasing in [0, 1]
-    points: np.ndarray  # (n, 2) ordered posterior pairs
-
-
-def boundary_curves(sigma, prior: float, n_points: int = 256) -> dict[str, BoundaryCurve]:
-    """Trace the four boundary families at ``n_points`` equispaced parameters."""
-    a = _require_full_rank(sigma)
-    _require_interior_prior(prior)
-    return _curves(a, prior, n_points)
-
-
-def _curves(a: np.ndarray, prior: float, n_points: int) -> dict[str, BoundaryCurve]:
-    """:func:`boundary_curves` of a checked garbling and prior."""
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2")
-    ps = np.linspace(0.0, 1.0, n_points)
-    return {
-        fam: BoundaryCurve(ps, pairs_along_family(a, prior, fam, ps))
-        for fam in X_FAMILIES
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -234,70 +176,6 @@ def reconstruct_experiment(sigma, prior: float, tau: BeliefDistribution) -> np.n
         raise NotSigmaPlausible(f"support ({lo:.6g}, {hi:.6g}) is outside the feasible set")
     q1, q2 = (lo, hi) if member[0] else (hi, lo)
     return _inducing_experiments(a[None], prior, np.array([q1]), np.array([q2]))[0]
-
-
-# ---------------------------------------------------------------------------
-# Wing polygons
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class FeasibleSet:
-    """Two convex wings of ordered posterior pairs, meeting at (prior, prior)."""
-
-    left: np.ndarray  # natural wing vertices, CCW
-    right: np.ndarray  # perverse wing vertices, CCW
-    curves: dict[str, BoundaryCurve]  # the traced arcs the wings are cut from
-
-
-def _wing(origin: tuple[float, float], into: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The convex polygon closed by the origin and two arcs meeting at a corner.
-
-    Both arcs end at the uninformative point, up to rounding, so points within
-    ``TOL`` of the origin are snapped onto it before repeated and collinear
-    vertices are dropped; an ulp-off copy would otherwise make the origin look
-    collinear with its neighbours and cut the corner. The polygon runs
-    counter-clockwise and starts at its lexicographically smallest vertex.
-    A wing with fewer than three vertices left is returned as its sorted
-    distinct points.
-    """
-    pts = np.vstack([origin, into, out])
-    pts[np.abs(pts - origin).max(axis=1) <= TOL] = origin
-    pts = pts[(pts != np.roll(pts, 1, axis=0)).any(axis=1)]
-    u = pts - np.roll(pts, 1, axis=0)
-    v = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
-    corners = pts[np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]) > 1e-15]
-    if len(corners) < 3:
-        return np.unique(pts, axis=0)
-    x, y = corners.T
-    if np.dot(x, np.roll(y, -1)) < np.dot(y, np.roll(x, -1)):  # negative shoelace area
-        corners = corners[::-1]
-    return np.roll(corners, -int(np.lexsort((corners[:, 1], corners[:, 0]))[0]), axis=0)
-
-
-def wing_polygons(sigma, prior: float, n_points: int = 256) -> FeasibleSet:
-    """The two wings, each bounded by the two family arcs through its corner.
-
-    X = I induces one off-diagonal corner of the square: family X4 ends
-    there (p = 1) and X1 starts there (p = 0). The column swap induces the
-    other, where X2 ends and X3 starts. Each wing is the origin, the arc into
-    its corner and the arc out of it, sampled at ``n_points`` parameters, so
-    every vertex is a point of :func:`boundary_curves`; the traced arcs are
-    kept as ``curves``. Zero-mass signals sit at their limits along the
-    families (see :func:`pairs_along_family`), so with sigma = I the natural
-    wing is the whole rectangle [0, pi] x [pi, 1].
-    The X = I corner belongs to the natural wing (q1 <= q2) when its first
-    posterior is the lower one.
-    """
-    a = _require_full_rank(sigma)
-    _require_interior_prior(prior)
-    curves = _curves(a, prior, n_points)
-    origin = (prior, prior)
-    identity = _wing(origin, curves["X4"].points, curves["X1"].points)
-    swap = _wing(origin, curves["X2"].points, curves["X3"].points)
-    q1, q2 = posterior_pair(a, prior)
-    left, right = (identity, swap) if q1 <= q2 else (swap, identity)
-    return FeasibleSet(left=left, right=right, curves=curves)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,9 @@ Conventions used throughout the library:
   (the weights of an ordered posterior pair) and ``_composite`` (a signal's
   likelihoods from its posterior and weight, the inverse of ``_bayes``).
   ``_bayes`` clamps each posterior into [0, 1] and gives a signal of mass
-  at most ``TOL`` the prior, and each caller keeps one of three policies
-  for such a signal: the prior (``posterior_pair``, ``vertex_profiles``),
-  drop (``induced_tau``) or the limit along the experiment family
-  (``pairs_along_family``).
+  at most ``TOL`` the prior, and each caller keeps one of two policies
+  for such a signal: the prior (``posterior_pair``, ``vertex_profiles``) or
+  drop (``induced_tau``).
 * Every distribution built from atoms goes through one rules kernel,
   ``_belief_rows`` (drop, sort, merge), and one check, ``_checked_atoms``.
   Both work on batches of rows, and a batch pays only for the rules that

@@ -19,6 +19,12 @@ UNRANKED_PAIR = (
     np.array([[4 / 5, 1 / 2], [1 / 5, 1 / 2]]),
 )
 
+# the edge of the two-signal parallelogram each experiment family runs
+# along, as (vertex row at parameter 0, vertex row at 1), row 2 i + j for
+# X = (e_i, e_j): X1 and X2 pin the state-1 column x0 to e_0 and e_1, X3
+# and X4 pin x1
+FAMILY_EDGES = {"X1": (1, 0), "X2": (3, 2), "X3": (2, 0), "X4": (3, 1)}
+
 # the source tree the tests import, handed to fresh interpreters
 SRC = str(Path(mediated_persuasion.__file__).resolve().parent.parent)
 

@@ -13,22 +13,21 @@ import mediated_persuasion
 from mediated_persuasion import check_equilibrium, load_scenario, vertex_profiles
 from mediated_persuasion.cli import main
 
-from conftest import SRC, run_fresh
+from conftest import FAMILY_EDGES, SRC, run_fresh
 
 FIXTURES = Path(mediated_persuasion.__file__).parent / "fixtures"
 
 
 def test_feasible_kg_prints_closed_rectangle_without_negative_zero(capsys):
     # kg's garbling is the identity, so the wings are the closed Bayes
-    # rectangles on either side of the diagonal
-    assert main(["feasible", str(FIXTURES / "kg.json"), "--points", "32"]) == 0
+    # rectangles on either side of the diagonal, with corners at the babbling
+    # rows, full revelation (row 1) and its swap (row 2)
+    assert main(["feasible", str(FIXTURES / "kg.json")]) == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
-    vertices = {
-        name: {(float(r[2]), float(r[3])) for r in rows if r[0] == name}
-        for name in ("vertex_left", "vertex_right")
-    }
-    assert vertices["vertex_left"] == {(0.0, 0.3), (0.3, 0.3), (0.3, 1.0), (0.0, 1.0)}
-    assert vertices["vertex_right"] == {(0.3, 0.0), (1.0, 0.0), (1.0, 0.3), (0.3, 0.3)}
+    assert [r[:2] for r in rows] == [["vertex", ""]] * 4
+    assert [tuple(float(c) for c in r[2:]) for r in rows] == [
+        (0.3, 0.3, 1.0, 0.0), (0.0, 1.0, 0.7, 0.3), (1.0, 0.0, 0.3, 0.7), (0.3, 0.3, 0.0, 1.0)
+    ]
     assert not any(cell.startswith("-0") for r in rows for cell in r[2:])
 
 
@@ -82,7 +81,7 @@ def test_exit_schema_on_numbers_a_float_cannot_hold(tmp_path, capsys, changes, m
 
 
 def test_exit_ok_on_feasible(capsys):
-    assert main(["feasible", str(FIXTURES / "kg.json"), "--points", "8"]) == 0
+    assert main(["feasible", str(FIXTURES / "kg.json")]) == 0
 
 
 def test_exit_schema_on_unknown_top_level_key(tmp_path, capsys):
@@ -101,9 +100,16 @@ def test_exit_schema_on_feasible_at_a_degenerate_prior(sigma, tmp_path, capsys):
 
 
 def test_exit_singular_on_rank_deficient_garbling(tmp_path, capsys):
-    path = write_scenario(tmp_path, sigma=[["1/2", "1/2"], ["1/2", "1/2"]])
-    assert main(["feasible", path]) == 3
-    assert "rank-deficient" in capsys.readouterr().err
+    # one rank check for every number of signals: profile_member_many would
+    # reject the vertex rows of a rank-deficient 3x3 as well
+    singular = [
+        ([["1/2", "1/2"], ["1/2", "1/2"]], "rank 1 < 2"),
+        ([["1/2", "1/2", 0], ["1/2", "1/2", 0], [0, 0, 1]], "rank 2 < 3"),
+    ]
+    for sigma, rank in singular:
+        assert main(["feasible", write_scenario(tmp_path, sigma=sigma)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"rank-deficient garbling: {rank}" in captured.err
 
 
 def test_exit_refuted_on_failed_check(capsys):
@@ -276,7 +282,6 @@ def test_feasible_csv_file_holds_the_bytes_printed(tmp_path, capsysbinary):
         (["solve", KG, "--mode", "mediator-br", "--x", "1e400,0;0,1"], "bad --x matrix"),
         (["order", "--a", "identity", "--b", "2,0;-1,1"], "bad --b matrix"),
         (["order", "--a", "1,0,0;0,1,0;0,0,1", "--b", "identity"], "Blackwell order needs two-state structures"),
-        (["feasible", KG, "--points", "1"], "--points 1 must be at least 2"),
         (["feasible", KG, "--out", "{tmp}/missing/x.csv"], "cannot write --out"),
         (["solve", KG, "--mode", "bp", "--out", "{tmp}"], "cannot write --out"),
         (["solve", KG, "--mode", "mediator-br", "--x", "1,0;0"], "ragged matrix"),
@@ -295,7 +300,6 @@ def test_feasible_csv_file_holds_the_bytes_printed(tmp_path, capsysbinary):
         "mediator-br-x-too-large-for-a-float",
         "order-non-stochastic-b",
         "order-three-states",
-        "feasible-one-point",
         "feasible-out-in-a-missing-directory",
         "solve-out-is-a-directory",
         "mediator-br-ragged-x",
@@ -319,27 +323,36 @@ def test_exit_schema_on_bad_command_line_input(argv, message, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "value", ["0", "-0.1"], ids=["feasible-zero-resolution", "feasible-negative-resolution"]
+    "flag, value",
+    [("--resolution", "0"), ("--resolution", "-0.1"), ("--points", "1"), ("--points", "32")],
+    ids=["feasible-zero-resolution", "feasible-negative-resolution", "feasible-one-point", "feasible-32-points"],
 )
-def test_feasible_resolution_flag_is_gone(value, capsys):
-    # the m-signal export is the exact vertex rows, so the sampling step
-    # that --resolution set has no meaning: argparse rejects the flag
-    # (exit 2) whatever its value, once out of range as before
+def test_feasible_sampling_flags_are_gone(flag, value, capsys):
+    # the export is the exact vertex rows, so neither the sampling step
+    # that --resolution set for m signals nor the parameters per boundary
+    # curve that --points set for two have a meaning: argparse rejects
+    # either flag (exit 2) whatever its value
     with pytest.raises(SystemExit) as exc:
-        main(["feasible", FIG18, "--resolution", value])
+        main(["feasible", KG if flag == "--points" else FIG18, flag, value])
     assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert f"unrecognized arguments: --resolution {value}" in captured.err
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
     assert captured.out == ""
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_feasible_m_signals_prints_the_vertex_rows(fmt, capsys):
-    assert main(["feasible", FIG18, "--format", fmt]) == 0
+@pytest.mark.parametrize("name", ["kg", "fig14", "fig18", "fig19", "fig20", "fig22"])
+def test_feasible_prints_the_vertex_rows(name, fmt, capsys):
+    # every garbling size takes the one exact export: m^2 rows of m beliefs
+    # and m probabilities, printed as vertex_profiles computes them
+    path = str(FIXTURES / f"{name}.json")
+    assert main(["feasible", path, "--format", fmt]) == 0
     out = capsys.readouterr().out
     rows = json.loads(out)["rows"] if fmt == "json" else _csv_cells(out)[1:]
-    assert len(rows) == 9 and all(r[:2] == ["vertex", ""] and len(r) == 8 for r in rows)
-    posteriors, probs = vertex_profiles(load_scenario(FIG18).sigma, 0.3)
+    scenario = load_scenario(path)
+    m = len(scenario.sigma)
+    assert len(rows) == m * m and all(r[:2] == ["vertex", ""] and len(r) == 2 + 2 * m for r in rows)
+    posteriors, probs = vertex_profiles(scenario.sigma, scenario.prior)
     assert [r[2:] for r in rows] == np.hstack([posteriors, probs]).tolist()
 
 
@@ -382,37 +395,42 @@ def _csv_cells(text):
     return [[cell(c) for c in row] for row in csv.reader(io.StringIO(text))]
 
 
-@pytest.mark.parametrize(
-    "name, flags",
-    [(name, ["--points", "32"]) for name in ("kg", "fig14", "fig19", "fig20", "fig22")]
-    + [("fig18", [])],
-    ids=["kg", "fig14", "fig19", "fig20", "fig22", "fig18"],
-)
-def test_feasible_matches_golden_output(name, flags, capsys):
+@pytest.mark.parametrize("name", ["kg", "fig14", "fig19", "fig20", "fig22", "fig18"])
+def test_feasible_matches_golden_output(name, capsys):
     # feasible CSV recorded before every Bayes update went through info._bayes;
-    # the vertex rows of fig14, fig19, fig20 and fig22 were re-recorded when
-    # the wings became their two boundary arcs; fig18's file was re-recorded
-    # when its sampled cloud gave way to the nine vertex rows
-    assert main(["feasible", str(FIXTURES / f"{name}.json"), *flags]) == 0
+    # fig18's file was re-recorded when its sampled cloud gave way to the nine
+    # vertex rows, the others when the 2x2 export did the same with four (the
+    # sampled export is kept as arcs_<name>.csv)
+    assert main(["feasible", str(FIXTURES / f"{name}.json")]) == 0
     got = _csv_cells(capsys.readouterr().out)
     want = _csv_cells((GOLDEN / f"feasible_{name}.csv").read_text())
     assert_same_report(got, want)
 
 
-@pytest.mark.parametrize("points", [2, 3, 32, 100])
+@pytest.mark.parametrize("family", sorted(FAMILY_EDGES))
 @pytest.mark.parametrize("name", ["kg", "fig14", "fig19", "fig20", "fig22"])
-def test_feasible_wing_vertices_are_family_points(name, points, capsys):
-    assert main(["feasible", str(FIXTURES / f"{name}.json"), "--points", str(points)]) == 0
-    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
-    family = {(r[2], r[3]) for r in rows if r[0].startswith("X")}
-    assert len(family) <= 4 * points
-    prior = load_scenario(str(FIXTURES / f"{name}.json")).prior
-    for wing in ("vertex_left", "vertex_right"):
-        vertices = [(r[2], r[3]) for r in rows if r[0] == wing]
-        assert 0 < len(vertices) <= 2 * points
-        assert any(float(b1) == float(b2) == prior for b1, b2 in vertices)
-        for b1, b2 in vertices:
-            assert (b1, b2) in family or float(b1) == float(b2) == prior
+def test_sampled_arcs_lie_on_the_parallelogram_edges(name, family):
+    # arcs_<name>.csv is the 2x2 export before it became the vertex rows:
+    # the families X1 to X4 at 32 parameters p, then the wing vertices. In
+    # (prob, prob x belief) coordinates each family row away from the
+    # uninformative point, whose probs that export split evenly, lies on its
+    # edge of the vertex rows' parallelogram, at its own p up to the 10
+    # digits printed
+    scenario = load_scenario(str(FIXTURES / f"{name}.json"))
+    posteriors, probs = vertex_profiles(scenario.sigma, scenario.prior)
+    start, end = np.hstack([probs, probs * posteriors])[list(FAMILY_EDGES[family])]
+    rows = [r for r in _csv_cells((GOLDEN / f"arcs_{name}.csv").read_text())[1:] if r[0] == family]
+    assert len(rows) == 32
+    on_edge = 0
+    for _, p, b1, b2, prob1, prob2 in rows:
+        if abs(b2 - b1) <= 1e-12:
+            continue
+        point = np.array([prob1, prob2, prob1 * b1, prob2 * b2])
+        t = (point - start) @ (end - start) / ((end - start) @ (end - start))
+        assert np.abs(start + t * (end - start) - point).max() <= 1e-12
+        assert abs(t - p) <= 1e-10
+        on_edge += 1
+    assert on_edge >= 31
 
 
 # Runs one command line through cli.main in a fresh interpreter and reports
@@ -447,7 +465,7 @@ FIG22_PROFILE = ["--x", "identity", "--sigma", "6/7,3/7;1/7,4/7"]
         ["solve", FIG22, "--mode", "sender-br"],
         ["solve", FIG22, "--mode", "mediator-br", "--x", "identity"],
         ["solve", FIG22, "--mode", "compare", *FIG22_PROFILE],
-        ["feasible", FIG19, "--points", "32"],
+        ["feasible", FIG19],
         ["feasible", FIG18],
         ["order", "--a", "1/2,0;1/2,0;0,1", "--b", "1,0;0,1"],
     ],
@@ -494,13 +512,17 @@ def test_mp_threads_sizes_numpy_pools_on_package_import():
 
 @pytest.mark.parametrize(
     "argv",
-    [["solve", str(FIXTURES / "kg.json"), "--mode", "search"], ["feasible", str(FIXTURES / "fig19.json"), "--format", "json"]],
+    [["solve", str(FIXTURES / "kg.json"), "--mode", "search"], ["feasible", "{large}", "--format", "json"]],
     ids=["search", "feasible-json"],
 )
 def test_closed_stdout_ends_quietly_after_writing_the_out_file(argv, tmp_path):
     # the reader closes its end before anything is written: the report still
     # reaches --out, and the CLI exits 1 without a traceback, for a short
-    # report (search) and one larger than a pipe's buffer (feasible)
+    # report (search) and one larger than a pipe's buffer (feasible). "{large}"
+    # is a seeded 12x12 garbling, whose 144 vertex rows exceed 64 KiB
+    if "{large}" in argv:
+        sigma = np.random.default_rng(0).dirichlet(np.ones(12), size=12).T
+        argv = [a.replace("{large}", write_scenario(tmp_path, sigma=sigma.tolist())) for a in argv]
     out = tmp_path / "report.json"
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -514,4 +536,7 @@ def test_closed_stdout_ends_quietly_after_writing_the_out_file(argv, tmp_path):
         os.close(write_end)
     assert "Traceback" not in proc.stderr, proc.stderr
     assert proc.returncode == 1
-    assert json.loads(out.read_text())["spec_version"] == "1"
+    report = json.loads(out.read_text())
+    assert report["spec_version"] == "1"
+    if argv[0] == "feasible":
+        assert len(report["rows"]) == 144 and out.stat().st_size > 64 * 1024

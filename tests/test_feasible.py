@@ -15,7 +15,6 @@ from mediated_persuasion import (
     NonFiniteEntry,
     NotSigmaPlausible,
     SingularGarbling,
-    boundary_curves,
     companion_slices,
     compose,
     garbling_rank,
@@ -27,16 +26,14 @@ from mediated_persuasion import (
     reconstruct_experiment,
     symmetry_report,
     vertex_profiles,
-    wing_polygons,
 )
 from mediated_persuasion.feasible import UNINFORMATIVE_X
 from mediated_persuasion.info import TOL, _as_array, _bayes, _composite, _pair_weights
 
-from conftest import RANKED_PAIR, UNRANKED_PAIR, brute_force_pairs, random_experiment, random_garbling
+from conftest import FAMILY_EDGES, RANKED_PAIR, UNRANKED_PAIR, brute_force_pairs, random_experiment, random_garbling
 
 SIGMA_STAR = np.array([[6 / 7, 3 / 7], [1 / 7, 4 / 7]])
 SIGMA_BUTTERFLY = np.array([[2 / 3, 1 / 4], [1 / 3, 3 / 4]])
-SIGMA_TRACE = np.array([[1 / 3, 1 / 7], [2 / 3, 6 / 7]])
 SIGMA3 = np.array([[1 / 3, 1 / 9, 2 / 3], [1 / 3, 4 / 9, 1 / 3], [1 / 3, 4 / 9, 0]])
 
 
@@ -47,25 +44,27 @@ def member_either_order(sigma, prior, lows, highs):
     )
 
 
-def polygon_area(vertices):
-    if len(vertices) < 3:
-        return 0.0
-    x, y = vertices[:, 0], vertices[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def edge_pairs(sigma, prior, ts):
+    """Ordered posterior pairs, shaped (len(ts), 2), along each edge of the
+    two-signal parallelogram, keyed by family: on the edge from vertex row
+    2 i + j to row 2 k + l, X = (1 - t) (e_i, e_j) + t (e_k, e_l)."""
+    e, ts = np.eye(2), np.asarray(ts, dtype=float)
+    pairs = {}
+    for family, (start, end) in FAMILY_EDGES.items():
+        (i, j), (k, l) = divmod(start, 2), divmod(end, 2)
+        x0, x1 = (np.outer(e[a], 1.0 - ts) + np.outer(e[b], ts) for a, b in ((i, k), (j, l)))
+        pairs[family] = _bayes(sigma @ x0, sigma @ x1, prior)[1].T
+    return pairs
 
 
-def point_to_polygon_distance(point, vertices):
-    """Distance from a point to the polygon boundary (edges)."""
+def distance_to_arcs(point, arcs):
+    """Distance from a point to the polylines through the rows of each (n, 2)
+    array of ``arcs``."""
     p = np.asarray(point, dtype=float)
-    if len(vertices) == 1:
-        return float(np.hypot(*(p - vertices[0])))
-    v0 = vertices
-    v1 = np.roll(vertices, -1, axis=0)
-    d = v1 - v0
-    denom = np.maximum((d * d).sum(axis=1), 1e-300)
-    t = np.clip(((p - v0) * d).sum(axis=1) / denom, 0.0, 1.0)
-    proj = v0 + t[:, None] * d
-    return float(np.sqrt(((proj - p) ** 2).sum(axis=1)).min())
+    v0 = np.vstack([arc[:-1] for arc in arcs])
+    d = np.vstack([arc[1:] for arc in arcs]) - v0
+    t = np.clip(((p - v0) * d).sum(axis=1) / np.maximum((d * d).sum(axis=1), 1e-300), 0.0, 1.0)
+    return float(np.hypot(*(v0 + t[:, None] * d - p).T).min())
 
 
 def attained_beliefs(posteriors, probs, min_prob=TOL):
@@ -76,64 +75,6 @@ def attained_beliefs(posteriors, probs, min_prob=TOL):
 def pair_tau(lo, hi, prior):
     p_hi = (prior - lo) / (hi - lo)
     return BeliefDistribution.from_atoms([(lo, 1.0 - p_hi), (hi, p_hi)], prior)
-
-
-class TestBoundaryCurves:
-    def test_identity_fully_revealing_endpoint(self):
-        curves = boundary_curves(np.eye(2), 0.4, 33)
-        q1, q2 = curves["X1"].points[0]  # p = 0 pins the revealing experiment
-        assert (q1, q2) == pytest.approx((0.0, 1.0), abs=1e-12)
-
-    def test_endpoints_match_direct_evaluation(self):
-        curves = boundary_curves(SIGMA_TRACE, 0.5, 65)
-        x1_0 = np.array([[1.0, 0.0], [0.0, 1.0]])
-        x1_1 = np.array([[1.0, 1.0], [0.0, 0.0]])
-        assert_allclose(
-            curves["X1"].points[0], posterior_pair(SIGMA_TRACE @ x1_0, 0.5), atol=1e-12
-        )
-        assert_allclose(
-            curves["X1"].points[-1], posterior_pair(SIGMA_TRACE @ x1_1, 0.5), atol=1e-12
-        )
-
-    def test_family_x4_at_one_is_identity(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            sigma = random_garbling(rng)
-            prior = rng.uniform(0.1, 0.9)
-            curves = boundary_curves(sigma, prior, 17)
-            assert_allclose(
-                curves["X4"].points[-1], posterior_pair(sigma, prior), atol=1e-12
-            )
-
-    def test_zero_mass_signal_takes_family_limit(self):
-        # sigma = I: the family endpoints where one signal has zero mass lie on
-        # the closed rectangle's corners, not at (prior, prior)
-        curves = boundary_curves(np.eye(2), 0.3, 5)
-        assert tuple(curves["X1"].points[-1]) == (0.3, 1.0)
-        assert tuple(curves["X2"].points[0]) == (1.0, 0.3)
-        assert tuple(curves["X3"].points[-1]) == (0.3, 0.0)
-        assert tuple(curves["X4"].points[0]) == (0.0, 0.3)
-        assert not np.signbit(curves["X3"].points).any()
-        # a single structure keeps the prior for its zero-mass signal
-        assert posterior_pair([[1.0, 1.0], [0.0, 0.0]], 0.3) == (0.3, 0.3)
-
-    def test_parameters_strictly_increasing(self):
-        curves = boundary_curves(SIGMA_BUTTERFLY, 0.3, 64)
-        for c in curves.values():
-            assert np.all(np.diff(c.params) > 0)
-
-    def test_every_sample_passes_membership(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            sigma = random_garbling(rng)
-            prior = rng.uniform(0.15, 0.85)
-            for c in boundary_curves(sigma, prior, 64).values():
-                # in the order traced: signal 1's belief first
-                assert ordered_member_many(sigma, prior, c.points[:, 0], c.points[:, 1]).all()
-
-    def test_singular_garbling_rejected(self):
-        with pytest.raises(SingularGarbling):
-            boundary_curves([[0.5, 0.5], [0.5, 0.5]], 0.3)
 
 
 class TestReconstruction:
@@ -193,11 +134,9 @@ def test_membership_entries_reject_a_degenerate_prior(prior):
         ordered_member_many(np.eye(2), prior, [0.0], [1.0])
     with pytest.raises(DegeneratePrior):
         profile_member_many(SIGMA3, prior, *vertex_profiles(SIGMA3, 0.5))
-    # every arc of the two-signal set collapses to the prior, and no profile spreads
+    # every vertex profile collapses to the prior, with two signals or three
     with pytest.raises(DegeneratePrior):
-        boundary_curves(np.eye(2), prior, 8)
-    with pytest.raises(DegeneratePrior):
-        wing_polygons(np.eye(2), prior, 8)
+        vertex_profiles(np.eye(2), prior)
     with pytest.raises(DegeneratePrior):
         vertex_profiles(SIGMA3, prior)
     with pytest.raises(DegeneratePrior):
@@ -208,7 +147,6 @@ def test_membership_entries_reject_a_degenerate_prior(prior):
 
 FEASIBLE_ENTRIES = {
     "ordered_member_many": lambda s: ordered_member_many(s, 0.5, [0.2], [0.8]),
-    "boundary_curves": lambda s: boundary_curves(s, 0.5, 8),
     "companion_slices": lambda s: companion_slices(s, 0.5, [(0.2, True), (0.8, False)]),
     "symmetry_report": lambda s: symmetry_report(s, 0.5),
     "profile_member_many": lambda s: profile_member_many(s, 0.5, [[0.2, 0.8]], [[0.5, 0.5]]),
@@ -216,7 +154,6 @@ FEASIBLE_ENTRIES = {
     "reconstruct_experiment": lambda s: reconstruct_experiment(s, 0.5, pair_tau(0.4, 0.6, 0.5)),
     "nesting_report-first": lambda s: nesting_report(s, SIGMA_STAR, 0.5),
     "nesting_report-second": lambda s: nesting_report(SIGMA_STAR, s, 0.5),
-    "wing_polygons": lambda s: wing_polygons(s, 0.5, 8),
 }
 BAD_GARBLINGS = {
     "column-sums-to-1.4": ([[0.9, 0.2], [0.5, 0.8]], ColumnSumMismatch),
@@ -279,16 +216,13 @@ class TestMembership:
             sigma = random_garbling(rng, lo=0.15, hi=0.85, min_det=0.1)
             prior = rng.uniform(0.25, 0.75)
             cloud = np.sort(brute_force_pairs(sigma, prior, step=0.01), axis=1)
-            fs = wing_polygons(sigma, prior, 256)
+            arcs = list(edge_pairs(sigma, prior, np.linspace(0.0, 1.0, 256)).values())
             test_pts = np.sort(
                 np.column_stack([rng.uniform(0, 1, 300), rng.uniform(0, 1, 300)]),
                 axis=1,
             )
             for lo, hi in test_pts:
-                d_edge = min(
-                    point_to_polygon_distance((lo, hi), fs.left),
-                    point_to_polygon_distance((hi, lo), fs.right),
-                )
+                d_edge = min(distance_to_arcs((lo, hi), arcs), distance_to_arcs((hi, lo), arcs))
                 if d_edge <= 0.02:
                     continue
                 exact = bool(member_either_order(sigma, prior, [lo], [hi])[0]) and (
@@ -302,75 +236,70 @@ class TestMembership:
                 assert exact == near_cloud, (sigma, prior, (lo, hi))
 
 
-class TestWingPolygons:
-    def test_identity_garbling_gives_bayes_rectangle(self):
-        fs = wing_polygons(np.eye(2), 0.3, 64)
-        corners = {(round(a, 6), round(b, 6)) for a, b in fs.left}
-        assert {(0.0, 0.3), (0.0, 1.0), (0.3, 1.0), (0.3, 0.3)} <= corners
-        corners = {(round(a, 6), round(b, 6)) for a, b in fs.right}
-        assert {(0.3, 0.0), (1.0, 0.0), (1.0, 0.3), (0.3, 0.3)} <= corners
-        # the natural wing moves the first belief down, the perverse one up
-        assert (fs.left[:, 0] <= fs.left[:, 1] + 1e-12).all()
-        assert (fs.right[:, 0] >= fs.right[:, 1] - 1e-12).all()
+class TestTwoSignalVertexRows:
+    def test_butterfly_swap_row_is_the_perverse_tip(self):
+        # the column swap induces (8/15, 4/25): the first signal moves the
+        # belief up, so this corner of the parallelogram tips the perverse wing
+        posteriors, probs = vertex_profiles(SIGMA_BUTTERFLY, 0.3)
+        assert np.abs(posteriors[2] - [8 / 15, 4 / 25]).max() <= 1e-15
+        assert np.abs(probs[2] - [3 / 8, 5 / 8]).max() <= 1e-15
 
-    def test_butterfly_vertices_contain_perverse_tip(self):
-        fs = wing_polygons(SIGMA_BUTTERFLY, 0.3, 256)
-        verts = np.vstack([fs.left, fs.right])
-        sorted_verts = np.sort(verts, axis=1)
-        target = np.array([0.16, 0.53333333])
-        assert np.abs(sorted_verts - target).max(axis=1).min() < 1e-3
-
-    def test_wings_convex_and_contain_origin(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            sigma = random_garbling(rng)
-            prior = rng.uniform(0.2, 0.8)
-            fs = wing_polygons(sigma, prior, 128)
-            origin = np.array([prior, prior])
-            for wing in (fs.left, fs.right):
-                if len(wing) < 3:
-                    continue
-                # convexity: all cross products one sign (CCW)
-                v = np.roll(wing, -1, axis=0) - wing
-                w = np.roll(wing, -2, axis=0) - np.roll(wing, -1, axis=0)
-                cross = v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]
-                assert (cross >= -1e-9).all()
-                assert np.abs(wing - origin).max(axis=1).min() < 5e-3
-
-    def test_origin_is_a_vertex_of_both_wings(self):
-        # both arcs of a wing end at the uninformative point only up to
-        # rounding; fig20's garbling once lost that vertex at 32 points
-        rng = np.random.default_rng(8)
-        cases = [(np.array([[0.01, 0.5], [0.99, 0.5]]), 0.3)]
-        cases += [(random_garbling(rng), rng.uniform(0.1, 0.9)) for _ in range(50)]
+    def test_edge_points_are_members(self):
+        # every sampled point of each edge, in the order X induces it; the
+        # ends of the edges are the vertex rows
+        rng = np.random.default_rng(2)
+        cases = [(SIGMA_BUTTERFLY, 0.3)] + [(random_garbling(rng), rng.uniform(0.15, 0.85)) for _ in range(20)]
         for sigma, prior in cases:
-            for n in (3, 32, 256):
-                fs = wing_polygons(sigma, prior, n)
-                for wing in (fs.left, fs.right):
-                    assert ((wing[:, 0] == prior) & (wing[:, 1] == prior)).any()
-                    assert len(wing) <= 2 * n - 2
+            for q1, q2 in (pairs.T for pairs in edge_pairs(sigma, prior, np.linspace(0.0, 1.0, 64)).values()):
+                assert ordered_member_many(sigma, prior, q1, q2).all()
 
-    def test_all_vertices_pass_membership(self):
-        fs = wing_polygons(SIGMA_BUTTERFLY, 0.3, 128)
-        for q1, q2 in np.vstack([fs.left, fs.right]):
-            lo, hi = min(q1, q2), max(q1, q2)
-            assert member_either_order(SIGMA_BUTTERFLY, 0.3, [lo], [hi])[0]
+    def test_edges_run_along_their_hyperbolas(self):
+        # pinning x0 = e_i (X1, X2) puts the pairs on
+        # q1 q2 - (pi + (1 - pi) k) q1 - (pi + (1 - pi)(1 - k)) q2 + pi = 0 with
+        # k = sigma_0i, and pinning x1 = e_j (X3, X4) puts them on
+        # q1 q2 - pi (1 - k) q1 - pi k q2 = 0 with k = sigma_0j
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            sigma, pi = random_garbling(rng), rng.uniform(0.05, 0.95)
+            for family, pairs in edge_pairs(sigma, pi, np.linspace(0.0, 1.0, 33)).items():
+                q1, q2 = pairs.T
+                i, j = divmod(FAMILY_EDGES[family][0], 2)
+                if family in ("X1", "X2"):
+                    k = sigma[0, i]
+                    residual = q1 * q2 - (pi + (1 - pi) * k) * q1 - (pi + (1 - pi) * (1 - k)) * q2 + pi
+                else:
+                    k = sigma[0, j]
+                    residual = q1 * q2 - pi * (1 - k) * q1 - pi * k * q2
+                assert np.abs(residual).max() <= 1e-15, (sigma, pi, family)
 
-    def test_near_singular_wings_collapse(self):
+    @pytest.mark.parametrize("prior", [0.3, 0.5, 0.7])
+    def test_identity_rows_are_the_bayes_rectangle_corners(self, prior):
+        # sigma = I: the babbling rows sit at the prior with all mass on one
+        # signal, full revelation (row 1) sends the state-1 signal to belief
+        # 0, and the swap (row 2) puts the beliefs the other way round
+        posteriors, probs = vertex_profiles(np.eye(2), prior)
+        want_posteriors = [[prior, prior], [0.0, 1.0], [1.0, 0.0], [prior, prior]]
+        want_probs = [[1.0, 0.0], [1.0 - prior, prior], [prior, 1.0 - prior], [0.0, 1.0]]
+        assert np.abs(posteriors - want_posteriors).max() <= 1e-15
+        assert np.abs(probs - want_probs).max() <= 1e-15
+
+    def test_babbling_rows_sit_at_the_prior(self):
+        # rows 0 and 3 send every state to one signal: both corners of the
+        # parallelogram on its babbling diagonal are the uninformative point,
+        # with sigma's columns as masses (each up to the ulp that _bayes's
+        # (1 - prior) c + prior c leaves)
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            sigma, prior = random_garbling(rng), rng.uniform(0.05, 0.95)
+            posteriors, probs = vertex_profiles(sigma, prior)
+            assert np.abs(posteriors[[0, 3]] - prior).max() <= 1e-15, (sigma, prior)
+            assert np.abs(probs[[0, 3]] - sigma.T).max() <= 1e-15, (sigma, prior)
+
+    def test_near_singular_vertex_rows_collapse(self):
         eps = 1e-4
         sigma = np.array([[0.5 + eps, 0.5 - eps], [0.5 - eps, 0.5 + eps]])
-        fs = wing_polygons(sigma, 0.4, 64)
-        assert polygon_area(fs.left) < 1e-3
-        assert np.abs(np.vstack([fs.left, fs.right]) - 0.4).max() < 0.01
-
-    def test_bayes_plausibility_of_vertices(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            sigma = random_garbling(rng)
-            prior = rng.uniform(0.2, 0.8)
-            fs = wing_polygons(sigma, prior, 64)
-            for q1, q2 in np.vstack([fs.left, fs.right]):
-                assert min(q1, q2) <= prior + 1e-9 <= max(q1, q2) + 2e-9
+        posteriors, _ = vertex_profiles(sigma, 0.4)
+        assert np.abs(posteriors - 0.4).max() < 0.01
 
     def test_midpoint_closure_within_wings(self):
         rng = np.random.default_rng(6)
@@ -536,14 +465,22 @@ class TestGeneralSampler:
         assert profile_member_many(SIGMA3, 0.3, posteriors, probs).all()
 
     def test_vertex_rows_follow_the_experiment_columns(self):
-        # row 3 i + j is sigma X with X's state-1 column e_i and state-2 column e_j
-        posteriors, probs = vertex_profiles(SIGMA3, 0.3)
-        for i, j in itertools.product(range(3), repeat=2):
-            x = np.eye(3)[:, [i, j]]
-            tau = induced_tau(SIGMA3 @ x, 0.3)
-            mass = probs[3 * i + j] > TOL
-            got = BeliefDistribution.from_atoms(zip(posteriors[3 * i + j][mass], probs[3 * i + j][mass]), 0.3)
-            assert got.allclose(tau, tol=1e-12)
+        # row m i + j is sigma X with X's state-1 column e_i and state-2
+        # column e_j. With two signals its posteriors are posterior_pair's,
+        # bit for bit: row 1 is X = I, row 2 the column swap, and a signal
+        # of zero mass (sigma = I's babbling rows) reads the prior in both
+        rng = np.random.default_rng(5)
+        for sigma in [SIGMA3, SIGMA_BUTTERFLY, np.eye(2)] + [random_garbling(rng) for _ in range(20)]:
+            m = len(sigma)
+            posteriors, probs = vertex_profiles(sigma, 0.3)
+            for i, j in itertools.product(range(m), repeat=2):
+                x = np.eye(m)[:, [i, j]]
+                tau = induced_tau(sigma @ x, 0.3)
+                mass = probs[m * i + j] > TOL
+                got = BeliefDistribution.from_atoms(zip(posteriors[m * i + j][mass], probs[m * i + j][mass]), 0.3)
+                assert got.allclose(tau, tol=1e-12)
+                if m == 2:
+                    assert tuple(posteriors[2 * i + j]) == posterior_pair(sigma @ x, 0.3)
 
     @pytest.mark.parametrize("step, member", [(-2e-6, False), (2e-6, True)], ids=["outward", "inward"])
     def test_nudged_vertex_row(self, step, member):
@@ -592,6 +529,31 @@ class TestGeneralSampler:
             assert np.abs(weights @ (vp * vq) - p * q).max() <= 1e-15
             assert profile_member_many(sigma, prior, q[None], p[None]).all()
             assert profile_member_many(sigma, prior, vq, vp).all()
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_vertex_rows_are_bayes_plausible(self, m):
+        # each row's masses sum to 1 and average its posteriors to the prior
+        rng = np.random.default_rng(43 + m)
+        for _ in range(200):
+            sigma, prior = random_square_garbling(rng, m), rng.uniform(0.05, 0.95)
+            posteriors, probs = vertex_profiles(sigma, prior)
+            assert posteriors.shape == probs.shape == (m * m, m)
+            assert ((posteriors >= 0.0) & (posteriors <= 1.0) & (probs >= 0.0)).all()
+            assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-15
+            assert np.abs((probs * posteriors).sum(axis=1) - prior).max() <= 1e-15, (sigma, prior)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_vertex_rows_form_parallelograms(self, m):
+        # in (mass, mass x posterior) coordinates row m i + j is a term in i
+        # plus a term in j: V[mi+j] + V[mk+l] = V[mi+l] + V[mk+j]. So the
+        # two-signal hull is the parallelogram of its four rows
+        rng = np.random.default_rng(31 + m)
+        for _ in range(200):
+            sigma, prior = random_square_garbling(rng, m), rng.uniform(0.05, 0.95)
+            posteriors, probs = vertex_profiles(sigma, prior)
+            v = np.hstack([probs, probs * posteriors]).reshape(m, m, 2 * m)  # v[i, j] is row m i + j
+            gap = v[:, :, None, None] + v[None, None] - v[:, None, None, :] - v.transpose(1, 0, 2)[None, :, :, None]
+            assert np.abs(gap).max() <= 1e-15, (sigma, prior)
 
     def test_two_signals_agree_with_ordered_membership(self):
         # 2,000 ordered pairs: each an induced pair stretched away from the

@@ -65,7 +65,6 @@ PUBLIC_NAMES = [
     "BestResponse",
     "BlackwellOrder",
     "BlackwellResult",
-    "BoundaryCurve",
     "ColumnSumMismatch",
     "ComparisonReport",
     "Concavification",
@@ -74,7 +73,6 @@ PUBLIC_NAMES = [
     "DimensionMismatch",
     "EmptyDomain",
     "EquilibriumCertificate",
-    "FeasibleSet",
     "GameSpec",
     "MpsResult",
     "NegativeEntry",
@@ -90,7 +88,6 @@ PUBLIC_NAMES = [
     "TooFewRealizations",
     "bayes_plausible_weights",
     "blackwell_compare",
-    "boundary_curves",
     "bp_solve",
     "check_equilibrium",
     "companion_slices",
@@ -116,7 +113,6 @@ PUBLIC_NAMES = [
     "symmetry_report",
     "validate_stochastic",
     "vertex_profiles",
-    "wing_polygons",
 ]
 
 
