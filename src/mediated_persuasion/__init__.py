@@ -64,7 +64,6 @@ from .feasible import (
     vertex_profiles,
 )
 from .solver import (
-    BenchmarkSolution,
     BestResponse,
     ComparisonReport,
     Deviation,

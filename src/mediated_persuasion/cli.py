@@ -177,8 +177,7 @@ def _require_game(scenario):
 
 
 def _outcome(res) -> dict:
-    """The induced distribution, value and attainment of a benchmark solution
-    or a best response."""
+    """The induced distribution, value and attainment of a best response."""
     return {"tau": _tau_list(res.tau), "value": res.value, "attained": res.attained}
 
 
@@ -196,7 +195,7 @@ def cmd_solve(args) -> int:
     mode, code = args.mode, EXIT_OK
     if mode == "bp":
         sol = bp_solve(game.u_sender, game.prior)
-        rep = {"x": _mat_list(sol.x), **_outcome(sol)}
+        rep = {"x": _mat_list(sol.strategy), **_outcome(sol)}
     elif mode == "sender-br":
         sigma = scenario.sigma
         if args.sigma:

@@ -292,6 +292,13 @@ def profile_member_many(sigma, prior: float, posteriors, probs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _on_signal_1(is_low: np.ndarray) -> np.ndarray:
+    """Per fixed belief, shaped (beliefs, 2), whether each of its two
+    orientations puts it on signal 1. The natural orientation, first, puts
+    the low belief there."""
+    return is_low[:, None] != [False, True]
+
+
 def companion_slices(
     sigma, prior: float, fixed_beliefs: list[tuple[float, bool]]
 ) -> list[tuple[float, bool, tuple[float, float]]]:
@@ -305,9 +312,10 @@ def companion_slices(
     prior contributes none. A belief within TOL of the prior gets the slice
     (prior, prior): any other companion would carry weight 0, so the pair
     would pay what babbling pays. Any other slice runs between the extreme
-    companions that the square test admits among the edge crossings of
-    :func:`_slice_ends` and the far end of the companion's range; an
-    orientation where it admits none contributes no entry.
+    companions that the square test admits among the two ends of
+    :func:`_slice_ends`, where the ray enters and leaves the square, and the
+    far end of the companion's range; an orientation where it admits none
+    contributes no entry.
     """
     a = _require_full_rank(sigma)
     _require_interior_prior(prior)
@@ -318,7 +326,7 @@ def companion_slices(
         fixed, is_low = (np.array(col) for col in zip(*far))
         end = np.broadcast_to(np.where(is_low, 1.0, 0.0)[:, None, None], (len(far), 2, 1))
         t, f = np.concatenate([_slice_ends(a[None], prior, fixed, is_low)[0], end], axis=-1), fixed[:, None, None]
-        on_signal_1 = (is_low[:, None] != [False, True])[..., None]  # the natural orientation puts the low belief there
+        on_signal_1 = _on_signal_1(is_low)[..., None]
         member = _square_test(a, prior, np.where(on_signal_1, f, t), np.where(on_signal_1, t, f))
         lo, hi = np.where(member, t, np.inf).min(axis=-1), np.where(member, t, -np.inf).max(axis=-1)
         for task, found, l, h in zip(far, member.any(axis=-1).tolist(), lo.tolist(), hi.tolist()):
@@ -327,32 +335,36 @@ def companion_slices(
 
 
 def _slice_ends(a: np.ndarray, prior: float, fixed: np.ndarray, is_low: np.ndarray) -> np.ndarray:
-    """Companions where the rays through fixed beliefs cross the edges of the
+    """Companions where the rays through fixed beliefs enter and leave the
     squares of a stack of garblings.
 
     ``a`` is (n, 2, 2), full rank; each fixed belief lies more than TOL from
-    the prior, on its side. Returns the companions shaped (n, beliefs, 2, 4):
-    per garbling and fixed belief, four crossings in the natural orientation
-    (low belief on signal 1), then four in the swapped one.
+    the prior, on its side. Returns the companions shaped (n, beliefs, 2, 2):
+    per garbling and fixed belief, the entry and the exit in the natural
+    orientation (low belief on signal 1, :func:`_on_signal_1`), then in the
+    swapped one.
 
     With belief f fixed on one signal, the companion t sets that signal's
     weight w = (t - pi) / (t - f), monotone in t, and its composite row w alpha
     with alpha = ((1 - f) / (1 - pi), f / pi) runs along a ray from the origin.
-    The ray crosses an edge of the square of the signal's garbling row (row 0
-    for signal 1, row 1 for signal 2), whose entries run from m to M, where
-    w alpha_k is m or M: four roots w, each mapped back by
-    t = (pi - f w) / (1 - w) and clipped into [0, 1] against rounding. A root
-    outside [0, w_end), w_end the weight at the far end of t's range, reads
-    as f, whose pair (f, f) is no member; the far end itself pairs f with 0
-    or 1. Which crossings lie on the square, and so end a slice, only the
-    square test decides.
+    The square of the signal's garbling row (row 0 for signal 1, row 1 for
+    signal 2), whose entries run from m to M, is convex, so the ray enters it
+    at w_in = max(m / alpha_0, m / alpha_1) and leaves it at
+    w_out = min(M / alpha_0, M / alpha_1), a ratio 0 / 0 of a zero entry of
+    alpha dropping out. Each end is mapped back by t = (pi - f w) / (1 - w)
+    and clipped into [0, 1] against rounding. An end outside [0, w_end),
+    w_end the weight at the far end of t's range, reads as f, whose pair
+    (f, f) is no member; the far end itself pairs f with 0 or 1. Whether an
+    end lies on the square, as when the ray misses it, only the square test
+    decides, so a slice of one point is found.
     """
     end = np.where(is_low, 1.0, 0.0)
-    edges = np.sort(a[:, np.where(is_low[:, None] != [False, True], 0, 1)], axis=-1)  # (n, beliefs, 2, (m, M))
+    edges = np.sort(a[:, np.where(_on_signal_1(is_low), 0, 1)], axis=-1)  # (n, beliefs, 2, (m, M))
     f = fixed[:, None, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha = np.stack(_composite(fixed, 1.0, prior), axis=-1)[:, None, None, :]
-        w = (edges[..., None] / alpha).reshape(*edges.shape[:-1], 4)
+        r = edges[..., None] / alpha  # (n, beliefs, 2, (m, M), (alpha_0, alpha_1))
+        w = np.stack([np.fmax(r[..., 0, 0], r[..., 0, 1]), np.fmin(r[..., 1, 0], r[..., 1, 1])], axis=-1)
         w_end = ((end - prior) / (end - fixed))[:, None, None]
         t = np.clip((prior - f * w) / (1.0 - w), 0.0, 1.0)
     return np.where((w >= 0.0) & (w < w_end), t, f)

@@ -15,10 +15,11 @@ Conventions used throughout the library:
   signal's mass and posterior from its state likelihoods), ``_pair_weights``
   (the weights of an ordered posterior pair) and ``_composite`` (a signal's
   likelihoods from its posterior and weight, the inverse of ``_bayes``).
-  ``_bayes`` clamps each posterior into [0, 1] and gives a signal of mass
-  at most ``TOL`` the prior, and each caller keeps one of two policies
-  for such a signal: the prior (``posterior_pair``, ``vertex_profiles``) or
-  drop (``induced_tau``).
+  ``_bayes`` clamps each posterior into [0, 1] and gives a signal with
+  equal likelihoods their value as its mass and the prior, exactly. It
+  gives a signal of mass at most ``TOL`` the prior, and each caller keeps
+  one of two policies for such a signal: the prior (``posterior_pair``,
+  ``vertex_profiles``) or drop (``induced_tau``).
 * Every distribution built from atoms goes through one rules kernel,
   ``_belief_rows`` (drop, sort, merge), and one check, ``_checked_atoms``.
   Both work on batches of rows, and a batch pays only for the rules that
@@ -91,13 +92,16 @@ def compose(sigma, x) -> np.ndarray:
 def _bayes(in_state0, in_state1, prior: float):
     """Mass and posterior of each signal from its state likelihoods, broadcast
     over arrays of at least one dimension; mass at most ``TOL`` gets the prior.
+    A signal whose two likelihoods are equal gets that likelihood as its mass
+    and the prior as its posterior, with no arithmetic to round them.
     A posterior is clamped into [0, 1]: an entry within ``TOL`` below 0, used
     as given, would put it just outside. Non-negative likelihoods give
     fl(prior * in_state1) <= p, so the clamp moves none of their posteriors."""
-    p = (1.0 - prior) * in_state0 + prior * in_state1
+    same = in_state0 == in_state1
+    p = np.where(same, in_state0, (1.0 - prior) * in_state0 + prior * in_state1)
     with np.errstate(invalid="ignore", divide="ignore"):
         q = np.minimum(np.maximum(prior * in_state1 / p, 0.0), 1.0)
-    q[p <= TOL] = prior
+    q[same | (p <= TOL)] = prior
     return p, q
 
 

@@ -422,13 +422,6 @@ class Concavification:
             hi_i += 1
         return float(xs[lo_i]), float(xs[hi_i])
 
-    def payoff(self, tau: BeliefDistribution) -> tuple[float, bool]:
-        """The envelope at the barycenter of ``tau``, read through ``tau`` on
-        hull vertices (a raised vertex counts its limit), and whether ``tau``
-        earns it. This is a batch of one for :func:`_payoffs`."""
-        values, attained = _payoffs([self], tau.beliefs[None], tau.probs[None])
-        return float(values[0]), bool(attained[0])
-
     @cached_property
     def coincident(self) -> tuple[tuple[float, float], ...]:
         """Closed intervals (points when degenerate) where the envelope meets
@@ -454,10 +447,12 @@ class Concavification:
 
 
 def _payoffs(concs: Sequence[Concavification], beliefs: np.ndarray, probs: np.ndarray):
-    """:meth:`Concavification.payoff` of the distribution in each row of the
-    (n, k) arrays ``beliefs`` and ``probs`` under ``concs[i]``, concavifications
-    of one utility: one ``eval_many`` and one stacked dot for the batch.
-    Returns the values and whether each distribution earns its value."""
+    """The envelope's payoff of the distribution in each row of the (n, k)
+    arrays ``beliefs`` and ``probs`` under ``concs[i]``, concavifications of
+    one utility, read through it on hull vertices (a raised vertex counts its
+    limit); the values of ``solver._mediator_batch`` and so of ``bp_solve``.
+    One ``eval_many`` and one stacked dot serve the batch. Returns the values
+    and whether each distribution earns its value."""
     vals = concs[0].utility.eval_many(beliefs)
     attained = np.ones(len(concs), dtype=bool)
     for i, conc in enumerate(concs):

@@ -6,15 +6,17 @@ fixed experiment. Both best responses are exact for piecewise-affine
 utilities and report the supremum, with whether their outcome attains it.
 On the garbling's square of composite rows the sender's expected utility is
 linear on each cell of a line arrangement, so its supremum is a limit at a
-vertex: babbling and the corners, breakpoint pairs, or feasible-slice ends.
-Through a breakpoint belief the feasible slice is a ray of composite rows
-cut by the square, so its ends are crossings of the ray with the square's
-edges, in closed form. The one square test that decides every candidate
-admits them, so a slice as narrow as a single point is found. The winner's
-experiment is built for the ordered pair the square test admitted, with no
-fallback. The mediator reads the linear span through the prior and its value
-from the ``Concavification`` of its interval, the same upper-hull object
-that ``bp_solve`` reads over all of [0, 1].
+vertex: babbling and the corners, breakpoint pairs, or feasible-slice ends,
+each listed once. Through a breakpoint belief the feasible slice is a ray of
+composite rows cut by the square, which is convex, so its ends are where
+the ray enters and leaves the square, in closed form, each in the one
+signal orientation it was computed for. The one square test that decides
+every candidate admits them, so a slice as narrow as a single point is
+found. The winner's experiment is built for the ordered pair the square
+test admitted, with no fallback. The mediator reads the linear span through
+the prior and its value from the ``Concavification`` of its interval; the
+unmediated benchmark ``bp_solve`` is the mediator core's reply to X = I,
+whose interval is all of [0, 1].
 
 Each best response has one batched core, ``_sender_batch`` or
 ``_mediator_batch``, that solves a stack of strategies in numpy passes over
@@ -50,9 +52,9 @@ from .errors import BarycenterMismatch, DimensionMismatch
 from .feasible import (
     UNINFORMATIVE_X,
     _inducing_experiments,
+    _on_signal_1,
     _slice_ends,
     _square_test,
-    reconstruct_experiment,
 )
 from .info import (
     TOL,
@@ -77,7 +79,6 @@ from .payoffs import (
     _concavifications,
     _expected_utilities,
     _payoffs,
-    concavify,
     expected_utility,
 )
 
@@ -136,30 +137,20 @@ def _pair_taus(q1, q2, prior: float):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class BenchmarkSolution:
-    tau: BeliefDistribution
-    x: np.ndarray
-    value: float  # the envelope at the prior
-    attained: bool  # whether ``tau`` earns ``value``
-
-
-def bp_solve(u_s: PiecewiseUtility, prior: float) -> BenchmarkSolution:
-    """Optimal unmediated persuasion: concavify over the whole belief space.
+def bp_solve(u_s: PiecewiseUtility, prior: float) -> BestResponse:
+    """Optimal unmediated persuasion: the mediator core's reply to full
+    revelation, which concavifies over the whole belief space; its
+    ``strategy`` is the experiment.
 
     When concavification gains nothing at the prior the babbling outcome is
     returned (point mass, uninformative experiment).
     """
-    conc = concavify(u_s, (0.0, 1.0))
+    br = _mediator_batch(u_s, np.eye(2)[None], prior)[0]
     base = float(u_s(prior))
-    if conc.value(prior) <= base + TOL:
+    if br.value <= base + TOL:
         (tau,), *_ = _pair_taus([prior], [prior], prior)
-        return BenchmarkSolution(tau, UNINFORMATIVE_X.copy(), base, True)
-    lo, hi = conc.linear_span(prior)
-    (tau,), *_ = _pair_taus([lo], [hi], prior)
-    x = reconstruct_experiment(np.eye(2), prior, tau)
-    value, attained = conc.payoff(tau)
-    return BenchmarkSolution(tau, x, value, attained)
+        return BestResponse(UNINFORMATIVE_X.copy(), tau, base, True)
+    return br
 
 
 # ---------------------------------------------------------------------------
@@ -170,29 +161,26 @@ def bp_solve(u_s: PiecewiseUtility, prior: float) -> BenchmarkSolution:
 _BABBLING, _CORNER, _PAIR, _SLICE_END = range(4)  # candidate kinds, the blocks of _sender_candidates
 
 
-def _both_orders(lo, hi):
-    """Each pair (lo, hi) followed by its swap (hi, lo), as q1 and q2 flat
-    over every axis after the leading one."""
-    q1, q2 = np.stack([lo, hi], axis=-1), np.stack([hi, lo], axis=-1)
-    return q1.reshape(len(q1), -1), q2.reshape(len(q2), -1)
-
-
 def _shared_candidates(u_s: PiecewiseUtility, prior: float):
-    """The part of the sender's candidates that no garbling changes: the
-    breakpoint pairs in both orders, each shaped (1, 2 l h) for l low and h
-    high beliefs; the fixed beliefs whose rays :func:`feasible._slice_ends`
-    crosses with the square, and which of them are low; and the kind of each
-    candidate a garbling gets."""
+    """The part of the sender's candidates that no garbling changes.
+
+    The l low beliefs are 0 and the breakpoints more than TOL below the
+    prior; the h high ones are 1 and the breakpoints more than TOL above it.
+    A belief within TOL of the prior would pair as babbling does, and
+    column 0 covers that. Returns the breakpoint pairs in both orders, each
+    shaped (1, 2 l h); the low and high beliefs together as the fixed
+    beliefs whose rays :func:`feasible._slice_ends` follows through the
+    square, and which of them are low; and the kind of each candidate a
+    garbling gets."""
     bps = u_s.breakpoints[(u_s.breakpoints >= 0.0) & (u_s.breakpoints <= 1.0)]
-    lows = np.unique(np.append(bps[bps <= prior + TOL], (0.0, prior)))
-    highs = np.unique(np.append(bps[bps >= prior - TOL], (prior, 1.0)))
+    lows = np.unique(np.append(bps[bps < prior - TOL], 0.0))
+    highs = np.unique(np.append(bps[bps > prior + TOL], 1.0))
     pair = np.empty((lows.size, highs.size, 2))  # (low, high) for every low and high belief
     pair[..., 0], pair[..., 1] = lows[:, None], highs
     pairs = pair.reshape(1, -1), pair[..., ::-1].reshape(1, -1)  # each pair followed by its swap
-    # a belief within TOL of the prior pairs with any companion as babbling does
-    fixed = np.concatenate([lows[lows < prior - TOL], highs[highs > prior + TOL]])
-    # a fixed belief's ray crosses 4 edges in each of 2 orientations, each crossing in both orders
-    kind = np.repeat([_BABBLING, _CORNER, _PAIR, _SLICE_END], [1, 2, pairs[0].shape[1], 16 * fixed.size])
+    fixed = np.concatenate([lows, highs])
+    # a fixed belief's ray enters and leaves the square in each of 2 orientations
+    kind = np.repeat([_BABBLING, _CORNER, _PAIR, _SLICE_END], [1, 2, pairs[0].shape[1], 4 * fixed.size])
     return pairs, fixed, fixed < prior, kind
 
 
@@ -204,23 +192,24 @@ def _sender_candidates(a: np.ndarray, prior: float, shared):
     Returns q1 and q2, shaped (n, k), in blocks of the candidates' kinds and
     in tie-break order: babbling; the two off-diagonal corners of each
     garbling's square, induced by X = I and by the column swap; breakpoint
-    pairs, the same for every garbling; and the crossings of each
-    breakpoint's ray with the edges of the square
-    (:func:`feasible._slice_ends`), natural orientation first, each in both
-    orders. A crossing off the ray's range reads as the pair (f, f), so every
-    garbling has the same candidate order; only the square test decides
-    which candidates are feasible.
+    pairs, the same for every garbling; and the companions where each fixed
+    belief's ray enters and leaves the square (:func:`feasible._slice_ends`),
+    natural orientation first, each pair in the orientation its end was
+    computed for (:func:`feasible._on_signal_1`). These are the vertices of
+    the square's line arrangement, each listed once. An end off the ray's
+    range reads as the pair (f, f), so every garbling has the same candidate
+    order; only the square test decides which candidates are feasible.
     """
     pairs, fixed, is_low, kind = shared
     # (n, corner, posterior): the corners induced by X = I and by the column swap
     corners = np.stack([_bayes(b[..., 0], b[..., 1], prior)[1] for b in (a, a[..., ::-1])], axis=1)
     ends = _slice_ends(a, prior, fixed, is_low)
-    f, low = fixed[:, None, None], is_low[:, None, None]
-    crossings = _both_orders(np.where(low, f, ends), np.where(low, ends, f))
+    f, on_signal_1 = fixed[:, None, None], _on_signal_1(is_low)[..., None]
+    slice_ends = np.where(on_signal_1, f, ends), np.where(on_signal_1, ends, f)
     q1, q2 = np.empty((2, len(a), kind.size))
-    end = 3 + pairs[0].shape[1]  # where the pairs end and the crossings start
-    for q, corner, pair, crossing in zip((q1, q2), (corners[..., 0], corners[..., 1]), pairs, crossings):
-        q[:, 0], q[:, 1:3], q[:, 3:end], q[:, end:] = prior, corner, pair, crossing
+    end = 3 + pairs[0].shape[1]  # where the pairs end and the slice ends start
+    for q, corner, pair, slice_end in zip((q1, q2), (corners[..., 0], corners[..., 1]), pairs, slice_ends):
+        q[:, 0], q[:, 1:3], q[:, 3:end], q[:, end:] = prior, corner, pair, slice_end.reshape(len(a), -1)
     return q1, q2
 
 
@@ -348,8 +337,8 @@ def _mediator_batch(u_m: PiecewiseUtility, xs: np.ndarray, prior: float) -> list
     """Mediator best responses to a stack of 2x2 experiments; see
     :func:`mediator_best_response`.
 
-    Each reply reads the ``Concavification`` of its posterior interval, the
-    object ``bp_solve`` reads over [0, 1], built for the whole batch in one
+    Each reply reads the ``Concavification`` of its posterior interval (all
+    of [0, 1] for ``bp_solve``'s X = I), built for the whole batch in one
     pass (``payoffs._concavifications``): the linear span through the prior,
     and the payoff of the outcome on it.
     """

@@ -400,7 +400,9 @@ def test_feasible_matches_golden_output(name, capsys):
     # feasible CSV recorded before every Bayes update went through info._bayes;
     # fig18's file was re-recorded when its sampled cloud gave way to the nine
     # vertex rows, the others when the 2x2 export did the same with four (the
-    # sampled export is kept as arcs_<name>.csv)
+    # sampled export is kept as arcs_<name>.csv); fig14's and fig20's babbling
+    # rows were re-recorded when a signal with equal likelihoods stopped
+    # going through Bayes' rule, and read the prior and sigma's column exactly
     assert main(["feasible", str(FIXTURES / f"{name}.json")]) == 0
     got = _csv_cells(capsys.readouterr().out)
     want = _csv_cells((GOLDEN / f"feasible_{name}.csv").read_text())

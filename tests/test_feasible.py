@@ -286,14 +286,14 @@ class TestTwoSignalVertexRows:
     def test_babbling_rows_sit_at_the_prior(self):
         # rows 0 and 3 send every state to one signal: both corners of the
         # parallelogram on its babbling diagonal are the uninformative point,
-        # with sigma's columns as masses (each up to the ulp that _bayes's
-        # (1 - prior) c + prior c leaves)
+        # with sigma's columns as masses, exactly: a signal with equal
+        # likelihoods is not put through Bayes' rule
         rng = np.random.default_rng(8)
         for _ in range(200):
             sigma, prior = random_garbling(rng), rng.uniform(0.05, 0.95)
             posteriors, probs = vertex_profiles(sigma, prior)
-            assert np.abs(posteriors[[0, 3]] - prior).max() <= 1e-15, (sigma, prior)
-            assert np.abs(probs[[0, 3]] - sigma.T).max() <= 1e-15, (sigma, prior)
+            assert (posteriors[[0, 3]] == prior).all(), (sigma, prior)
+            assert (probs[[0, 3]] == sigma.T).all(), (sigma, prior)
 
     def test_near_singular_vertex_rows_collapse(self):
         eps = 1e-4
@@ -698,8 +698,8 @@ class TestCompanionIntervals:
         # random garblings, some with entries anywhere in [0, 1]; fixed
         # beliefs at 0, 1, the prior, within TOL of it, on the 1/20 grid and
         # uniform, each taken as low and as high. Off the square's corners the
-        # ray's crossings admitted by the square test end the same slices the
-        # interval intersection did, bit for bit
+        # ray's entry and exit admitted by the square test end the same slices
+        # the interval intersection did, bit for bit
         rng = np.random.default_rng(19)
         tasks_checked = entries = 0
         for i in range(800):

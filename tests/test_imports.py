@@ -61,7 +61,6 @@ PUBLIC_NAMES = [
     "ActionGame",
     "BarycenterMismatch",
     "BeliefDistribution",
-    "BenchmarkSolution",
     "BestResponse",
     "BlackwellOrder",
     "BlackwellResult",

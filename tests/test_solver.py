@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mediated_persuasion import BeliefDistribution, GameSpec, PiecewiseUtility, solver
+from mediated_persuasion import BeliefDistribution, GameSpec, PiecewiseUtility, feasible, solver
 from mediated_persuasion.feasible import posterior_pair
 from mediated_persuasion.errors import ColumnSumMismatch, DimensionMismatch, NegativeEntry, NonFiniteEntry
 from mediated_persuasion.info import TOL, induced_tau, is_mps
@@ -193,7 +193,7 @@ def test_bp_solve_outcomes(name, support, value, request):
     assert sol.tau.beliefs == pytest.approx(support, abs=1e-12, rel=0)
     assert sol.value == pytest.approx(value, abs=1e-12, rel=0)
     # the returned experiment induces the reported outcome
-    induced = induced_tau(sol.x, game.prior)
+    induced = induced_tau(sol.strategy, game.prior)
     assert induced.beliefs == pytest.approx(sol.tau.beliefs, abs=1e-12, rel=0)
     assert induced.probs == pytest.approx(sol.tau.probs, abs=1e-12, rel=0)
 
@@ -619,27 +619,63 @@ def test_check_rejects_profiles_that_are_not_2x2(kg_game, x, sigma):
         check_equilibrium(kg_game, np.array(x), np.array(sigma))
 
 
-def test_mediator_reply_to_full_revelation_is_the_benchmark():
-    # through X = I the mediator concavifies over all of [0, 1] as bp_solve
-    # does, and both read one Concavification: the mediator's reply must match
-    # the benchmark whenever concavification gains at the prior
-    compared = 0
-    for seed in range(80):
-        *utilities, prior = random_game(seed)
-        for u in utilities:
-            sol = bp_solve(u, prior)
-            if sol.value <= u(prior) + TOL:
-                continue
-            br = mediator_best_response(u, np.eye(2), prior)
-            assert br.tau.beliefs.tolist() == sol.tau.beliefs.tolist(), seed
-            assert br.tau.probs.tolist() == sol.tau.probs.tolist(), seed
-            assert br.attained is sol.attained, seed
-            # with the prior on a kink of the envelope the mediator takes
-            # Concavification.value at the prior and bp_solve its payoff; both
-            # read the vertex's own value (random game 18's mediator, prior 0.6)
-            assert br.value == sol.value, seed
-            compared += 1
-    assert compared == 100
+def test_sender_reply_to_the_identity_garbling_is_the_benchmark(request):
+    # bp_solve is the mediator core's reply to X = I; through sigma = I the
+    # sender reaches every posterior pair, so its own best response, an
+    # independent algorithm over the square's arrangement, earns the same
+    # value: on the fixtures' senders and both utilities of each random game
+    games = [request.getfixturevalue(name) for name in FIXTURE_GAMES]
+    cases = [(game.u_sender, game.prior) for game in games]
+    cases += [(u, prior) for seed in range(80) for *utilities, prior in [random_game(seed)] for u in utilities]
+    for u, prior in cases:
+        sol, br = bp_solve(u, prior), sender_best_response(u, np.eye(2), prior)
+        assert abs(br.value - sol.value) <= 1e-12, (u, prior)
+        assert induced_tau(sol.strategy, prior).allclose(sol.tau, tol=1e-12), (u, prior)
+    assert len(cases) == 164
+    # a concave sender gains nothing from information: the benchmark is the
+    # uninformative experiment, which attains the utility at the prior
+    u = PiecewiseUtility.from_points([(0, 0), (0.5, 1), (1, 0)])
+    sol = bp_solve(u, 0.3)
+    assert sol.strategy.tolist() == [[0.5, 0.5], [0.5, 0.5]]
+    assert (sol.tau.beliefs.tolist(), sol.tau.probs.tolist()) == ([0.3], [1.0])
+    assert sol.value == u(0.3) and sol.attained is True
+
+
+# candidates per full-rank garbling: babbling, 2 corners, 2 l h breakpoint
+# pairs and 4 slice ends per fixed belief, for l low and h high beliefs
+CANDIDATES = {"kg": 19, "fig19": 27, "fig20": 35, "fig22": 27}
+
+
+@pytest.mark.parametrize("name", sorted(CANDIDATES))
+def test_sender_candidates_are_the_arrangement_vertices_once(name, request):
+    # each fixed belief's ray enters and leaves the square in each of its two
+    # orientations, so it has 4 slice-end candidates, each in the order its
+    # end was computed for; every one the square test admits on the 26 x 26
+    # garbling grid pairs its fixed belief with an end of one of
+    # companion_slices' slices for that belief
+    game = request.getfixturevalue(f"{name}_game")
+    u, prior = game.u_sender, game.prior
+    shared = solver._shared_candidates(u, prior)
+    _, fixed, is_low, kind = shared
+    assert kind.size == CANDIDATES[name]
+    assert (kind == solver._SLICE_END).sum() == 4 * fixed.size
+    g = np.linspace(0.0, 1.0, 26)
+    grid = np.array([garbling((a, b)) for a in g for b in g if abs(a - b) > TOL])
+    q1, q2 = solver._sender_candidates(grid, prior, shared)
+    ends = kind == solver._SLICE_END
+    q1, q2 = q1[:, ends], q2[:, ends]
+    admitted = feasible._square_test(grid[:, None], prior, q1, q2)
+    f = np.repeat(fixed, 4)
+    checked = 0
+    for sigma, row, a1, a2 in zip(grid, admitted, q1, q2):
+        slices = {(b, low): [] for b, low in zip(fixed.tolist(), is_low.tolist())}
+        for b, low, span in feasible.companion_slices(sigma, prior, list(slices)):
+            slices[(b, low)].extend(span)
+        for k in np.flatnonzero(row).tolist():
+            companion = a2[k] if a1[k] == f[k] else a1[k]
+            assert companion in slices[(f[k], bool(f[k] < prior))], (sigma.tolist(), f[k], a1[k], a2[k])
+            checked += 1
+    assert checked > 0
 
 
 def counted_search(game, monkeypatch):
