@@ -1,16 +1,17 @@
 """Utilities over posterior beliefs: piecewise-affine values, receiver
 reduction with sender-favored ties, and concavification.
 
-A utility is a partition of the belief interval into affine pieces whose
-endpoints may be open, closed, or isolated singletons; that is enough to
-express step payoffs that take distinct values at isolated beliefs.
+A utility is its edge tables: strictly increasing edges, the value attained
+at each edge, and the line of each open segment between neighbouring edges.
+A value at an edge that neither neighbouring segment takes there is a jump
+or an isolated point, which is enough to express step payoffs that take
+distinct values at isolated beliefs.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -23,87 +24,37 @@ SENDER, MEDIATOR, RECEIVER = "sender", "mediator", "receiver"
 _VALUE, _SUP, _ABOVE, _BELOW = range(4)  # rows of PiecewiseUtility._at
 
 
-@dataclass(frozen=True)
-class Piece:
-    """Affine piece ``value = slope*beta + intercept`` on an interval.
-
-    ``lo == hi`` marks a singleton (both ends closed).
-    """
-
-    lo: float
-    hi: float
-    lo_closed: bool
-    hi_closed: bool
-    slope: float
-    intercept: float
-
-    @property
-    def is_singleton(self) -> bool:
-        return self.lo == self.hi
-
-    def value_at(self, beta: float) -> float:
-        return self.slope * beta + self.intercept
-
-
-def _affine_through(x0, y0, x1, y1):
-    slope = (y1 - y0) / (x1 - x0)
-    return slope, y0 - slope * x0
-
-
 @dataclass(frozen=True, eq=False)
 class PiecewiseUtility:
-    """Piecewise-affine function whose pieces exactly partition its domain."""
+    """Piecewise-affine function given by its edge tables: strictly
+    increasing ``edges`` that span its domain, the value ``values[k]``
+    attained at ``edges[k]``, and the line ``slopes[k] * beta +
+    intercepts[k]`` of the open segment between ``edges[k]`` and
+    ``edges[k + 1]``."""
 
-    pieces: tuple[Piece, ...]
+    edges: InitVar[Sequence[float]]
+    values: InitVar[Sequence[float]]
+    slopes: InitVar[Sequence[float]]
+    intercepts: InitVar[Sequence[float]]
 
-    def __post_init__(self):
-        pieces = tuple(sorted(self.pieces, key=lambda p: (p.lo, p.hi)))
-        if not pieces:
-            raise ValueError("need at least one piece")
-        for p in pieces:
-            if not all(map(math.isfinite, (p.lo, p.hi, p.slope, p.intercept))):
-                raise ValueError(f"piece {p} is not finite")
-            if p.lo > p.hi:
-                raise ValueError(f"inverted piece [{p.lo}, {p.hi}]")
-            if p.is_singleton and not (p.lo_closed and p.hi_closed):
-                raise ValueError("singleton pieces must be closed")
-        if not pieces[0].lo_closed or not pieces[-1].hi_closed:
-            raise ValueError("domain endpoints must be attained")
-        for prev, cur in zip(pieces, pieces[1:]):
-            if prev.hi != cur.lo:
-                raise ValueError(f"gap or overlap at {prev.hi} vs {cur.lo}")
-            if prev.hi_closed == cur.lo_closed:
-                raise ValueError(f"breakpoint {cur.lo} owned by {'both' if prev.hi_closed else 'neither'} side")
-        object.__setattr__(self, "pieces", pieces)
+    def __post_init__(self, edges, values, slopes, intercepts):
+        arrays = ev, value_at, slopes, inters = [np.array(a, dtype=float) for a in (edges, values, slopes, intercepts)]
+        n = ev.size
+        shapes = [a.shape for a in arrays]
+        if n == 0 or shapes != [(n,), (n,), (n - 1,), (n - 1,)]:
+            raise ValueError(f"need one or more edges, with 1-d tables of n, n, n - 1, n - 1 entries; got {shapes}")
+        if not np.isfinite(np.concatenate(arrays)).all():
+            raise ValueError("an entry of the utility tables is not finite")
+        if not (ev[1:] > ev[:-1]).all():
+            raise ValueError("utility edges must increase strictly")
         # lookup tables indexed by a belief's left insertion index i among the
         # edges: the affine coefficients of the open segment left of edge i
-        # (the first segment for i = 0) and the attained value at edge i. One
-        # sweep over the sorted pieces builds them: a piece that is not a
-        # singleton is the open segment left of its high end, and an edge's
-        # value is that of the one piece closed there. An edge takes the float
-        # of the first piece starting there, else of the piece ending there.
-        edges, owners, slopes, inters = [pieces[0].lo], [pieces[0]], [0.0], [0.0]
-        starts = True  # whether a piece starts at the last edge
-        for p in pieces:
-            if not starts:
-                edges[-1], starts = p.lo, True
-            if p.lo_closed:
-                owners[-1] = p
-            if not p.is_singleton:
-                edges.append(p.hi)
-                owners.append(p)
-                slopes.append(p.slope)
-                inters.append(p.intercept)
-                starts = False
-        ev = np.array(edges)
-        slope_at, inter_at = np.array(slopes), np.array(inters)
-        if len(edges) > 1:
-            slope_at[0], inter_at[0] = slope_at[1], inter_at[1]
-        value_at = np.array([p.value_at(e) for p, e in zip(owners, edges)])
+        # (the first segment for i = 0) and the attained value at edge i
+        slope_at, inter_at = (np.concatenate([a[:1], a]) if n > 1 else np.zeros(1) for a in (slopes, inters))
         # one-sided limits at each edge (an end edge repeats its one side); a
         # limit within TOL of the attained value is that value, not a jump
         below_at = above_at = value_at
-        if len(edges) > 1:
+        if n > 1:
             below = slope_at * ev + inter_at
             above = np.append(slope_at[1:] * ev[:-1] + inter_at[1:], below[-1])
             below_at, above_at = (np.where(np.abs(v - value_at) <= TOL, value_at, v) for v in (below, above))
@@ -116,11 +67,11 @@ class PiecewiseUtility:
 
     @property
     def domain(self) -> tuple[float, float]:
-        return self.pieces[0].lo, self.pieces[-1].hi
+        return float(self._edges[0]), float(self._edges[-1])
 
     @property
     def breakpoints(self) -> np.ndarray:
-        """All piece endpoints (includes singleton locations)."""
+        """All edges, isolated points included."""
         return self._edges
 
     def __call__(self, beta: float) -> float:
@@ -159,43 +110,50 @@ class PiecewiseUtility:
 
     @classmethod
     def affine(cls, slope: float, intercept: float, domain=(0.0, 1.0)) -> "PiecewiseUtility":
-        lo, hi = domain
-        return cls((Piece(lo, hi, True, True, slope, intercept),))
+        (lo, hi), slope, intercept = map(float, domain), float(slope), float(intercept)
+        return cls([lo, hi], [slope * lo + intercept, slope * hi + intercept], [slope], [intercept])
 
     @classmethod
     def from_points(cls, points: Sequence, singletons: Iterable = ()) -> "PiecewiseUtility":
         """Build from graph points, e.g. ``[(0, 0), (.5, 1), (1, 0)]``.
 
-        A repeated abscissa encodes a jump; the right-hand piece owns the
-        breakpoint. ``singletons`` are isolated (beta, value) overrides and
-        take precedence wherever they land.
+        Each pair of consecutive points with distinct abscissas is a segment,
+        and each edge takes the value of the segment that starts there (the
+        last edge that of the last segment). A repeated abscissa encodes a
+        jump, whose edge takes the right-hand segment's value.
+        ``singletons`` are (beta, value) pairs that override the value at
+        beta, which becomes an edge of its own when it lies inside a
+        segment; a later one at the same beta wins.
         """
         pts = [(float(x), float(y)) for x, y in points]
         if len(pts) < 2:
             raise ValueError("need at least two points")
         if any(x1 < x0 for (x0, _), (x1, _) in zip(pts, pts[1:])):
             raise ValueError("points must have nondecreasing abscissas")
-        pieces: list[Piece] = []
-        i = 0
-        while i < len(pts) - 1:
-            (x0, y0), (x1, y1) = pts[i], pts[i + 1]
-            if x0 == x1:  # jump marker; right side owns x0
-                i += 1
-                continue
-            slope, inter = _affine_through(x0, y0, x1, y1)
-            pieces.append(Piece(x0, x1, True, False, slope, inter))
-            i += 1
-        if not pieces:
+        segs = [(x0, y0, x1, y1) for (x0, y0), (x1, y1) in zip(pts, pts[1:]) if x0 != x1]
+        if not segs:
             raise ValueError("points describe an empty graph")
-        last = pieces[-1]
-        pieces[-1] = Piece(last.lo, last.hi, last.lo_closed, True, last.slope, last.intercept)
+        slopes = [(y1 - y0) / (x1 - x0) for x0, y0, x1, y1 in segs]
+        inters = [y0 - s * x0 for s, (x0, y0, _, _) in zip(slopes, segs)]
+        edges = [seg[0] for seg in segs] + [segs[-1][2]]
+        values = [s * e + c for s, c, e in zip(slopes + slopes[-1:], inters + inters[-1:], edges)]
         for x, v in singletons:
-            pieces = _with_singleton(pieces, float(x), float(v))
-        return cls(tuple(pieces))
+            x, v = float(x), float(v)
+            if not edges[0] <= x <= edges[-1]:
+                raise ValueError(f"singleton {x} outside domain")
+            k = bisect_left(edges, x)
+            if edges[k] != x:  # inside segment k - 1, whose line then lies on both sides
+                edges.insert(k, x)
+                values.insert(k, v)
+                slopes.insert(k, slopes[k - 1])
+                inters.insert(k, inters[k - 1])
+            edges[k], values[k] = x, 0.0 * x + v
+        return cls(edges, values, slopes, inters)
 
     @classmethod
     def step(cls, cutoffs: Sequence[float], values: Sequence[float]) -> "PiecewiseUtility":
-        """Step function: value ``values[k]`` on ``[c_{k-1}, c_k)``, last piece closed."""
+        """Step function: value ``values[k]`` on ``[c_{k-1}, c_k)``, the last
+        value also at 1."""
         cuts = [float(c) for c in cutoffs]
         if len(values) != len(cuts) + 1:
             raise ValueError("need one more value than cutoffs")
@@ -205,33 +163,6 @@ class PiecewiseUtility:
             pts.append((xs[k], float(v)))
             pts.append((xs[k + 1], float(v)))
         return cls.from_points(pts)
-
-
-def _with_singleton(pieces: Sequence[Piece], x: float, value: float) -> list[Piece]:
-    """The sorted ``pieces`` of a partition, with the single belief ``x``
-    split out of the piece that covers it and given ``value``."""
-    if not pieces[0].lo <= x <= pieces[-1].hi:
-        raise ValueError(f"singleton {x} outside domain")
-    out: list[Piece] = []
-    for p in pieces:
-        covers = (p.lo < x < p.hi) or (p.lo_closed and x == p.lo) or (p.hi_closed and x == p.hi)
-        if not covers:
-            out.append(p)
-            continue
-        if p.is_singleton:
-            out.append(Piece(x, x, True, True, 0.0, value))
-            continue
-        if p.lo < x < p.hi:
-            out.append(Piece(p.lo, x, p.lo_closed, False, p.slope, p.intercept))
-            out.append(Piece(x, x, True, True, 0.0, value))
-            out.append(Piece(x, p.hi, False, p.hi_closed, p.slope, p.intercept))
-        elif x == p.lo:
-            out.append(Piece(x, x, True, True, 0.0, value))
-            out.append(Piece(p.lo, p.hi, False, p.hi_closed, p.slope, p.intercept))
-        else:
-            out.append(Piece(p.lo, p.hi, p.lo_closed, False, p.slope, p.intercept))
-            out.append(Piece(x, x, True, True, 0.0, value))
-    return out
 
 
 def expected_utility(u: PiecewiseUtility, tau: BeliefDistribution) -> float:
@@ -289,10 +220,14 @@ class ActionGame:
 def induce_belief_utilities(game: ActionGame):
     """Compile the receiver's behavior into belief-based utilities.
 
-    The receiver plays her expected-utility argmax with ties resolved in the
+    The receiver plays an expected-utility argmax with ties resolved in the
     sender's favor; all three induced utilities share the resulting action
-    map, so breakpoints sit at receiver-indifference beliefs and isolated
-    tie-break switches become singleton pieces.
+    map. Its edges sit where two receiver lines cross, and where two sender
+    lines cross, which moves the sender's favourite among actions the
+    receiver ties; an isolated tie-break switch is an edge value that
+    neither neighbouring segment takes. An inner edge where a player's line
+    does not change and whose action is a neighbour's is dropped from that
+    player's utility.
     """
     nA = len(game.actions)
     lines = [game.line(RECEIVER, a) for a in range(nA)]
@@ -307,58 +242,27 @@ def induce_belief_utilities(game: ActionGame):
         return best[int(np.argmax(s_vals))]
 
     edges = {0.0, 1.0}
-    for a in range(nA):
-        for b in range(a + 1, nA):
-            (sa, ca), (sb, cb) = lines[a], lines[b]
-            if abs(sa - sb) > 1e-14:
-                x = (cb - ca) / (sa - sb)
-                if 1e-12 < x < 1 - 1e-12:
-                    edges.add(float(x))
+    for player in (RECEIVER, SENDER):
+        for a in range(nA):
+            for b in range(a + 1, nA):
+                (sa, ca), (sb, cb) = game.line(player, a), game.line(player, b)
+                if abs(sa - sb) > 1e-14:
+                    x = (cb - ca) / (sa - sb)
+                    if 1e-12 < x < 1 - 1e-12:
+                        edges.add(float(x))
     edges = sorted(edges)
 
     interval_action = [receiver_best(0.5 * (x0 + x1)) for x0, x1 in zip(edges, edges[1:])]
     edge_action = [receiver_best(x) for x in edges]
-    n_int = len(interval_action)
 
     def build(player: str) -> PiecewiseUtility:
-        pieces: list[Piece] = []
-        for k, act in enumerate(interval_action):
-            x0, x1 = edges[k], edges[k + 1]
-            slope, inter = game.line(player, act)
-            lo_owner = edge_action[k]
-            hi_owner = edge_action[k + 1]
-            lo_closed = lo_owner == act
-            # the right neighbor owns a shared edge when its action matches;
-            # otherwise the edge falls to this piece or to a singleton
-            if k == n_int - 1:
-                hi_closed = hi_owner == act
-            else:
-                hi_closed = hi_owner == act and interval_action[k + 1] != hi_owner
-            if not lo_closed and (k == 0 or interval_action[k - 1] != lo_owner):
-                s, c = game.line(player, lo_owner)
-                pieces.append(Piece(x0, x0, True, True, 0.0, s * x0 + c))
-            pieces.append(Piece(x0, x1, lo_closed, hi_closed, slope, inter))
-        if edge_action[-1] != interval_action[-1]:
-            s, c = game.line(player, edge_action[-1])
-            pieces[-1] = Piece(
-                pieces[-1].lo, pieces[-1].hi, pieces[-1].lo_closed, False,
-                pieces[-1].slope, pieces[-1].intercept,
-            )
-            pieces.append(Piece(1.0, 1.0, True, True, 0.0, s * 1.0 + c))
-        # cosmetic: merge adjacent pieces carrying the same line
-        merged: list[Piece] = [pieces[0]]
-        for p in pieces[1:]:
-            q = merged[-1]
-            same_line = (
-                not p.is_singleton and not q.is_singleton
-                and p.slope == q.slope and p.intercept == q.intercept
-                and q.hi == p.lo and (q.hi_closed != p.lo_closed)
-            )
-            if same_line:
-                merged[-1] = Piece(q.lo, p.hi, q.lo_closed, p.hi_closed, q.slope, q.intercept)
-            else:
-                merged.append(p)
-        return PiecewiseUtility(tuple(merged))
+        seg = [game.line(player, a) for a in interval_action]
+        keep = [
+            k for k in range(len(edges))
+            if k in (0, len(edges) - 1) or seg[k - 1] != seg[k] or edge_action[k] not in interval_action[k - 1 : k + 1]
+        ]
+        at = [(edges[k], *game.line(player, edge_action[k])) for k in keep]
+        return PiecewiseUtility([x for x, _, _ in at], [s * x + c for x, s, c in at], *zip(*(seg[k] for k in keep[:-1])))
 
     return build(SENDER), build(MEDIATOR), build(RECEIVER)
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from mediated_persuasion import (
     expected_utility,
     induce_belief_utilities,
 )
-from mediated_persuasion.payoffs import _ABOVE, _BELOW, _SUP, _VALUE, Piece, _with_singleton
+from mediated_persuasion.payoffs import _ABOVE, _BELOW, _SUP, _VALUE
 from mediated_persuasion.scenarios import FIXTURE_NAMES, fixture_path, load_fixture, parse_number
 
 from conftest import random_game, random_pwl
@@ -25,11 +26,6 @@ def kg_tables() -> ActionGame:
         mediator=np.array([[0, 0], [1, 1]]),
         receiver=np.array([[1, 0], [0, 1]]),
     )
-
-
-def two_pieces(left, right) -> PiecewiseUtility:
-    """A utility of two constant pieces, each given as (lo, hi, lo_closed, hi_closed)."""
-    return PiecewiseUtility((Piece(*left, 0.0, 0.0), Piece(*right, 0.0, 1.0)))
 
 
 def fig20_sender() -> PiecewiseUtility:
@@ -68,21 +64,14 @@ class TestEvalUtility:
             (lambda: PiecewiseUtility.from_points([(0, np.nan), (1, 0)]), "is not finite"),
             (lambda: PiecewiseUtility.from_points([(0, 0), (0.5, np.inf), (1, 0)]), "is not finite"),
             (lambda: PiecewiseUtility.step([0.5], [0, np.nan]), "is not finite"),
-            (lambda: PiecewiseUtility(()), "need at least one piece"),
-            (lambda: PiecewiseUtility((Piece(0.6, 0.4, True, True, 0.0, 0.0),)), "inverted piece"),
-            (
-                lambda: PiecewiseUtility((
-                    Piece(0.0, 0.5, True, False, 0.0, 0.0),
-                    Piece(0.5, 0.5, True, False, 0.0, 1.0),
-                    Piece(0.5, 1.0, False, True, 0.0, 0.0),
-                )),
-                "singleton pieces must be closed",
-            ),
-            (lambda: PiecewiseUtility((Piece(0.0, 1.0, False, True, 0.0, 0.0),)), "domain endpoints must be attained"),
-            (lambda: two_pieces((0.0, 0.4, True, False), (0.5, 1.0, True, True)), "gap or overlap at 0.4 vs 0.5"),
-            (lambda: two_pieces((0.0, 0.6, True, False), (0.5, 1.0, True, True)), "gap or overlap at 0.6 vs 0.5"),
-            (lambda: two_pieces((0.0, 0.5, True, True), (0.5, 1.0, True, True)), "breakpoint 0.5 owned by both side"),
-            (lambda: two_pieces((0.0, 0.5, True, False), (0.5, 1.0, False, True)), "breakpoint 0.5 owned by neither side"),
+            (lambda: PiecewiseUtility([], [], [], []), "need one or more edges"),
+            (lambda: PiecewiseUtility([0.0, 0.6, 0.4, 1.0], [0.0] * 4, [0.0] * 3, [0.0] * 3), "edges must increase strictly"),
+            (lambda: PiecewiseUtility([0.0, 0.5, 0.5, 1.0], [0.0] * 4, [0.0] * 3, [0.0] * 3), "edges must increase strictly"),
+            (lambda: PiecewiseUtility([0.0, 1.0], [0.0, 1.0], [1.0, 1.0], [0.0]), "need one or more edges"),
+            (lambda: PiecewiseUtility([[0.0, 1.0]], [[0.0, 1.0]], [1.0], [0.0]), "need one or more edges"),
+            (lambda: PiecewiseUtility([0.0, np.nan], [0.0, 1.0], [1.0], [0.0]), "is not finite"),
+            (lambda: PiecewiseUtility([0.0, 1.0], [0.0, 1.0], [np.inf], [0.0]), "is not finite"),
+            (lambda: PiecewiseUtility([0.0, 1.0], [0.0, 1.0], [1.0], [np.nan]), "is not finite"),
             (lambda: PiecewiseUtility.from_points([(0, 0)]), "need at least two points"),
             (lambda: PiecewiseUtility.from_points([(0.5, 0), (0.5, 1)]), "points describe an empty graph"),
             (lambda: PiecewiseUtility.step([0.5], [1]), "need one more value than cutoffs"),
@@ -91,23 +80,24 @@ class TestEvalUtility:
             "nan-value",
             "infinite-value",
             "nan-step",
-            "no-piece",
-            "inverted-piece",
-            "half-open-singleton",
-            "open-domain-end",
-            "gap",
-            "overlap",
-            "breakpoint-owned-by-both",
-            "breakpoint-owned-by-neither",
+            "no-edge",
+            "unsorted-edges",
+            "repeated-edge",
+            "length-mismatch",
+            "two-d-tables",
+            "nan-edge",
+            "infinite-slope",
+            "nan-intercept",
             "one-point",
             "only-a-jump",
             "step-values-miscounted",
         ],
     )
     def test_rejects_malformed_pieces(self, build, match):
-        # every piece must be finite (NaN fails no comparison below), and the
-        # sorted pieces must partition [lo, hi], each breakpoint owned by one
-        # side
+        # the tables are 1-d with n, n, n - 1 and n - 1 entries, every entry
+        # is finite (NaN fails no comparison below), and the edges increase
+        # strictly, so they hold exactly one value at each edge and one line
+        # on each segment
         with pytest.raises(ValueError, match=match):
             build()
 
@@ -118,37 +108,31 @@ def edge_probes(u: PiecewiseUtility) -> np.ndarray:
     return np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf)])
 
 
-def covering_piece(u: PiecewiseUtility, beta: float):
-    """The piece of ``u`` that holds ``beta``, by a scan of its pieces: the
-    lookup ``PiecewiseUtility`` built its tables with before it swept its
-    sorted pieces once, kept verbatim."""
-    for p in u.pieces:
-        if p.is_singleton:
-            if p.lo == beta:
-                return p
-        else:
-            lo_ok = beta > p.lo or (p.lo_closed and beta == p.lo)
-            hi_ok = beta < p.hi or (p.hi_closed and beta == p.hi)
-            if lo_ok and hi_ok:
-                return p
-    raise ValueError(f"{beta} outside domain [{u.domain[0]}, {u.domain[1]}]")
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "utility_tables.json").read_text())
 
 
-def eval_many_reference(u: PiecewiseUtility, betas) -> np.ndarray:
-    """``PiecewiseUtility.eval_many`` before the shared lookup tables: its
-    table construction and its body, kept verbatim."""
-    edges = sorted({p.lo for p in u.pieces} | {p.hi for p in u.pieces})
-    seg_slope = np.zeros(len(edges) - 1)
-    seg_inter = np.zeros(len(edges) - 1)
-    for k in range(len(edges) - 1):
-        mid = 0.5 * (edges[k] + edges[k + 1])
-        p = covering_piece(u, mid)
-        seg_slope[k], seg_inter[k] = p.slope, p.intercept
-    edge_vals = np.array([covering_piece(u, e).value_at(e) for e in edges])
-    u_edges = np.array(edges)
+def golden_tables(name: str):
+    """``_edges``, ``_slope_at``, ``_inter_at`` and ``_at`` of the utility
+    ``name`` of ``SWEEP_CASES`` as a piece-based constructor built them: a
+    partition into affine pieces whose ends were open or closed, swept once.
+    Its tables were pinned to a scan of the pieces for each edge and each
+    segment, and each singleton to a rebuild per singleton."""
+    hexes = GOLDEN[name]
+
+    def floats(h):
+        return np.array([float.fromhex(x) for x in h])
+
+    return floats(hexes["edges"]), floats(hexes["slope_at"]), floats(hexes["inter_at"]), np.array([floats(r) for r in hexes["at"]])
+
+
+def eval_many_reference(name: str, betas) -> np.ndarray:
+    """``PiecewiseUtility.eval_many`` before the shared lookup tables, on the
+    golden tables of ``name``: its body, kept verbatim."""
+    u_edges, slope_at, inter_at, at = golden_tables(name)
+    seg_slope, seg_inter, edge_vals = slope_at[1:], inter_at[1:], at[_VALUE]
 
     b = np.asarray(betas, dtype=float)
-    lo, hi = u.domain
+    lo, hi = u_edges[0], u_edges[-1]
     if b.size and (b.min() < lo - 1e-12 or b.max() > hi + 1e-12):
         raise ValueError("belief outside utility domain")
     b = np.minimum(np.maximum(b, lo), hi)
@@ -202,14 +186,14 @@ def same_bits(a, b) -> bool:
 
 
 class TestEvalManyPinned:
-    """``eval_many`` returns the old body's bits."""
+    """``eval_many`` returns the old body's bits on the golden tables."""
 
     @pytest.mark.parametrize("name", sorted(UTILITIES))
     def test_bit_equal_to_reference(self, name):
         u = UTILITIES[name]
         uniform = np.random.default_rng(12).uniform(0.0, 1.0, 100_000)
         betas = np.concatenate([edge_probes(u), [0.0, 1.0], uniform])
-        assert same_bits(u.eval_many(betas), eval_many_reference(u, betas))
+        assert same_bits(u.eval_many(betas), eval_many_reference(name, betas))
 
     @pytest.mark.parametrize("name", sorted(UTILITIES))
     def test_zero_d_input(self, name):
@@ -217,13 +201,13 @@ class TestEvalManyPinned:
         for beta in edge_probes(u)[:3].tolist() + [0.37]:
             for got in (u.eval_many(np.float64(beta)), np.asarray(u(beta))):
                 assert got.shape == ()
-                assert same_bits(got, eval_many_reference(u, [beta])[0])
+                assert same_bits(got, eval_many_reference(name, [beta])[0])
 
     @pytest.mark.parametrize("beta", [-1e-9, 1.0 + 1e-9, 2.0])
     def test_out_of_domain_belief_raises(self, beta):
         u = UTILITIES["pwl300"]
         with pytest.raises(ValueError, match="outside utility domain"):
-            eval_many_reference(u, [0.5, beta])
+            eval_many_reference("pwl300", [0.5, beta])
         for evaluate in (u.eval_many, u._locate, lambda b: u(b[1])):
             with pytest.raises(ValueError, match="outside utility domain"):
                 evaluate([0.5, beta])
@@ -254,64 +238,54 @@ PWL_GRAPHS = pwl_graphs()
 class TestSingletons:
     @pytest.mark.parametrize("name", sorted(PWL_GRAPHS))
     def test_equal_to_one_utility_per_singleton_bit_for_bit(self, name):
-        # the singletons join the piece list and the utility is built once;
-        # the reference builds a whole utility, then one more per singleton
+        # the singletons join the edge lists and the utility is built once;
+        # the golden holds the tables of a whole utility rebuilt once more
+        # per singleton
         points, singletons = PWL_GRAPHS[name]
-        u, ref = PiecewiseUtility.from_points(points, singletons), PiecewiseUtility.from_points(points)
-        for x, v in singletons:
-            ref = PiecewiseUtility(tuple(_with_singleton(ref.pieces, float(x), float(v))))
-        assert u.pieces == ref.pieces
-        for table in ("_edges", "_slope_at", "_inter_at", "_at"):
-            assert same_bits(getattr(u, table), getattr(ref, table))
+        u = PiecewiseUtility.from_points(points, singletons)
+        for got, want in zip((u._edges, u._slope_at, u._inter_at, u._at), golden_tables(name)):
+            assert same_bits(got, want)
 
     def test_fig20_load_builds_each_utility_once(self, monkeypatch):
         # its sender's two singletons cost no build of their own
         built = []
         post_init = PiecewiseUtility.__post_init__
-        monkeypatch.setattr(PiecewiseUtility, "__post_init__", lambda u: built.append(u) or post_init(u))
+        monkeypatch.setattr(PiecewiseUtility, "__post_init__", lambda u, *tables: built.append(u) or post_init(u, *tables))
         load_fixture("fig20")
         assert len(built) == 3
-
-
-def tables_reference(u: PiecewiseUtility):
-    """The edges, the segment coefficients and the attained values at the
-    edges as ``PiecewiseUtility`` built them before its one sweep over the
-    sorted pieces: a scan of the pieces per edge and per segment, kept
-    verbatim."""
-    edges = sorted({p.lo for p in u.pieces} | {p.hi for p in u.pieces})
-    slope_at = np.zeros(len(edges))
-    inter_at = np.zeros(len(edges))
-    for k in range(1, len(edges)):
-        p = covering_piece(u, 0.5 * (edges[k - 1] + edges[k]))
-        slope_at[k], inter_at[k] = p.slope, p.intercept
-    if len(edges) > 1:
-        slope_at[0], inter_at[0] = slope_at[1], inter_at[1]
-    value_at = np.array([covering_piece(u, e).value_at(e) for e in edges])
-    return np.array(edges), slope_at, inter_at, value_at
 
 
 SWEEP_CASES = {
     **UTILITIES,
     "singletons-at-both-ends": PiecewiseUtility.from_points([(0, 1), (0.5, 0), (1, 1)], singletons=[(0, 3), (1, -2)]),
     "singleton-on-a-jump": PiecewiseUtility.from_points([(0, 0), (0.4, 1), (0.4, 2), (1, 0)], singletons=[(0.4, 5)]),
-    "closed-left-steps": PiecewiseUtility(
-        (Piece(0.0, 0.3, True, True, 1.0, 0.0), Piece(0.3, 0.6, False, False, -1.0, 2.0), Piece(0.6, 1.0, True, True, 0.0, 1.0))
-    ),
+    # x on [0, 0.3], 2 - x on the open (0.3, 0.6), 1 on [0.6, 1]
+    "closed-left-steps": PiecewiseUtility([0.0, 0.3, 0.6, 1.0], [0.0, 0.3, 1.0, 1.0], [1.0, -1.0, 0.0], [0.0, 2.0, 1.0]),
     "negative-zero-start": PiecewiseUtility.from_points([(-0.0, -0.0), (0.5, 1.0), (1.0, 0.0)]),
     "jump-from-negative-zero": PiecewiseUtility.from_points([(-1.0, 0.0), (-0.0, 1.0), (0.0, 2.0), (1.0, 0.0)]),
     "inner-domain": PiecewiseUtility.affine(2.0, -1.0, (0.2, 0.8)),
-    "one-point": PiecewiseUtility((Piece(0.5, 0.5, True, True, 0.0, 3.0),)),
+    "one-point": PiecewiseUtility([0.5], [3.0], [], []),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
-def test_table_sweep_equals_the_scan_of_pieces(name):
+def test_tables_equal_the_golden(name):
     u = SWEEP_CASES[name]
-    edges, slope_at, inter_at, value_at = tables_reference(u)
+    edges, slope_at, inter_at, at = golden_tables(name)
     assert same_bits(u._edges, edges)
     assert same_bits(u._slope_at, slope_at)
     assert same_bits(u._inter_at, inter_at)
-    assert same_bits(u._at[_VALUE], value_at)
+    assert same_bits(u._at, at)
+    assert u.domain == (edges[0], edges[-1])
+
+
+def test_affine_tables_are_floats():
+    # integer arguments give float tables, as every other constructor does
+    u = PiecewiseUtility.affine(1, 0, (0, 1))
+    for table in (u._edges, u._slope_at, u._inter_at, u._at):
+        assert table.dtype == np.float64
+    assert same_bits(u._edges, [0.0, 1.0]) and same_bits(u._at[_VALUE], [0.0, 1.0])
+    assert u.domain == (0.0, 1.0) and all(type(end) is float for end in u.domain)
 
 
 def lookup_reference(u: PiecewiseUtility, betas, table) -> np.ndarray:
@@ -370,8 +344,10 @@ class TestInducedUtilities:
             receiver=np.array([[2, 3], [0, 1]]),  # first action dominates
         )
         u_s, u_m, u_r = induce_belief_utilities(game)
-        for u in (u_s, u_m, u_r):
-            assert len(u.pieces) == 1
+        for u, (s, c) in zip((u_s, u_m, u_r), ((-1.0, 1.0), (0.0, 0.5), (1.0, 2.0))):
+            assert same_bits(u.breakpoints, [0.0, 1.0])
+            assert same_bits(u._at[_VALUE], [c, s + c])
+            assert same_bits(u._slope_at[1:], [s]) and same_bits(u._inter_at[1:], [c])
 
     def test_three_action_monotone_steps(self):
         # receiver indifferent at 1/3 and 2/3; sender payoffs increase with action
@@ -391,7 +367,8 @@ class TestInducedUtilities:
 
     def test_three_lines_tied_at_one_belief_give_a_singleton(self):
         # all receiver lines meet at 1/2, where the sender's favourite (5)
-        # wins; neither neighbouring interval plays it, so it is a singleton
+        # wins; neither neighbouring segment plays it, so its value at 1/2
+        # is an isolated point
         game = ActionGame(
             actions=("l", "m", "r"),
             sender=np.array([[0, 0], [5, 5], [1, 1]]),
@@ -399,16 +376,14 @@ class TestInducedUtilities:
             receiver=np.array([[1, 0], [0.5, 0.5], [0, 1]]),
         )
         u_s = induce_belief_utilities(game)[0]
-        assert u_s.pieces == (
-            Piece(0.0, 0.5, True, False, 0.0, 0.0),
-            Piece(0.5, 0.5, True, True, 0.0, 5.0),
-            Piece(0.5, 1.0, False, True, 0.0, 1.0),
-        )
+        assert same_bits(u_s.breakpoints, [0.0, 0.5, 1.0])
+        assert same_bits(u_s._at[_VALUE], [0.0, 5.0, 1.0])
+        assert same_bits(u_s._slope_at[1:], [0.0, 0.0]) and same_bits(u_s._inter_at[1:], [0.0, 1.0])
         assert [u_s(b) for b in (0.0, 0.49, 0.5, 0.51, 1.0)] == [0, 0, 5, 1, 1]
 
     def test_tie_only_at_belief_one_gives_a_last_singleton(self):
         # the receiver's lines b and 2b - 1 tie only at 1, where the
-        # sender-preferred action (3) takes the last point from the interval
+        # sender-preferred action (3) takes the last point from the segment
         game = ActionGame(
             actions=("a", "b"),
             sender=np.array([[0, 0], [0, 3]]),
@@ -416,10 +391,9 @@ class TestInducedUtilities:
             receiver=np.array([[0, 1], [-1, 1]]),
         )
         u_s = induce_belief_utilities(game)[0]
-        assert u_s.pieces == (
-            Piece(0.0, 1.0, True, False, 0.0, 0.0),
-            Piece(1.0, 1.0, True, True, 0.0, 3.0),
-        )
+        assert same_bits(u_s.breakpoints, [0.0, 1.0])
+        assert same_bits(u_s._at[_VALUE], [0.0, 3.0])
+        assert same_bits(u_s._slope_at[1:], [0.0]) and same_bits(u_s._inter_at[1:], [0.0])
         assert [u_s(b) for b in (0.0, 0.5, 1.0 - 1e-9, 1.0)] == [0, 0, 0, 3]
 
     def test_argmax_and_tiebreak_by_enumeration(self):
@@ -444,6 +418,34 @@ class TestInducedUtilities:
                     (1 - beta) * game.sender[a_star, 0] + beta * game.sender[a_star, 1],
                     abs=1e-9,
                 )
+
+
+    def test_tied_integer_games_by_enumeration(self):
+        # integer payoffs tie receiver lines often, whole lines included;
+        # the receiver plays an argmax within 1e-12, the one the sender likes
+        # best, and the mediator's utility is pinned where that is unique.
+        # The first game's receiver is indifferent everywhere, so the
+        # sender's favourite switches where the sender lines cross, at 1/2
+        rng = np.random.default_rng(7)
+        games = [ActionGame(("a", "b"), sender=np.eye(2), mediator=np.eye(2), receiver=np.zeros((2, 2)))]
+        for _ in range(500):
+            nA = int(rng.integers(2, 5))
+            games.append(ActionGame(tuple(range(nA)), *(rng.integers(-2, 3, (nA, 2)).astype(float) for _ in range(3))))
+        grids = [np.arange(n + 1) / n for n in (20, 12, 7)]
+        for game in games:
+            betas = np.concatenate([rng.uniform(0, 1, 60), *grids])
+            sender, mediator, receiver = (
+                np.outer(1 - betas, t[:, 0]) + np.outer(betas, t[:, 1]) for t in (game.sender, game.mediator, game.receiver)
+            )
+            top = receiver.max(axis=1)
+            sender = np.where(receiver >= top[:, None] - 1e-12, sender, -np.inf)  # the receiver's argmax only
+            a_star = np.argmax(sender, axis=1)
+            runner_up, favourite = np.sort(sender, axis=1)[:, -2:].T
+            unique = favourite - runner_up > 1e-9
+            u_s, u_m, u_r = (u.eval_many(betas) for u in induce_belief_utilities(game))
+            assert np.abs(u_r - top).max() <= 1e-9, game
+            assert np.abs(u_s - favourite).max() <= 1e-9, game
+            assert np.abs(u_m - mediator[np.arange(betas.size), a_star])[unique].max(initial=0.0) <= 1e-9, game
 
 
 class TestConcavify:
